@@ -1,34 +1,19 @@
 //! `BENCH_serve.json` — the serving point of the repo's machine-readable
 //! perf trajectory.
 //!
-//! Sweeps **both serving architectures** over a shared client script:
-//! `shards ∈ {1, 4}` × `clients ∈ {1, 4, 16, 64, 256}`. One client
-//! streams the block sequence while the others interleave `query-model`
-//! and `stats` requests — the ingest-vs-query mix the daemon is built
-//! for. Each architecture runs at its natural thread budget: the
-//! 1-shard daemon is thread-per-connection, so it gets one worker per
-//! client; the 4-shard daemon serves every client count from 4
-//! readiness-style event-loop threads.
+//! Sweeps the daemon over a shared client script: `shards ∈ {1, 4}` ×
+//! `clients ∈ {1, 4, 16, 64, 256}`, every configuration on 4 event-loop
+//! threads. One client streams the block sequence while the others
+//! interleave `query-model` and `stats` requests — the ingest-vs-query
+//! mix the daemon is built for.
 //!
 //! Reports per-row request throughput, the **median** ingest and query
 //! latencies across `DEMON_BENCH_REPEATS` fresh daemon runs, and a
-//! queue-depth histogram sampled from the daemon's own `Stats` answers
-//! (per-shard in the 4-shard rows). The top-level `shard_speedup_64c`
-//! field is the 4-shard ÷ 1-shard throughput ratio at 64 clients — the
-//! headline number the sharding work is gated on.
-//!
-//! The histogram pins down *why* the 1-shard `ingest_median_ms` used
-//! to roughly double from 4 to 16 clients: the old sweep drove 16
-//! clients plus the ingester into a fixed 8-worker thread-per-connection
-//! pool, so ingest acks queued behind whole query connections being
-//! served to completion. The ingest queue itself was never the
-//! bottleneck — the histograms show it at depth 0–1 throughout — the
-//! backlog lived in connection scheduling. Sizing the pool to the
-//! client count removes the rise (legacy ingest is now flat from 1 to
-//! 256 clients); the 4-shard rows accept a higher ingest median at
-//! extreme client counts (the sequencer shares the core with saturated
-//! loop threads and publishes a replica per block) as the disclosed
-//! price of the query-throughput win.
+//! histogram of the per-shard queue depths sampled from the daemon's
+//! own `Stats` answers. The top-level `shard_speedup_64c` field is the
+//! 4-shard ÷ 1-shard throughput ratio at 64 clients: both run the same
+//! runtime, so it is what partitioning the state costs or buys on the
+//! recorded machine (`cores`, `available_parallelism` in the header).
 //!
 //! Every configuration is run twice per repeat — once volatile and once
 //! with a write-ahead log (fsync before every ingest ack) — so each row
@@ -132,7 +117,7 @@ fn main() {
             }
             let row = json!({
                 // The served model class. The sweep drives the itemset
-                // daemon (sharding is itemsets-only); rows for other
+                // daemon (the one class that shards); rows for other
                 // classes can join the schema without breaking readers.
                 "model": "itemsets",
                 "shards": n_shards,
@@ -163,10 +148,13 @@ fn main() {
     assert_eq!(n_errors, 0, "protocol errors during the bench");
     let speedup = throughput_64c[&4] / throughput_64c[&1];
     println!("# shard_speedup_64c = {speedup:.2}");
+    let (cores, available_parallelism) = cores();
     write_bench_json(
         "BENCH_serve.json",
         json!({
             "bench": "serve",
+            "cores": cores,
+            "available_parallelism": available_parallelism,
             "spec": SPEC,
             "scale": scale(),
             "repeats": repeats,
@@ -204,30 +192,26 @@ fn reference_model_json(blocks: &[TxBlock], minsup: MinSupport) -> String {
     serde_json::to_string(&model).unwrap()
 }
 
-/// Pulls the queue-depth gauges out of a `Stats` body: the per-shard
-/// `"shard_queue_depths":[..]` when present, the single
-/// `"queue_depth":N` otherwise.
+/// Pulls the per-shard `"shard_queue_depths":[..]` gauges out of a
+/// `Stats` body.
 fn parse_depths(stats: &str) -> Vec<u64> {
-    if let Some(tail) = stats.split("\"shard_queue_depths\":[").nth(1) {
-        if let Some(list) = tail.split(']').next() {
-            return list
-                .split(',')
-                .filter_map(|v| v.trim().parse().ok())
-                .collect();
-        }
-    }
     stats
-        .split("\"queue_depth\":")
+        .split("\"shard_queue_depths\":[")
         .nth(1)
-        .and_then(|tail| {
-            tail.chars()
-                .take_while(char::is_ascii_digit)
-                .collect::<String>()
-                .parse()
-                .ok()
-        })
-        .map(|d| vec![d])
+        .and_then(|tail| tail.split(']').next())
+        .map(|list| list.split(',').filter_map(|v| v.trim().parse().ok()).collect())
         .unwrap_or_default()
+}
+
+/// Logical CPUs the kernel lists (`/proc/cpuinfo`), beside what this
+/// process may use (`available_parallelism`, affinity and cgroups
+/// applied) — the two numbers a thread-scaling row must be read with.
+fn cores() -> (usize, usize) {
+    let available = std::thread::available_parallelism().map_or(1, usize::from);
+    let listed = std::fs::read_to_string("/proc/cpuinfo")
+        .map(|s| s.lines().filter(|l| l.starts_with("processor")).count())
+        .unwrap_or(0);
+    (listed.max(available), available)
 }
 
 /// Folds one run's per-shard histograms into the row accumulator.
@@ -246,7 +230,7 @@ struct RunResult {
     ingest: Vec<Duration>,
     query: Vec<Duration>,
     /// Queue-depth observations from this run's `Stats` answers, one
-    /// histogram per shard (one total for the 1-shard daemon).
+    /// histogram per shard.
     depth_hist: Vec<BTreeMap<u64, u64>>,
     requests: u64,
     elapsed: Duration,
@@ -266,9 +250,7 @@ fn drive(
 ) -> RunResult {
     let mut config = ServeConfig::new("127.0.0.1:0", N_ITEMS, minsup);
     config.shards = n_shards;
-    // Thread-per-connection needs a worker per client; the event loop
-    // serves any client count from a fixed four threads.
-    config.workers = if n_shards == 1 { n_clients.max(2) } else { 4 };
+    config.workers = 4;
     config.wal_dir = wal_dir;
     let server = Server::bind(config).expect("bind ephemeral daemon");
     let addr = server.local_addr();

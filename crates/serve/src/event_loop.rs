@@ -1,51 +1,64 @@
-//! The readiness-style connection loop of the sharded daemon: a small
-//! fixed set of threads, each polling its own set of non-blocking
-//! connections — 256 idle clients cost 256 socket buffers, not 256
-//! parked threads.
+//! The connection loop: a small fixed set of threads, each polling its
+//! own set of non-blocking connections — 256 idle clients cost 256
+//! socket buffers, not 256 parked threads.
 //!
-//! Each loop thread owns the connections it accepted. One pass over a
-//! connection makes whatever progress its socket allows: flush the
-//! pending response bytes, check the sequencer completion slot, read
-//! and parse the next request frame. Queries are answered inline from
-//! the current [`Replica`](crate::shard::Replica) — no locks shared
-//! with ingest; the model JSON renders once per replica, on the first
-//! query that wants it, and is memoized after. `IngestBlock` and
-//! `Snapshot` are handed to the sequencer through the bounded queue;
-//! the connection parks no thread while it waits — the loop simply
-//! skips it until the completion slot fills (the sequencer unparks the
-//! loop thread, so the ack lands promptly). When nothing anywhere made
-//! progress the thread parks briefly instead of spinning.
+//! One acceptor thread blocks in `accept` and deals new connections to
+//! the loop threads round-robin; each loop thread owns the connections
+//! it was dealt. One pass over a connection makes whatever progress its
+//! socket allows: flush the pending response bytes, check the sequencer
+//! completion slot, read and parse the next request frame. Queries are
+//! answered inline from the current [`Replica`](crate::shard::Replica)
+//! — no locks shared with ingest; the model JSON renders once per
+//! replica, on the first query that wants it, and is memoized after.
+//! `IngestBlock` and `Snapshot` are handed to the sequencer through the
+//! bounded queue; the connection parks no thread while it waits — the
+//! loop simply skips it until the completion slot fills.
 //!
-//! Backpressure keeps the 1-shard semantics: a full queue is retried
-//! until the connection's deadline (`queue_timeout`) expires, then the
-//! request is rejected with a typed `Busy` (`serve.rejects`) — the
-//! difference is that the *connection* waits, never a thread.
+//! ## Idle policy
+//!
+//! std has no readiness notification, so a request's *arrival* is only
+//! ever noticed by polling. (A sequencer completion is different: it
+//! unparks the owning thread.) The loop therefore
+//!
+//! * keeps polling, yielding the core between passes, for `SPIN`
+//!   after its last progress — a closed-loop client's next request
+//!   lands inside that window and is served without a park's latency;
+//! * then parks `IDLE_PARK` between passes while it owns connections;
+//! * and parks until the acceptor wakes it while it owns none — an idle
+//!   thread costs nothing.
+//!
+//! Backpressure: a full queue is retried until the connection's
+//! deadline (`queue_timeout`) expires, then the request is rejected
+//! with a typed `Busy` (`serve.rejects`) — the *connection* waits,
+//! never a thread.
 
 use crate::model::ServableModel;
 use crate::protocol::{Request, Response, WireError};
-use crate::shard::{
-    sharded_stats_json, shard_of, Pending, ShardJob, ShardShared, SubmitError,
-};
+use crate::sequencer::{decode_block, Hub, Pending, SubmitError, Task};
+use crate::shard::shard_of;
 use demon_types::durable::{self, FrameClass, FRAME_HEADER_LEN};
 use demon_types::obs::{self, Counter};
-use demon_types::Block;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 
-/// How long an idle loop thread parks between polls. Small enough that
-/// a completion missed by a race adds negligible latency; any actual
-/// socket readiness or sequencer completion unparks the thread early.
+/// How long a loop thread keeps polling after its last progress before
+/// it parks.
+const SPIN: Duration = Duration::from_micros(400);
+
+/// The park between polls of a quiet thread that owns connections: the
+/// most a request's arrival can go unnoticed.
 const IDLE_PARK: Duration = Duration::from_micros(250);
 
 /// What a connection is waiting on, if anything.
 enum PendingState<S: ServableModel> {
-    /// The job could not be enqueued yet (queue full); retried each
-    /// tick until the deadline.
-    Submit { job: ShardJob<S>, deadline: Instant },
-    /// The job is with the sequencer; the slot fills when it is done.
+    /// The task could not be enqueued yet (queue full); retried each
+    /// pass until the deadline.
+    Submit { task: Task<S>, deadline: Instant },
+    /// The task is with the sequencer; the slot fills when it is done.
     Waiting(Arc<Pending>),
 }
 
@@ -93,9 +106,18 @@ impl<S: ServableModel> Conn<S> {
         self.out_buf.extend_from_slice(&bytes);
     }
 
+    /// Hands `task` to the sequencer: submitted on the next pass, and
+    /// retried each pass while the queue is full.
+    fn submit(&mut self, hub: &Hub<S>, task: Task<S>) {
+        self.pending = Some(PendingState::Submit {
+            task,
+            deadline: Instant::now() + hub.queue_timeout,
+        });
+    }
+
     /// One non-blocking pass: flush, poll the completion, read/parse.
     /// Returns whether any progress happened.
-    fn tick(&mut self, shared: &Arc<ShardShared<S>>, now: Instant) -> bool {
+    fn tick(&mut self, hub: &Hub<S>, now: Instant) -> bool {
         let mut progressed = false;
 
         // Flush whatever the socket accepts.
@@ -122,46 +144,40 @@ impl<S: ServableModel> Conn<S> {
             self.out_buf.clear();
             self.out_pos = 0;
             if self.shutdown_after_write {
-                begin_shutdown(shared);
+                hub.begin_shutdown();
                 self.dead = true;
                 return true;
             }
         }
 
-        // Move the in-flight job along.
+        // Move the in-flight task along.
         match self.pending.take() {
             None => {}
-            Some(PendingState::Submit { job, deadline }) => {
-                let shard = match &job {
-                    ShardJob::Ingest { block, .. } => Some(shard_of(block.id(), shared.n_shards)),
-                    ShardJob::Snapshot { .. } => None,
+            Some(PendingState::Submit { task, deadline }) => {
+                let (gauge, done) = match &task {
+                    Task::Ingest { block, done } => {
+                        let shard = shard_of(block.id(), hub.n_shards());
+                        (Some(&hub.shard_pending[shard]), Arc::clone(done))
+                    }
+                    Task::Snapshot { done, .. } => (None, Arc::clone(done)),
                 };
-                match shared.queue.try_submit(job) {
-                    Ok(done) => {
-                        if let Some(s) = shard {
-                            shared.shard_pending[s].fetch_add(1, Ordering::SeqCst);
-                        }
+                match hub.queue.try_submit(task, gauge) {
+                    Ok(()) => {
                         progressed = true;
                         self.pending = Some(PendingState::Waiting(done));
                     }
-                    Err(SubmitError::Full(job)) => {
-                        if now >= deadline {
-                            obs::incr(Counter::ServeRejects);
-                            drop(job);
-                            self.push_response(&Response::Err(WireError::Busy(format!(
-                                "ingest queue full ({} blocks) past the backpressure deadline",
-                                shared.queue.capacity()
-                            ))));
-                            progressed = true;
-                        } else {
-                            self.pending = Some(PendingState::Submit { job, deadline });
-                        }
+                    Err(SubmitError::Full(task)) if now < deadline => {
+                        self.pending = Some(PendingState::Submit { task, deadline });
                     }
-                    Err(SubmitError::Closed) => {
+                    Err(refused) => {
                         obs::incr(Counter::ServeRejects);
-                        self.push_response(&Response::Err(WireError::Busy(
-                            "server is shutting down".to_string(),
-                        )));
+                        self.push_response(&Response::Err(WireError::Busy(match refused {
+                            SubmitError::Full(_) => format!(
+                                "ingest queue full ({} blocks) past the backpressure deadline",
+                                hub.queue.capacity()
+                            ),
+                            SubmitError::Closed => "server is shutting down".to_string(),
+                        })));
                         progressed = true;
                     }
                 }
@@ -200,11 +216,10 @@ impl<S: ServableModel> Conn<S> {
                     }
                 }
             }
-            progressed |= self.parse_and_dispatch(shared);
+            progressed |= self.parse_and_serve(hub);
         }
 
-        if !self.has_work_in_flight() && now.duration_since(self.last_activity) > shared.io_timeout
-        {
+        if !self.has_work_in_flight() && now.duration_since(self.last_activity) > hub.io_timeout {
             self.dead = true;
             return true;
         }
@@ -212,10 +227,11 @@ impl<S: ServableModel> Conn<S> {
     }
 
     /// Parses one complete frame out of `in_buf`, if present, and
-    /// dispatches it. Transport damage (bad magic, class, CRC) drops
-    /// the connection, exactly like the 1-shard daemon; a malformed
-    /// payload inside a valid frame gets a typed `Err` response.
-    fn parse_and_dispatch(&mut self, shared: &Arc<ShardShared<S>>) -> bool {
+    /// serves it. Transport damage (bad magic, class, CRC) drops the
+    /// connection — there is no trustworthy frame boundary to answer
+    /// on; a malformed payload inside a valid frame gets a typed `Err`
+    /// response and the connection lives on.
+    fn parse_and_serve(&mut self, hub: &Hub<S>) -> bool {
         if self.in_buf.len() < FRAME_HEADER_LEN {
             return false;
         }
@@ -243,13 +259,14 @@ impl<S: ServableModel> Conn<S> {
             self.dead = true;
             return true;
         }
-        shared.requests.fetch_add(1, Ordering::Relaxed);
+        hub.requests.fetch_add(1, Ordering::Relaxed);
         obs::incr(Counter::ServeRequests);
         obs::add(Counter::ServeBytesIn, total as u64);
         let request = Request::decode(payload);
         self.in_buf.drain(..total);
+        let other = |msg: String| Response::Err(WireError::Other(msg));
         match request {
-            Err(e) => self.push_response(&Response::Err(WireError::Other(e.to_string()))),
+            Err(e) => self.push_response(&other(e.to_string())),
             Ok(Request::IngestBlock {
                 class,
                 id,
@@ -259,63 +276,44 @@ impl<S: ServableModel> Conn<S> {
             }) => {
                 if class != S::CLASS.tag() {
                     self.push_response(&Response::Err(WireError::class_mismatch(S::CLASS, class)));
-                } else if let Some(msg) = S::meta_mismatch(shared.meta, meta) {
-                    self.push_response(&Response::Err(WireError::Other(msg)));
+                } else if let Some(msg) = S::meta_mismatch(hub.meta, meta) {
+                    self.push_response(&other(msg));
                 } else {
-                    match S::decode_records(&payload, id, meta) {
-                        Err(e) => self
-                            .push_response(&Response::Err(WireError::Other(e.to_string()))),
-                        Ok(records) => {
-                            let block = match interval {
-                                Some(iv) => Block::with_interval(id, iv, records),
-                                None => Block::new(id, records),
-                            };
+                    match decode_block::<S>(id, interval, meta, &payload) {
+                        Err(e) => self.push_response(&other(e.to_string())),
+                        Ok(block) => {
                             let done = Arc::new(Pending::new(std::thread::current()));
-                            self.pending = Some(PendingState::Submit {
-                                job: ShardJob::Ingest {
-                                    block,
-                                    done: Arc::clone(&done),
-                                },
-                                deadline: Instant::now() + shared.queue_timeout,
-                            });
+                            self.submit(hub, Task::Ingest { block, done });
                         }
                     }
                 }
             }
             Ok(Request::QueryModel { class }) => {
                 obs::incr(Counter::ServeShardQueries);
-                if let Some(c) = class {
-                    if c != S::CLASS.tag() {
+                match class {
+                    Some(c) if c != S::CLASS.tag() => {
                         self.push_response(&Response::Err(WireError::class_mismatch(S::CLASS, c)));
-                        return true;
                     }
-                }
-                let replica = shared.replica.load();
-                // Lazy render: the first query of this epoch pays the
-                // serialization, every later one reuses the bytes.
-                match replica.model_json() {
-                    Ok(json) => self.push_response(&Response::Model(json.to_string())),
-                    Err(msg) => self.push_response(&Response::Err(WireError::Other(msg))),
+                    // Lazy render: the first query of this epoch pays
+                    // the serialization, every later one reuses it.
+                    _ => match hub.replica.load().model_json() {
+                        Ok(json) => self.push_response(&Response::Model(json.to_string())),
+                        Err(msg) => self.push_response(&other(msg)),
+                    },
                 }
             }
             Ok(Request::QuerySequences) => {
                 obs::incr(Counter::ServeShardQueries);
-                let replica = shared.replica.load();
+                let replica = hub.replica.load();
                 self.push_response(&Response::Sequences(replica.sequences.clone()));
             }
             Ok(Request::Stats) => {
                 obs::incr(Counter::ServeShardQueries);
-                self.push_response(&Response::Stats(sharded_stats_json(shared)));
+                self.push_response(&Response::Stats(hub.stats_json()));
             }
             Ok(Request::Snapshot { dir }) => {
                 let done = Arc::new(Pending::new(std::thread::current()));
-                self.pending = Some(PendingState::Submit {
-                    job: ShardJob::Snapshot {
-                        dir,
-                        done: Arc::clone(&done),
-                    },
-                    deadline: Instant::now() + shared.queue_timeout,
-                });
+                self.submit(hub, Task::Snapshot { dir, done });
             }
             Ok(Request::Shutdown) => {
                 self.push_response(&Response::Ok);
@@ -326,43 +324,63 @@ impl<S: ServableModel> Conn<S> {
     }
 }
 
-/// Flags shutdown and closes the queue; queued jobs still drain, loop
-/// threads exit once their in-flight connections are answered.
-fn begin_shutdown<S: ServableModel>(shared: &Arc<ShardShared<S>>) {
-    if shared.shutdown.swap(true, Ordering::SeqCst) {
-        return;
+/// How long the acceptor waits after a failed `accept` (descriptor
+/// exhaustion is the persistent one) before it tries again.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
+/// The acceptor thread: blocks in `accept` and deals each connection to
+/// the next loop thread's inbox, waking it. Shutdown pops it out of the
+/// `accept` with a throwaway connection
+/// ([`Hub::wake_acceptor`](crate::sequencer::Hub::wake_acceptor)).
+pub(crate) fn acceptor<S: ServableModel>(
+    hub: &Hub<S>,
+    listener: &TcpListener,
+    loops: &[(mpsc::Sender<TcpStream>, Thread)],
+) {
+    for (n, stream) in listener.incoming().enumerate() {
+        if hub.shutdown.load(Ordering::SeqCst) {
+            break;
+        }
+        let (inbox, thread) = &loops[n % loops.len()];
+        match stream {
+            Ok(stream) => {
+                if inbox.send(stream).is_ok() {
+                    thread.unpark();
+                }
+            }
+            Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
+        }
     }
-    shared.queue.close();
 }
 
-/// One event-loop thread: accept on the shared non-blocking listener,
-/// then poll every owned connection. Parks briefly when a full pass
-/// makes no progress; any sequencer completion unparks it.
-pub fn event_loop<S: ServableModel>(shared: &Arc<ShardShared<S>>, listener: &TcpListener) {
+/// One event-loop thread: adopt what the acceptor dealt, then poll every
+/// owned connection; between passes, spin or park per the module's idle
+/// policy.
+pub(crate) fn event_loop<S: ServableModel>(hub: &Hub<S>, inbox: &mpsc::Receiver<TcpStream>) {
     let mut conns: Vec<Conn<S>> = Vec::new();
+    let mut last_progress = Instant::now();
     loop {
-        let shutting_down = shared.shutdown.load(Ordering::SeqCst);
-        let mut progressed = false;
-        if !shutting_down {
-            while let Ok((stream, _)) = listener.accept() {
-                conns.push(Conn::new(stream));
-                progressed = true;
-            }
-        }
+        let shutting_down = hub.shutdown.load(Ordering::SeqCst);
+        let before = conns.len();
+        conns.extend(inbox.try_iter().map(Conn::new));
+        let mut progressed = conns.len() > before;
         let now = Instant::now();
         for conn in &mut conns {
-            progressed |= conn.tick(shared, now);
+            progressed |= conn.tick(hub, now);
         }
-        conns.retain(|c| !c.dead);
-        if shutting_down {
-            // Idle connections are dropped; those with a request in
-            // flight (or unflushed bytes) finish first.
-            conns.retain(Conn::has_work_in_flight);
-            if conns.is_empty() {
-                return;
-            }
+        // Dead connections go; while shutting down so do idle ones —
+        // those with a request in flight (or unflushed bytes) finish.
+        conns.retain(|c| !c.dead && (!shutting_down || c.has_work_in_flight()));
+        if shutting_down && conns.is_empty() {
+            return;
         }
-        if !progressed {
+        if progressed {
+            last_progress = now;
+        } else if conns.is_empty() {
+            std::thread::park();
+        } else if now.duration_since(last_progress) < SPIN {
+            std::thread::yield_now();
+        } else {
             std::thread::park_timeout(IDLE_PARK);
         }
     }

@@ -3,14 +3,15 @@
 //!
 //! The paper frames DEMON as a system that *continuously* maintains
 //! models and detects patterns as blocks arrive; this crate is that
-//! long-running shape. A [`Server`] owns one
-//! [`DemonMonitor`](demon_core::monitor::DemonMonitor) behind a
-//! read/write lock and serves concurrent clients from a fixed worker
-//! pool: blocks stream in through a bounded ingest queue (backpressure,
-//! not unbounded buffering) while queries read the live model, the
-//! compact pattern sequences and the obs counter table, and a
-//! `Snapshot` verb persists the monitored store atomically through the
-//! durable writer.
+//! long-running shape. A [`Server`] is one runtime for every model
+//! class and shard count: blocks stream in through a bounded queue
+//! (backpressure, not unbounded buffering) to a single sequencer
+//! thread, which logs, applies and publishes each one as an immutable
+//! epoch-swapped replica; a few event-loop threads serve any number of
+//! connections and answer queries — the live model, the compact
+//! pattern sequences, the obs counter table — from the current replica
+//! without taking a lock ingest holds; a `Snapshot` verb persists the
+//! monitored store atomically through the durable writer.
 //!
 //! Std-only by design: the wire protocol reuses the workspace's
 //! framed, CRC32-checksummed durable codec ([`demon_types::durable`])
@@ -24,9 +25,10 @@
 //! |---|---|
 //! | [`protocol`] | frame layout, verbs, request/response codecs, typed wire errors |
 //! | [`model`] | the [`ServableModel`] abstraction: codecs, rendering, snapshots, shard capability per model class |
-//! | [`server`] | worker pool, ingest queue, WAL + recovery + compaction, dispatch |
-//! | [`shard`] | partitioned runtime (`--shards ≥ 2`): per-shard stores + WAL lanes, sequencer, epoch-swapped replicas |
-//! | [`event_loop`] | readiness-style (poll-based, std-only) connection loop for the sharded runtime |
+//! | [`server`] | [`ServeConfig`], [`Server`]: bind (validation, recovery) and run (thread set-up) |
+//! | [`shard`] | the state the sequencer applies blocks to (the class's monitor, or per-shard stores with an exact merge) and the epoch-swapped replicas readers see |
+//! | [`sequencer`] | bounded queue, WAL lanes + group commit, recovery, compaction, `Stats` |
+//! | [`event_loop`] | poll-based (std-only) non-blocking connection loop: framing, verbs, idle policy |
 //! | [`client`] | blocking one-call-per-request client with bounded retry |
 //!
 //! # Quick taste
@@ -76,11 +78,10 @@
 //!   `Snapshot` directory always loads under
 //!   [`RecoveryPolicy::Strict`](demon_itemsets::persist::RecoveryPolicy).
 //! * With `ServeConfig::shards ≥ 2` the serving state is partitioned
-//!   (round-robin by block id) across per-shard stores and WAL lanes
-//!   behind one sequencer, queries are answered from immutable
-//!   epoch-swapped replicas, and every query response and persisted
-//!   snapshot stays **byte-identical** to the 1-shard daemon's
-//!   (asserted in `tests/serve_sharded.rs`).
+//!   (round-robin by block id) across per-shard stores and WAL lanes,
+//!   and every query response and persisted snapshot stays
+//!   **byte-identical** to the 1-shard daemon's (asserted in
+//!   `tests/serve_sharded.rs`).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -89,6 +90,7 @@ pub mod client;
 pub mod event_loop;
 pub mod model;
 pub mod protocol;
+pub mod sequencer;
 pub mod server;
 pub mod shard;
 
@@ -97,4 +99,4 @@ pub use model::{
     ClusterModel, DbscanModel, ItemsetModel, ServableModel, ShardableModel, TreeModel,
 };
 pub use protocol::{Request, Response, WireError, MAX_PAYLOAD};
-pub use server::{ServeConfig, ServeSummary, ServedMonitor, Server};
+pub use server::{ServeConfig, ServeSummary, Server};

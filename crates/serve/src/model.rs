@@ -1,8 +1,8 @@
 //! The serving abstraction: what a model class must provide to be
 //! hosted by the daemon.
 //!
-//! The daemon itself is generic — one queue, one WAL, one monitor, one
-//! wire protocol. Everything class-specific funnels through
+//! The daemon itself is generic — one queue, one sequencer, one WAL,
+//! one wire protocol. Everything class-specific funnels through
 //! [`ServableModel`]:
 //!
 //! | Capability | Trait hook |
@@ -12,22 +12,22 @@
 //! | per-block wire meta (universe / dim) | [`ServableModel::block_meta`], [`ServableModel::meta_mismatch`] |
 //! | block-record wire codec | [`ServableModel::encode_records`], [`ServableModel::decode_records`] |
 //! | model → canonical JSON | [`ServableModel::render_model_json`] |
-//! | snapshot persist / load | [`ServableModel::save_snapshot`], [`ServableModel::load_snapshot`] |
+//! | snapshot persist / load | [`ServableModel::block`], [`ServableModel::save_snapshot`], [`ServableModel::load_snapshot`] |
 //! | exact shard merge (optional) | [`ShardableModel`] |
 //!
-//! Four classes implement it: [`ItemsetModel`] (the seed daemon,
-//! byte-for-byte unchanged), [`ClusterModel`] (BIRCH+ over point
-//! blocks), [`TreeModel`] (windowed decision trees over labeled
-//! points) and [`DbscanModel`] (incremental DBSCAN density models —
+//! Four classes implement it: [`ItemsetModel`] (frequent itemsets over
+//! transaction blocks), [`ClusterModel`] (BIRCH+ over point blocks),
+//! [`TreeModel`] (windowed decision trees over labeled points) and
+//! [`DbscanModel`] (incremental DBSCAN density models —
 //! the one class whose `--window` engine slides by *deleting* the
 //! departing block's points instead of refitting, via the
 //! [`ServableModel::build_monitor`] hook).
 //!
 //! ## Sharding is a capability, not a default
 //!
-//! The partitioned runtime (`--shards ≥ 2`) needs an *exact*
-//! scatter/gather: the model absorbed from per-shard stores must be
-//! byte-identical to the 1-shard model. Frequent-itemset supports are
+//! Partitioned state (`--shards ≥ 2`, [`crate::shard::ShardSet`]) needs
+//! an *exact* scatter/gather: the model absorbed from per-shard stores
+//! must be byte-identical to the 1-shard model. Frequent-itemset supports are
 //! additive over disjoint block sets, so [`ItemsetModel`] implements
 //! [`ShardableModel`]. A CF-tree's shape depends on insertion order
 //! across the whole stream and a decision tree refits over every
@@ -140,6 +140,10 @@ pub trait ServableModel: Send + Sync + 'static {
     /// Ids of every block the maintainer holds, ascending.
     fn block_ids(maintainer: &Self::Maintainer) -> Vec<BlockId>;
 
+    /// A copy of held block `id` (snapshots gather these into a fresh
+    /// maintainer; see [`crate::shard::AppliedState::snapshot_source`]).
+    fn block(maintainer: &Self::Maintainer, id: BlockId) -> Result<Block<Self::Record>>;
+
     /// Persists the maintainer's blocks to `dir` all-or-nothing;
     /// returns the persisted block count.
     fn save_snapshot(maintainer: &Self::Maintainer, dir: &Path) -> Result<u64>;
@@ -167,20 +171,9 @@ pub trait ShardableModel: ServableModel {
         id: BlockId,
         config: &ServeConfig,
     ) -> Result<()>;
-
-    /// Gathers every shard's blocks into one fresh single-store
-    /// maintainer, registered in block-id order — the exact 1-shard
-    /// register path, so the merged store is byte-identical to what a
-    /// `--shards 1` daemon would persist. This is the one merge helper
-    /// behind both the `Snapshot` verb and WAL compaction.
-    fn merged_maintainer(
-        config: &ServeConfig,
-        shards: &[Self::Maintainer],
-        latest: Option<BlockId>,
-    ) -> Result<Self::Maintainer>;
 }
 
-/// Frequent itemsets + compact sequences — the seed daemon's class.
+/// Frequent itemsets + compact sequences — the default class.
 pub enum ItemsetModel {}
 
 impl ServableModel for ItemsetModel {
@@ -239,6 +232,11 @@ impl ServableModel for ItemsetModel {
         maintainer.store().block_ids().to_vec()
     }
 
+    fn block(maintainer: &ItemsetMaintainer, id: BlockId) -> Result<Block<Self::Record>> {
+        let block = maintainer.store().try_block(id)?;
+        Ok((*block.ok_or(DemonError::UnknownBlock(id.value()))?).clone())
+    }
+
     fn save_snapshot(maintainer: &ItemsetMaintainer, dir: &Path) -> Result<u64> {
         save_store_atomic(maintainer.store(), dir)?;
         Ok(maintainer.store().len() as u64)
@@ -272,31 +270,6 @@ impl ShardableModel for ItemsetModel {
         let stores: Vec<&TxStore> = shards.iter().map(ItemsetMaintainer::store).collect();
         model.absorb_block_sharded(&stores, id, config.counter)?;
         Ok(())
-    }
-
-    fn merged_maintainer(
-        config: &ServeConfig,
-        shards: &[ItemsetMaintainer],
-        latest: Option<BlockId>,
-    ) -> Result<ItemsetMaintainer> {
-        let mut merged = ItemsetMaintainer::with_store_config(
-            config.n_items,
-            config.minsup,
-            config.counter,
-            &StoreConfig::InMemory,
-        )?;
-        let last = latest.map_or(0, |b| b.value());
-        for id in 1..=last {
-            let id = BlockId(id);
-            let s = crate::shard::shard_of(id, shards.len());
-            let block = (*shards[s]
-                .store()
-                .block(id)
-                .ok_or(DemonError::UnknownBlock(id.value()))?)
-            .clone();
-            merged.register_block(block);
-        }
-        Ok(merged)
     }
 }
 
@@ -371,6 +344,10 @@ impl ServableModel for ClusterModel {
 
     fn block_ids(maintainer: &ClusterMaintainer) -> Vec<BlockId> {
         maintainer.store().ids()
+    }
+
+    fn block(maintainer: &ClusterMaintainer, id: BlockId) -> Result<Block<Point>> {
+        stored_block(maintainer.store(), id, |entry| &entry.0)
     }
 
     fn save_snapshot(maintainer: &ClusterMaintainer, dir: &Path) -> Result<u64> {
@@ -462,6 +439,10 @@ impl ServableModel for DbscanModel {
 
     fn block_ids(maintainer: &DbscanMaintainer) -> Vec<BlockId> {
         maintainer.store().ids()
+    }
+
+    fn block(maintainer: &DbscanMaintainer, id: BlockId) -> Result<Block<Point>> {
+        stored_block(maintainer.store(), id, |entry| &entry.0)
     }
 
     fn save_snapshot(maintainer: &DbscanMaintainer, dir: &Path) -> Result<u64> {
@@ -556,6 +537,10 @@ impl ServableModel for TreeModel {
         maintainer.store().ids()
     }
 
+    fn block(maintainer: &TreeMaintainer, id: BlockId) -> Result<Block<LabeledPoint>> {
+        stored_block(maintainer.store(), id, |entry| &entry.0)
+    }
+
     fn save_snapshot(maintainer: &TreeMaintainer, dir: &Path) -> Result<u64> {
         save_blocks_atomic(maintainer.store(), Self::CLASS, dir)
     }
@@ -565,6 +550,16 @@ impl ServableModel for TreeModel {
             entries.into_iter().map(|e| e.0).collect()
         })
     }
+}
+
+/// A copy of the block a [`BlockStore`] entry wraps.
+fn stored_block<E: Spillable, R: Clone>(
+    store: &BlockStore<E>,
+    id: BlockId,
+    block_of: impl Fn(&E) -> &Block<R>,
+) -> Result<Block<R>> {
+    let entry = store.get(id)?.ok_or(DemonError::UnknownBlock(id.value()))?;
+    Ok(block_of(&entry).clone())
 }
 
 /// The dimension-mismatch refusal shared by the point-record classes.

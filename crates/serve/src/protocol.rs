@@ -161,7 +161,7 @@ pub enum WireError {
 
 impl WireError {
     /// Builds the wire form of a server-side [`DemonError`], preserving
-    /// the variants clients dispatch on.
+    /// the variants clients branch on.
     pub fn from_error(e: &DemonError) -> WireError {
         match e {
             DemonError::DuplicateBlock { id, latest } => WireError::Duplicate {

@@ -1,103 +1,48 @@
-//! The daemon: a fixed pool of worker threads serving framed requests
-//! over TCP, one writer applying ingested blocks in arrival order —
-//! optionally behind a write-ahead log, so an acknowledged block
-//! survives `kill -9`.
-//!
-//! The runtime is generic over [`ServableModel`]: the same queue, WAL,
-//! recovery, compaction and dispatch serve frequent itemsets (the
-//! seed class, byte-for-byte unchanged), BIRCH+ clusters and windowed
-//! decision trees — `ServeConfig::model` picks the class, and every
-//! wire payload and WAL record carries its class tag so a mismatched
-//! client (or a WAL replayed into the wrong daemon) is refused with a
-//! typed error instead of decode soup.
-//!
-//! ## Concurrency shape
+//! The daemon's public face: [`ServeConfig`], [`Server`], and the one
+//! runtime behind them.
 //!
 //! ```text
-//!  client sockets ──▶ worker threads (N, accept + serve)
-//!                        │ queries            │ IngestBlock
-//!                        ▼                    ▼
-//!                  RwLock<DemonMonitor>   bounded ingest queue
-//!                        ▲                    │
-//!                        └── ingester thread ◀┘  (single writer)
-//!                        │         │ append+fsync before apply
-//!                        ▼         ▼
-//!                  compactor ◀── wal-<gen>.log
-//!                  (snapshot + rotate)
+//!  client sockets ──▶ acceptor ──▶ event-loop threads (`workers`, non-blocking)
+//!        │ queries answered inline          │ IngestBlock / Snapshot
+//!        ▼                                  ▼
+//!  Arc<Replica> (epoch-swapped)      bounded sequencer queue
+//!        ▲                                  │
+//!        └──── sequencer thread ◀───────────┘   (single writer)
+//!              │ owns the AppliedState: the class's monitor (shards = 1)
+//!              │ or a ShardSet (shards ≥ 2)
+//!              │ append + fsync to the WAL lane(s), then apply, publish, ack
+//!              ▼
+//!        compactor ◀── snapshot-<gen> + CURRENT
 //! ```
 //!
-//! * **Queries** (`QueryModel`, `QuerySequences`, `Stats`, `Snapshot`)
-//!   take the monitor read lock, so any number run concurrently with
-//!   each other and block only while a block is being applied.
-//! * **Ingest** is serialized through a bounded queue drained by one
-//!   ingester thread holding the write lock per block. The worker that
-//!   accepted the request blocks on a completion slot, so a successful
-//!   `IngestBlock` acknowledgment means the block is *applied* — a
-//!   query on the same connection afterwards sees it. When the queue
-//!   stays full past the backpressure deadline the request is rejected
-//!   with a typed `Busy` error (`serve.rejects`), never buffered
-//!   unboundedly.
-//! * **Durability** (`wal_dir` set): before applying a block, the
-//!   ingester appends the block's encoded ingest request to the live
-//!   `wal-<gen>.log` as one framed, checksummed record and **fsyncs**
-//!   it. Only then is the block applied and acknowledged, so an ack
-//!   means the block is both applied *and* durable. On startup,
-//!   [`Server::bind`] recovers: load `snapshot-<CURRENT>` (Strict),
-//!   replay every WAL generation ≥ `CURRENT` oldest-first (torn tails
-//!   dropped, `DuplicateBlock` replays skipped idempotently), truncate
-//!   the torn tail, and resume appending. A WAL whose records carry a
-//!   different model class tag is refused outright — replaying point
-//!   blocks into an itemset monitor would corrupt it silently.
-//! * **Group commit** (`wal_group_commit`): the ingester drains every
-//!   block already queued behind the one it popped, appends them all,
-//!   then issues *one* covering fsync before applying and acking in
-//!   arrival order. Every ack still happens only after the fsync that
-//!   covers its block — the durability contract is unchanged; only the
-//!   fsync count per burst drops from N to 1.
-//! * **Compaction**: when the live WAL crosses `wal_max_bytes` the
-//!   ingester rotates to `wal-<gen+1>.log` (it is the sole appender
-//!   *and* applier, so at the rotation instant the monitor covers
-//!   everything in the old log) and signals the compactor thread, which
-//!   snapshots the store atomically to `snapshot-<gen+1>`, flips the
-//!   framed `CURRENT` pointer, and deletes the shadowed generations. A
-//!   crash at any instant recovers from whichever generation `CURRENT`
-//!   still names.
-//! * **Shutdown** closes the queue (already-queued blocks still apply),
-//!   wakes every worker out of `accept`, and `run` returns after the
-//!   drain — the graceful exit the `Shutdown` verb promises.
+//! [`Server::bind`] builds the same runtime for every model class
+//! and shard count: `ServeConfig::model` picks the
+//! [`ServableModel`] the runtime is instantiated over, `shards` picks
+//! the [`AppliedState`] the sequencer owns. Every wire payload and WAL
+//! record carries its class tag, so a mismatched client (or a WAL
+//! replayed into the wrong daemon) is refused with a typed error
+//! instead of decode soup. With `wal_dir` set, `bind` is also where
+//! crash recovery happens ([`crate::sequencer`]).
 //!
-//! Per-connection read/write timeouts bound how long a dead peer can
-//! pin a worker. The recorder is enabled at bind time so the `Stats`
-//! verb always reports live `serve.*` and `wal.*` counters.
+//! **Shutdown** closes the queue (already-queued blocks still apply);
+//! every loop thread answers what it has in flight and exits, and `run`
+//! returns after the drain — the graceful exit the `Shutdown` verb
+//! promises. The recorder is enabled at bind time so the `Stats` verb
+//! always reports live `serve.*` and `wal.*` counters.
 
-use crate::model::{
-    ClusterModel, DbscanModel, ItemsetModel, MaintainedModel, ServableModel, TreeModel,
-};
-use crate::protocol::{self, Request, Response, WireError};
-use demon_core::monitor::DemonMonitor;
-use demon_core::ItemsetMaintainer;
-use demon_focus::similarity::ItemsetSimilarity;
+use crate::event_loop::{acceptor, event_loop};
+use crate::model::{ClusterModel, DbscanModel, ItemsetModel, ServableModel, TreeModel};
+use crate::sequencer::{self, CompactorInbox, Hub, WalLanes};
+use crate::shard::{AppliedState, MonitorState, ShardSet};
 use demon_itemsets::CounterKind;
 use demon_store::StoreConfig;
-use demon_types::durable::FrameClass;
-use demon_types::obs::{self, Counter};
-use demon_types::wal::{self, WalWriter};
-use demon_types::{Block, DemonError, MinSupport, ModelClass, Result};
-use std::collections::VecDeque;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, RwLock};
-use std::time::{Duration, Instant};
-
-/// The monitor type the default (`--model itemsets`) daemon owns:
-/// frequent itemsets + compact sequences over one evolving transaction
-/// stream.
-pub type ServedMonitor = DemonMonitor<ItemsetMaintainer, ItemsetSimilarity>;
-
-/// The monitor a daemon serving model class `S` owns.
-type Monitor<S> =
-    DemonMonitor<<S as ServableModel>::Maintainer, <S as ServableModel>::Oracle>;
+use demon_types::obs;
+use demon_types::{DemonError, MinSupport, ModelClass, Result};
+use std::net::{SocketAddr, TcpListener};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 /// Everything that shapes a daemon instance.
 #[derive(Clone, Debug)]
@@ -130,18 +75,19 @@ pub struct ServeConfig {
     pub pattern_window: Option<usize>,
     /// FOCUS similarity threshold α for the compact-sequence miner.
     pub alpha: f64,
-    /// Worker threads accepting and serving connections (with `shards ≥
-    /// 2` these become the readiness-style event-loop threads).
+    /// Event-loop threads polling the connections an acceptor thread
+    /// deals them (see [`crate::event_loop`]); each serves any number of
+    /// clients.
     pub workers: usize,
-    /// Serving-state partitions. `1` (the default) keeps the original
-    /// single-lock daemon; `≥ 2` switches to the partitioned runtime —
-    /// per-shard stores and WAL lanes behind one sequencer, epoch-swapped
-    /// read replicas, and a poll-based connection loop (see
+    /// Serving-state partitions. `1` (the default): the sequencer
+    /// applies blocks to the class's monitor and logs to one WAL lane,
+    /// `wal_dir` itself. `≥ 2`: per-shard stores and WAL lanes
+    /// (`wal_dir/shard-<s>/`) under one global model (see
     /// [`crate::shard`]). Query responses and persisted snapshots are
-    /// byte-identical across shard counts. Requires a model class with
-    /// an exact shard merge ([`crate::model::ShardableModel`] — itemsets
-    /// only); other classes are refused with the typed
-    /// [`DemonError::ShardsUnsupported`].
+    /// byte-identical across shard counts. `≥ 2` requires the
+    /// unrestricted window and a model class with an exact shard merge
+    /// ([`crate::model::ShardableModel`] — itemsets only); other classes
+    /// are refused with the typed [`DemonError::ShardsUnsupported`].
     pub shards: usize,
     /// Ingest-queue capacity (blocks buffered but not yet applied).
     pub queue_capacity: usize,
@@ -160,16 +106,17 @@ pub struct ServeConfig {
     /// bytes, the daemon snapshots the store and rotates the log.
     pub wal_max_bytes: u64,
     /// Group commit: batch the WAL appends of every queued block behind
-    /// one covering fsync. Acks still land only after the fsync that
-    /// covers them; under a write burst the fsyncs-per-block drop
-    /// toward zero.
+    /// one covering fsync per lane. Acks still land only after the
+    /// fsync that covers them; under a write burst the fsyncs-per-block
+    /// drop toward zero.
     pub wal_group_commit: bool,
 }
 
 impl ServeConfig {
     /// A config with the documented defaults: the itemset model class,
-    /// 4 workers, a 64-block queue, 5 s backpressure deadline, 30 s
-    /// connection timeouts, an unrestricted window, an in-memory store,
+    /// 4 event-loop threads, 1 shard, a 64-block queue, 5 s
+    /// backpressure deadline, 30 s connection timeouts, an unrestricted
+    /// window, an in-memory store,
     /// and no WAL (pass `wal_dir` to make ingest durable; WAL files
     /// rotate at 8 MiB).
     pub fn new(addr: impl Into<String>, n_items: u32, minsup: MinSupport) -> ServeConfig {
@@ -209,340 +156,17 @@ pub struct ServeSummary {
     pub blocks: u64,
 }
 
-type IngestResult = std::result::Result<(), WireError>;
-
-/// The completion slot an ingesting worker parks on until the ingester
-/// thread has applied (or rejected) its block.
-#[derive(Default)]
-struct DoneSlot {
-    result: Mutex<Option<IngestResult>>,
-    cv: Condvar,
-}
-
-impl DoneSlot {
-    fn fill(&self, r: IngestResult) {
-        let mut slot = self.result.lock().unwrap_or_else(|e| e.into_inner());
-        *slot = Some(r);
-        self.cv.notify_all();
-    }
-
-    fn wait(&self) -> IngestResult {
-        let mut slot = self.result.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some(r) = slot.clone() {
-                return r;
-            }
-            slot = self.cv.wait(slot).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-}
-
-struct Job<R> {
-    block: Block<R>,
-    done: Arc<DoneSlot>,
-}
-
-struct QueueState<R> {
-    jobs: VecDeque<Job<R>>,
-    open: bool,
-}
-
-/// The bounded ingest queue: writers wait up to the backpressure
-/// deadline for a slot, then get a typed rejection (`serve.rejects`).
-struct IngestQueue<R> {
-    capacity: usize,
-    timeout: Duration,
-    state: Mutex<QueueState<R>>,
-    not_empty: Condvar,
-    not_full: Condvar,
-}
-
-impl<R> IngestQueue<R> {
-    fn new(capacity: usize, timeout: Duration) -> IngestQueue<R> {
-        IngestQueue {
-            capacity: capacity.max(1),
-            timeout,
-            state: Mutex::new(QueueState {
-                jobs: VecDeque::new(),
-                open: true,
-            }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-        }
-    }
-
-    /// Enqueues a block, waiting out backpressure; returns the slot the
-    /// caller parks on, or the typed rejection.
-    fn submit(&self, block: Block<R>) -> std::result::Result<Arc<DoneSlot>, WireError> {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        let deadline = Instant::now() + self.timeout;
-        while state.jobs.len() >= self.capacity && state.open {
-            let now = Instant::now();
-            if now >= deadline {
-                obs::incr(Counter::ServeRejects);
-                return Err(WireError::Busy(format!(
-                    "ingest queue full ({} blocks) past the backpressure deadline",
-                    self.capacity
-                )));
-            }
-            let (guard, _) = self
-                .not_full
-                .wait_timeout(state, deadline - now)
-                .unwrap_or_else(|e| e.into_inner());
-            state = guard;
-        }
-        if !state.open {
-            obs::incr(Counter::ServeRejects);
-            return Err(WireError::Busy("server is shutting down".to_string()));
-        }
-        let done = Arc::new(DoneSlot::default());
-        state.jobs.push_back(Job {
-            block,
-            done: Arc::clone(&done),
-        });
-        obs::record_max(Counter::ServeQueueDepth, state.jobs.len() as u64);
-        self.not_empty.notify_one();
-        Ok(done)
-    }
-
-    /// The ingester's blocking pop. `None` only after [`close`], once
-    /// every queued job has been drained — the graceful-shutdown drain.
-    fn next_job(&self) -> Option<Job<R>> {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some(job) = state.jobs.pop_front() {
-                self.not_full.notify_one();
-                return Some(job);
-            }
-            if !state.open {
-                return None;
-            }
-            state = self
-                .not_empty
-                .wait(state)
-                .unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// Drains every currently queued job without blocking — the group-
-    /// commit batch, so one covering fsync amortizes across a burst.
-    fn drain_ready(&self) -> Vec<Job<R>> {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        let jobs: Vec<Job<R>> = state.jobs.drain(..).collect();
-        if !jobs.is_empty() {
-            self.not_full.notify_all();
-        }
-        jobs
-    }
-
-    fn close(&self) {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        state.open = false;
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
-    }
-
-    fn depth(&self) -> usize {
-        self.state.lock().unwrap_or_else(|e| e.into_inner()).jobs.len()
-    }
-}
-
-struct Shared<S: ServableModel> {
-    monitor: RwLock<Monitor<S>>,
-    queue: IngestQueue<S::Record>,
-    shutdown: AtomicBool,
-    requests: AtomicU64,
-    blocks: AtomicU64,
-    addr: SocketAddr,
-    /// The per-block wire meta this daemon expects (item universe for
-    /// itemsets, dimensionality for points).
-    meta: u32,
-    render_ctx: S::RenderCtx,
-    io_timeout: Duration,
-    workers: usize,
-}
-
-/// The ingester's durable-ingest state: the live WAL writer plus the
-/// channel to the compactor. Owned by the ingester thread alone — the
-/// single-appender discipline is what makes rotation sound.
-struct Durability {
-    dir: PathBuf,
-    writer: WalWriter,
-    gen: u64,
-    max_bytes: u64,
-    /// The model-class tag stamped on every record (and every rotated
-    /// writer).
-    class: u8,
-    /// Whether the ingester batches appends behind one covering fsync.
-    group_commit: bool,
-    /// Highest block id the monitor has applied; a retried duplicate is
-    /// detected *before* the append so it never grows the log.
-    last_id: Option<u64>,
-    compact_tx: mpsc::Sender<u64>,
-    /// One compaction at a time; while it runs, the live log simply
-    /// keeps growing past the threshold.
-    compacting: Arc<AtomicBool>,
-}
-
 /// A bound daemon, ready to [`run`](Server::run).
 pub struct Server {
-    inner: ServerInner,
-}
-
-/// The runtimes behind the one public daemon type: the single-lock
-/// thread-per-connection daemon, monomorphized per model class
-/// (`shards == 1`; the itemset instance is the seed daemon, byte-for-
-/// byte unchanged), and the partitioned runtime (`shards ≥ 2`,
-/// itemsets only — the one class with an exact shard merge).
-enum ServerInner {
-    Itemsets(LegacyServer<ItemsetModel>),
-    Clusters(LegacyServer<ClusterModel>),
-    Trees(LegacyServer<TreeModel>),
-    Density(LegacyServer<DbscanModel>),
-    Sharded(Box<crate::shard::ShardedServer<ItemsetModel>>),
-}
-
-/// The single-lock runtime serving one model class.
-struct LegacyServer<S: ServableModel> {
-    shared: Arc<Shared<S>>,
-    listener: TcpListener,
-    durability: Option<Durability>,
-    compact_rx: Option<mpsc::Receiver<u64>>,
-}
-
-fn build_monitor<S: ServableModel>(config: &ServeConfig) -> Result<Monitor<S>> {
-    // Delegated so a class can pick its own window engine (incremental
-    // DBSCAN slides by deletion instead of GEMM's per-window refits).
-    S::build_monitor(config)
-}
-
-/// What WAL recovery rebuilt: the monitor with every durable block
-/// re-applied, the reopened live log, and its generation.
-struct Recovered<S: ServableModel> {
-    monitor: Monitor<S>,
-    writer: WalWriter,
-    gen: u64,
-}
-
-/// The typed refusal when a WAL record (header tag or request body)
-/// carries a different model class than the recovering daemon.
-fn cross_class_replay<S: ServableModel>(got: u8) -> DemonError {
-    DemonError::ModelClassMismatch {
-        expected: S::CLASS.name().to_string(),
-        got: ModelClass::describe_tag(got),
-    }
-}
-
-/// Recovers a monitor from a WAL directory: load `snapshot-<CURRENT>`
-/// under `Strict` (the snapshot was written atomically — damage there
-/// is real bit rot and must be loud), replay every WAL generation ≥
-/// `CURRENT` oldest-first, then reopen the newest log for appending
-/// with its torn tail (if any) truncated away.
-///
-/// Replay is idempotent and salvaging: a record already covered by the
-/// snapshot is a [`DemonError::DuplicateBlock`] and is skipped; a
-/// record that fails to apply was by definition never acknowledged
-/// (acks happen only after a successful apply) and is skipped too; a
-/// torn tail ends the file's clean prefix and is dropped (counted
-/// under `wal.torn_tails`). A record tagged with a *different model
-/// class* is not salvage — it means this WAL belongs to another
-/// daemon, and recovery refuses with the typed
-/// [`DemonError::ModelClassMismatch`] instead of replaying garbage.
-fn recover<S: ServableModel>(dir: &Path, config: &ServeConfig) -> Result<Recovered<S>> {
-    std::fs::create_dir_all(dir)?;
-    let current = wal::read_current(dir)?;
-    let mut monitor = build_monitor::<S>(config)?;
-
-    if current > 0 {
-        let snap = wal::snapshot_dir_path(dir, current);
-        for block in S::load_snapshot(&snap, config)? {
-            monitor.add_block(block)?;
-        }
-    }
-
-    // Generations below CURRENT (and snapshot dirs other than CURRENT,
-    // including a compaction's tmp residue) are shadowed: delete them
-    // so a crash mid-cleanup converges instead of accreting.
-    for entry in std::fs::read_dir(dir)?.flatten() {
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if let Some(g) = wal::parse_wal_file_name(name) {
-            if g < current {
-                let _ = std::fs::remove_file(entry.path());
-            }
-        } else if name.starts_with("snapshot-")
-            && wal::parse_snapshot_dir_name(name) != Some(current)
-        {
-            let _ = std::fs::remove_dir_all(entry.path());
-        }
-    }
-
-    let mut next_seq = 0u64;
-    let mut live_gen = current;
-    let mut live_valid_len = 0u64;
-    let mut live_exists = false;
-    for g in wal::list_wal_generations(dir)? {
-        if g < current {
-            continue;
-        }
-        let path = wal::wal_file_path(dir, g);
-        let report = wal::read_wal(&path)?;
-        for record in &report.records {
-            if record.class != S::CLASS.tag() {
-                return Err(cross_class_replay::<S>(record.class));
-            }
-            let Ok(Request::IngestBlock {
-                class,
-                id,
-                interval,
-                meta,
-                payload,
-            }) = Request::decode(&record.body)
-            else {
-                continue;
-            };
-            if class != S::CLASS.tag() {
-                return Err(cross_class_replay::<S>(class));
-            }
-            let Ok(records) = S::decode_records(&payload, id, meta) else {
-                continue;
-            };
-            let block = match interval {
-                Some(iv) => Block::with_interval(id, iv, records),
-                None => Block::new(id, records),
-            };
-            match monitor.add_block(block) {
-                Ok(_) => obs::incr(Counter::WalReplays),
-                Err(DemonError::DuplicateBlock { .. }) => {} // snapshot covers it
-                Err(_) => {} // appended but never acked: no promise broken
-            }
-        }
-        if let Some(s) = report.next_seq() {
-            next_seq = s;
-        }
-        live_gen = g;
-        live_valid_len = report.valid_len;
-        live_exists = true;
-    }
-
-    let live_path = wal::wal_file_path(dir, live_gen);
-    let writer = if live_exists {
-        WalWriter::open_after_recovery(&live_path, live_valid_len, next_seq, S::CLASS.tag())?
-    } else {
-        WalWriter::create(&live_path, next_seq, S::CLASS.tag())?
-    };
-    Ok(Recovered {
-        monitor,
-        writer,
-        gen: live_gen,
-    })
+    addr: SocketAddr,
+    run: Box<dyn FnOnce() -> Result<ServeSummary> + Send>,
 }
 
 impl Server {
-    /// Binds the listener and builds the monitor, but serves nothing
-    /// yet. With `wal_dir` set this is also where crash recovery
-    /// happens — when `bind` returns, every durable block is applied.
-    /// Enables the obs recorder so `Stats` is always live.
+    /// Binds the listener and builds the state, but serves nothing yet.
+    /// With `wal_dir` set this is also where crash recovery happens —
+    /// when `bind` returns, every durable block is applied. Enables the
+    /// obs recorder so `Stats` is always live.
     pub fn bind(config: ServeConfig) -> Result<Server> {
         obs::enable();
         if config.shards == 0 {
@@ -566,140 +190,120 @@ impl Server {
                         .to_string(),
                 ));
             }
-            let sharded = crate::shard::ShardedServer::<ItemsetModel>::bind(&config)?;
-            return Ok(Server {
-                inner: ServerInner::Sharded(Box::new(sharded)),
-            });
+            let state = ShardSet::<ItemsetModel>::new(&config)?;
+            return Runtime::bind(&config, Box::new(state));
         }
-        let inner = match config.model {
-            ModelClass::Itemsets => ServerInner::Itemsets(LegacyServer::bind(config)?),
-            ModelClass::Clusters => ServerInner::Clusters(LegacyServer::bind(config)?),
-            ModelClass::Trees => ServerInner::Trees(LegacyServer::bind(config)?),
-            ModelClass::Density => ServerInner::Density(LegacyServer::bind(config)?),
-        };
-        Ok(Server { inner })
+        match config.model {
+            ModelClass::Itemsets => Runtime::<ItemsetModel>::bind_monitor(&config),
+            ModelClass::Clusters => Runtime::<ClusterModel>::bind_monitor(&config),
+            ModelClass::Trees => Runtime::<TreeModel>::bind_monitor(&config),
+            ModelClass::Density => Runtime::<DbscanModel>::bind_monitor(&config),
+        }
     }
 
     /// The address the daemon is listening on (resolves port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        match &self.inner {
-            ServerInner::Itemsets(s) => s.shared.addr,
-            ServerInner::Clusters(s) => s.shared.addr,
-            ServerInner::Trees(s) => s.shared.addr,
-            ServerInner::Density(s) => s.shared.addr,
-            ServerInner::Sharded(s) => s.local_addr(),
-        }
+        self.addr
     }
 
-    /// Serves until a `Shutdown` request: spawns the ingester (or the
-    /// sharded sequencer), the compactor (when durable) and the worker
-    /// pool (or event-loop threads), then joins them all. Queued blocks
-    /// are drained before the writer exits.
+    /// Serves until a `Shutdown` request: spawns the compactor (when
+    /// durable), the sequencer, the event-loop threads and the acceptor,
+    /// then joins them all. Queued blocks are drained before the
+    /// sequencer exits.
     pub fn run(self) -> Result<ServeSummary> {
-        match self.inner {
-            ServerInner::Itemsets(s) => s.run(),
-            ServerInner::Clusters(s) => s.run(),
-            ServerInner::Trees(s) => s.run(),
-            ServerInner::Density(s) => s.run(),
-            ServerInner::Sharded(s) => s.run(),
-        }
+        (self.run)()
     }
 }
 
-impl<S: ServableModel> LegacyServer<S> {
-    fn bind(config: ServeConfig) -> Result<LegacyServer<S>> {
+/// The one runtime, bound and ready to run: the same type for every
+/// shard count of a class.
+struct Runtime<S: ServableModel> {
+    hub: Arc<Hub<S>>,
+    listener: TcpListener,
+    workers: usize,
+    state: Box<dyn AppliedState<S>>,
+    durable: Option<(WalLanes<S>, CompactorInbox<S>)>,
+}
+
+impl<S: ServableModel> Runtime<S> {
+    fn bind_monitor(config: &ServeConfig) -> Result<Server> {
+        Self::bind(config, Box::new(MonitorState::<S>::new(config)?))
+    }
+
+    /// Binds the listener and recovers `state` (handed in empty) from
+    /// the WAL directory, if any.
+    fn bind(config: &ServeConfig, mut state: Box<dyn AppliedState<S>>) -> Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        let (monitor, durability, compact_rx) = match &config.wal_dir {
-            None => (build_monitor::<S>(&config)?, None, None),
-            Some(dir) => {
-                let recovered = recover::<S>(dir, &config)?;
-                let (tx, rx) = mpsc::channel();
-                let durability = Durability {
-                    dir: dir.clone(),
-                    writer: recovered.writer,
-                    gen: recovered.gen,
-                    max_bytes: config.wal_max_bytes.max(1),
-                    class: S::CLASS.tag(),
-                    group_commit: config.wal_group_commit,
-                    last_id: S::block_ids(recovered.monitor.engine().maintainer())
-                        .last()
-                        .map(|id| id.value()),
-                    compact_tx: tx,
-                    compacting: Arc::new(AtomicBool::new(false)),
-                };
-                (recovered.monitor, Some(durability), Some(rx))
-            }
+        let durable = match &config.wal_dir {
+            None => None,
+            Some(root) => Some(sequencer::recover::<S>(root, config, state.as_mut())?),
         };
-        let blocks = S::block_ids(monitor.engine().maintainer()).len() as u64;
-        let render_ctx = S::render_ctx(monitor.engine().maintainer());
-        let shared = Arc::new(Shared {
-            monitor: RwLock::new(monitor),
-            queue: IngestQueue::new(config.queue_capacity, config.queue_timeout),
-            shutdown: AtomicBool::new(false),
-            requests: AtomicU64::new(0),
-            blocks: AtomicU64::new(blocks),
-            addr,
-            meta: S::block_meta(&config),
-            render_ctx,
-            io_timeout: config.io_timeout,
-            workers: config.workers.max(1),
-        });
-        Ok(LegacyServer {
-            shared,
+        let runtime = Runtime {
+            hub: Arc::new(Hub::new(config, addr, state.as_ref())),
             listener,
-            durability,
-            compact_rx,
+            workers: config.workers.max(1),
+            state,
+            durable,
+        };
+        Ok(Server {
+            addr,
+            run: Box::new(move || runtime.run()),
         })
     }
 
     fn run(self) -> Result<ServeSummary> {
-        let LegacyServer {
-            shared,
+        let Runtime {
+            hub,
             listener,
-            durability,
-            compact_rx,
+            workers,
+            state,
+            durable,
         } = self;
+        let (lanes, inbox) = durable.unzip();
         let mut handles = Vec::new();
-        if let Some(rx) = compact_rx {
-            let dir = durability
-                .as_ref()
-                .map(|d| d.dir.clone())
-                .unwrap_or_default();
-            let flag = durability
-                .as_ref()
-                .map(|d| Arc::clone(&d.compacting))
-                .unwrap_or_default();
-            let shared = Arc::clone(&shared);
+        let named = |name: String| std::thread::Builder::new().name(name);
+        if let Some(inbox) = inbox {
             handles.push(
-                std::thread::Builder::new()
-                    .name("serve-compactor".to_string())
-                    .spawn(move || compactor_loop(&shared, &dir, &flag, &rx))?,
+                named("serve-compactor".to_string())
+                    .spawn(move || sequencer::compactor_loop(&inbox))?,
             );
         }
         {
-            let shared = Arc::clone(&shared);
+            let hub = Arc::clone(&hub);
             handles.push(
-                std::thread::Builder::new()
-                    .name("serve-ingester".to_string())
-                    .spawn(move || ingester_loop(&shared, durability))?,
+                named("serve-sequencer".to_string())
+                    .spawn(move || sequencer::sequencer_loop(&hub, state, lanes))?,
             );
         }
-        for i in 0..shared.workers {
-            let shared = Arc::clone(&shared);
-            let listener = listener.try_clone()?;
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("serve-worker-{i}"))
-                    .spawn(move || worker_loop(&shared, &listener))?,
-            );
+        let mut loops = Vec::with_capacity(workers);
+        for i in 0..workers {
+            let hub = Arc::clone(&hub);
+            let (inbox, dealt) = mpsc::channel();
+            let handle =
+                named(format!("serve-loop-{i}")).spawn(move || event_loop(&hub, &dealt))?;
+            loops.push((inbox, handle.thread().clone()));
+            handles.push(handle);
         }
+        let _ = hub
+            .loops
+            .set(loops.iter().map(|(_, t)| t.clone()).collect());
+        let acceptor = {
+            let hub = Arc::clone(&hub);
+            named("serve-acceptor".to_string()).spawn(move || acceptor(&hub, &listener, &loops))?
+        };
         for h in handles {
             let _ = h.join();
         }
+        // Every connection is closed by now, so a wake-up that failed
+        // for want of a descriptor at shutdown goes through here.
+        if !acceptor.is_finished() {
+            hub.wake_acceptor();
+        }
+        let _ = acceptor.join();
         Ok(ServeSummary {
-            requests: shared.requests.load(Ordering::Relaxed),
-            blocks: shared.blocks.load(Ordering::SeqCst),
+            requests: hub.requests.load(Ordering::Relaxed),
+            blocks: hub.blocks.load(Ordering::SeqCst),
         })
     }
 }
@@ -709,8 +313,7 @@ static CRASH_HITS: AtomicU64 = AtomicU64::new(0);
 /// Fault-injection hook: `DEMON_SERVE_CRASH=<point>:<n>` aborts the
 /// process — the moral equivalent of `kill -9`, no destructors, no
 /// flushes — the `n`-th time the named crash point is reached. Inert
-/// unless the fault tests arm it. Shared with the sharded sequencer and
-/// compactor, which hit the same named points.
+/// unless the fault tests arm it.
 pub(crate) fn crash_point(point: &str) {
     let Ok(spec) = std::env::var("DEMON_SERVE_CRASH") else {
         return;
@@ -726,416 +329,5 @@ pub(crate) fn crash_point(point: &str) {
     };
     if CRASH_HITS.fetch_add(1, Ordering::SeqCst) + 1 == nth {
         std::process::abort();
-    }
-}
-
-/// Appends one block to the WAL (skipping a detected duplicate),
-/// either fsyncing immediately (the seed path) or leaving the sync to
-/// the batch's covering fsync (group commit). `None` means appended or
-/// skipped cleanly; `Some` is the typed failure to ack instead.
-fn append_block<S: ServableModel>(
-    d: &mut Durability,
-    meta: u32,
-    block: &Block<S::Record>,
-    group: bool,
-) -> Option<WireError> {
-    let duplicate = d.last_id.is_some_and(|last| block.id().value() <= last);
-    if duplicate {
-        return None;
-    }
-    let payload = match S::encode_records(block) {
-        Ok(p) => p,
-        Err(e) => return Some(WireError::Other(format!("wal encode: {e}"))),
-    };
-    let body = Request::IngestBlock {
-        class: S::CLASS.tag(),
-        id: block.id(),
-        interval: block.interval(),
-        meta,
-        payload,
-    }
-    .encode();
-    let appended = if group {
-        d.writer.append_unsynced(&body)
-    } else {
-        d.writer.append(&body)
-    };
-    match appended {
-        Ok(_) => None,
-        Err(e) => Some(WireError::Io(format!("wal append: {e}"))),
-    }
-}
-
-/// The single writer: appends each queued block to the WAL (fsync),
-/// applies it, then answers the parked worker — in that order, so an
-/// acknowledgment implies both durability and visibility. A panicking
-/// `add_block` (e.g. a spill fault) poisons the monitor but never kills
-/// the ingester — later jobs are answered with a typed error instead of
-/// hanging forever.
-///
-/// With group commit enabled, every job already queued behind the
-/// popped one joins its batch: all appends first, one covering fsync,
-/// then the applies and acks in arrival order. An ack still only
-/// happens after the fsync covering its block.
-fn ingester_loop<S: ServableModel>(shared: &Arc<Shared<S>>, mut durability: Option<Durability>) {
-    while let Some(job) = shared.queue.next_job() {
-        let group = durability.as_ref().is_some_and(|d| d.group_commit);
-        let mut batch = vec![job];
-        if group {
-            batch.extend(shared.queue.drain_ready());
-        }
-
-        // WAL first: a block must be durable before it can be acked.
-        // Duplicates are detected before the append so a retried block
-        // never grows the log; an append failure fails the request
-        // without applying (an applied-but-not-durable block would turn
-        // a later DuplicateBlock retry into a silent durability lie).
-        let mut wal_failures: Vec<Option<WireError>> = Vec::with_capacity(batch.len());
-        for job in &batch {
-            crash_point("before_append");
-            let failure = match durability.as_mut() {
-                Some(d) => append_block::<S>(d, shared.meta, &job.block, group),
-                None => None,
-            };
-            wal_failures.push(failure);
-        }
-        if group {
-            if let Some(d) = durability.as_mut() {
-                if let Err(e) = d.writer.sync() {
-                    // The covering fsync failed: nothing in the batch is
-                    // durable, so nothing may be applied or acked Ok.
-                    let msg = format!("wal sync: {e}");
-                    for f in &mut wal_failures {
-                        f.get_or_insert_with(|| WireError::Io(msg.clone()));
-                    }
-                }
-            }
-        }
-
-        for (job, wal_failure) in batch.into_iter().zip(wal_failures) {
-            let block = job.block;
-            let block_id = block.id().value();
-            crash_point("after_append");
-
-            let result = match wal_failure {
-                Some(e) => Err(e),
-                None => std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    match shared.monitor.write() {
-                        Ok(mut monitor) => monitor
-                            .add_block(block)
-                            .map(|_| ())
-                            .map_err(|e| WireError::from_error(&e)),
-                        Err(_) => Err(WireError::Other(
-                            "monitor poisoned by an earlier ingest fault".to_string(),
-                        )),
-                    }
-                }))
-                .unwrap_or_else(|_| {
-                    Err(WireError::Other(
-                        "ingest panicked; monitor poisoned".to_string(),
-                    ))
-                }),
-            };
-            if result.is_ok() {
-                shared.blocks.fetch_add(1, Ordering::SeqCst);
-                if let Some(d) = durability.as_mut() {
-                    d.last_id = Some(block_id);
-                    // Rotate only after the apply: the monitor now covers
-                    // every record in the old log, so the compactor's
-                    // snapshot (taken later, under the read lock) is
-                    // guaranteed to shadow it.
-                    maybe_rotate(d);
-                }
-            }
-            job.done.fill(result);
-            crash_point("after_ack");
-        }
-    }
-}
-
-/// Rotates the live WAL once it crosses the size threshold: create
-/// `wal-<gen+1>.log`, swap the writer, and hand generation `gen+1` to
-/// the compactor. Skipped while a compaction is already in flight.
-fn maybe_rotate(d: &mut Durability) {
-    if d.writer.bytes() < d.max_bytes {
-        return;
-    }
-    if d.compacting.swap(true, Ordering::SeqCst) {
-        return;
-    }
-    let next_gen = d.gen + 1;
-    match WalWriter::create(
-        &wal::wal_file_path(&d.dir, next_gen),
-        d.writer.next_seq(),
-        d.class,
-    ) {
-        Ok(writer) => {
-            d.writer = writer;
-            d.gen = next_gen;
-            // A send failure means the compactor died; keep serving —
-            // the log just stops rotating.
-            let _ = d.compact_tx.send(next_gen);
-        }
-        Err(_) => {
-            // Could not open the next log: keep appending to the old
-            // one and try again at the next threshold crossing.
-            d.compacting.store(false, Ordering::SeqCst);
-        }
-    }
-}
-
-/// The compactor: for each rotated generation, snapshot the store
-/// atomically, flip `CURRENT`, and delete the shadowed WAL files and
-/// snapshots. A crash anywhere in here is recoverable — before the
-/// `CURRENT` flip the old generation chain is intact; after it the new
-/// one is.
-fn compactor_loop<S: ServableModel>(
-    shared: &Arc<Shared<S>>,
-    dir: &Path,
-    compacting: &Arc<AtomicBool>,
-    rx: &mpsc::Receiver<u64>,
-) {
-    while let Ok(gen) = rx.recv() {
-        let result: Result<()> = (|| {
-            {
-                let monitor = shared.monitor.read().map_err(|_| {
-                    DemonError::InvalidParameter("monitor poisoned; compaction skipped".into())
-                })?;
-                S::save_snapshot(
-                    monitor.engine().maintainer(),
-                    &wal::snapshot_dir_path(dir, gen),
-                )?;
-            }
-            crash_point("mid_compaction");
-            wal::write_current(dir, gen)?;
-            Ok(())
-        })();
-        if result.is_ok() {
-            // The old generations are shadowed by CURRENT=gen; deleting
-            // them is cleanup, not correctness (recovery re-deletes).
-            for g in wal::list_wal_generations(dir).unwrap_or_default() {
-                if g < gen {
-                    let _ = std::fs::remove_file(wal::wal_file_path(dir, g));
-                }
-            }
-            if let Ok(entries) = std::fs::read_dir(dir) {
-                for entry in entries.flatten() {
-                    let name = entry.file_name();
-                    let Some(name) = name.to_str() else { continue };
-                    if name.starts_with("snapshot-")
-                        && wal::parse_snapshot_dir_name(name) != Some(gen)
-                    {
-                        let _ = std::fs::remove_dir_all(entry.path());
-                    }
-                }
-            }
-        }
-        compacting.store(false, Ordering::SeqCst);
-    }
-}
-
-fn worker_loop<S: ServableModel>(shared: &Arc<Shared<S>>, listener: &TcpListener) {
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                handle_connection(shared, stream);
-            }
-            Err(_) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-        }
-    }
-}
-
-/// Serves one connection until the peer hangs up, a timeout fires, or a
-/// malformed frame arrives (transport damage drops the connection; a
-/// malformed *payload* inside a valid frame gets a typed `Err` response
-/// and the connection lives on).
-fn handle_connection<S: ServableModel>(shared: &Arc<Shared<S>>, stream: TcpStream) {
-    let peer = stream
-        .peer_addr()
-        .map(|a| a.to_string())
-        .unwrap_or_else(|_| "client".to_string());
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(shared.io_timeout));
-    let _ = stream.set_write_timeout(Some(shared.io_timeout));
-    let mut reader = &stream;
-    loop {
-        let (payload, bytes_in) =
-            match protocol::read_message(&mut reader, FrameClass::REQUEST, &peer) {
-                Ok(Some(message)) => message,
-                // Clean close, timeout, or a corrupt frame: drop the
-                // connection (there is no trustworthy frame boundary to
-                // answer on).
-                Ok(None) | Err(_) => return,
-            };
-        shared.requests.fetch_add(1, Ordering::Relaxed);
-        obs::incr(Counter::ServeRequests);
-        obs::add(Counter::ServeBytesIn, bytes_in as u64);
-        let (response, shutdown_after) = match Request::decode(&payload) {
-            Ok(request) => dispatch(shared, request),
-            Err(e) => (Response::Err(WireError::Other(e.to_string())), false),
-        };
-        let mut writer = &stream;
-        match protocol::write_message(&mut writer, FrameClass::RESPONSE, &response.encode()) {
-            Ok(bytes_out) => obs::add(Counter::ServeBytesOut, bytes_out as u64),
-            Err(_) => return,
-        }
-        if shutdown_after {
-            begin_shutdown(shared);
-            return;
-        }
-    }
-}
-
-fn dispatch<S: ServableModel>(shared: &Arc<Shared<S>>, request: Request) -> (Response, bool) {
-    match request {
-        Request::IngestBlock {
-            class,
-            id,
-            interval,
-            meta,
-            payload,
-        } => {
-            if class != S::CLASS.tag() {
-                return (
-                    Response::Err(WireError::class_mismatch(S::CLASS, class)),
-                    false,
-                );
-            }
-            if let Some(msg) = S::meta_mismatch(shared.meta, meta) {
-                return (Response::Err(WireError::Other(msg)), false);
-            }
-            let records = match S::decode_records(&payload, id, meta) {
-                Ok(records) => records,
-                Err(e) => return (Response::Err(WireError::Other(e.to_string())), false),
-            };
-            let block = match interval {
-                Some(iv) => Block::with_interval(id, iv, records),
-                None => Block::new(id, records),
-            };
-            let result = shared
-                .queue
-                .submit(block)
-                .and_then(|done| done.wait());
-            match result {
-                Ok(()) => (Response::Ok, false),
-                Err(e) => (Response::Err(e), false),
-            }
-        }
-        Request::QueryModel { class } => {
-            if let Some(c) = class {
-                if c != S::CLASS.tag() {
-                    return (Response::Err(WireError::class_mismatch(S::CLASS, c)), false);
-                }
-            }
-            let monitor = match shared.monitor.read() {
-                Ok(m) => m,
-                Err(_) => {
-                    return (
-                        Response::Err(WireError::Other("monitor poisoned".into())),
-                        false,
-                    )
-                }
-            };
-            match monitor.model() {
-                Some(model) => match render_model::<S>(&shared.render_ctx, model) {
-                    Ok(json) => (Response::Model(json), false),
-                    Err(msg) => (Response::Err(WireError::Other(msg)), false),
-                },
-                None => (
-                    Response::Err(WireError::Other("no model yet (no blocks ingested)".into())),
-                    false,
-                ),
-            }
-        }
-        Request::QuerySequences => match shared.monitor.read() {
-            Ok(monitor) => (Response::Sequences(monitor.sequences()), false),
-            Err(_) => (
-                Response::Err(WireError::Other("monitor poisoned".into())),
-                false,
-            ),
-        },
-        Request::Stats => (Response::Stats(stats_json(shared)), false),
-        Request::Snapshot { dir } => {
-            let monitor = match shared.monitor.read() {
-                Ok(m) => m,
-                Err(_) => {
-                    return (
-                        Response::Err(WireError::Other("monitor poisoned".into())),
-                        false,
-                    )
-                }
-            };
-            // All-or-nothing: a failure leaves no partial directory at
-            // `dir`, and the error stays typed end to end.
-            match S::save_snapshot(monitor.engine().maintainer(), Path::new(&dir)) {
-                Ok(blocks) => (Response::SnapshotDone(blocks), false),
-                Err(DemonError::Io(e)) => (
-                    Response::Err(WireError::Io(format!("snapshot to {dir}: {e}"))),
-                    false,
-                ),
-                Err(e) => (
-                    Response::Err(WireError::Other(format!("snapshot to {dir}: {e}"))),
-                    false,
-                ),
-            }
-        }
-        Request::Shutdown => (Response::Ok, true),
-    }
-}
-
-/// Renders the model through the class hook, unwrapping the typed
-/// serialization error back to the exact seed message text.
-fn render_model<S: ServableModel>(
-    ctx: &S::RenderCtx,
-    model: &MaintainedModel<S>,
-) -> std::result::Result<String, String> {
-    S::render_model_json(ctx, model).map_err(|e| match e {
-        DemonError::Serde(msg) => msg,
-        other => other.to_string(),
-    })
-}
-
-/// The `Stats` body: the daemon's own gauges plus the full obs counter
-/// table, as one JSON object. Built by hand — every key is a static
-/// snake_case name, so no escaping is ever needed.
-fn stats_json<S: ServableModel>(shared: &Arc<Shared<S>>) -> String {
-    let mut out = format!(
-        "{{\"blocks\":{},\"requests\":{},\"queue_depth\":{},\"counters\":{{",
-        shared.blocks.load(Ordering::SeqCst),
-        shared.requests.load(Ordering::Relaxed),
-        shared.queue.depth(),
-    );
-    for (i, (name, value)) in obs::snapshot().counters.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{name}\":{value}"));
-    }
-    out.push_str("}}");
-    out
-}
-
-/// Flags shutdown, closes the queue (the ingester drains what is
-/// already queued, then exits) and wakes every worker out of `accept`
-/// with throwaway connections.
-fn begin_shutdown<S: ServableModel>(shared: &Arc<Shared<S>>) {
-    if shared.shutdown.swap(true, Ordering::SeqCst) {
-        return;
-    }
-    shared.queue.close();
-    for _ in 0..shared.workers {
-        // Each connect pops one worker out of accept; it sees the flag
-        // and exits. Failures are fine — the worker is already gone.
-        let _ = TcpStream::connect_timeout(&shared.addr, Duration::from_millis(200));
     }
 }

@@ -1,71 +1,53 @@
-//! The partitioned serving runtime (`--shards ≥ 2`): per-shard stores
-//! behind one sequencer, epoch-swapped read replicas, per-shard WAL
-//! lanes under a shared generation pointer.
+//! The state the sequencer applies blocks to, and the immutable
+//! replicas readers see of it.
 //!
-//! ## Shape
-//!
-//! ```text
-//!  client sockets ──▶ event-loop threads (readiness-style, non-blocking)
-//!        │ queries answered inline          │ IngestBlock / Snapshot
-//!        ▼                                  ▼
-//!  Arc<Replica> (epoch-swapped)      bounded sequencer queue
-//!        ▲                                  │
-//!        └──── sequencer thread ◀───────────┘   (single writer)
-//!              │ owns every shard store
-//!              │ append+fsync to shard-<s>/wal-<gen>.log, then apply
-//!              ▼
-//!        compactor ◀── merged snapshot-<gen> + root CURRENT
-//! ```
-//!
+//! * [`AppliedState`] is the one seam between the runtime and the
+//!   mining state. `shards = 1`: [`MonitorState`], whatever monitor the
+//!   class builds (`--window`/GEMM and the DBSCAN sliding engine
+//!   included). `shards ≥ 2`: [`ShardSet`], per-shard stores under one
+//!   global model, for classes with an exact shard merge
+//!   ([`ShardableModel`]).
 //! * **Partition function**: block `b` belongs to shard
 //!   `(b − 1) mod N` — round-robin by block id, so every prefix of the
 //!   stream is balanced to within one block.
-//! * **Exact scatter/gather**: the runtime is generic over
-//!   [`ShardableModel`] — the *capability* subtrait of
-//!   [`crate::model::ServableModel`] whose `absorb_sharded` proves the
-//!   model built from disjoint per-shard stores byte-identical to the
-//!   1-shard model. Itemsets qualify (supports are additive over
+//! * **Exact scatter/gather**: [`ShardableModel::absorb_sharded`] proves
+//!   the model built from disjoint per-shard stores byte-identical to
+//!   the 1-shard model. Itemsets qualify (supports are additive over
 //!   disjoint block sets; [`demon_itemsets::count_supports_sharded`]
 //!   reuses the `demon_types::parallel` per-shard-merge discipline);
-//!   clusters and trees do not, and are refused at bind with the typed
-//!   `ShardsUnsupported` error.
+//!   clusters, trees and density models do not, and are refused at bind
+//!   with the typed `ShardsUnsupported` error.
 //! * **Replica epochs**: after each applied block the sequencer builds
 //!   an immutable [`Replica`] — model cloned out, sequences
-//!   pre-gathered — and flips the shared pointer
+//!   pre-gathered — and flips the [`ReplicaCell`] pointer
 //!   (`serve.shard.replica_swaps`). Queries never touch mining state
 //!   and never take the sequencer's locks. The model *JSON* is rendered
 //!   lazily, once, by the first `QueryModel` that needs it
 //!   (`serve.replica_lazy_renders`) — a write-heavy burst swaps dozens
 //!   of replicas nobody queries, and pays serialization for none of
-//!   them. Read-your-writes is unchanged: the replica (model included)
-//!   is published *before* the ingest ack, only the stringification is
-//!   deferred.
-//! * **WAL lanes**: shard `s` appends to `wal_dir/shard-<s>/wal-<g>.log`.
-//!   The root `CURRENT` pointer and the merged `snapshot-<g>` are shared
-//!   across lanes; rotation moves every lane to `g+1` at once. The
-//!   sequencer appends lanes in block-id order, so after a crash at most
-//!   the highest appended id can be torn — recovery merges lane records
-//!   by block id and replays the contiguous prefix, preserving the
-//!   `acked ≤ applied ≤ acked+1` contract of the 1-shard WAL. Every
-//!   lane record carries the model-class tag; a lane written by a
-//!   different class refuses to replay.
+//!   them. The replica (model included) is published *before* the
+//!   ingest ack, so an acked block is visible to every later query;
+//!   only the stringification is deferred.
+//! * **One snapshot source**: [`AppliedState::snapshot_source`] gathers
+//!   every held block into a fresh maintainer, registered in block-id
+//!   order — in memory, or spilling under the daemon's own
+//!   `--memory-budget` policy when it has one. The `Snapshot` verb and
+//!   WAL compaction both save that maintainer, so persisted directories
+//!   are byte-identical at any shard count, and the compactor writes to
+//!   disk without holding up the sequencer.
 
 use crate::model::{MaintainedModel, ServableModel, ShardableModel};
-use crate::protocol::{Request, Response, WireError};
-use crate::server::{crash_point, ServeConfig, ServeSummary};
+use crate::server::ServeConfig;
 use demon_core::maintainer::ModelMaintainer;
+use demon_core::monitor::DemonMonitor;
 use demon_focus::compact::CompactSequenceMiner;
 use demon_focus::windowed::WindowedCompactMiner;
+use demon_store::StoreConfig;
 use demon_types::obs::{self, Counter};
-use demon_types::wal::{self, WalWriter};
-use demon_types::{Block, BlockId, DemonError, ModelClass, Result};
-use std::collections::VecDeque;
-use std::net::{SocketAddr, TcpListener};
+use demon_types::{Block, BlockId, DemonError, Result};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
-use std::thread::Thread;
-use std::time::Duration;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// The lane directory of shard `s` under the WAL root.
 pub fn shard_lane_dir(root: &Path, shard: usize) -> PathBuf {
@@ -76,6 +58,121 @@ pub fn shard_lane_dir(root: &Path, shard: usize) -> PathBuf {
 /// stream prefix is balanced to within one block.
 pub fn shard_of(id: BlockId, n_shards: usize) -> usize {
     ((id.value() - 1) % n_shards as u64) as usize
+}
+
+/// What the sequencer owns and applies blocks to. Implementations
+/// reject a replayed or out-of-order id before any state moves
+/// (`DuplicateBlock` / `InvalidParameter`, the engine's texts).
+pub trait AppliedState<S: ServableModel>: Send {
+    /// Applies the next arriving block.
+    fn add_block(&mut self, block: Block<S::Record>) -> Result<()>;
+
+    /// The highest block id applied so far.
+    fn latest(&self) -> Option<BlockId>;
+
+    /// The immutable replica of the current state: model cloned out
+    /// (JSON renders lazily on first query), sequences pre-gathered,
+    /// per-shard block counts for `Stats`.
+    fn replica(&self, epoch: u64) -> Replica<S>;
+
+    /// Every held block in one fresh maintainer, registered in
+    /// block-id order — what `Snapshot` and compaction persist.
+    fn snapshot_source(&self) -> Result<S::Maintainer>;
+}
+
+/// Where a snapshot source keeps its copy of the blocks: in memory when
+/// the daemon's stores are, else under the same spill policy in a
+/// scratch directory of its own (removed when the source is dropped), so
+/// a `--memory-budget` daemon stays within its budget while it
+/// snapshots. Only the sequencer gathers, so the sweep of emptied
+/// scratch directories cannot race a new one.
+fn scratch_store_config(store_config: &StoreConfig) -> StoreConfig {
+    static GATHERS: AtomicU64 = AtomicU64::new(0);
+    let StoreConfig::Spill { dir, policy, .. } = store_config else {
+        return StoreConfig::InMemory;
+    };
+    for entry in std::fs::read_dir(dir).into_iter().flatten().flatten() {
+        if entry.file_name().to_string_lossy().starts_with("gather-") {
+            let _ = std::fs::remove_dir(entry.path()); // only if emptied
+        }
+    }
+    StoreConfig::Spill {
+        dir: dir.join(format!(
+            "gather-{}",
+            GATHERS.fetch_add(1, Ordering::Relaxed)
+        )),
+        policy: *policy,
+        cleanup: true,
+    }
+}
+
+/// Registers the blocks `ids` (ascending), each read from the
+/// maintainer `owner` names, into a fresh maintainer: the plain 1-shard
+/// register path, so the result persists to the same bytes whichever
+/// state it was gathered from.
+fn gather<'a, S: ServableModel>(
+    config: &ServeConfig,
+    ids: impl IntoIterator<Item = BlockId>,
+    owner: impl Fn(BlockId) -> &'a S::Maintainer,
+) -> Result<S::Maintainer> {
+    let mut config = config.clone();
+    config.store_config = scratch_store_config(&config.store_config);
+    let mut merged = S::maintainer(&config)?;
+    for id in ids {
+        merged.register_block(S::block(owner(id), id)?);
+    }
+    Ok(merged)
+}
+
+/// The `shards = 1` state: the class's own monitor, applied to directly.
+pub struct MonitorState<S: ServableModel> {
+    monitor: DemonMonitor<S::Maintainer, S::Oracle>,
+    latest: Option<BlockId>,
+    blocks: u64,
+    config: ServeConfig,
+}
+
+impl<S: ServableModel> MonitorState<S> {
+    /// The empty state of a validated config.
+    pub fn new(config: &ServeConfig) -> Result<MonitorState<S>> {
+        Ok(MonitorState {
+            monitor: S::build_monitor(config)?,
+            latest: None,
+            blocks: 0,
+            config: config.clone(),
+        })
+    }
+}
+
+impl<S: ServableModel> AppliedState<S> for MonitorState<S> {
+    fn add_block(&mut self, block: Block<S::Record>) -> Result<()> {
+        let id = block.id();
+        self.monitor.add_block(block)?;
+        self.latest = Some(id);
+        self.blocks += 1;
+        Ok(())
+    }
+
+    fn latest(&self) -> Option<BlockId> {
+        self.latest
+    }
+
+    fn replica(&self, epoch: u64) -> Replica<S> {
+        Replica {
+            epoch,
+            blocks: self.blocks,
+            model: self.monitor.model().cloned(),
+            render_ctx: S::render_ctx(self.monitor.engine().maintainer()),
+            model_json: OnceLock::new(),
+            sequences: self.monitor.sequences(),
+            shard_blocks: vec![self.blocks],
+        }
+    }
+
+    fn snapshot_source(&self) -> Result<S::Maintainer> {
+        let maintainer = self.monitor.engine().maintainer();
+        gather::<S>(&self.config, S::block_ids(maintainer), |_| maintainer)
+    }
 }
 
 /// Mirror of the engine's systematic-evolution check: block `id` must be
@@ -101,7 +198,7 @@ enum Patterns<S: ServableModel> {
     MostRecent(WindowedCompactMiner<S::Oracle, S::Record>),
 }
 
-/// The sequencer-owned mining state: one maintainer per shard (store +
+/// The `shards ≥ 2` state: one maintainer per shard (store +
 /// registration work, exactly the 1-shard register path applied to the
 /// owning shard), one global model absorbed with the class's exact
 /// scatter/gather, one global pattern miner.
@@ -162,22 +259,7 @@ impl<S: ShardableModel> ShardSet<S> {
         Ok(())
     }
 
-    /// Blocks applied so far.
-    pub fn blocks(&self) -> u64 {
-        self.shard_blocks.iter().sum()
-    }
-
-    /// Gathers every shard's blocks into one fresh single-store
-    /// maintainer, registered in block-id order — the class's
-    /// [`ShardableModel::merged_maintainer`], the one merge helper
-    /// behind both the `Snapshot` verb and WAL compaction.
-    pub fn merged_maintainer(&self) -> Result<S::Maintainer> {
-        S::merged_maintainer(&self.config, &self.shards, self.latest)
-    }
-
-    /// Builds the immutable replica of the current state: model cloned
-    /// out (JSON renders lazily on first query), sequences pre-gathered,
-    /// per-shard block counts for `Stats`.
+    /// Builds the immutable replica of the current state.
     pub fn replica(&self, epoch: u64) -> Replica<S> {
         let sequences = match &self.miner {
             Patterns::Unrestricted(m) => m.maximal_sequences(),
@@ -185,13 +267,34 @@ impl<S: ShardableModel> ShardSet<S> {
         };
         Replica {
             epoch,
-            blocks: self.blocks(),
-            model: self.model.clone(),
+            blocks: self.shard_blocks.iter().sum(),
+            model: Some(self.model.clone()),
             render_ctx: S::render_ctx(&self.shards[0]),
             model_json: OnceLock::new(),
             sequences,
             shard_blocks: self.shard_blocks.clone(),
         }
+    }
+}
+
+impl<S: ShardableModel> AppliedState<S> for ShardSet<S> {
+    fn add_block(&mut self, block: Block<S::Record>) -> Result<()> {
+        ShardSet::add_block(self, block)
+    }
+
+    fn latest(&self) -> Option<BlockId> {
+        self.latest
+    }
+
+    fn replica(&self, epoch: u64) -> Replica<S> {
+        ShardSet::replica(self, epoch)
+    }
+
+    fn snapshot_source(&self) -> Result<S::Maintainer> {
+        let last = self.latest.map_or(0, |b| b.value());
+        gather::<S>(&self.config, (1..=last).map(BlockId), |id| {
+            &self.shards[shard_of(id, self.shards.len())]
+        })
     }
 }
 
@@ -204,8 +307,9 @@ pub struct Replica<S: ServableModel> {
     pub epoch: u64,
     /// Blocks applied when this replica was built.
     pub blocks: u64,
-    /// The model at this epoch.
-    model: MaintainedModel<S>,
+    /// The model at this epoch (`None`: a windowed engine that has seen
+    /// no block yet).
+    model: Option<MaintainedModel<S>>,
     render_ctx: S::RenderCtx,
     /// The model's canonical JSON, rendered at most once, by the first
     /// query that needs it.
@@ -218,15 +322,20 @@ pub struct Replica<S: ServableModel> {
 
 impl<S: ServableModel> Replica<S> {
     /// The model as canonical JSON — the exact `QueryModel` body, byte-
-    /// identical to the eager 1-shard daemon's. Rendered on first call
-    /// (`serve.replica_lazy_renders`) and memoized for the replica's
-    /// lifetime; replicas swapped out by a write burst before anyone
-    /// queries them never pay serialization at all.
+    /// identical to what the batch pipeline prints for the same blocks.
+    /// Rendered on first call (`serve.replica_lazy_renders`) and
+    /// memoized for the replica's lifetime; replicas swapped out by a
+    /// write burst before anyone queries them never pay serialization
+    /// at all.
     pub fn model_json(&self) -> std::result::Result<&str, String> {
         if let Some(json) = self.model_json.get() {
             return Ok(json);
         }
-        let rendered = S::render_model_json(&self.render_ctx, &self.model).map_err(|e| match e {
+        let model = self
+            .model
+            .as_ref()
+            .ok_or("no model yet (no blocks ingested)")?;
+        let rendered = S::render_model_json(&self.render_ctx, model).map_err(|e| match e {
             DemonError::Serde(msg) => msg,
             other => other.to_string(),
         })?;
@@ -267,659 +376,4 @@ impl<S: ServableModel> ReplicaCell<S> {
         *cur = Arc::new(replica);
         obs::incr(Counter::ServeReplicaSwaps);
     }
-}
-
-/// A parked response slot: the sequencer fills it and unparks the
-/// event-loop thread that owns the connection.
-pub struct Pending {
-    slot: Mutex<Option<Response>>,
-    waker: Thread,
-}
-
-impl Pending {
-    /// A slot owned by (and waking) the given thread.
-    pub fn new(waker: Thread) -> Pending {
-        Pending {
-            slot: Mutex::new(None),
-            waker,
-        }
-    }
-
-    /// Fills the slot and wakes the owning event loop.
-    pub fn fill(&self, response: Response) {
-        *self.slot.lock().unwrap_or_else(|e| e.into_inner()) = Some(response);
-        self.waker.unpark();
-    }
-
-    /// Takes the response if it has arrived (non-blocking).
-    pub fn take(&self) -> Option<Response> {
-        self.slot.lock().unwrap_or_else(|e| e.into_inner()).take()
-    }
-}
-
-/// A unit of sequencer work.
-pub enum ShardJob<S: ServableModel> {
-    /// Apply one block (WAL append first when durable).
-    Ingest {
-        /// The block to apply.
-        block: Block<S::Record>,
-        /// Where the result goes.
-        done: Arc<Pending>,
-    },
-    /// Persist the merged store atomically to a server-side directory.
-    Snapshot {
-        /// Target directory.
-        dir: String,
-        /// Where the result goes.
-        done: Arc<Pending>,
-    },
-}
-
-struct ShardQueueState<S: ServableModel> {
-    jobs: VecDeque<ShardJob<S>>,
-    open: bool,
-}
-
-/// The bounded sequencer queue. Unlike the 1-shard ingest queue,
-/// submission is non-blocking (`try_submit`) — an event-loop thread must
-/// never park on backpressure; it re-tries each tick until the
-/// connection's own deadline expires.
-pub struct ShardQueue<S: ServableModel> {
-    capacity: usize,
-    state: Mutex<ShardQueueState<S>>,
-    not_empty: Condvar,
-}
-
-/// Why a non-blocking submit did not enqueue.
-pub enum SubmitError<S: ServableModel> {
-    /// The queue is at capacity; retry until the deadline.
-    Full(ShardJob<S>),
-    /// The queue is closed (shutdown); fail the request as busy.
-    Closed,
-}
-
-impl<S: ServableModel> ShardQueue<S> {
-    /// A queue holding at most `capacity` jobs.
-    pub fn new(capacity: usize) -> ShardQueue<S> {
-        ShardQueue {
-            capacity: capacity.max(1),
-            state: Mutex::new(ShardQueueState {
-                jobs: VecDeque::new(),
-                open: true,
-            }),
-            not_empty: Condvar::new(),
-        }
-    }
-
-    /// The queue's capacity (for the `Busy` rejection text).
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Enqueues without blocking; hands the job back when full. On
-    /// success, returns the job's completion slot for polling.
-    pub fn try_submit(&self, job: ShardJob<S>) -> std::result::Result<Arc<Pending>, SubmitError<S>> {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        if !state.open {
-            return Err(SubmitError::Closed);
-        }
-        if state.jobs.len() >= self.capacity {
-            return Err(SubmitError::Full(job));
-        }
-        let done = match &job {
-            ShardJob::Ingest { done, .. } | ShardJob::Snapshot { done, .. } => Arc::clone(done),
-        };
-        state.jobs.push_back(job);
-        obs::record_max(Counter::ServeQueueDepth, state.jobs.len() as u64);
-        self.not_empty.notify_one();
-        Ok(done)
-    }
-
-    /// The sequencer's blocking pop; `None` after close once drained.
-    pub fn next_job(&self) -> Option<ShardJob<S>> {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some(job) = state.jobs.pop_front() {
-                return Some(job);
-            }
-            if !state.open {
-                return None;
-            }
-            state = self
-                .not_empty
-                .wait(state)
-                .unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// Closes the queue; queued jobs still drain.
-    pub fn close(&self) {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        state.open = false;
-        self.not_empty.notify_all();
-    }
-
-    /// Jobs currently queued.
-    pub fn depth(&self) -> usize {
-        self.state.lock().unwrap_or_else(|e| e.into_inner()).jobs.len()
-    }
-}
-
-/// State shared between the event-loop threads, the sequencer, and the
-/// compactor.
-pub struct ShardShared<S: ServableModel> {
-    /// The epoch-swapped read replica.
-    pub replica: ReplicaCell<S>,
-    /// The sequencer queue.
-    pub queue: ShardQueue<S>,
-    /// Ingest jobs queued (submitted, not yet answered) per shard — the
-    /// `Stats` `shard_queue_depths` gauge.
-    pub shard_pending: Vec<AtomicU64>,
-    /// Graceful-shutdown flag.
-    pub shutdown: AtomicBool,
-    /// Requests served across all connections and verbs.
-    pub requests: AtomicU64,
-    /// Blocks applied (recovered blocks included).
-    pub blocks: AtomicU64,
-    /// The bound address.
-    pub addr: SocketAddr,
-    /// The class's per-block wire meta (item-universe size for
-    /// itemsets), validated against each `IngestBlock`.
-    pub meta: u32,
-    /// Shard count.
-    pub n_shards: usize,
-    /// Per-connection idle timeout.
-    pub io_timeout: Duration,
-    /// Backpressure deadline for a full queue.
-    pub queue_timeout: Duration,
-}
-
-/// The sequencer's durable state: one WAL lane per shard, all rotated
-/// together, behind the shared root `CURRENT` pointer.
-pub struct ShardWal<S: ServableModel> {
-    root: PathBuf,
-    writers: Vec<WalWriter>,
-    gen: u64,
-    max_bytes: u64,
-    last_id: Option<u64>,
-    compact_tx: mpsc::Sender<(u64, S::Maintainer)>,
-    compacting: Arc<AtomicBool>,
-}
-
-/// What sharded recovery rebuilt.
-pub struct RecoveredShards<S: ShardableModel> {
-    /// The sharded state with every durable block re-applied.
-    pub state: ShardSet<S>,
-    /// The reopened live lane writers (one per shard).
-    pub writers: Vec<WalWriter>,
-    /// The live generation (max across lanes and `CURRENT`).
-    pub gen: u64,
-}
-
-/// The typed refusal when a lane record (header tag or request body)
-/// carries a different model class than the recovering daemon.
-fn cross_class_replay<S: ServableModel>(got: u8) -> DemonError {
-    DemonError::ModelClassMismatch {
-        expected: S::CLASS.name().to_string(),
-        got: ModelClass::describe_tag(got),
-    }
-}
-
-/// Recovers the sharded state from a WAL root: load the merged
-/// `snapshot-<CURRENT>` (Strict), then merge every lane's record chain
-/// by block id and replay the contiguous prefix. The sequencer appends
-/// lanes in block-id order (one fsync per block, strictly sequential),
-/// so only the highest appended id can be torn — the first gap ends
-/// replay, preserving `acked ≤ applied ≤ acked+1` per shard and
-/// globally. A lane tagged with a different model class refuses to
-/// replay (typed [`DemonError::ModelClassMismatch`]) — it belongs to
-/// another daemon.
-pub fn recover_sharded<S: ShardableModel>(
-    root: &Path,
-    config: &ServeConfig,
-) -> Result<RecoveredShards<S>> {
-    std::fs::create_dir_all(root)?;
-    for s in 0..config.shards {
-        std::fs::create_dir_all(shard_lane_dir(root, s))?;
-    }
-    let current = wal::read_current(root)?;
-    let mut state = ShardSet::<S>::new(config)?;
-
-    if current > 0 {
-        let snap = wal::snapshot_dir_path(root, current);
-        for block in S::load_snapshot(&snap, config)? {
-            state.add_block(block)?;
-        }
-    }
-
-    // Shadowed residue: snapshots other than CURRENT at the root, lane
-    // generations below CURRENT. Deleting converges after a crash
-    // mid-cleanup, exactly like the 1-shard recovery.
-    for entry in std::fs::read_dir(root)?.flatten() {
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if name.starts_with("snapshot-") && wal::parse_snapshot_dir_name(name) != Some(current) {
-            let _ = std::fs::remove_dir_all(entry.path());
-        }
-    }
-
-    let mut pending: Vec<(BlockId, Block<S::Record>)> = Vec::new();
-    let mut writers = Vec::with_capacity(config.shards);
-    let mut max_gen = current;
-    for s in 0..config.shards {
-        let lane = shard_lane_dir(root, s);
-        let mut live_gen = current;
-        let mut live_valid_len = 0u64;
-        let mut live_exists = false;
-        let mut next_seq = 0u64;
-        for g in wal::list_wal_generations(&lane)? {
-            if g < current {
-                let _ = std::fs::remove_file(wal::wal_file_path(&lane, g));
-                continue;
-            }
-            let report = wal::read_wal(&wal::wal_file_path(&lane, g))?;
-            for record in &report.records {
-                if record.class != S::CLASS.tag() {
-                    return Err(cross_class_replay::<S>(record.class));
-                }
-                let Ok(Request::IngestBlock {
-                    class,
-                    id,
-                    interval,
-                    meta,
-                    payload,
-                }) = Request::decode(&record.body)
-                else {
-                    continue;
-                };
-                if class != S::CLASS.tag() {
-                    return Err(cross_class_replay::<S>(class));
-                }
-                let Ok(records) = S::decode_records(&payload, id, meta) else {
-                    continue;
-                };
-                let block = match interval {
-                    Some(iv) => Block::with_interval(id, iv, records),
-                    None => Block::new(id, records),
-                };
-                pending.push((id, block));
-            }
-            if let Some(seq) = report.next_seq() {
-                next_seq = seq;
-            }
-            live_gen = g;
-            live_valid_len = report.valid_len;
-            live_exists = true;
-        }
-        let live_path = wal::wal_file_path(&lane, live_gen);
-        writers.push(if live_exists {
-            WalWriter::open_after_recovery(&live_path, live_valid_len, next_seq, S::CLASS.tag())?
-        } else {
-            WalWriter::create(&live_path, next_seq, S::CLASS.tag())?
-        });
-        max_gen = max_gen.max(live_gen);
-    }
-
-    pending.sort_by_key(|(id, _)| *id);
-    for (id, block) in pending {
-        let expected = state.latest.map_or(BlockId::FIRST, BlockId::next);
-        if id < expected {
-            continue; // covered by the snapshot or an earlier lane record
-        }
-        if id > expected {
-            break; // gap: everything past it was never appended, let alone acked
-        }
-        match state.add_block(block) {
-            Ok(()) => obs::incr(Counter::WalReplays),
-            Err(_) => break, // appended but never acked: no promise broken
-        }
-    }
-
-    Ok(RecoveredShards {
-        state,
-        writers,
-        gen: max_gen,
-    })
-}
-
-/// The sequencer: drains the queue, appends to the owning shard's WAL
-/// lane (fsync) before applying, publishes a fresh replica after every
-/// applied block, then answers the parked connection — so an ack means
-/// durable, applied, *and* visible to every subsequent query.
-pub fn sequencer_loop<S: ShardableModel>(
-    shared: &Arc<ShardShared<S>>,
-    mut state: ShardSet<S>,
-    mut wal: Option<ShardWal<S>>,
-) {
-    let mut epoch = shared.replica.load().epoch;
-    let mut poisoned = false;
-    while let Some(job) = shared.queue.next_job() {
-        match job {
-            ShardJob::Ingest { block, done } => {
-                let id = block.id();
-                let s = shard_of(id, shared.n_shards);
-                crash_point("before_append");
-
-                let mut wal_failure: Option<WireError> = None;
-                if let Some(w) = wal.as_mut() {
-                    let duplicate = w.last_id.is_some_and(|last| id.value() <= last);
-                    if !duplicate {
-                        match S::encode_records(&block) {
-                            Ok(payload) => {
-                                let body = Request::IngestBlock {
-                                    class: S::CLASS.tag(),
-                                    id,
-                                    interval: block.interval(),
-                                    meta: shared.meta,
-                                    payload,
-                                }
-                                .encode();
-                                if let Err(e) = w.writers[s].append(&body) {
-                                    wal_failure =
-                                        Some(WireError::Io(format!("wal append: {e}")));
-                                }
-                            }
-                            Err(e) => {
-                                wal_failure =
-                                    Some(WireError::Other(format!("wal encode: {e}")));
-                            }
-                        }
-                    }
-                }
-                crash_point("after_append");
-
-                let result = if poisoned {
-                    Err(WireError::Other(
-                        "monitor poisoned by an earlier ingest fault".to_string(),
-                    ))
-                } else if let Some(e) = wal_failure {
-                    Err(e)
-                } else {
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        state.add_block(block).map_err(|e| WireError::from_error(&e))
-                    }))
-                    .unwrap_or_else(|_| {
-                        poisoned = true;
-                        Err(WireError::Other(
-                            "ingest panicked; monitor poisoned".to_string(),
-                        ))
-                    })
-                };
-
-                let response = match result {
-                    Ok(()) => {
-                        shared.blocks.fetch_add(1, Ordering::SeqCst);
-                        obs::incr(Counter::ServeShardIngests);
-                        epoch += 1;
-                        publish(shared, &state, epoch);
-                        if let Some(w) = wal.as_mut() {
-                            w.last_id = Some(id.value());
-                            maybe_rotate(w, &state);
-                        }
-                        Response::Ok
-                    }
-                    Err(e) => Response::Err(e),
-                };
-                shared.shard_pending[s].fetch_sub(1, Ordering::SeqCst);
-                done.fill(response);
-                crash_point("after_ack");
-            }
-            ShardJob::Snapshot { dir, done } => {
-                let response = match state
-                    .merged_maintainer()
-                    .and_then(|m| S::save_snapshot(&m, Path::new(&dir)))
-                {
-                    Ok(blocks) => Response::SnapshotDone(blocks),
-                    Err(DemonError::Io(e)) => {
-                        Response::Err(WireError::Io(format!("snapshot to {dir}: {e}")))
-                    }
-                    Err(e) => Response::Err(WireError::Other(format!("snapshot to {dir}: {e}"))),
-                };
-                done.fill(response);
-            }
-        }
-    }
-}
-
-/// Builds and flips the replica; updates the imbalance gauge.
-fn publish<S: ShardableModel>(shared: &Arc<ShardShared<S>>, state: &ShardSet<S>, epoch: u64) {
-    let replica = state.replica(epoch);
-    let max = replica.shard_blocks.iter().copied().max().unwrap_or(0);
-    let min = replica.shard_blocks.iter().copied().min().unwrap_or(0);
-    obs::record_max(Counter::ServeShardImbalance, max - min);
-    shared.replica.store(replica);
-}
-
-/// Rotates every lane to `gen+1` once the lanes' combined live bytes
-/// cross the threshold, then hands the merged store to the compactor.
-/// Skipped while a compaction is in flight.
-fn maybe_rotate<S: ShardableModel>(w: &mut ShardWal<S>, state: &ShardSet<S>) {
-    let total: u64 = w.writers.iter().map(WalWriter::bytes).sum();
-    if total < w.max_bytes {
-        return;
-    }
-    if w.compacting.swap(true, Ordering::SeqCst) {
-        return;
-    }
-    let next_gen = w.gen + 1;
-    let mut rotated = Vec::with_capacity(w.writers.len());
-    for (s, writer) in w.writers.iter().enumerate() {
-        let lane = shard_lane_dir(&w.root, s);
-        match WalWriter::create(
-            &wal::wal_file_path(&lane, next_gen),
-            writer.next_seq(),
-            S::CLASS.tag(),
-        ) {
-            Ok(next) => rotated.push(next),
-            Err(_) => {
-                // Abort the whole rotation: keep appending to the old
-                // lanes and retry at the next threshold crossing. Any
-                // already-created empty `wal-<gen+1>.log` is harmless —
-                // recovery replays it as an empty generation.
-                w.compacting.store(false, Ordering::SeqCst);
-                return;
-            }
-        }
-    }
-    match state.merged_maintainer() {
-        Ok(merged) => {
-            w.writers = rotated;
-            w.gen = next_gen;
-            let _ = w.compact_tx.send((next_gen, merged));
-        }
-        Err(_) => w.compacting.store(false, Ordering::SeqCst),
-    }
-}
-
-/// The sharded compactor: save the merged snapshot atomically, flip the
-/// root `CURRENT`, delete shadowed lane generations and snapshots.
-fn shard_compactor_loop<S: ShardableModel>(
-    root: &Path,
-    n_shards: usize,
-    compacting: &Arc<AtomicBool>,
-    rx: &mpsc::Receiver<(u64, S::Maintainer)>,
-) {
-    while let Ok((gen, merged)) = rx.recv() {
-        let result: Result<()> = (|| {
-            S::save_snapshot(&merged, &wal::snapshot_dir_path(root, gen))?;
-            crash_point("mid_compaction");
-            wal::write_current(root, gen)?;
-            Ok(())
-        })();
-        if result.is_ok() {
-            for s in 0..n_shards {
-                let lane = shard_lane_dir(root, s);
-                for g in wal::list_wal_generations(&lane).unwrap_or_default() {
-                    if g < gen {
-                        let _ = std::fs::remove_file(wal::wal_file_path(&lane, g));
-                    }
-                }
-            }
-            if let Ok(entries) = std::fs::read_dir(root) {
-                for entry in entries.flatten() {
-                    let name = entry.file_name();
-                    let Some(name) = name.to_str() else { continue };
-                    if name.starts_with("snapshot-")
-                        && wal::parse_snapshot_dir_name(name) != Some(gen)
-                    {
-                        let _ = std::fs::remove_dir_all(entry.path());
-                    }
-                }
-            }
-        }
-        compacting.store(false, Ordering::SeqCst);
-    }
-}
-
-/// A bound sharded daemon, ready to run.
-pub struct ShardedServer<S: ShardableModel> {
-    shared: Arc<ShardShared<S>>,
-    listener: TcpListener,
-    state: ShardSet<S>,
-    wal: Option<ShardWal<S>>,
-    compact_rx: Option<mpsc::Receiver<(u64, S::Maintainer)>>,
-    workers: usize,
-    wal_root: Option<PathBuf>,
-}
-
-impl<S: ShardableModel> ShardedServer<S> {
-    /// Binds the listener and rebuilds the sharded state (recovering
-    /// from the per-shard WAL lanes when durable).
-    pub fn bind(config: &ServeConfig) -> Result<ShardedServer<S>> {
-        let listener = TcpListener::bind(&config.addr)?;
-        let addr = listener.local_addr()?;
-        let (state, wal, compact_rx, wal_root) = match &config.wal_dir {
-            None => (ShardSet::<S>::new(config)?, None, None, None),
-            Some(root) => {
-                let recovered = recover_sharded::<S>(root, config)?;
-                let (tx, rx) = mpsc::channel();
-                let wal = ShardWal {
-                    root: root.clone(),
-                    writers: recovered.writers,
-                    gen: recovered.gen,
-                    max_bytes: config.wal_max_bytes.max(1),
-                    last_id: recovered.state.latest.map(|b| b.value()),
-                    compact_tx: tx,
-                    compacting: Arc::new(AtomicBool::new(false)),
-                };
-                (recovered.state, Some(wal), Some(rx), Some(root.clone()))
-            }
-        };
-        let replica = state.replica(0);
-        let blocks = replica.blocks;
-        let shared = Arc::new(ShardShared {
-            replica: ReplicaCell::new(replica),
-            queue: ShardQueue::new(config.queue_capacity),
-            shard_pending: (0..config.shards).map(|_| AtomicU64::new(0)).collect(),
-            shutdown: AtomicBool::new(false),
-            requests: AtomicU64::new(0),
-            blocks: AtomicU64::new(blocks),
-            addr,
-            meta: S::block_meta(config),
-            n_shards: config.shards,
-            io_timeout: config.io_timeout,
-            queue_timeout: config.queue_timeout,
-        });
-        Ok(ShardedServer {
-            shared,
-            listener,
-            state,
-            wal,
-            compact_rx,
-            workers: config.workers.max(1),
-            wal_root,
-        })
-    }
-
-    /// The bound address.
-    pub fn local_addr(&self) -> SocketAddr {
-        self.shared.addr
-    }
-
-    /// Serves until `Shutdown`: spawns the compactor (when durable), the
-    /// sequencer, and the event-loop threads, then joins them all.
-    pub fn run(self) -> Result<ServeSummary> {
-        let ShardedServer {
-            shared,
-            listener,
-            state,
-            wal,
-            compact_rx,
-            workers,
-            wal_root,
-        } = self;
-        listener.set_nonblocking(true)?;
-        let mut handles = Vec::new();
-        if let (Some(rx), Some(root)) = (compact_rx, wal_root) {
-            let flag = wal
-                .as_ref()
-                .map(|w| Arc::clone(&w.compacting))
-                .unwrap_or_default();
-            let n_shards = shared.n_shards;
-            handles.push(
-                std::thread::Builder::new()
-                    .name("serve-compactor".to_string())
-                    .spawn(move || shard_compactor_loop::<S>(&root, n_shards, &flag, &rx))?,
-            );
-        }
-        {
-            let shared = Arc::clone(&shared);
-            handles.push(
-                std::thread::Builder::new()
-                    .name("serve-sequencer".to_string())
-                    .spawn(move || sequencer_loop(&shared, state, wal))?,
-            );
-        }
-        for i in 0..workers {
-            let shared = Arc::clone(&shared);
-            let listener = listener.try_clone()?;
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("serve-loop-{i}"))
-                    .spawn(move || crate::event_loop::event_loop(&shared, &listener))?,
-            );
-        }
-        for h in handles {
-            let _ = h.join();
-        }
-        Ok(ServeSummary {
-            requests: shared.requests.load(Ordering::Relaxed),
-            blocks: shared.blocks.load(Ordering::SeqCst),
-        })
-    }
-}
-
-/// The sharded `Stats` body: the 1-shard gauges plus `shards`,
-/// `shard_blocks`, and `shard_queue_depths`, then the obs counter table.
-/// The shard keys deliberately sit *after* `"blocks"` so gauge parsers
-/// keyed on the first `"blocks":` match keep working.
-pub fn sharded_stats_json<S: ServableModel>(shared: &ShardShared<S>) -> String {
-    let replica = shared.replica.load();
-    let shard_blocks: Vec<String> = replica
-        .shard_blocks
-        .iter()
-        .map(u64::to_string)
-        .collect();
-    let depths: Vec<String> = shared
-        .shard_pending
-        .iter()
-        .map(|d| d.load(Ordering::SeqCst).to_string())
-        .collect();
-    let mut out = format!(
-        "{{\"blocks\":{},\"shards\":{},\"shard_blocks\":[{}],\"shard_queue_depths\":[{}],\"requests\":{},\"queue_depth\":{},\"counters\":{{",
-        shared.blocks.load(Ordering::SeqCst),
-        shared.n_shards,
-        shard_blocks.join(","),
-        depths.join(","),
-        shared.requests.load(Ordering::Relaxed),
-        shared.queue.depth(),
-    );
-    for (i, (name, value)) in obs::snapshot().counters.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{name}\":{value}"));
-    }
-    out.push_str("}}");
-    out
 }

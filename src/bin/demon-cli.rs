@@ -97,8 +97,8 @@ SERVE:    serve runs the TCP monitoring daemon (default 127.0.0.1:7677;
           persists the monitored store server-side, shutdown drains the
           ingest queue and exits the daemon cleanly.
 MODEL:    --model itemsets|clusters|trees|dbscan picks the served model
-          class (default itemsets, the legacy daemon). clusters
-          maintains BIRCH+ over point blocks (--dim, --k centroids);
+          class (default itemsets). clusters maintains BIRCH+ over
+          point blocks (--dim, --k centroids);
           trees maintains windowed decision trees over labeled points
           (--dim, --classes labels); dbscan maintains incremental
           DBSCAN density models (--dim, --eps radius, --min-pts core
@@ -123,10 +123,10 @@ WAL:      --wal-dir DIR serves durably: every ingest is appended to a
 SHARDS:   --shards N (default 1) partitions the serving state into N
           shards (round-robin by block id) with per-shard WAL lanes and
           epoch-swapped query replicas; answers are byte-identical at
-          any shard count. --shards 1 is the original single-lock
-          daemon; --window requires --shards 1. Sharding needs an exact
-          shard merge, so --shards ≥ 2 is itemsets-only (a clusters,
-          trees or dbscan daemon refuses it with a typed error).
+          any shard count, and every count runs the same sequencer +
+          event-loop runtime. --window requires --shards 1. Sharding
+          needs an exact shard merge, so --shards ≥ 2 is itemsets-only (a
+          clusters, trees or dbscan daemon refuses it with a typed error).
 VERIFY:   re-checks every frame and checksum; exit status 1 on damage.
 SALVAGE:  --salvage loads a damaged store by quarantining corrupt files
           and keeping the longest consistent block prefix.
@@ -156,6 +156,15 @@ fn main() -> ExitCode {
 /// Flags that take no value.
 const BOOL_FLAGS: &[&str] = &["salvage", "stats", "json", "no-wal", "wal-group-commit"];
 
+/// Flags that take a value — every other `--name` is refused by name.
+const VALUE_FLAGS: &[&str] = &[
+    "alpha", "blocks", "bss", "classes", "counter", "days", "dim", "eps", "granularity", "items",
+    "k", "listen", "memory-budget", "min-len", "min-pts", "minsup", "model", "out",
+    "pattern-window", "queue", "queue-timeout-ms", "rate", "rules", "scale", "seed", "shards",
+    "spec", "threads", "timeout-ms", "top", "trace-out", "wal-dir", "wal-max-bytes", "window",
+    "workers",
+];
+
 /// Splits arguments into positionals and `--flag value` pairs
 /// (boolean flags like `--salvage` take no value).
 fn parse(args: &[String]) -> Result<(Vec<&str>, HashMap<&str, &str>), String> {
@@ -167,12 +176,14 @@ fn parse(args: &[String]) -> Result<(Vec<&str>, HashMap<&str, &str>), String> {
             if BOOL_FLAGS.contains(&name) {
                 flags.insert(name, "true");
                 i += 1;
-            } else {
+            } else if VALUE_FLAGS.contains(&name) {
                 let value = args
                     .get(i + 1)
                     .ok_or_else(|| format!("flag --{name} needs a value"))?;
                 flags.insert(name, value.as_str());
                 i += 2;
+            } else {
+                return Err(format!("unknown flag --{name}"));
             }
         } else {
             positional.push(args[i].as_str());

@@ -152,6 +152,17 @@ fn unknown_command_fails_with_usage() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("USAGE"));
 }
 
+/// A mistyped flag is refused by name — not parsed as a value-flag that
+/// swallows the next argument (or reports a missing value).
+#[test]
+fn unknown_flag_is_refused_by_name() {
+    let out = cli().args(["serve", "--stat"]).output().expect("binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown flag --stat"), "{err}");
+    assert!(!err.contains("needs a value"), "{err}");
+}
+
 #[test]
 fn help_prints_usage() {
     let out = run_ok(cli().args(["help"]));

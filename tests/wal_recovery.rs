@@ -410,6 +410,41 @@ fn sharded_crash_sweep_never_loses_an_acked_block() {
     }
 }
 
+/// Group commit at `--shards 4`: appends go to the block's lane
+/// unsynced, one covering fsync per touched lane precedes every ack of
+/// the batch — so the crash sweep holds the partitioned daemon to the
+/// same clean-acked-prefix contract with the flag as without it.
+#[test]
+fn sharded_group_commit_crash_sweep_never_loses_an_acked_block() {
+    const FLAGS: &[&str] = &["--shards", "4", "--wal-group-commit"];
+    let specs = [
+        ("before_append:2", 1usize),
+        ("after_append:2", 1),
+        ("after_append:5", 4),
+        ("after_ack:3", 2), // the nth ack itself may be lost on the wire
+    ];
+    for (crash, min_acked) in specs {
+        let wal_dir = tmp(&format!("sharded-gc-sweep-{}", crash.replace(':', "-")));
+        std::fs::remove_dir_all(&wal_dir).ok();
+
+        let (mut child, addr, _out) = spawn_daemon(&wal_dir, FLAGS, Some(crash));
+        let acked = ingest_until_crash(&addr);
+        let status = child.wait().expect("crashed daemon reaps");
+        assert!(!status.success(), "[{crash}] daemon should have died");
+        assert!(
+            acked >= min_acked,
+            "[{crash}] expected at least {min_acked} acks, saw {acked}"
+        );
+        assert!(
+            wal_dir.join("shard-3").is_dir(),
+            "[{crash}] group commit must log to the per-shard lanes"
+        );
+
+        recover_and_check_with(&wal_dir, FLAGS, acked, crash);
+        std::fs::remove_dir_all(&wal_dir).ok();
+    }
+}
+
 /// Mid-compaction crash on the sharded runtime: the shared generation
 /// flip is the commit point; dying between the merged snapshot write
 /// and the `CURRENT` flip recovers from either generation.
