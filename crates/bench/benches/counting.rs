@@ -29,7 +29,8 @@ fn bench_intersection(c: &mut Criterion) {
 /// Footnote 7: the paper chose the prefix tree over the hash tree for
 /// candidate counting — this measures that choice.
 fn bench_prefix_vs_hash_tree(c: &mut Criterion) {
-    use demon_itemsets::{HashTree, PrefixTree};
+    use demon_bench::baselines::hash_tree::HashTree;
+    use demon_itemsets::PrefixTree;
     let mut store = TxStore::new(1000);
     let block = quest_block("100K.20L.1I.4pats.4plen", 9, BlockId(1), 1);
     store.add_block(block);

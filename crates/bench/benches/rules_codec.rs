@@ -1,14 +1,13 @@
 //! Criterion benchmarks of the auxiliary machinery: association-rule
-//! derivation from a maintained model, TID-list codec throughput, and the
-//! incremental-DBSCAN insert/delete asymmetry of §3.2.4.
+//! derivation from a maintained model and the incremental-DBSCAN
+//! insert/delete asymmetry of §3.2.4.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use demon_bench::quest_block;
 use demon_clustering::dbscan::IncrementalDbscan;
-use demon_itemsets::codec;
 use demon_itemsets::rules::derive_rules;
 use demon_itemsets::{FrequentItemsets, TxStore};
-use demon_types::{BlockId, MinSupport, Point, Tid};
+use demon_types::{BlockId, MinSupport, Point};
 use std::hint::black_box;
 
 fn bench_rules(c: &mut Criterion) {
@@ -19,22 +18,6 @@ fn bench_rules(c: &mut Criterion) {
             .unwrap();
     c.bench_function("rules/derive_from_model", |b| {
         b.iter(|| derive_rules(black_box(&model), 0.3).len())
-    });
-}
-
-fn bench_codec(c: &mut Criterion) {
-    let dense: Vec<Tid> = (1..=50_000u64).map(Tid).collect();
-    let sparse: Vec<Tid> = (1..=5_000u64).map(|i| Tid(i * 1000)).collect();
-    c.bench_function("codec/encode_dense_50k", |b| {
-        b.iter(|| codec::encode(black_box(&dense)))
-    });
-    let enc = codec::encode(&dense);
-    c.bench_function("codec/decode_dense_50k", |b| {
-        b.iter(|| codec::decode(black_box(&enc)))
-    });
-    let (ea, eb) = (codec::encode(&dense), codec::encode(&sparse));
-    c.bench_function("codec/intersect_encoded", |b| {
-        b.iter(|| codec::intersect_encoded(black_box(&ea), black_box(&eb)))
     });
 }
 
@@ -78,5 +61,5 @@ fn bench_dbscan_asymmetry(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_rules, bench_codec, bench_dbscan_asymmetry);
+criterion_group!(benches, bench_rules, bench_dbscan_asymmetry);
 criterion_main!(benches);

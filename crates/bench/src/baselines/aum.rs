@@ -11,8 +11,8 @@
 //! paper describes. Only model classes maintainable under deletion
 //! qualify (frequent itemsets do; BIRCH trees do not).
 
-use crate::bss::BlockSelector;
-use crate::maintainer::{ItemsetMaintainer, ModelMaintainer};
+use demon_core::bss::BlockSelector;
+use demon_core::{ItemsetMaintainer, ModelMaintainer};
 use demon_itemsets::FrequentItemsets;
 use demon_types::{BlockId, Result, TxBlock};
 use std::time::{Duration, Instant};
@@ -84,10 +84,10 @@ impl AumWindow {
     }
 
     /// Processes the next arriving block. Replays and gaps are typed
-    /// errors, as in [`crate::engine::UwEngine::add_block`].
+    /// errors, as in [`demon_core::engine::UwEngine::add_block`].
     pub fn add_block(&mut self, block: TxBlock) -> Result<AumStats> {
         let id = block.id();
-        crate::engine::check_sequential(id, self.latest)?;
+        demon_core::engine::check_sequential(id, self.latest)?;
         self.maintainer.register_block(block);
 
         // Selected sets before and after the slide.
@@ -139,7 +139,7 @@ impl AumWindow {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bss::WrBss;
+    use demon_core::bss::WrBss;
     use demon_itemsets::CounterKind;
     use demon_types::{Item, MinSupport, Tid, Transaction};
 
@@ -204,7 +204,7 @@ mod tests {
 
     #[test]
     fn matches_gemm_result_for_same_selection() {
-        use crate::gemm::Gemm;
+        use demon_core::Gemm;
         let wr = || BlockSelector::WindowRelative(WrBss::new(vec![true, true, false]));
         let mut aum = AumWindow::new(maintainer(), 3, wr()).unwrap();
         let mut gemm = Gemm::new(maintainer(), 3, wr()).unwrap();

@@ -18,9 +18,8 @@
 //! remaining full scans into selective TID-list reads. The
 //! `ablation_fup` bench quantifies exactly this.
 
-use crate::apriori::generate_candidates;
-use crate::prefix_tree::PrefixTree;
-use crate::store::TxStore;
+use demon_itemsets::apriori::generate_candidates;
+use demon_itemsets::{PrefixTree, TxStore};
 use demon_types::{BlockId, DemonError, FastMap, Item, ItemSet, MinSupport, Result};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
@@ -188,7 +187,7 @@ impl FupModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::FrequentItemsets;
+    use demon_itemsets::FrequentItemsets;
 
     use demon_types::{Tid, Transaction, TxBlock};
 

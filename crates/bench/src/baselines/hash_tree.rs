@@ -288,7 +288,7 @@ mod tests {
 
     #[test]
     fn matches_prefix_tree_on_random_data() {
-        use crate::prefix_tree::PrefixTree;
+        use demon_itemsets::PrefixTree;
         use rand::prelude::*;
         let mut rng = StdRng::seed_from_u64(12);
         let mut cands: Vec<ItemSet> = (0..80)

@@ -10,7 +10,8 @@
 //! relevant TID-lists.
 
 use demon_bench::{banner, ms, quest_block, quest_block_sized, scale, Table};
-use demon_itemsets::{CounterKind, FrequentItemsets, FupModel, TxStore};
+use demon_bench::baselines::fup::FupModel;
+use demon_itemsets::{CounterKind, FrequentItemsets, TxStore};
 use demon_types::{BlockId, MinSupport};
 
 fn main() {

@@ -9,7 +9,7 @@
 //!   while GEMM's response time stays one block-addition.
 
 use demon_bench::{banner, ms, quest_block_sized, scale, Table};
-use demon_core::aum::AumWindow;
+use demon_bench::baselines::aum::AumWindow;
 use demon_core::bss::{BlockSelector, WrBss};
 use demon_core::{Gemm, ItemsetMaintainer};
 use demon_itemsets::CounterKind;

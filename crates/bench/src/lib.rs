@@ -35,6 +35,8 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod baselines;
+
 use demon_datagen::{QuestGen, QuestParams};
 use demon_types::{Block, BlockId, Tid, Transaction, TxBlock};
 use std::fmt::Display;

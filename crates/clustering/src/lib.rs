@@ -72,11 +72,13 @@ pub mod dbscan;
 pub mod dbscan_window;
 pub mod cftree;
 pub mod global;
-pub mod spill;
 
 pub use birch::{phase2_model, Birch, BirchModel, BirchParams, BirchPlus, Cluster};
 pub use cf::ClusterFeature;
 pub use dbscan::{DbscanParams, IncrementalDbscan, Label};
 pub use dbscan_window::{ClusterSummary, DbscanSummary, WindowedDbscan};
 pub use cftree::CfTree;
-pub use spill::PointBlockEntry;
+
+/// A point block as the block storage engine holds (and spills) it: the
+/// generic numeric-block record over [`demon_types::Point`]'s row codec.
+pub type PointBlockEntry = demon_store::BlockEntry<demon_types::Point>;

@@ -192,7 +192,7 @@ impl<M: ModelMaintainer> SlidingEngine<M> {
 /// an [`DemonError::InvalidParameter`]. Shared by [`UwEngine`] and
 /// [`crate::Gemm`], so both reject the block *before* touching any
 /// maintainer or store state.
-pub(crate) fn check_sequential(id: BlockId, latest: Option<BlockId>) -> Result<()> {
+pub fn check_sequential(id: BlockId, latest: Option<BlockId>) -> Result<()> {
     let expected = latest.map_or(BlockId::FIRST, BlockId::next);
     if id == expected {
         return Ok(());

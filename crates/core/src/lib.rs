@@ -21,8 +21,6 @@
 //!   model per future window overlapping the current one, updating the
 //!   time-critical model first (its cost is the *response time*) and the
 //!   rest off-line, optionally parallel and optionally shelved to disk;
-//! * [`aum`] — the direct add/delete maintainer (`AuM`, §3.2.4) used as
-//!   the GEMM ablation baseline;
 //! * [`engine`] — a small facade selecting the data span option;
 //! * [`report`] — calendar-style reporting of block sequences for the
 //!   web-trace experiments;
@@ -38,7 +36,7 @@
 //! | §3.2 | GEMM, future-window models, off-line updates | [`gemm`] |
 //! | §3.2 ("main memory is a premium") | disk shelf | [`gemm::ShelfMode`] |
 //! | §3.2 ("may run in parallel") | parallel off-line fan-out | [`Gemm::with_parallelism`] |
-//! | §3.2.4 | AuM add/delete ablation baseline | [`aum`] |
+//! | §3.2.4 | AuM add/delete ablation baseline | `demon_bench::baselines::aum` (not linked by the daemon) |
 //! | §3.2.4 | deletion-based MRW engine (incremental DBSCAN) | [`engine::SlidingEngine`] |
 //! | §5 | calendar-style reporting | [`report`] |
 //! | Fig. 11 | the full framework composition | [`engine`], [`monitor`] |
@@ -73,7 +71,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod aum;
 pub mod bss;
 pub mod engine;
 pub mod gemm;

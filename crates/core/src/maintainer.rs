@@ -16,7 +16,7 @@ use demon_clustering::{
     BirchModel, BirchParams, CfTree, DbscanParams, PointBlockEntry, WindowedDbscan,
 };
 use demon_itemsets::{CounterKind, FrequentItemsets, TxStore};
-use demon_store::{BlockStore, StoreConfig};
+use demon_store::{BlockEntry, BlockStore, StoreConfig};
 use demon_trees::LabeledBlockEntry;
 use demon_types::{BlockId, MinSupport, PointBlock, Result, TxBlock};
 use serde::de::DeserializeOwned;
@@ -63,34 +63,12 @@ pub trait DecrementalMaintainer: ModelMaintainer {
     fn shed(&self, model: &mut Self::Model, id: BlockId);
 }
 
-/// How the [`ItemsetMaintainer`] materializes 2-itemset TID-lists for
-/// ECUT+ when a block registers.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum PairMaterialization {
-    /// No pair lists (sufficient for PT-Scan and plain ECUT).
-    None,
-    /// Materialize the TID-lists of the block-locally frequent 2-itemsets,
-    /// best-supported first, within an optional budget expressed as a
-    /// fraction of the block's item-list space. The paper picks by overall
-    /// support of the maintained model; block-local support is the
-    /// register-time proxy (the hint can be refreshed per block via
-    /// [`ItemsetMaintainer::materialize_pairs_for`]).
-    BlockLocal {
-        /// Extra space budget as a fraction of the block's base space
-        /// (`None` = unbounded, the Figure 2 setting).
-        budget_fraction: Option<f64>,
-    },
-}
-
 /// The frequent-itemset maintainer: BORDERS with a pluggable counter,
 /// over an internally owned [`TxStore`].
 pub struct ItemsetMaintainer {
     store: TxStore,
     minsup: MinSupport,
     counter: CounterKind,
-    materialization: PairMaterialization,
-    /// κ for pair selection at register time.
-    pair_minsup: MinSupport,
 }
 
 impl ItemsetMaintainer {
@@ -102,8 +80,6 @@ impl ItemsetMaintainer {
             store: TxStore::new(n_items),
             minsup,
             counter,
-            materialization: Self::default_materialization(counter),
-            pair_minsup: minsup,
         }
     }
 
@@ -119,24 +95,7 @@ impl ItemsetMaintainer {
             store: TxStore::with_config(n_items, config)?,
             minsup,
             counter,
-            materialization: Self::default_materialization(counter),
-            pair_minsup: minsup,
         })
-    }
-
-    fn default_materialization(counter: CounterKind) -> PairMaterialization {
-        match counter {
-            CounterKind::EcutPlus => PairMaterialization::BlockLocal {
-                budget_fraction: None,
-            },
-            _ => PairMaterialization::None,
-        }
-    }
-
-    /// Overrides the pair materialization policy.
-    pub fn with_materialization(mut self, m: PairMaterialization) -> Self {
-        self.materialization = m;
-        self
     }
 
     /// The underlying store (counting experiments address it directly).
@@ -183,19 +142,20 @@ impl ModelMaintainer for ItemsetMaintainer {
     fn register_block(&mut self, block: TxBlock) {
         let id = block.id();
         self.store.add_block(block);
-        if let PairMaterialization::BlockLocal { budget_fraction } = self.materialization {
-            // Mine the block's own frequent 2-itemsets as the priority
-            // list. The pin on the block must end before
-            // `materialize_pairs` mutates the store.
+        if self.counter == CounterKind::EcutPlus {
+            // ECUT+ reads 2-itemset TID-lists: materialize those of the
+            // block-locally frequent pairs, unbounded (the Figure 2
+            // setting). The paper picks by overall support of the
+            // maintained model; block-local support is the register-time
+            // proxy (a caller with a better hint refreshes it through
+            // `materialize_pairs_for`). The pin on the block must end
+            // before `materialize_pairs` mutates the store.
             let pairs = {
                 let blk = self.store.block(id).expect("block just added");
-                let local =
-                    FrequentItemsets::mine_blocks(&[&blk], self.store.n_items(), self.pair_minsup);
-                local.frequent_pairs_by_support()
+                FrequentItemsets::mine_blocks(&[&blk], self.store.n_items(), self.minsup)
+                    .frequent_pairs_by_support()
             };
-            let budget = budget_fraction
-                .map(|f| (self.store.item_space(&[id]) as f64 * f).round() as u64);
-            self.store.materialize_pairs(id, &pairs, budget);
+            self.store.materialize_pairs(id, &pairs, None);
         }
     }
 
@@ -261,7 +221,7 @@ impl ModelMaintainer for ClusterMaintainer {
     }
 
     fn register_block(&mut self, block: PointBlock) {
-        self.blocks.insert(block.id(), PointBlockEntry(block));
+        self.blocks.insert(block.id(), BlockEntry(block));
     }
 
     fn absorb(&self, model: &mut CfTree, id: BlockId) {
@@ -335,7 +295,7 @@ impl ModelMaintainer for DbscanMaintainer {
     }
 
     fn register_block(&mut self, block: PointBlock) {
-        self.blocks.insert(block.id(), PointBlockEntry(block));
+        self.blocks.insert(block.id(), BlockEntry(block));
     }
 
     fn absorb(&self, model: &mut WindowedDbscan, id: BlockId) {
@@ -428,7 +388,7 @@ impl ModelMaintainer for TreeMaintainer {
     }
 
     fn register_block(&mut self, block: demon_types::Block<demon_trees::LabeledPoint>) {
-        self.blocks.insert(block.id(), LabeledBlockEntry(block));
+        self.blocks.insert(block.id(), BlockEntry(block));
     }
 
     fn absorb(&self, model: &mut WindowedTree, id: BlockId) {

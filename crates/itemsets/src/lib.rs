@@ -31,10 +31,10 @@
 //! | §3.1.1 | negative border `NB⁻(D, κ)` | [`model::FrequentItemsets::border`] |
 //! | §3.1.1 | PT-Scan counting (Mueller '95 tree) | [`prefix_tree`], [`counter`] |
 //! | §3.1.1 | ECUT / ECUT+ TID-list counting | [`tidlist`], [`counter`] |
-//! | §3.1.1 | FUP comparator (Cheung et al. '96) | [`fup`] |
+//! | §3.1.1 | FUP comparator (Cheung et al. '96), AMS+96 hash tree | `demon_bench::baselines` (not linked by the daemon) |
 //! | §5 | calendric association rules | [`calendric`], [`rules`] |
 //! | §6.1 | level-wise mining from scratch | [`apriori`] |
-//! | — (engineering) | crash-safe store persistence | [`persist`], [`codec`] |
+//! | — (engineering) | crash-safe store persistence | [`persist`] (bytes through `demon_types::durable`) |
 //!
 //! Support counting shards across threads (candidate ranges for
 //! ECUT/ECUT+, transaction ranges for PT-Scan) via
@@ -81,10 +81,7 @@
 
 pub mod apriori;
 pub mod calendric;
-pub mod codec;
 pub mod counter;
-pub mod fup;
-pub mod hash_tree;
 pub mod model;
 pub mod persist;
 pub mod prefix_tree;
@@ -96,8 +93,6 @@ pub use calendric::{calendric_rules, Calendar, CalendricRule};
 pub use counter::{
     count_supports, count_supports_sharded, count_supports_with, CountResult, CounterKind,
 };
-pub use fup::{FupModel, FupStats};
-pub use hash_tree::HashTree;
 pub use model::{FrequentItemsets, MaintenanceStats};
 pub use persist::{
     load_store, load_store_with, save_store, verify_store, RecoveryPolicy, RecoveryReport,

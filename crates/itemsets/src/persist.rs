@@ -14,7 +14,10 @@
 //!
 //! Blocks are immutable, so each block writes exactly once when it
 //! arrives (the paper's "constructed when D_i is added … used without any
-//! further changes"). Numbers are LEB128 varints throughout.
+//! further changes"). Numbers are LEB128 varints throughout, written and
+//! read through the one payload codec of [`demon_types::durable`]
+//! (`put_varint` / `put_tid_list`, `Reader`) — this module owns the
+//! layouts, not the byte handling.
 //!
 //! ## Durability & recovery
 //!
@@ -45,13 +48,13 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use crate::codec::{get_varint, put_varint};
 use crate::store::TxStore;
 use crate::tidlist::BlockTidLists;
-use bytes::BytesMut;
 use demon_store::StoreConfig;
-use demon_types::durable::{self, FrameClass};
-use demon_types::{Block, BlockId, DemonError, Item, Result, Tid, Transaction, TxBlock};
+use demon_types::durable::{self, put_tid_list, put_varint, FrameClass, Reader};
+use demon_types::{
+    Block, BlockId, BlockInterval, DemonError, Item, Result, Tid, Timestamp, Transaction, TxBlock,
+};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -238,7 +241,7 @@ pub fn save_store(store: &TxStore, dir: &Path) -> Result<()> {
         let txs_crc = durable::write_framed(
             &txs_path(dir, id.value()),
             FrameClass::TRANSACTIONS,
-            &encode_txs(&entry.block),
+            &encode_block_txs(&entry.block),
         )?;
         let tid_crc = durable::write_framed(
             &tid_path(dir, id.value()),
@@ -268,33 +271,7 @@ pub fn save_store(store: &TxStore, dir: &Path) -> Result<()> {
 /// compactor use, so a snapshot directory either loads under
 /// [`RecoveryPolicy::Strict`] or does not exist.
 pub fn save_store_atomic(store: &TxStore, dir: &Path) -> Result<()> {
-    let tmp = durable::tmp_path(dir);
-    if tmp.exists() {
-        std::fs::remove_dir_all(&tmp)?;
-    }
-    if let Err(e) = save_store(store, &tmp) {
-        // No partial residue: take the half-written temp dir with us.
-        let _ = std::fs::remove_dir_all(&tmp);
-        return Err(e);
-    }
-    if dir.exists() {
-        // Swap via a second rename so the live directory is replaced in
-        // one atomic step; the displaced copy is deleted best-effort.
-        let old = dir.with_extension("old");
-        let _ = std::fs::remove_dir_all(&old);
-        std::fs::rename(dir, &old)?;
-        std::fs::rename(&tmp, dir)?;
-        let _ = std::fs::remove_dir_all(&old);
-    } else {
-        std::fs::rename(&tmp, dir)?;
-    }
-    if let Some(parent) = dir.parent() {
-        // Same best-effort directory fsync as `durable::atomic_write`.
-        if let Ok(d) = std::fs::File::open(parent) {
-            let _ = d.sync_all();
-        }
-    }
-    Ok(())
+    durable::replace_dir_atomic(dir, |tmp| save_store(store, tmp))
 }
 
 /// Loads a store persisted by [`save_store`] under the default
@@ -434,18 +411,13 @@ fn load_one_block(dir: &Path, bm: &BlockMeta, n_items: u32, store: &mut TxStore)
     let txs_file = txs_path(dir, bm.id);
     let (txs_payload, txs_crc) = read_block_frame(&txs_file, FrameClass::TRANSACTIONS)?;
     check_manifest_crc(bm.txs_crc, txs_crc, &txs_file)?;
-    let mut block = decode_txs(&txs_payload, BlockId(bm.id), Some(bm.n_transactions), n_items)
+    let records = decode_txs(&txs_payload, BlockId(bm.id), Some(bm.n_transactions), n_items)
         .map_err(|e| in_file(&txs_file, e))?;
-    if let Some((start, end)) = bm.interval {
-        block = Block::with_interval(
-            block.id(),
-            demon_types::BlockInterval::new(
-                demon_types::Timestamp(start),
-                demon_types::Timestamp(end),
-            ),
-            block.into_records(),
-        );
-    }
+    // `check_entry` vouched for start < end.
+    let interval = bm
+        .interval
+        .map(|(start, end)| BlockInterval::new(Timestamp(start), Timestamp(end)));
+    let block = Block::from_parts(BlockId(bm.id), interval, records);
 
     let tid_file = tid_path(dir, bm.id);
     let (tid_payload, tid_crc) = read_block_frame(&tid_file, FrameClass::TIDLISTS)?;
@@ -561,7 +533,7 @@ fn reconstruct_store(
     let mut n_items: Option<u32> = None;
     for &id in &candidates {
         if let Ok((payload, _)) = durable::read_framed(&tid_path(dir, id), FrameClass::TIDLISTS) {
-            if let Ok((n, _)) = get_varint(&payload) {
+            if let Ok(n) = Reader::new(&payload).varint("item universe") {
                 if n > 0 && n <= u64::from(u32::MAX) {
                     n_items = Some(n as u32);
                     break;
@@ -623,7 +595,7 @@ fn recover_block(
 ) -> Result<()> {
     let txs_file = txs_path(dir, id);
     let (txs_payload, txs_crc) = read_block_frame(&txs_file, FrameClass::TRANSACTIONS)?;
-    let block = decode_txs(&txs_payload, BlockId(id), None, n_items)
+    let block = decode_block_txs(&txs_payload, BlockId(id), n_items)
         .map_err(|e| in_file(&txs_file, e))?;
     let tid_file = tid_path(dir, id);
     let (tid_payload, tid_crc) = read_block_frame(&tid_file, FrameClass::TIDLISTS)?;
@@ -701,19 +673,7 @@ pub fn verify_store(dir: &Path) -> Result<VerifyReport> {
 /// is also the wire encoding `demon-serve` ships blocks in, so a block
 /// travels the socket in exactly the bytes it persists as.
 pub fn encode_block_txs(block: &TxBlock) -> Vec<u8> {
-    encode_txs(block)
-}
-
-/// Decodes a [`encode_block_txs`] payload back into a block, validating
-/// every varint and item id against the `n_items` universe. The inverse
-/// wire decoder for `demon-serve`; corruption is a typed error, never a
-/// panic (the caller has already CRC-checked the enclosing frame).
-pub fn decode_block_txs(bytes: &[u8], id: BlockId, n_items: u32) -> Result<TxBlock> {
-    decode_txs(bytes, id, None, n_items)
-}
-
-pub(crate) fn encode_txs(block: &TxBlock) -> Vec<u8> {
-    let mut buf = BytesMut::new();
+    let mut buf = Vec::new();
     put_varint(&mut buf, block.len() as u64);
     for tx in block.records() {
         put_varint(&mut buf, tx.tid().value());
@@ -726,66 +686,45 @@ pub(crate) fn encode_txs(block: &TxBlock) -> Vec<u8> {
             prev = v + 1;
         }
     }
-    buf.to_vec()
+    buf
 }
 
-/// A checked varint read that reports the offset of any defect.
-fn read_varint(bytes: &[u8], pos: &mut usize) -> Result<u64> {
-    if *pos >= bytes.len() {
-        return Err(DemonError::Serde(format!(
-            "unexpected end of payload at offset {pos}"
-        )));
-    }
-    let (v, read) = get_varint(&bytes[*pos..])
-        .map_err(|e| DemonError::Serde(format!("{e} at offset {pos}")))?;
-    *pos += read;
-    Ok(v)
+/// Decodes a [`encode_block_txs`] payload back into a block, validating
+/// every varint and item id against the `n_items` universe. The inverse
+/// wire decoder for `demon-serve`; corruption is a typed error, never a
+/// panic (the caller has already CRC-checked the enclosing frame).
+pub fn decode_block_txs(bytes: &[u8], id: BlockId, n_items: u32) -> Result<TxBlock> {
+    Ok(Block::new(id, decode_txs(bytes, id, None, n_items)?))
 }
 
-/// Reads a count and sanity-checks it against the bytes remaining, so a
-/// corrupt length cannot drive a pathological allocation. Each counted
-/// element occupies at least `min_bytes` bytes of payload.
-fn read_count(bytes: &[u8], pos: &mut usize, min_bytes: usize, what: &str) -> Result<usize> {
-    let at = *pos;
-    let n = read_varint(bytes, pos)?;
-    let remaining = (bytes.len() - *pos) as u64;
-    let need = n.saturating_mul(min_bytes.max(1) as u64);
-    if need > remaining {
-        return Err(DemonError::Serde(format!(
-            "{what} count {n} at offset {at} needs {need} bytes, only {remaining} remain"
-        )));
-    }
-    usize::try_from(n).map_err(|_| DemonError::Serde(format!("{what} count {n} overflows usize")))
-}
-
-/// Decodes a `.txs` payload. `expect` cross-checks the manifest's
-/// transaction count when loading normally; `None` trusts the embedded
-/// count (manifest reconstruction, where the frame checksum already
-/// vouched for the bytes).
+/// Decodes the transactions of a `.txs` payload. `expect` cross-checks
+/// the manifest's transaction count when loading normally; `None` trusts
+/// the embedded count (manifest reconstruction, where the frame checksum
+/// already vouched for the bytes).
 pub(crate) fn decode_txs(
     bytes: &[u8],
     id: BlockId,
     expect: Option<u64>,
     n_items: u32,
-) -> Result<TxBlock> {
-    let mut pos = 0usize;
-    let n = read_count(bytes, &mut pos, 2, "transaction")?;
-    if let Some(expect) = expect {
-        if n as u64 != expect {
-            return Err(DemonError::Serde(format!(
-                "block {id}: manifest says {expect} transactions, file has {n}"
-            )));
-        }
+) -> Result<Vec<Transaction>> {
+    let mut r = Reader::new(bytes);
+    let n = r.varint("transaction count")?;
+    let n = r.count(n, 2, "transaction")?;
+    if let Some(expect) = expect.filter(|&expect| n as u64 != expect) {
+        return Err(DemonError::Serde(format!(
+            "block {id}: manifest says {expect} transactions, file has {n}"
+        )));
     }
     let mut records = Vec::with_capacity(n);
     for _ in 0..n {
-        let tid = Tid(read_varint(bytes, &mut pos)?);
-        let len = read_count(bytes, &mut pos, 1, "item")?;
+        let tid = Tid(r.varint("TID")?);
+        let len = r.varint("item count")?;
+        let len = r.count(len, 1, "item")?;
         let mut items = Vec::with_capacity(len);
         let mut prev = 0u64;
         for _ in 0..len {
-            let at = pos;
-            let gap = read_varint(bytes, &mut pos)?;
+            let at = r.pos();
+            let gap = r.varint("item gap")?;
             let v = prev.checked_add(gap).ok_or_else(|| {
                 DemonError::Serde(format!("item delta overflow at offset {at}"))
             })?;
@@ -799,97 +738,61 @@ pub(crate) fn decode_txs(
         }
         records.push(Transaction::from_sorted(tid, items));
     }
-    if pos != bytes.len() {
-        return Err(DemonError::Serde(format!(
-            "{} trailing bytes after the last transaction (offset {pos})",
-            bytes.len() - pos
-        )));
-    }
-    Ok(Block::new(id, records))
+    r.finish("the last transaction")?;
+    Ok(records)
 }
 
+/// Encodes a `.tid` payload: the universe size, one TID-list per item in
+/// item order, then the materialized pair lists as `a | b | list`.
 pub(crate) fn encode_lists(lists: &BlockTidLists, n_items: u32) -> Vec<u8> {
-    let mut buf = BytesMut::new();
-    // Item lists, in item order.
+    let mut buf = Vec::new();
     put_varint(&mut buf, u64::from(n_items));
     for i in 0..n_items {
-        let list = lists.item_list(Item(i));
-        put_varint(&mut buf, list.len() as u64);
-        let mut prev = 0u64;
-        for t in list {
-            put_varint(&mut buf, t.0 - prev);
-            prev = t.0;
-        }
+        put_tid_list(&mut buf, lists.item_list(Item(i)));
     }
-    // Pair lists.
     let pairs: Vec<(Item, Item)> = lists.materialized_pairs().collect();
     put_varint(&mut buf, pairs.len() as u64);
     for (a, b) in pairs {
-        let list = lists.pair_list(a, b).unwrap_or(&[]);
         put_varint(&mut buf, u64::from(a.id()));
         put_varint(&mut buf, u64::from(b.id()));
-        put_varint(&mut buf, list.len() as u64);
-        let mut prev = 0u64;
-        for t in list {
-            put_varint(&mut buf, t.0 - prev);
-            prev = t.0;
-        }
+        put_tid_list(&mut buf, lists.pair_list(a, b).unwrap_or(&[]));
     }
-    buf.to_vec()
+    buf
 }
 
 /// Decodes the pair-list section of a `.tid` payload (the item-list
 /// section is skipped — item lists are rebuilt by `add_block`). Pure:
 /// nothing is applied to any store until the whole payload validated.
 pub(crate) fn decode_pairs(bytes: &[u8], n_items: u32) -> Result<Vec<(Item, Item, Vec<Tid>)>> {
-    let mut pos = 0usize;
-    let n = read_varint(bytes, &mut pos)?;
+    let mut r = Reader::new(bytes);
+    let n = r.varint("item universe")?;
     if n != u64::from(n_items) {
         return Err(DemonError::Serde(format!(
             "tid file item universe {n} ≠ store universe {n_items}"
         )));
     }
+    r.count(n, 1, "item list")?;
     for _ in 0..n_items {
-        let len = read_count(bytes, &mut pos, 1, "TID")?;
-        for _ in 0..len {
-            read_varint(bytes, &mut pos)?;
+        let len = r.varint("TID count")?;
+        for _ in 0..r.count(len, 1, "TID")? {
+            r.varint("TID gap")?;
         }
     }
-    let n_pairs = read_count(bytes, &mut pos, 3, "pair")?;
+    let n_pairs = r.varint("pair count")?;
+    let n_pairs = r.count(n_pairs, 3, "pair")?;
     let mut out = Vec::with_capacity(n_pairs);
     for _ in 0..n_pairs {
-        let at = pos;
-        let a = read_varint(bytes, &mut pos)?;
-        let b = read_varint(bytes, &mut pos)?;
+        let at = r.pos();
+        let a = r.varint("pair item")?;
+        let b = r.varint("pair item")?;
         if a >= b || b >= u64::from(n_items) {
             return Err(DemonError::Serde(format!(
                 "invalid pair ({a}, {b}) at offset {at} for a {n_items}-item universe"
             )));
         }
-        let len = read_count(bytes, &mut pos, 1, "pair TID")?;
-        let mut list = Vec::with_capacity(len);
-        let mut prev = 0u64;
-        for k in 0..len {
-            let at = pos;
-            let gap = read_varint(bytes, &mut pos)?;
-            if k > 0 && gap == 0 {
-                return Err(DemonError::Serde(format!(
-                    "pair TID-list not strictly increasing at offset {at}"
-                )));
-            }
-            prev = prev.checked_add(gap).ok_or_else(|| {
-                DemonError::Serde(format!("pair TID delta overflow at offset {at}"))
-            })?;
-            list.push(Tid(prev));
-        }
-        out.push((Item(a as u32), Item(b as u32), list));
+        out.push((Item(a as u32), Item(b as u32), r.tid_list("pair TID-list")?));
     }
-    if pos != bytes.len() {
-        return Err(DemonError::Serde(format!(
-            "{} trailing bytes after the last pair list (offset {pos})",
-            bytes.len() - pos
-        )));
-    }
+    r.finish("the last pair list")?;
     Ok(out)
 }
 
@@ -979,10 +882,10 @@ mod tests {
         save_store_atomic(&store, &dir).unwrap();
         assert!(verify_store(&dir).unwrap().is_clean());
         assert!(!durable::tmp_path(&dir).exists(), "tmp dir must not linger");
-        // Existing target: replaced atomically, old copy gone.
+        // Existing target: replaced atomically (the swap itself is
+        // `durable::replace_dir_atomic`'s, tested there).
         save_store_atomic(&store, &dir).unwrap();
         assert!(verify_store(&dir).unwrap().is_clean());
-        assert!(!dir.with_extension("old").exists(), "old dir must not linger");
         assert_eq!(load_store(&dir).unwrap().len(), 2);
 
         // A failing save leaves no partial directory behind: point the
@@ -1010,7 +913,6 @@ mod tests {
 
     #[test]
     fn intervals_survive_roundtrip() {
-        use demon_types::{BlockInterval, Timestamp};
         let mut store = TxStore::new(2);
         let iv = BlockInterval::new(Timestamp(100), Timestamp(200));
         store.add_block(TxBlock::with_interval(

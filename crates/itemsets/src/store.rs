@@ -14,13 +14,11 @@
 //! (transaction counts, item/pair space) stay resident so selector and
 //! cost-model queries never touch the disk.
 
-use crate::codec::{get_varint, put_varint};
-use crate::persist::{decode_pairs, decode_txs, encode_lists, encode_txs};
+use crate::persist::{decode_pairs, decode_txs, encode_block_txs, encode_lists};
 use crate::tidlist::{intersect_pair, BlockTidLists};
-use bytes::{BufMut, BytesMut};
 use demon_store::{BlockStore, Pinned, Spillable, StoreConfig};
-use demon_types::durable::FrameClass;
-use demon_types::{Block, BlockId, BlockInterval, DemonError, Item, Result, Timestamp, TxBlock};
+use demon_types::durable::{put_block_header, put_varint, FrameClass, Reader};
+use demon_types::{Block, BlockId, DemonError, Item, Result, TxBlock};
 use std::collections::BTreeMap;
 use std::ops::Deref;
 
@@ -52,68 +50,36 @@ impl Spillable for TxEntry {
         FrameClass::TXENTRY
     }
 
+    /// Payload: block header (varints), `n_items`, the length-prefixed
+    /// `.txs` section, then the `.tid` section to the end of the frame.
     fn encode(&self) -> Result<Vec<u8>> {
-        let mut buf = BytesMut::new();
-        put_varint(&mut buf, self.block.id().value());
-        match self.block.interval() {
-            None => buf.put_u8(0),
-            Some(iv) => {
-                buf.put_u8(1);
-                put_varint(&mut buf, iv.start.secs());
-                put_varint(&mut buf, iv.end.secs());
-            }
-        }
+        let mut buf = Vec::new();
+        put_block_header(&mut buf, put_varint, self.block.id(), self.block.interval());
         put_varint(&mut buf, u64::from(self.n_items));
-        let txs = encode_txs(&self.block);
+        let txs = encode_block_txs(&self.block);
         put_varint(&mut buf, txs.len() as u64);
         buf.extend_from_slice(&txs);
         buf.extend_from_slice(&encode_lists(&self.lists, self.n_items));
-        Ok(buf.to_vec())
+        Ok(buf)
     }
 
     fn decode(bytes: &[u8]) -> Result<Self> {
-        let mut pos = 0usize;
-        let varint = |pos: &mut usize| -> Result<u64> {
-            let (v, read) =
-                get_varint(&bytes[*pos..]).map_err(|e| DemonError::Serde(e.to_string()))?;
-            *pos += read;
-            Ok(v)
-        };
-        let id = BlockId(varint(&mut pos)?);
-        let tag = *bytes
-            .get(pos)
-            .ok_or_else(|| DemonError::Serde("truncated interval tag".into()))?;
-        pos += 1;
-        let interval = match tag {
-            0 => None,
-            1 => {
-                let start = varint(&mut pos)?;
-                let end = varint(&mut pos)?;
-                Some(BlockInterval::new(Timestamp(start), Timestamp(end)))
-            }
-            other => {
-                return Err(DemonError::Serde(format!("invalid interval tag {other}")));
-            }
-        };
-        let n_items_raw = varint(&mut pos)?;
-        let n_items = u32::try_from(n_items_raw)
-            .map_err(|_| DemonError::Serde(format!("item universe {n_items_raw} overflows u32")))?;
-        let txs_len = usize::try_from(varint(&mut pos)?)
-            .map_err(|_| DemonError::Serde("transaction payload length overflows usize".into()))?;
-        let txs_end = pos
-            .checked_add(txs_len)
-            .filter(|&end| end <= bytes.len())
-            .ok_or_else(|| {
-                DemonError::Serde("transaction payload extends past the frame".into())
-            })?;
-        let mut block = decode_txs(&bytes[pos..txs_end], id, None, n_items)?;
-        if let Some(iv) = interval {
-            block = Block::with_interval(block.id(), iv, block.into_records());
-        }
+        let mut r = Reader::new(bytes);
+        let (id, interval) = r.block_header(Reader::varint)?;
+        let n_items = r.varint("item universe")?;
+        let n_items = u32::try_from(n_items)
+            .map_err(|_| DemonError::Serde(format!("item universe {n_items} overflows u32")))?;
+        let txs_len = r.varint("transaction payload length")?;
+        let txs_len = r.count(txs_len, 1, "transaction payload byte")?;
+        let txs = r.bytes(txs_len, "transaction payload")?;
+        let block = Block::from_parts(id, interval, decode_txs(txs, id, None, n_items)?);
+        // The pair section validates first: it bounds `n_items` by the
+        // bytes present before anything is sized by it.
+        let pairs = decode_pairs(r.rest(), n_items)?;
         // Item lists are rebuilt deterministically from the transactions;
         // only the ECUT+ pair investment travels in the payload.
         let mut lists = BlockTidLists::materialize(&block, n_items);
-        for (a, b, list) in decode_pairs(&bytes[txs_end..], n_items)? {
+        for (a, b, list) in pairs {
             lists.insert_pair(a, b, list);
         }
         Ok(TxEntry {
@@ -437,7 +403,7 @@ impl TxStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use demon_types::{Tid, Transaction};
+    use demon_types::{BlockInterval, Tid, Timestamp, Transaction};
 
     fn block(id: u64, txs: &[(u64, &[u32])]) -> TxBlock {
         TxBlock::new(

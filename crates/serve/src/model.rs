@@ -40,11 +40,13 @@
 //! ## Generic snapshots
 //!
 //! Itemset snapshots keep the seed's `save_store_atomic` layout (the
-//! BENCH gates and fsck know those bytes). Clusters and trees persist
-//! through the storage engine's own framed [`Spillable`] encoding: one
-//! `block_<id>.bin` per block plus a `blocks.manifest` (frame class
-//! `SM`) naming the model class and the id set, written into a temp
-//! directory and renamed — the same all-or-nothing contract.
+//! BENCH gates and fsck know those bytes). The point classes persist
+//! through the storage engine's own framed [`Spillable`] encoding
+//! ([`demon_store::BlockEntry`], whose row section is also their wire
+//! payload): one `block_<id>.bin` per block plus a `blocks.manifest`
+//! (frame class `SM`) naming the model class and the id set. Both go
+//! through [`durable::replace_dir_atomic`] — the same all-or-nothing
+//! contract.
 
 use std::path::Path;
 
@@ -65,7 +67,7 @@ use demon_itemsets::persist::{
 use demon_itemsets::TxStore;
 use demon_store::{BlockStore, Spillable, StoreConfig};
 use demon_trees::{LabeledBlockEntry, LabeledPoint, TreeParams};
-use demon_types::durable::{self, FrameClass};
+use demon_types::durable::{self, FrameClass, Reader, Row};
 use demon_types::{Block, BlockId, DemonError, ModelClass, Point, Result};
 
 /// The maintained model type of a servable class.
@@ -307,30 +309,11 @@ impl ServableModel for ClusterModel {
     }
 
     fn encode_records(block: &Block<Point>) -> Result<Vec<u8>> {
-        let dim = block.records().first().map_or(0, |p| p.coords().len());
-        let mut buf = Vec::with_capacity(8 + block.len() * dim * 8);
-        buf.extend_from_slice(&(block.len() as u64).to_le_bytes());
-        for p in block.records() {
-            if p.coords().len() != dim {
-                return Err(DemonError::Serde(format!(
-                    "block {}: mixed point dimensions {} and {dim}",
-                    block.id(),
-                    p.coords().len()
-                )));
-            }
-            for &c in p.coords() {
-                buf.extend_from_slice(&c.to_bits().to_le_bytes());
-            }
-        }
-        Ok(buf)
+        encode_rows(block)
     }
 
     fn decode_records(payload: &[u8], id: BlockId, meta: u32) -> Result<Vec<Point>> {
-        decode_point_rows(payload, id, meta as usize, 0).map(|rows| {
-            rows.into_iter()
-                .map(|(_, coords)| Point::new(coords))
-                .collect()
-        })
+        decode_rows(payload, id, meta)
     }
 
     fn render_ctx(maintainer: &ClusterMaintainer) -> BirchParams {
@@ -423,11 +406,11 @@ impl ServableModel for DbscanModel {
     }
 
     fn encode_records(block: &Block<Point>) -> Result<Vec<u8>> {
-        ClusterModel::encode_records(block)
+        encode_rows(block)
     }
 
     fn decode_records(payload: &[u8], id: BlockId, meta: u32) -> Result<Vec<Point>> {
-        ClusterModel::decode_records(payload, id, meta)
+        decode_rows(payload, id, meta)
     }
 
     fn render_ctx(_maintainer: &DbscanMaintainer) -> Self::RenderCtx {}
@@ -489,41 +472,11 @@ impl ServableModel for TreeModel {
     }
 
     fn encode_records(block: &Block<LabeledPoint>) -> Result<Vec<u8>> {
-        let dim = block
-            .records()
-            .first()
-            .map_or(0, |r| r.point.coords().len());
-        let mut buf = Vec::with_capacity(8 + block.len() * (1 + dim) * 8);
-        buf.extend_from_slice(&(block.len() as u64).to_le_bytes());
-        for r in block.records() {
-            if r.point.coords().len() != dim {
-                return Err(DemonError::Serde(format!(
-                    "block {}: mixed point dimensions {} and {dim}",
-                    block.id(),
-                    r.point.coords().len()
-                )));
-            }
-            buf.extend_from_slice(&u64::from(r.label).to_le_bytes());
-            for &c in r.point.coords() {
-                buf.extend_from_slice(&c.to_bits().to_le_bytes());
-            }
-        }
-        Ok(buf)
+        encode_rows(block)
     }
 
     fn decode_records(payload: &[u8], id: BlockId, meta: u32) -> Result<Vec<LabeledPoint>> {
-        decode_point_rows(payload, id, meta as usize, 1)?
-            .into_iter()
-            .map(|(head, coords)| {
-                let label = u32::try_from(head[0]).map_err(|_| {
-                    DemonError::Serde(format!("block {id}: label {} overflows u32", head[0]))
-                })?;
-                Ok(LabeledPoint {
-                    point: Point::new(coords),
-                    label,
-                })
-            })
-            .collect()
+        decode_rows(payload, id, meta)
     }
 
     fn render_ctx(_maintainer: &TreeMaintainer) -> Self::RenderCtx {}
@@ -568,82 +521,51 @@ fn dim_mismatch(expected: u32, got: u32) -> Option<String> {
         .then(|| format!("dimension mismatch: client encoded {got}, server expects {expected}"))
 }
 
-/// Decodes a `count | rows` point payload: each row is `extra` leading
-/// u64 fields (e.g. the label) followed by `dim` f64 bit patterns. The
+/// The wire payload of a numeric block: the `count | rows` section of
+/// its spill frame (the dimensionality travels as the request's `meta`).
+fn encode_rows<R: Row>(block: &Block<R>) -> Result<Vec<u8>> {
+    let mut buf = Vec::new();
+    durable::put_rows(&mut buf, block.id(), block.records())?;
+    Ok(buf)
+}
+
+/// Decodes an [`encode_rows`] payload of `dim`-dimensional rows. The
 /// payload length must match exactly — a short or padded payload is a
 /// typed error, never a partial block.
-fn decode_point_rows(
-    payload: &[u8],
-    id: BlockId,
-    dim: usize,
-    extra: usize,
-) -> Result<Vec<(Vec<u64>, Vec<f64>)>> {
-    if payload.len() < 8 {
-        return Err(DemonError::Serde(format!(
-            "block {id}: truncated record payload ({} bytes)",
-            payload.len()
-        )));
-    }
-    let mut raw = [0u8; 8];
-    raw.copy_from_slice(&payload[..8]);
-    let count = u64::from_le_bytes(raw);
-    let need = count
-        .checked_mul((extra + dim) as u64)
-        .and_then(|w| w.checked_mul(8))
-        .and_then(|w| w.checked_add(8));
-    if need != Some(payload.len() as u64) {
-        return Err(DemonError::Serde(format!(
-            "block {id}: record payload size mismatch ({count} records of dim {dim})"
-        )));
-    }
-    let mut pos = 8usize;
-    let mut next_u64 = || {
-        raw.copy_from_slice(&payload[pos..pos + 8]);
-        pos += 8;
-        u64::from_le_bytes(raw)
-    };
-    let mut rows = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        let head: Vec<u64> = (0..extra).map(|_| next_u64()).collect();
-        let coords: Vec<f64> = (0..dim).map(|_| f64::from_bits(next_u64())).collect();
-        rows.push((head, coords));
-    }
-    Ok(rows)
+fn decode_rows<R: Row>(payload: &[u8], id: BlockId, dim: u32) -> Result<Vec<R>> {
+    let mut r = Reader::new(payload);
+    r.rows(dim as usize)
+        .and_then(|rows| r.finish("the last record").map(|()| rows))
+        .map_err(|e| match e {
+            DemonError::Serde(detail) => DemonError::Serde(format!("block {id}: {detail}")),
+            other => other,
+        })
 }
 
 /// Persists a [`BlockStore`] to `dir` all-or-nothing through the
 /// engine's own framed [`Spillable`] encoding: `block_<id>.bin` per
-/// block plus a `blocks.manifest` (class tag + id set, frame class
-/// `SM`), written into `<dir>.tmp` and renamed only once complete —
-/// the same contract as the itemset store's `save_store_atomic`.
+/// block plus a `blocks.manifest` (class tag u8, id count u64, ids u64;
+/// frame class `SM`) — the same contract as the itemset store's
+/// `save_store_atomic`.
 fn save_blocks_atomic<R: Spillable>(
     store: &BlockStore<R>,
     class: ModelClass,
     dir: &Path,
 ) -> Result<u64> {
-    let tmp = durable::tmp_path(dir);
-    if tmp.exists() {
-        std::fs::remove_dir_all(&tmp)?;
-    }
     let ids = store.ids();
-    let write = (|| -> Result<()> {
-        std::fs::create_dir_all(&tmp)?;
+    durable::replace_dir_atomic(dir, |tmp| {
+        let mut manifest = vec![class.tag()];
+        durable::put_u64(&mut manifest, ids.len() as u64);
         for &id in &ids {
             let entry = store
                 .get(id)?
                 .ok_or(DemonError::UnknownBlock(id.value()))?;
-            let payload = entry.encode()?;
             durable::write_framed(
-                &tmp.join(format!("block_{}.bin", id.value())),
+                &tmp.join(R::spill_file_name(id)),
                 R::frame_class(),
-                &payload,
+                &entry.encode()?,
             )?;
-        }
-        let mut manifest = Vec::with_capacity(9 + ids.len() * 8);
-        manifest.push(class.tag());
-        manifest.extend_from_slice(&(ids.len() as u64).to_le_bytes());
-        for &id in &ids {
-            manifest.extend_from_slice(&id.value().to_le_bytes());
+            durable::put_u64(&mut manifest, id.value());
         }
         durable::write_framed(
             &tmp.join("blocks.manifest"),
@@ -651,68 +573,39 @@ fn save_blocks_atomic<R: Spillable>(
             &manifest,
         )?;
         Ok(())
-    })();
-    if let Err(e) = write {
-        let _ = std::fs::remove_dir_all(&tmp);
-        return Err(e);
-    }
-    if dir.exists() {
-        let old = dir.with_extension("old");
-        let _ = std::fs::remove_dir_all(&old);
-        std::fs::rename(dir, &old)?;
-        std::fs::rename(&tmp, dir)?;
-        let _ = std::fs::remove_dir_all(&old);
-    } else {
-        std::fs::rename(&tmp, dir)?;
-    }
-    if let Some(parent) = dir.parent() {
-        if let Ok(d) = std::fs::File::open(parent) {
-            let _ = d.sync_all();
-        }
-    }
+    })?;
     Ok(ids.len() as u64)
 }
 
 /// Loads a [`save_blocks_atomic`] directory strictly: every frame CRC
 /// must verify, the manifest's class must match, and every listed block
-/// must decode to its manifest id.
+/// must decode.
 fn load_blocks_strict<R: Spillable>(dir: &Path, class: ModelClass) -> Result<Vec<R>> {
     let (manifest, _) = durable::read_framed(&dir.join("blocks.manifest"), FrameClass::SNAP_MANIFEST)?;
-    if manifest.len() < 9 {
-        return Err(DemonError::Serde(format!(
-            "snapshot manifest too short ({} bytes)",
-            manifest.len()
-        )));
-    }
-    let tag = manifest[0];
+    let mut r = Reader::new(&manifest);
+    let tag = r.u8("snapshot class tag")?;
     if tag != class.tag() {
         return Err(DemonError::ModelClassMismatch {
             expected: class.name().to_string(),
             got: ModelClass::describe_tag(tag),
         });
     }
-    let mut raw = [0u8; 8];
-    raw.copy_from_slice(&manifest[1..9]);
-    let count = u64::from_le_bytes(raw) as usize;
-    if manifest.len() != 9 + count * 8 {
-        return Err(DemonError::Serde(format!(
-            "snapshot manifest size mismatch ({count} ids)"
-        )));
-    }
+    let count = r.u64("snapshot block count")?;
+    let count = r.count(count, 8, "snapshot block id")?;
     let mut entries = Vec::with_capacity(count);
-    for i in 0..count {
-        raw.copy_from_slice(&manifest[9 + i * 8..17 + i * 8]);
-        let id = u64::from_le_bytes(raw);
-        let path = dir.join(format!("block_{id}.bin"));
-        let (payload, _) = durable::read_framed(&path, R::frame_class())?;
+    for _ in 0..count {
+        let id = BlockId(r.u64("snapshot block id")?);
+        let (payload, _) = durable::read_framed(&dir.join(R::spill_file_name(id)), R::frame_class())?;
         entries.push(R::decode(&payload)?);
     }
+    r.finish("the last block id")?;
     Ok(entries)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use demon_store::BlockEntry;
     use demon_types::{BlockInterval, Timestamp};
     use std::path::PathBuf;
 
@@ -767,8 +660,8 @@ mod tests {
     fn generic_snapshots_roundtrip_and_pin_the_class() {
         let tmp = scratch("roundtrip");
         let store: BlockStore<PointBlockEntry> = BlockStore::in_memory();
-        store.insert(BlockId(1), PointBlockEntry(point_block(1)));
-        store.insert(BlockId(2), PointBlockEntry(point_block(2)));
+        store.insert(BlockId(1), BlockEntry(point_block(1)));
+        store.insert(BlockId(2), BlockEntry(point_block(2)));
         let dir = tmp.join("snap");
         let n = save_blocks_atomic(&store, ModelClass::Clusters, &dir).expect("save");
         assert_eq!(n, 2);
@@ -796,9 +689,9 @@ mod tests {
         let tmp = scratch("overwrite");
         let dir = tmp.join("snap");
         let store: BlockStore<PointBlockEntry> = BlockStore::in_memory();
-        store.insert(BlockId(1), PointBlockEntry(point_block(1)));
+        store.insert(BlockId(1), BlockEntry(point_block(1)));
         save_blocks_atomic(&store, ModelClass::Clusters, &dir).expect("first save");
-        store.insert(BlockId(2), PointBlockEntry(point_block(2)));
+        store.insert(BlockId(2), BlockEntry(point_block(2)));
         save_blocks_atomic(&store, ModelClass::Clusters, &dir).expect("overwrite");
         let entries =
             load_blocks_strict::<PointBlockEntry>(&dir, ModelClass::Clusters).expect("load");

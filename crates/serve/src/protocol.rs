@@ -11,9 +11,13 @@
 //! ## Payload layout
 //!
 //! The first payload byte is the verb (request) or status (response)
-//! tag; the rest is verb-specific. Numbers are fixed-width little-endian
-//! (the payloads are small; varint packing buys nothing on a socket that
-//! already frames). The protocol is generic over the model class: an
+//! tag; the rest is verb-specific, written with the `put_*` functions
+//! of [`demon_types::durable`] and read through its
+//! [`Reader`] — a payload that ends early, or carries bytes past the end
+//! of its message, is a typed error naming the field. Numbers are
+//! fixed-width little-endian (the payloads are small; varint packing
+//! buys nothing on a socket that already frames). The protocol is
+//! generic over the model class: an
 //! `IngestBlock` carries a one-byte [`demon_types::ModelClass`] tag, a
 //! class-specific `meta` word (the item-universe size for itemsets, the
 //! dimensionality for points and labeled points), and the records as
@@ -26,7 +30,7 @@
 //!
 //! | request | tag | body |
 //! |---|---|---|
-//! | `IngestBlock` | 1 | class u8; block id u64; interval flag u8 (+ start/end u64); meta u32; record payload len u32; record payload |
+//! | `IngestBlock` | 1 | class u8; block header ([`put_block_header`]: id u64; interval flag u8 (+ start/end u64)); meta u32; record payload len u32; record payload |
 //! | `QueryModel` | 2 | optionally: class u8 (absent = any class) |
 //! | `QuerySequences` | 3 | — |
 //! | `Stats` | 4 | — |
@@ -48,8 +52,10 @@
 //! CRC-checking the payload ([`durable::verify_frame_payload`]). A
 //! clean EOF at a frame boundary means the peer hung up.
 
-use demon_types::durable::{self, FrameClass, FRAME_HEADER_LEN};
-use demon_types::{BlockId, BlockInterval, DemonError, ModelClass, Result, Timestamp};
+use demon_types::durable::{
+    self, put_block_header, put_str, put_u32, put_u64, FrameClass, Reader, FRAME_HEADER_LEN,
+};
+use demon_types::{BlockId, BlockInterval, DemonError, ModelClass, Result};
 use std::io::{Read, Write};
 
 /// Upper bound on a single message payload (64 MiB). A header promising
@@ -220,58 +226,6 @@ impl std::fmt::Display for WireError {
     }
 }
 
-// --- primitive readers over a positioned byte slice ---
-
-fn get_u8(bytes: &[u8], pos: &mut usize, what: &str) -> Result<u8> {
-    let b = *bytes
-        .get(*pos)
-        .ok_or_else(|| DemonError::Serde(format!("{what}: unexpected end of payload at {pos}")))?;
-    *pos += 1;
-    Ok(b)
-}
-
-fn get_u32(bytes: &[u8], pos: &mut usize, what: &str) -> Result<u32> {
-    let end = pos
-        .checked_add(4)
-        .filter(|&e| e <= bytes.len())
-        .ok_or_else(|| DemonError::Serde(format!("{what}: unexpected end of payload at {pos}")))?;
-    let v = u32::from_le_bytes(bytes[*pos..end].try_into().map_err(|_| {
-        DemonError::Serde(format!("{what}: unreachable 4-byte slice at {pos}"))
-    })?);
-    *pos = end;
-    Ok(v)
-}
-
-fn get_u64(bytes: &[u8], pos: &mut usize, what: &str) -> Result<u64> {
-    let end = pos
-        .checked_add(8)
-        .filter(|&e| e <= bytes.len())
-        .ok_or_else(|| DemonError::Serde(format!("{what}: unexpected end of payload at {pos}")))?;
-    let v = u64::from_le_bytes(bytes[*pos..end].try_into().map_err(|_| {
-        DemonError::Serde(format!("{what}: unreachable 8-byte slice at {pos}"))
-    })?);
-    *pos = end;
-    Ok(v)
-}
-
-fn get_str(bytes: &[u8], pos: &mut usize, what: &str) -> Result<String> {
-    let len = get_u32(bytes, pos, what)? as usize;
-    let end = pos
-        .checked_add(len)
-        .filter(|&e| e <= bytes.len())
-        .ok_or_else(|| DemonError::Serde(format!("{what}: length {len} exceeds payload")))?;
-    let s = std::str::from_utf8(&bytes[*pos..end])
-        .map_err(|e| DemonError::Serde(format!("{what}: invalid UTF-8: {e}")))?
-        .to_string();
-    *pos = end;
-    Ok(s)
-}
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    buf.extend_from_slice(s.as_bytes());
-}
-
 impl Request {
     /// Serializes the request into a frame payload (tag + body).
     pub fn encode(&self) -> Vec<u8> {
@@ -284,26 +238,16 @@ impl Request {
                 meta,
                 payload,
             } => {
-                buf.push(1);
-                buf.push(*class);
-                buf.extend_from_slice(&id.value().to_le_bytes());
-                match interval {
-                    Some(iv) => {
-                        buf.push(1);
-                        buf.extend_from_slice(&iv.start.0.to_le_bytes());
-                        buf.extend_from_slice(&iv.end.0.to_le_bytes());
-                    }
-                    None => buf.push(0),
-                }
-                buf.extend_from_slice(&meta.to_le_bytes());
-                buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+                buf.reserve(35 + payload.len());
+                buf.extend_from_slice(&[1, *class]);
+                put_block_header(&mut buf, put_u64, *id, *interval);
+                put_u32(&mut buf, *meta);
+                put_u32(&mut buf, payload.len() as u32);
                 buf.extend_from_slice(payload);
             }
             Request::QueryModel { class } => {
                 buf.push(2);
-                if let Some(class) = class {
-                    buf.push(*class);
-                }
+                buf.extend(class);
             }
             Request::QuerySequences => buf.push(3),
             Request::Stats => buf.push(4),
@@ -316,57 +260,41 @@ impl Request {
         buf
     }
 
-    /// Decodes a frame payload into a request. Every defect is a typed
-    /// error naming the offending field.
+    /// Decodes a frame payload into a request. Every defect — trailing
+    /// bytes after a well-formed message included — is a typed error
+    /// naming the offending field.
     pub fn decode(bytes: &[u8]) -> Result<Request> {
-        let mut pos = 0usize;
-        match get_u8(bytes, &mut pos, "request tag")? {
+        let mut r = Reader::new(bytes);
+        let request = match r.u8("request tag")? {
             1 => {
-                let class = get_u8(bytes, &mut pos, "model class")?;
-                let id = BlockId(get_u64(bytes, &mut pos, "block id")?);
-                let interval = match get_u8(bytes, &mut pos, "interval flag")? {
-                    0 => None,
-                    1 => {
-                        let start = Timestamp(get_u64(bytes, &mut pos, "interval start")?);
-                        let end = Timestamp(get_u64(bytes, &mut pos, "interval end")?);
-                        Some(BlockInterval { start, end })
-                    }
-                    other => {
-                        return Err(DemonError::Serde(format!(
-                            "interval flag must be 0 or 1, got {other}"
-                        )))
-                    }
-                };
-                let meta = get_u32(bytes, &mut pos, "class meta")?;
-                let len = get_u32(bytes, &mut pos, "record payload length")? as usize;
-                let end = pos.checked_add(len).filter(|&e| e <= bytes.len()).ok_or_else(
-                    || DemonError::Serde(format!("record payload length {len} exceeds payload")),
-                )?;
-                let payload = bytes[pos..end].to_vec();
-                Ok(Request::IngestBlock {
+                let class = r.u8("model class")?;
+                let (id, interval) = r.block_header(Reader::u64)?;
+                let meta = r.u32("class meta")?;
+                let len = r.u32("record payload length")? as usize;
+                let payload = r.bytes(len, "record payload")?.to_vec();
+                Request::IngestBlock {
                     class,
                     id,
                     interval,
                     meta,
                     payload,
-                })
+                }
             }
-            2 => {
-                let class = if pos < bytes.len() {
-                    Some(get_u8(bytes, &mut pos, "model class")?)
-                } else {
-                    None
-                };
-                Ok(Request::QueryModel { class })
-            }
-            3 => Ok(Request::QuerySequences),
-            4 => Ok(Request::Stats),
-            5 => Ok(Request::Snapshot {
-                dir: get_str(bytes, &mut pos, "snapshot dir")?,
-            }),
-            6 => Ok(Request::Shutdown),
-            other => Err(DemonError::Serde(format!("unknown request tag {other}"))),
-        }
+            // The bare legacy encoding pins no class.
+            2 if r.remaining() == 0 => Request::QueryModel { class: None },
+            2 => Request::QueryModel {
+                class: Some(r.u8("model class")?),
+            },
+            3 => Request::QuerySequences,
+            4 => Request::Stats,
+            5 => Request::Snapshot {
+                dir: r.str("snapshot dir")?.to_string(),
+            },
+            6 => Request::Shutdown,
+            other => return Err(DemonError::Serde(format!("unknown request tag {other}"))),
+        };
+        r.finish("the request")?;
+        Ok(request)
     }
 }
 
@@ -382,11 +310,11 @@ impl Response {
             }
             Response::Sequences(seqs) => {
                 buf.push(2);
-                buf.extend_from_slice(&(seqs.len() as u32).to_le_bytes());
+                put_u32(&mut buf, seqs.len() as u32);
                 for seq in seqs {
-                    buf.extend_from_slice(&(seq.len() as u32).to_le_bytes());
+                    put_u32(&mut buf, seq.len() as u32);
                     for id in seq {
-                        buf.extend_from_slice(&id.value().to_le_bytes());
+                        put_u64(&mut buf, id.value());
                     }
                 }
             }
@@ -396,7 +324,7 @@ impl Response {
             }
             Response::SnapshotDone(blocks) => {
                 buf.push(4);
-                buf.extend_from_slice(&blocks.to_le_bytes());
+                put_u64(&mut buf, *blocks);
             }
             Response::Err(e) => {
                 buf.push(5);
@@ -407,8 +335,8 @@ impl Response {
                     }
                     WireError::Duplicate { id, latest } => {
                         buf.push(1);
-                        buf.extend_from_slice(&id.to_le_bytes());
-                        buf.extend_from_slice(&latest.to_le_bytes());
+                        put_u64(&mut buf, *id);
+                        put_u64(&mut buf, *latest);
                     }
                     WireError::Busy(msg) => {
                         buf.push(2);
@@ -419,9 +347,7 @@ impl Response {
                         buf.extend_from_slice(msg.as_bytes());
                     }
                     WireError::ClassMismatch { expected, got } => {
-                        buf.push(4);
-                        buf.push(*expected);
-                        buf.push(*got);
+                        buf.extend_from_slice(&[4, *expected, *got]);
                     }
                 }
             }
@@ -429,52 +355,53 @@ impl Response {
         buf
     }
 
-    /// Decodes a frame payload into a response.
+    /// Decodes a frame payload into a response; trailing bytes after a
+    /// fixed-size body are a typed error.
     pub fn decode(bytes: &[u8]) -> Result<Response> {
-        let text = |bytes: &[u8]| -> Result<String> {
-            String::from_utf8(bytes.to_vec())
+        // A text body runs to the end of the payload.
+        fn text(r: &mut Reader<'_>) -> Result<String> {
+            String::from_utf8(r.rest().to_vec())
                 .map_err(|e| DemonError::Serde(format!("response body: invalid UTF-8: {e}")))
-        };
-        let mut pos = 0usize;
-        match get_u8(bytes, &mut pos, "response tag")? {
-            0 => Ok(Response::Ok),
-            1 => Ok(Response::Model(text(&bytes[1..])?)),
+        }
+        let mut r = Reader::new(bytes);
+        let response = match r.u8("response tag")? {
+            0 => Response::Ok,
+            1 => Response::Model(text(&mut r)?),
             2 => {
-                let n = get_u32(bytes, &mut pos, "sequence count")? as usize;
-                let mut seqs = Vec::new();
+                let n = r.u32("sequence count")?;
+                let n = r.count(u64::from(n), 4, "sequence")?;
+                let mut seqs = Vec::with_capacity(n);
                 for _ in 0..n {
-                    let len = get_u32(bytes, &mut pos, "sequence length")? as usize;
-                    let mut seq = Vec::new();
+                    let len = r.u32("sequence length")?;
+                    let len = r.count(u64::from(len), 8, "sequence block id")?;
+                    let mut seq = Vec::with_capacity(len);
                     for _ in 0..len {
-                        seq.push(BlockId(get_u64(bytes, &mut pos, "sequence block id")?));
+                        seq.push(BlockId(r.u64("sequence block id")?));
                     }
                     seqs.push(seq);
                 }
-                Ok(Response::Sequences(seqs))
+                Response::Sequences(seqs)
             }
-            3 => Ok(Response::Stats(text(&bytes[1..])?)),
-            4 => Ok(Response::SnapshotDone(get_u64(bytes, &mut pos, "block count")?)),
-            5 => {
-                let err = match get_u8(bytes, &mut pos, "error code")? {
-                    0 => WireError::Other(text(&bytes[pos..])?),
-                    1 => WireError::Duplicate {
-                        id: get_u64(bytes, &mut pos, "duplicate id")?,
-                        latest: get_u64(bytes, &mut pos, "duplicate latest")?,
-                    },
-                    2 => WireError::Busy(text(&bytes[pos..])?),
-                    3 => WireError::Io(text(&bytes[pos..])?),
-                    4 => WireError::ClassMismatch {
-                        expected: get_u8(bytes, &mut pos, "expected class")?,
-                        got: get_u8(bytes, &mut pos, "got class")?,
-                    },
-                    other => {
-                        return Err(DemonError::Serde(format!("unknown error code {other}")))
-                    }
-                };
-                Ok(Response::Err(err))
-            }
-            other => Err(DemonError::Serde(format!("unknown response tag {other}"))),
-        }
+            3 => Response::Stats(text(&mut r)?),
+            4 => Response::SnapshotDone(r.u64("block count")?),
+            5 => Response::Err(match r.u8("error code")? {
+                0 => WireError::Other(text(&mut r)?),
+                1 => WireError::Duplicate {
+                    id: r.u64("duplicate id")?,
+                    latest: r.u64("duplicate latest")?,
+                },
+                2 => WireError::Busy(text(&mut r)?),
+                3 => WireError::Io(text(&mut r)?),
+                4 => WireError::ClassMismatch {
+                    expected: r.u8("expected class")?,
+                    got: r.u8("got class")?,
+                },
+                other => return Err(DemonError::Serde(format!("unknown error code {other}"))),
+            }),
+            other => return Err(DemonError::Serde(format!("unknown response tag {other}"))),
+        };
+        r.finish("the response")?;
+        Ok(response)
     }
 }
 
@@ -536,6 +463,7 @@ pub fn read_message(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use demon_types::Timestamp;
 
     #[test]
     fn ingest_requests_roundtrip() {
@@ -718,6 +646,50 @@ mod tests {
         wire[8..16].copy_from_slice(&(MAX_PAYLOAD + 1).to_le_bytes());
         let err = read_message(&mut &wire[..], FrameClass::REQUEST, "t").unwrap_err();
         assert!(err.to_string().contains("limit"), "{err}");
+    }
+
+    /// A well-formed message followed by garbage is refused (it used to
+    /// decode — and an `IngestBlock` was then logged to the WAL with its
+    /// garbage). The bare legacy `QueryModel` is the one message whose
+    /// tail is optional.
+    #[test]
+    fn trailing_bytes_are_refused() {
+        let requests = [
+            Request::IngestBlock {
+                class: ModelClass::Itemsets.tag(),
+                id: BlockId(2),
+                interval: None,
+                meta: 16,
+                payload: vec![1, 2, 3],
+            },
+            Request::QueryModel { class: Some(2) },
+            Request::QuerySequences,
+            Request::Stats,
+            Request::Snapshot { dir: "/tmp/snap".into() },
+            Request::Shutdown,
+        ];
+        for request in requests {
+            let mut bytes = request.encode();
+            assert!(Request::decode(&bytes).is_ok(), "{request:?}");
+            bytes.push(0);
+            let err = Request::decode(&bytes).expect_err("padded request");
+            assert!(matches!(&err, DemonError::Serde(m) if m.contains("trailing")), "{err}");
+        }
+        assert!(Request::decode(&[2]).is_ok(), "bare QueryModel stays legal");
+
+        let responses = [
+            Response::Ok,
+            Response::Sequences(vec![vec![BlockId(1)]]),
+            Response::SnapshotDone(9),
+            Response::Err(WireError::Duplicate { id: 2, latest: 7 }),
+            Response::Err(WireError::ClassMismatch { expected: 1, got: 2 }),
+        ];
+        for response in responses {
+            let mut bytes = response.encode();
+            bytes.push(0);
+            let err = Response::decode(&bytes).expect_err("padded response");
+            assert!(matches!(&err, DemonError::Serde(m) if m.contains("trailing")), "{err}");
+        }
     }
 
     #[test]

@@ -25,12 +25,11 @@
 //!   poisons the state: later ingests and snapshots get a typed error,
 //!   never a hang, and nothing more is logged; queries keep reading the
 //!   last published replica, which is exactly the acked prefix.
-//! * **Group commit** (`wal_group_commit`): every unit of work already
-//!   queued behind the popped one joins its batch — all appends first,
-//!   one covering fsync per touched lane, then apply + publish + ack in
-//!   arrival order. A failed covering fsync fails every block of the
-//!   batch on that lane. Without it a batch is one block, and the same
-//!   code is append + fsync per block.
+//! * **Group commit**: every unit of work already queued behind the
+//!   popped one joins its batch — all appends first, one covering fsync
+//!   per touched lane, then apply + publish + ack in arrival order. A
+//!   failed covering fsync fails every block of the batch on that lane.
+//!   With one block queued the batch is that block: append + fsync.
 //! * **WAL lanes**: shard `s` of `N ≥ 2` appends to
 //!   `wal_dir/shard-<s>/wal-<g>.log`; with one shard the lane is
 //!   `wal_dir` itself. The root `CURRENT` pointer and `snapshot-<g>` are
@@ -169,10 +168,9 @@ impl<S: ServableModel> TaskQueue<S> {
         Ok(())
     }
 
-    /// The sequencer's blocking pop: the oldest task, or with `all`
-    /// (group commit) everything queued. `None` after close once
-    /// drained.
-    fn next_batch(&self, all: bool) -> Option<VecDeque<Task<S>>> {
+    /// The sequencer's blocking pop: everything queued, oldest first.
+    /// `None` after close once drained.
+    fn next_batch(&self) -> Option<VecDeque<Task<S>>> {
         let mut inner = self.lock();
         while inner.tasks.is_empty() {
             if !inner.open {
@@ -183,8 +181,7 @@ impl<S: ServableModel> TaskQueue<S> {
                 .wait(inner)
                 .unwrap_or_else(|e| e.into_inner());
         }
-        let take = if all { inner.tasks.len() } else { 1 };
-        Some(inner.tasks.drain(..take).collect())
+        Some(std::mem::take(&mut inner.tasks))
     }
 
     /// Closes the queue; queued work still drains.
@@ -321,11 +318,7 @@ pub(crate) fn decode_block<S: ServableModel>(
     meta: u32,
     payload: &[u8],
 ) -> Result<Block<S::Record>> {
-    let records = S::decode_records(payload, id, meta)?;
-    Ok(match interval {
-        Some(iv) => Block::with_interval(id, iv, records),
-        None => Block::new(id, records),
-    })
+    Ok(Block::from_parts(id, interval, S::decode_records(payload, id, meta)?))
 }
 
 /// The directory lane `shard` of `n_shards` logs to: the WAL root itself
@@ -348,7 +341,6 @@ pub(crate) struct WalLanes<S: ServableModel> {
     writers: Vec<WalWriter>,
     gen: u64,
     max_bytes: u64,
-    group_commit: bool,
     compact_tx: mpsc::Sender<(u64, S::Maintainer)>,
     /// One compaction at a time; while it runs, the live logs simply
     /// keep growing past the threshold.
@@ -491,7 +483,6 @@ pub(crate) fn recover<S: ServableModel>(
         writers,
         gen,
         max_bytes: config.wal_max_bytes.max(1),
-        group_commit: config.wal_group_commit,
         compact_tx,
         compacting: Arc::clone(&compacting),
     };
@@ -620,8 +611,7 @@ pub(crate) fn sequencer_loop<S: ServableModel>(
 ) {
     let mut epoch = hub.replica.load().epoch;
     let mut poisoned = false;
-    let group_commit = lanes.as_ref().is_some_and(|l| l.group_commit);
-    while let Some(batch) = hub.queue.next_batch(group_commit) {
+    while let Some(batch) = hub.queue.next_batch() {
         // WAL first: a block must be durable before it can be acked.
         // `appended[i]` is the lane batch[i] went to, or why it failed.
         let mut next = state.latest().map_or(BlockId::FIRST, BlockId::next);
@@ -738,14 +728,13 @@ mod tests {
         Block::new(BlockId(id), txs)
     }
 
-    /// A durable group-commit config over a fresh directory.
+    /// A durable config over a fresh directory.
     fn config(name: &str, shards: usize) -> ServeConfig {
         let dir = std::env::temp_dir().join(format!("demon-seq-{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut config = ServeConfig::new("127.0.0.1:0", 8, MinSupport::new(0.1).unwrap());
         config.shards = shards;
         config.wal_dir = Some(dir);
-        config.wal_group_commit = true;
         config
     }
 

@@ -105,11 +105,6 @@ pub struct ServeConfig {
     /// Compaction threshold: once the live WAL file crosses this many
     /// bytes, the daemon snapshots the store and rotates the log.
     pub wal_max_bytes: u64,
-    /// Group commit: batch the WAL appends of every queued block behind
-    /// one covering fsync per lane. Acks still land only after the
-    /// fsync that covers them; under a write burst the fsyncs-per-block
-    /// drop toward zero.
-    pub wal_group_commit: bool,
 }
 
 impl ServeConfig {
@@ -142,7 +137,6 @@ impl ServeConfig {
             store_config: StoreConfig::InMemory,
             wal_dir: None,
             wal_max_bytes: 8 << 20,
-            wal_group_commit: false,
         }
     }
 }

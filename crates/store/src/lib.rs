@@ -47,9 +47,9 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use demon_types::durable::{self, FrameClass};
+use demon_types::durable::{self, FrameClass, Reader, Row};
 use demon_types::obs::{self, Counter};
-use demon_types::{parallel, BlockId, DemonError, Result};
+use demon_types::{parallel, Block, BlockId, DemonError, Result};
 use std::collections::BTreeMap;
 use std::ops::Deref;
 use std::path::{Path, PathBuf};
@@ -82,6 +82,46 @@ pub trait Spillable: Send + Sync + Sized {
     /// value's *content*, never on allocator or platform details, so
     /// eviction decisions are reproducible.
     fn resident_bytes(&self) -> u64;
+}
+
+/// A block of fixed-width numeric records ([`Row`]) as the engine stores
+/// it — the one spill codec of the point and labeled-point maintainers.
+/// Payload: block header (fixed-width), `dim u64`, then the same
+/// `count | rows` section the records cross the wire in.
+#[derive(Clone, Debug)]
+pub struct BlockEntry<R>(pub Block<R>);
+
+impl<R: Row + Send + Sync> Spillable for BlockEntry<R> {
+    fn frame_class() -> FrameClass {
+        R::FRAME
+    }
+
+    fn encode(&self) -> Result<Vec<u8>> {
+        let block = &self.0;
+        let mut buf = Vec::new();
+        durable::put_block_header(&mut buf, durable::put_u64, block.id(), block.interval());
+        durable::put_u64(&mut buf, durable::rows_dim(block.records()) as u64);
+        durable::put_rows(&mut buf, block.id(), block.records())?;
+        Ok(buf)
+    }
+
+    fn decode(bytes: &[u8]) -> Result<Self> {
+        let mut r = Reader::new(bytes);
+        let (id, interval) = r.block_header(Reader::u64)?;
+        let dim = r.u64("point dimension")?;
+        let dim = usize::try_from(dim)
+            .map_err(|_| DemonError::Serde(format!("point dimension {dim} overflows usize")))?;
+        let records = r.rows(dim)?;
+        r.finish("the last record")?;
+        Ok(BlockEntry(Block::from_parts(id, interval, records)))
+    }
+
+    fn resident_bytes(&self) -> u64 {
+        // Deterministic content-based footprint: per-record header plus
+        // the row payload.
+        let row = 32 + 8 * (R::HEAD_WORDS + durable::rows_dim(self.0.records())) as u64;
+        64 + self.0.len() as u64 * row
+    }
 }
 
 /// When a spill-backed store evicts.
@@ -675,6 +715,32 @@ mod tests {
 
     fn rec(fill: u8, len: usize) -> Rec {
         Rec(vec![fill; len])
+    }
+
+    #[test]
+    fn point_block_entries_roundtrip_and_refuse_cut_payloads() {
+        use demon_types::{BlockInterval, Point, Timestamp};
+        let with_interval = Block::with_interval(
+            BlockId(3),
+            BlockInterval::new(Timestamp(10), Timestamp(20)),
+            vec![
+                Point::new(vec![1.5, -2.25]),
+                Point::new(vec![f64::MIN_POSITIVE, 1e300]),
+            ],
+        );
+        for block in [with_interval, Block::new(BlockId(1), Vec::new())] {
+            let entry = BlockEntry(block);
+            let bytes = entry.encode().unwrap();
+            let back = BlockEntry::<Point>::decode(&bytes).unwrap();
+            assert_eq!(back.0.id(), entry.0.id());
+            assert_eq!(back.0.interval(), entry.0.interval());
+            assert_eq!(back.0.records(), entry.0.records());
+            assert_eq!(back.resident_bytes(), entry.resident_bytes());
+            for cut in 0..bytes.len() {
+                assert!(BlockEntry::<Point>::decode(&bytes[..cut]).is_err(), "cut at {cut}");
+            }
+        }
+        assert_eq!(BlockEntry::<Point>::frame_class(), FrameClass::POINTS);
     }
 
     #[test]

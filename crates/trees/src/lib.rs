@@ -24,7 +24,9 @@
 
 mod tree;
 
-pub mod spill;
-
-pub use spill::LabeledBlockEntry;
 pub use tree::{DecisionTree, LabeledPoint, Region, TreeParams};
+
+/// A labeled-point block as the block storage engine holds (and spills)
+/// it: the generic numeric-block record over [`LabeledPoint`]'s row codec
+/// (the label as one `u64` word ahead of the coordinates).
+pub type LabeledBlockEntry = demon_store::BlockEntry<LabeledPoint>;

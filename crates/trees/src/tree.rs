@@ -1,6 +1,7 @@
 //! A greedy binary decision tree (CART-style, Gini impurity).
 
-use demon_types::Point;
+use demon_types::durable::{self, FrameClass, Reader, Row};
+use demon_types::{DemonError, Point, Result};
 use serde::{Deserialize, Serialize};
 
 /// A labeled training record.
@@ -19,6 +20,30 @@ impl LabeledPoint {
             point: Point::new(coords),
             label,
         }
+    }
+}
+
+/// Row layout: the label as one `u64` word, then the coordinates.
+impl Row for LabeledPoint {
+    const FRAME: FrameClass = FrameClass::LABELED;
+    const HEAD_WORDS: usize = 1;
+
+    fn coords(&self) -> &[f64] {
+        self.point.coords()
+    }
+
+    fn put_head(&self, buf: &mut Vec<u8>) {
+        durable::put_u64(buf, u64::from(self.label));
+    }
+
+    fn read(r: &mut Reader<'_>, dim: usize) -> Result<Self> {
+        let label = r.u64("label")?;
+        let label = u32::try_from(label)
+            .map_err(|_| DemonError::Serde(format!("label {label} overflows u32")))?;
+        Ok(LabeledPoint {
+            point: Point::new(r.coords(dim)?),
+            label,
+        })
     }
 }
 
@@ -345,6 +370,34 @@ impl DecisionTree {
 mod tests {
     use super::*;
     use rand::prelude::*;
+
+    #[test]
+    fn labeled_blocks_spill_and_reload_identically() {
+        use crate::LabeledBlockEntry;
+        use demon_store::{BlockEntry, Spillable};
+        use demon_types::{Block, BlockId, BlockInterval, Timestamp};
+        let entry: LabeledBlockEntry = BlockEntry(Block::with_interval(
+            BlockId(9),
+            BlockInterval::new(Timestamp(5), Timestamp(6)),
+            vec![
+                LabeledPoint::new(vec![0.5, -1.5], 0),
+                LabeledPoint::new(vec![2.0, 3.0], u32::MAX),
+            ],
+        ));
+        let bytes = entry.encode().unwrap();
+        // id | flag + interval | dim | count | 2 × (label + 2 coords).
+        assert_eq!(bytes.len(), 8 + 17 + 8 + 8 + 2 * 24);
+        let back = LabeledBlockEntry::decode(&bytes).unwrap();
+        assert_eq!(back.0.id(), entry.0.id());
+        assert_eq!(back.0.interval(), entry.0.interval());
+        assert_eq!(back.0.records(), entry.0.records());
+        assert_eq!(back.resident_bytes(), 64 + 2 * (40 + 16));
+        assert!(LabeledBlockEntry::decode(&bytes[..bytes.len() - 1]).is_err());
+        // A label wider than u32 is refused, not truncated.
+        let mut wide = bytes.clone();
+        wide[41 + 4] = 1;
+        assert!(LabeledBlockEntry::decode(&wide).is_err());
+    }
 
     /// Two Gaussian-ish classes separated along dimension 0.
     fn two_class_data(n_per: usize, seed: u64) -> Vec<LabeledPoint> {

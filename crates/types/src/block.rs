@@ -92,6 +92,16 @@ impl<T> Block<T> {
         }
     }
 
+    /// Builds a block from a decoded header (see
+    /// [`crate::durable::Reader::block_header`]) and its records.
+    pub fn from_parts(id: BlockId, interval: Option<BlockInterval>, records: Vec<T>) -> Self {
+        Block {
+            id,
+            interval,
+            records,
+        }
+    }
+
     /// The block identifier.
     #[inline]
     pub fn id(&self) -> BlockId {

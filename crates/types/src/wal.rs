@@ -37,8 +37,8 @@
 //! never a half-written pointer.
 
 use crate::durable::{
-    atomic_write, decode_frame_header, encode_frame, read_framed, verify_frame_payload,
-    FrameClass, FRAME_HEADER_LEN,
+    atomic_write, decode_frame_header, encode_frame, put_u64, read_framed, verify_frame_payload,
+    FrameClass, Reader, FRAME_HEADER_LEN,
 };
 use crate::error::DemonError;
 use crate::obs::{self, Counter};
@@ -105,11 +105,13 @@ pub fn read_current(dir: &Path) -> Result<u64> {
         return Ok(0);
     }
     let (payload, _) = read_framed(&path, FrameClass::WAL_CURRENT)?;
-    let bytes: [u8; 8] = payload.as_slice().try_into().map_err(|_| DemonError::Corrupt {
-        file: path.display().to_string(),
-        detail: format!("CURRENT payload is {} bytes, expected 8", payload.len()),
-    })?;
-    Ok(u64::from_le_bytes(bytes))
+    let mut r = Reader::new(&payload);
+    r.u64("generation")
+        .and_then(|gen| r.finish("the generation").map(|()| gen))
+        .map_err(|_| DemonError::Corrupt {
+            file: path.display().to_string(),
+            detail: format!("CURRENT payload is {} bytes, expected 8", payload.len()),
+        })
 }
 
 /// Atomically points `CURRENT` at `gen` (framed + checksummed, written
@@ -125,7 +127,7 @@ pub fn write_current(dir: &Path, gen: u64) -> Result<()> {
 /// `seq` (u64 LE), then the model-class tag byte `class`, then `body`.
 pub fn encode_wal_record(seq: u64, class: u8, body: &[u8]) -> Vec<u8> {
     let mut payload = Vec::with_capacity(WAL_RECORD_HEADER_LEN + body.len());
-    payload.extend_from_slice(&seq.to_le_bytes());
+    put_u64(&mut payload, seq);
     payload.push(class);
     payload.extend_from_slice(body);
     let (bytes, _) = encode_frame(FrameClass::WAL, &payload);
@@ -200,20 +202,16 @@ pub fn decode_wal_records(bytes: &[u8], source: &str) -> WalReadReport {
             report.torn = Some(format!("record at offset {off}: {e}"));
             break;
         }
-        if payload.len() < WAL_RECORD_HEADER_LEN {
+        let mut record = Reader::new(payload);
+        let (Ok(seq), Ok(class)) = (record.u64("sequence number"), record.u8("model class"))
+        else {
             report.torn = Some(format!(
                 "record at offset {off}: payload too short for a record header \
                  ({} of {WAL_RECORD_HEADER_LEN} bytes)",
                 payload.len()
             ));
             break;
-        }
-        let seq = u64::from_le_bytes(
-            payload[..WAL_SEQ_LEN]
-                .try_into()
-                .unwrap_or([0; WAL_SEQ_LEN]),
-        );
-        let class = payload[WAL_SEQ_LEN];
+        };
         if let Some(last) = report.records.last() {
             if seq != last.seq + 1 {
                 report.torn = Some(format!(
@@ -234,7 +232,7 @@ pub fn decode_wal_records(bytes: &[u8], source: &str) -> WalReadReport {
         report.records.push(WalRecord {
             seq,
             class,
-            body: payload[WAL_RECORD_HEADER_LEN..].to_vec(),
+            body: record.rest().to_vec(),
         });
         off += FRAME_HEADER_LEN + payload_len;
         report.valid_len = off as u64;

@@ -81,7 +81,7 @@ USAGE:
                      [--eps F] [--min-pts N]
                      [--window N] [--pattern-window N] [--alpha F] [--workers N]
                      [--shards N] [--queue N] [--queue-timeout-ms N] [--timeout-ms N]
-                     [--wal-dir DIR] [--wal-max-bytes N] [--no-wal] [--wal-group-commit]
+                     [--wal-dir DIR] [--wal-max-bytes N] [--no-wal]
   demon-cli client   ADDR ingest STORE [--salvage]
   demon-cli client   ADDR ingest-points  [--spec S] [--blocks N] [--seed N] [--model CLASS]
   demon-cli client   ADDR ingest-labeled [--spec S] [--blocks N] [--seed N]
@@ -117,9 +117,9 @@ WAL:      --wal-dir DIR serves durably: every ingest is appended to a
           torn final record is dropped, not fatal). --wal-max-bytes sets
           the log size that triggers background compaction (snapshot +
           log rotation, atomic); --no-wal disables durability even when
-          --wal-dir is present. --wal-group-commit coalesces fsyncs
-          across queued blocks (acks still wait for the covering
-          fsync). verify also fscks a WAL directory.
+          --wal-dir is present. Blocks queued together share one
+          covering fsync per WAL lane (acks still wait for it). verify
+          also fscks a WAL directory, shard lanes included.
 SHARDS:   --shards N (default 1) partitions the serving state into N
           shards (round-robin by block id) with per-shard WAL lanes and
           epoch-swapped query replicas; answers are byte-identical at
@@ -154,7 +154,7 @@ fn main() -> ExitCode {
 }
 
 /// Flags that take no value.
-const BOOL_FLAGS: &[&str] = &["salvage", "stats", "json", "no-wal", "wal-group-commit"];
+const BOOL_FLAGS: &[&str] = &["salvage", "stats", "json", "no-wal"];
 
 /// Flags that take a value — every other `--name` is refused by name.
 const VALUE_FLAGS: &[&str] = &[
@@ -339,12 +339,9 @@ fn load(positional: &[&str], flags: &HashMap<&str, &str>) -> Result<TxStore, Str
 /// the recovery reader instead of the store reader.
 fn verify(positional: &[&str]) -> Result<ExitCode, String> {
     let dir = store_arg(positional)?;
-    let is_wal_dir = dir.join(wal::CURRENT_FILE).exists()
-        || !wal::list_wal_generations(dir)
-            .map_err(|e| format!("listing {}: {e}", dir.display()))?
-            .is_empty();
-    if is_wal_dir {
-        return verify_wal_dir(dir);
+    let lanes = wal_lanes(dir)?;
+    if dir.join(wal::CURRENT_FILE).exists() || lanes.iter().any(|(_, gens)| !gens.is_empty()) {
+        return verify_wal_dir(dir, &lanes);
     }
     let report =
         verify_store(dir).map_err(|e| format!("verifying {}: {e}", dir.display()))?;
@@ -372,11 +369,32 @@ fn verify(positional: &[&str]) -> Result<ExitCode, String> {
     Ok(ExitCode::FAILURE)
 }
 
+/// The WAL lanes under `root` with the generations each holds: the root
+/// itself (the `--shards 1` layout, named `""`) and every `shard-<s>/`
+/// subdirectory (named `"shard-<s>/"`), in shard order.
+fn wal_lanes(root: &Path) -> Result<Vec<(String, Vec<u64>)>, String> {
+    let mut shards: Vec<usize> = std::fs::read_dir(root)
+        .map_err(|e| format!("listing {}: {e}", root.display()))?
+        .flatten()
+        .filter_map(|entry| entry.file_name().to_str()?.strip_prefix("shard-")?.parse().ok())
+        .collect();
+    shards.sort_unstable();
+    let names = std::iter::once(String::new()).chain(shards.iter().map(|s| format!("shard-{s}/")));
+    names
+        .map(|name| {
+            let lane = root.join(&name);
+            let gens = wal::list_wal_generations(&lane)
+                .map_err(|e| format!("listing {}: {e}", lane.display()))?;
+            Ok((name, gens))
+        })
+        .collect()
+}
+
 /// Fsck for a daemon WAL directory: the `CURRENT` pointer, every WAL
-/// generation (a torn tail is *recoverable*, not damage — recovery
-/// truncates it), and the snapshot the pointer names. Exit status 1
-/// only for damage recovery could not absorb.
-fn verify_wal_dir(dir: &Path) -> Result<ExitCode, String> {
+/// generation of every lane (a torn tail is *recoverable*, not damage —
+/// recovery truncates it), and the snapshot the pointer names. Exit
+/// status 1 only for damage recovery could not absorb.
+fn verify_wal_dir(dir: &Path, lanes: &[(String, Vec<u64>)]) -> Result<ExitCode, String> {
     let mut damaged = 0usize;
     let current = match wal::read_current(dir) {
         Ok(gen) => {
@@ -389,24 +407,22 @@ fn verify_wal_dir(dir: &Path) -> Result<ExitCode, String> {
             0
         }
     };
-    let gens =
-        wal::list_wal_generations(dir).map_err(|e| format!("listing {}: {e}", dir.display()))?;
-    for gen in &gens {
-        let path = wal::wal_file_path(dir, *gen);
-        let stale = if *gen < current { " (stale)" } else { "" };
+    for (lane, gen) in lanes.iter().flat_map(|(lane, gens)| gens.iter().map(move |&g| (lane, g))) {
+        let path = wal::wal_file_path(&dir.join(lane), gen);
+        let stale = if gen < current { " (stale)" } else { "" };
         match wal::read_wal(&path) {
             Ok(report) => match (&report.torn, report.records.last()) {
                 (Some(torn), last) => println!(
-                    "wal-{gen}.log: {} record(s){}{stale}, torn tail (recoverable): {torn}",
+                    "{lane}wal-{gen}.log: {} record(s){}{stale}, torn tail (recoverable): {torn}",
                     report.records.len(),
                     last.map(|r| format!(" through seq {}", r.seq)).unwrap_or_default(),
                 ),
                 (None, Some(last)) => println!(
-                    "wal-{gen}.log: {} record(s) through seq {}, clean{stale}",
+                    "{lane}wal-{gen}.log: {} record(s) through seq {}, clean{stale}",
                     report.records.len(),
                     last.seq
                 ),
-                (None, None) => println!("wal-{gen}.log: empty, clean{stale}"),
+                (None, None) => println!("{lane}wal-{gen}.log: empty, clean{stale}"),
             },
             Err(e) => {
                 println!("DAMAGED {}: {e}", path.display());
@@ -810,7 +826,6 @@ fn serve(flags: &HashMap<&str, &str>) -> Result<(), String> {
         config.wal_dir = flags.get("wal-dir").map(PathBuf::from);
     }
     config.wal_max_bytes = flag_parse(flags, "wal-max-bytes", config.wal_max_bytes)?;
-    config.wal_group_commit = flags.contains_key("wal-group-commit");
     let server = Server::bind(config).map_err(|e| format!("binding {listen}: {e}"))?;
     // Tests and scripts parse this line for the resolved ephemeral port.
     println!("demon-serve listening on {}", server.local_addr());

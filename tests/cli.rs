@@ -378,6 +378,64 @@ fn verify_salvage_exits_zero_on_clean_store() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `verify` walks the per-shard WAL lanes of a `--shards N` directory:
+/// each lane log gets its own report line, a lane log cut mid-record is a
+/// recoverable torn tail *naming the lane*, and the exit status stays 0.
+/// The refused flag pins that group commit is no longer an option.
+#[test]
+fn verify_walks_shard_lanes_and_the_group_commit_flag_is_gone() {
+    use std::io::BufRead;
+    let (dir, store) = small_store("verify-lanes");
+    let wal_dir = dir.join("wal");
+    let wal = wal_dir.to_str().unwrap();
+
+    let refused = cli()
+        .args(["serve", "--wal-dir", wal, "--wal-group-commit"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(refused.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&refused.stderr);
+    assert!(err.contains("unknown flag --wal-group-commit"), "{err}");
+
+    let mut daemon = cli()
+        .args(["serve", "--listen", "127.0.0.1:0", "--items", "1000", "--minsup", "0.02"])
+        .args(["--shards", "2", "--wal-dir", wal])
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+        .expect("daemon spawns");
+    // Kept open until the daemon exits: it prints a summary on the way out.
+    let mut out = std::io::BufReader::new(daemon.stdout.take().expect("piped stdout"));
+    let mut line = String::new();
+    out.read_line(&mut line).expect("startup line");
+    let addr = line
+        .strip_prefix("demon-serve listening on ")
+        .unwrap_or_else(|| panic!("unexpected startup line: {line:?}"))
+        .trim();
+    run_ok(cli().args(["client", addr, "ingest", store.to_str().unwrap()]));
+    run_ok(cli().args(["client", addr, "shutdown"]));
+    assert!(daemon.wait().expect("daemon exits").success());
+
+    // No compaction ran, so there is no root CURRENT: the lanes alone
+    // must identify the directory as a WAL directory.
+    let clean = stdout(&run_ok(cli().args(["verify", wal])));
+    assert!(clean.contains("shard-0/wal-0.log: 2 record(s)"), "{clean}");
+    assert!(clean.contains("shard-1/wal-0.log: 1 record(s)"), "{clean}");
+    assert!(!clean.contains("torn tail"), "{clean}");
+
+    let lane_log = wal_dir.join("shard-1").join("wal-0.log");
+    let bytes = std::fs::read(&lane_log).unwrap();
+    std::fs::write(&lane_log, &bytes[..bytes.len() - 5]).unwrap();
+    let torn = stdout(&run_ok(cli().args(["verify", wal])));
+    let torn_line = torn
+        .lines()
+        .find(|l| l.contains("torn tail (recoverable)"))
+        .unwrap_or_else(|| panic!("no torn-tail line: {torn}"));
+    assert!(torn_line.starts_with("shard-1/wal-0.log: 0 record(s)"), "{torn_line}");
+    assert!(torn.contains("shard-0/wal-0.log: 2 record(s)"), "{torn}");
+    assert!(torn.contains("WAL directory is recoverable"), "{torn}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn missing_store_reports_error() {
     let out = cli()

@@ -252,13 +252,13 @@ fn retirement_keeps_resident_bytes_window_bounded() {
 #[test]
 fn retiring_a_pinned_block_is_deferred() {
     use demon::clustering::PointBlockEntry;
-    use demon::store::BlockStore;
+    use demon::store::{BlockEntry, BlockStore};
 
     let store: BlockStore<PointBlockEntry> = budget_config("pinned")
         .build("points")
         .unwrap();
     for b in point_stream(2, 40) {
-        store.insert(b.id(), PointBlockEntry(b));
+        store.insert(b.id(), BlockEntry(b));
     }
 
     let guard = store.get(BlockId(1)).unwrap().expect("block 1 present");

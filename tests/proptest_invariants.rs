@@ -204,40 +204,6 @@ proptest! {
         prop_assert_eq!(freq_of(gemm.current_model().unwrap()), freq_of(&batch));
     }
 
-    /// GEMM and AuM agree on the maintained model for arbitrary
-    /// window-relative BSS — two very different algorithms, one result.
-    #[test]
-    fn gemm_and_aum_agree(
-        blocks in blocks_strategy(6),
-        bits in prop::collection::vec(any::<bool>(), 2..4),
-        minsup in minsup_strategy(),
-    ) {
-        use demon::core::aum::AumWindow;
-        prop_assume!(bits.iter().any(|&b| b));
-        let w = bits.len();
-        let selector = BlockSelector::WindowRelative(WrBss::new(bits));
-        let mut gemm = Gemm::new(
-            ItemsetMaintainer::new(UNIVERSE, minsup, CounterKind::Ecut),
-            w,
-            selector.clone(),
-        )
-        .unwrap();
-        let mut aum = AumWindow::new(
-            ItemsetMaintainer::new(UNIVERSE, minsup, CounterKind::Ecut),
-            w,
-            selector,
-        )
-        .unwrap();
-        for b in &blocks {
-            gemm.add_block(b.clone()).unwrap();
-            aum.add_block(b.clone()).unwrap();
-        }
-        prop_assert_eq!(
-            freq_of(gemm.current_model().unwrap()),
-            freq_of(aum.model())
-        );
-    }
-
     /// The CF-tree conserves mass and keeps its summaries consistent under
     /// arbitrary insertion orders.
     #[test]
@@ -306,23 +272,6 @@ proptest! {
         }
     }
 
-    /// FUP and BORDERS (all counters) agree with batch mining on arbitrary
-    /// block streams.
-    #[test]
-    fn fup_equals_borders_equals_batch(
-        blocks in blocks_strategy(3),
-        minsup in minsup_strategy(),
-    ) {
-        use demon::itemsets::FupModel;
-        let store = store_of(&blocks);
-        let batch = FrequentItemsets::mine_from(&store, store.block_ids(), minsup).unwrap();
-        let mut fup = FupModel::empty(minsup, UNIVERSE);
-        for b in &blocks {
-            fup.absorb_block(&store, b.id()).unwrap();
-        }
-        prop_assert_eq!(fup.frequent(), batch.frequent());
-    }
-
     /// Every derived association rule has exact statistics and respects
     /// the confidence threshold; antecedent and consequent partition the
     /// source itemset.
@@ -387,22 +336,6 @@ proptest! {
                 prop_assert!(b.value() >= window_start);
             }
         }
-    }
-
-    /// The TID-list codec round-trips arbitrary sorted lists and its
-    /// streamed intersection equals the in-memory one.
-    #[test]
-    fn codec_roundtrip_and_intersection(
-        a in prop::collection::btree_set(0u64..100_000, 0..200),
-        b in prop::collection::btree_set(0u64..100_000, 0..200),
-    ) {
-        use demon::itemsets::codec;
-        let va: Vec<Tid> = a.iter().map(|&v| Tid(v)).collect();
-        let vb: Vec<Tid> = b.iter().map(|&v| Tid(v)).collect();
-        let (ea, eb) = (codec::encode(&va), codec::encode(&vb));
-        prop_assert_eq!(codec::decode(&ea).unwrap(), va.clone());
-        let expected: Vec<Tid> = a.intersection(&b).map(|&v| Tid(v)).collect();
-        prop_assert_eq!(codec::intersect_encoded(&ea, &eb), expected);
     }
 
     /// Store persistence round-trips arbitrary block streams, including

@@ -202,17 +202,23 @@ fn recover_and_check_with(wal_dir: &Path, extra: &[&str], acked: usize, label: &
     n
 }
 
+/// Blocks queued together share one covering fsync per lane, but an ack
+/// is only sent after the fsync covering that block — whatever the
+/// batch a crash lands in, no acked block may be lost.
 #[test]
 fn crash_sweep_around_the_append_ack_protocol_never_loses_an_acked_block() {
     let specs = [
         ("before_append:1", 0usize), // die before anything touches the log
+        ("before_append:2", 1),
         ("before_append:3", 2),
         ("after_append:1", 0), // appended + fsynced, ack never sent
+        ("after_append:2", 1),
         ("after_append:4", 3),
         // `after_ack` aborts once the done-slot is filled, racing the
         // worker's response write — the nth ack itself may be lost on
         // the wire, so the floor is n-1.
         ("after_ack:2", 1),
+        ("after_ack:3", 2),
         ("after_ack:5", 4),
     ];
     for (crash, min_acked) in specs {
@@ -231,35 +237,6 @@ fn crash_sweep_around_the_append_ack_protocol_never_loses_an_acked_block() {
         );
 
         recover_and_check(&wal_dir, acked, crash);
-        std::fs::remove_dir_all(&wal_dir).ok();
-    }
-}
-
-/// Group commit coalesces fsyncs across queued blocks, but the ack
-/// contract is unchanged: an ack is only sent after the fsync covering
-/// that block, so the same crash sweep must never lose an acked block.
-#[test]
-fn group_commit_crash_sweep_never_loses_an_acked_block() {
-    const GC: &[&str] = &["--wal-group-commit"];
-    let specs = [
-        ("before_append:2", 1usize),
-        ("after_append:2", 1),
-        ("after_ack:3", 2), // the nth ack itself may be lost on the wire
-    ];
-    for (crash, min_acked) in specs {
-        let wal_dir = tmp(&format!("gc-sweep-{}", crash.replace(':', "-")));
-        std::fs::remove_dir_all(&wal_dir).ok();
-
-        let (mut child, addr, _out) = spawn_daemon(&wal_dir, GC, Some(crash));
-        let acked = ingest_until_crash(&addr);
-        let status = child.wait().expect("crashed daemon reaps");
-        assert!(!status.success(), "[{crash}] daemon should have died");
-        assert!(
-            acked >= min_acked,
-            "[{crash}] expected at least {min_acked} acks, saw {acked}"
-        );
-
-        recover_and_check_with(&wal_dir, GC, acked, crash);
         std::fs::remove_dir_all(&wal_dir).ok();
     }
 }
@@ -380,10 +357,14 @@ fn sharded_crash_sweep_never_loses_an_acked_block() {
     const SHARDS: &[&str] = &["--shards", "4"];
     let specs = [
         ("before_append:1", 0usize),
+        ("before_append:2", 1),
         ("before_append:3", 2),
         ("after_append:1", 0),
+        ("after_append:2", 1),
         ("after_append:4", 3),
+        ("after_append:5", 4),
         ("after_ack:2", 1),
+        ("after_ack:3", 2), // the nth ack itself may be lost on the wire
         ("after_ack:5", 4),
     ];
     for (crash, min_acked) in specs {
@@ -406,41 +387,6 @@ fn sharded_crash_sweep_never_loses_an_acked_block() {
         }
 
         recover_and_check_with(&wal_dir, SHARDS, acked, crash);
-        std::fs::remove_dir_all(&wal_dir).ok();
-    }
-}
-
-/// Group commit at `--shards 4`: appends go to the block's lane
-/// unsynced, one covering fsync per touched lane precedes every ack of
-/// the batch — so the crash sweep holds the partitioned daemon to the
-/// same clean-acked-prefix contract with the flag as without it.
-#[test]
-fn sharded_group_commit_crash_sweep_never_loses_an_acked_block() {
-    const FLAGS: &[&str] = &["--shards", "4", "--wal-group-commit"];
-    let specs = [
-        ("before_append:2", 1usize),
-        ("after_append:2", 1),
-        ("after_append:5", 4),
-        ("after_ack:3", 2), // the nth ack itself may be lost on the wire
-    ];
-    for (crash, min_acked) in specs {
-        let wal_dir = tmp(&format!("sharded-gc-sweep-{}", crash.replace(':', "-")));
-        std::fs::remove_dir_all(&wal_dir).ok();
-
-        let (mut child, addr, _out) = spawn_daemon(&wal_dir, FLAGS, Some(crash));
-        let acked = ingest_until_crash(&addr);
-        let status = child.wait().expect("crashed daemon reaps");
-        assert!(!status.success(), "[{crash}] daemon should have died");
-        assert!(
-            acked >= min_acked,
-            "[{crash}] expected at least {min_acked} acks, saw {acked}"
-        );
-        assert!(
-            wal_dir.join("shard-3").is_dir(),
-            "[{crash}] group commit must log to the per-shard lanes"
-        );
-
-        recover_and_check_with(&wal_dir, FLAGS, acked, crash);
         std::fs::remove_dir_all(&wal_dir).ok();
     }
 }
