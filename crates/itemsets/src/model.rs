@@ -9,15 +9,16 @@
 //!    with a prefix tree over all tracked itemsets and adjust their counts.
 //! 2. **Update** — re-threshold; itemsets crossing the border move between
 //!    `L` and `NB⁻`. Newly frequent border itemsets trigger candidate
-//!    generation (prefix join against `L`, Apriori prune); the candidates'
-//!    supports over the *whole* selected dataset are counted by the chosen
+//!    generation (one-item extensions of the promoted sets by the items
+//!    that can pass the Apriori prune — never the whole item universe); the
+//!    candidates' supports over the *whole* selected dataset are counted by the chosen
 //!    [`CounterKind`] — this is where ECUT/ECUT+ beat PT-Scan — and the
 //!    cascade repeats until no new frequent itemsets appear.
 
 use crate::apriori;
 use crate::counter::{count_supports, count_supports_sharded, CountResult, CounterKind};
 use crate::prefix_tree::PrefixTree;
-use crate::store::TxStore;
+use crate::store::{BlockRef, TxStore};
 use demon_types::{
     obs, BlockId, DemonError, FastMap, FastSet, Item, ItemSet, MinSupport, Result, TxBlock,
 };
@@ -39,6 +40,11 @@ pub struct MaintenanceStats {
     pub update_units: u64,
     /// Number of new candidate itemsets counted in the update phase.
     pub candidates_counted: usize,
+    /// One-item extensions `P ∪ {i}` of promoted itemsets the candidate
+    /// generator constructed (before the Apriori prune and
+    /// de-duplication). A function of the blocks and κ alone — never of the size
+    /// of the item universe — so it repeats exactly where timings cannot.
+    pub extensions_probed: u64,
     /// Itemsets promoted from the negative border into `L`.
     pub promoted: usize,
     /// Itemsets demoted from `L` into the negative border.
@@ -58,6 +64,7 @@ impl MaintenanceStats {
         self.detection_units += other.detection_units;
         self.update_units += other.update_units;
         self.candidates_counted += other.candidates_counted;
+        self.extensions_probed += other.extensions_probed;
         self.promoted += other.promoted;
         self.demoted += other.demoted;
     }
@@ -82,29 +89,64 @@ mod map_serde {
     }
 }
 
-/// The long-lived detection-phase index: a prefix tree over every
-/// tracked itemset (`L ∪ NB⁻`), extended in place as the cascade creates
-/// candidates. Entries for itemsets that have since been dropped from
-/// the model go stale (their counts are simply ignored); the tree is
-/// rebuilt once stale entries outnumber live ones.
-#[derive(Clone, Debug)]
-struct Detector {
-    tree: PrefixTree,
-    sets: Vec<ItemSet>,
+/// The first `k − 1` items of a k-itemset (`∅` for `∅`).
+fn prefix(set: &ItemSet) -> &[Item] {
+    set.items().split_last().map_or(&[], |(_, prefix)| prefix)
 }
 
-impl Detector {
-    fn build(sets: Vec<ItemSet>) -> Detector {
-        let tree = PrefixTree::build(&sets);
-        Detector { tree, sets }
+/// The items worth extending each of `promoted` with, given that `P ∪ {i}`
+/// survives the Apriori prune only if `{i}` is frequent and, for
+/// `|P| = k ≥ 2`, so is its maximal subset `P[..k−1] ∪ {i}`: the frequent
+/// singletons, and the **extension index** — `P[..k−1]` → every `i` with
+/// `P[..k−1] ∪ {i} ∈ L` — to be preferred where it has an entry for `P`.
+///
+/// The index costs k probes per frequent k-set and saves a construction
+/// per (promoted k-set, frequent singleton) pair, so it is built — per
+/// promotion round, never kept — only for the sizes where that is a
+/// saving; a round that promotes a handful of sets extends them with the
+/// singletons. Either way the work follows `L` and the promoted sets,
+/// never the item universe.
+fn extension_items<'p>(
+    freq: &FastMap<ItemSet, u64>,
+    promoted: &'p [ItemSet],
+    scratch: &mut Vec<Item>,
+) -> (Vec<Item>, FastMap<&'p [Item], Vec<Item>>) {
+    let mut singles: Vec<Item> = Vec::new();
+    // Per size k: (|L_k|, promoted k-sets). `promoted` is already in `L`.
+    let mut sized = vec![(0usize, 0usize); 2];
+    for set in freq.keys() {
+        if let [item] = *set.items() {
+            singles.push(item);
+        }
+        if set.len() >= sized.len() {
+            sized.resize(set.len() + 1, (0, 0));
+        }
+        sized[set.len()].0 += 1;
     }
+    for set in promoted {
+        sized[set.len()].1 += 1;
+    }
+    let indexed: Vec<bool> = sized
+        .iter()
+        .enumerate()
+        .map(|(k, &(l_k, promoted_k))| k >= 2 && promoted_k * singles.len() > l_k * k)
+        .collect();
 
-    fn insert(&mut self, set: &ItemSet) {
-        let slot = self.tree.insert_candidate(set);
-        if slot == self.sets.len() {
-            self.sets.push(set.clone());
+    let mut extensions: FastMap<&[Item], Vec<Item>> = FastMap::default();
+    for set in promoted.iter().filter(|set| indexed[set.len()]) {
+        extensions.entry(prefix(set)).or_default();
+    }
+    if !extensions.is_empty() {
+        for set in freq.keys().filter(|set| indexed[set.len()]) {
+            set.all_maximal_subsets(scratch, |sub, dropped| {
+                if let Some(items) = extensions.get_mut(sub) {
+                    items.push(dropped);
+                }
+                true
+            });
         }
     }
+    (singles, extensions)
 }
 
 /// The frequent-itemset model of a block selection: `L` and `NB⁻` with
@@ -121,9 +163,14 @@ pub struct FrequentItemsets {
     freq: FastMap<ItemSet, u64>,
     #[serde(with = "map_serde")]
     border: FastMap<ItemSet, u64>,
-    /// Cached detection index; rebuilt lazily after deserialization.
+    /// The long-lived detection-phase index: a prefix tree over every
+    /// tracked itemset (`L ∪ NB⁻`), extended in place as the cascade
+    /// creates candidates and rebuilt lazily after deserialization. Slots
+    /// of itemsets since dropped from the model go dead (what they count
+    /// matches neither map and is ignored); [`Self::ensure_detector`]
+    /// rebuilds the tree once they outnumber the live ones.
     #[serde(skip)]
-    detector: Option<Detector>,
+    detector: Option<PrefixTree>,
 }
 
 impl FrequentItemsets {
@@ -288,14 +335,54 @@ impl FrequentItemsets {
         id: BlockId,
         counter: CounterKind,
     ) -> Result<MaintenanceStats> {
+        self.absorb_with(
+            id,
+            || store.try_block(id),
+            |ids, cands| count_supports(counter, store, ids, cands),
+        )
+    }
+
+    /// **BORDERS block addition over a sharded store family.** The state
+    /// machine of [`Self::absorb_block`], except the new block is located
+    /// in whichever shard owns it and update-phase candidates are counted
+    /// with [`count_supports_sharded`] — per-shard exact counts summed
+    /// index-wise, so the resulting model is byte-identical to absorbing
+    /// the same stream into one store.
+    pub fn absorb_block_sharded(
+        &mut self,
+        stores: &[&TxStore],
+        id: BlockId,
+        counter: CounterKind,
+    ) -> Result<MaintenanceStats> {
+        self.absorb_with(
+            id,
+            || {
+                for store in stores {
+                    if let Some(block) = store.try_block(id)? {
+                        return Ok(Some(block));
+                    }
+                }
+                Ok(None)
+            },
+            |ids, cands| count_supports_sharded(counter, stores, ids, cands),
+        )
+    }
+
+    /// The one body of block addition: `locate` finds the block, `count`
+    /// is the update phase's candidate-counting source (see
+    /// [`Self::cascade_counted`]).
+    fn absorb_with<'s>(
+        &mut self,
+        id: BlockId,
+        locate: impl FnOnce() -> Result<Option<BlockRef<'s>>>,
+        count: impl FnMut(&[BlockId], &[ItemSet]) -> CountResult,
+    ) -> Result<MaintenanceStats> {
         if self.includes(id) {
             return Err(DemonError::InvalidParameter(format!(
                 "block {id} already absorbed"
             )));
         }
-        let block = store
-            .try_block(id)?
-            .ok_or(DemonError::UnknownBlock(id.value()))?;
+        let block = locate()?.ok_or(DemonError::UnknownBlock(id.value()))?;
 
         let mut stats = MaintenanceStats::default();
 
@@ -312,50 +399,7 @@ impl FrequentItemsets {
 
         // Update phase.
         let t1 = Instant::now();
-        self.cascade(store, counter, &mut stats);
-        stats.update_time = t1.elapsed();
-        Ok(stats)
-    }
-
-    /// **BORDERS block addition over a sharded store family.** Identical
-    /// state machine to [`Self::absorb_block`], except the new block is
-    /// located in whichever shard owns it and update-phase candidates are
-    /// counted with [`count_supports_sharded`] — per-shard exact counts
-    /// summed index-wise, so the resulting model is byte-identical to
-    /// absorbing the same stream into one store.
-    pub fn absorb_block_sharded(
-        &mut self,
-        stores: &[&TxStore],
-        id: BlockId,
-        counter: CounterKind,
-    ) -> Result<MaintenanceStats> {
-        if self.includes(id) {
-            return Err(DemonError::InvalidParameter(format!(
-                "block {id} already absorbed"
-            )));
-        }
-        let mut owner = None;
-        for store in stores {
-            if let Some(block) = store.try_block(id)? {
-                owner = Some(block);
-                break;
-            }
-        }
-        let block = owner.ok_or(DemonError::UnknownBlock(id.value()))?;
-
-        let mut stats = MaintenanceStats::default();
-        let t0 = Instant::now();
-        self.detect(&block, &mut stats, 1);
-        self.n += block.len() as u64;
-        let pos = self.included.partition_point(|&b| b < id);
-        self.included.insert(pos, id);
-        stats.detection_time = t0.elapsed();
-        drop(block);
-
-        let t1 = Instant::now();
-        self.cascade_counted(&mut stats, |ids, cands| {
-            count_supports_sharded(counter, stores, ids, cands)
-        });
+        self.cascade_counted(&mut stats, count);
         stats.update_time = t1.elapsed();
         Ok(stats)
     }
@@ -413,23 +457,20 @@ impl FrequentItemsets {
     /// tree and applies `sign × count` to the stored supports.
     fn detect(&mut self, block: &demon_types::TxBlock, stats: &mut MaintenanceStats, sign: i64) {
         self.ensure_detector();
-        let det = self.detector.as_mut().expect("detector just ensured");
-        det.tree.reset();
+        let tree = self.detector.as_mut().expect("detector just ensured");
+        tree.reset();
         for tx in block.records() {
             stats.detection_units += tx.len() as u64;
-            det.tree.add_transaction(tx.items());
+            tree.add_transaction(tx.items());
         }
         let (freq, border) = (&mut self.freq, &mut self.border);
-        for (set, &delta) in det.sets.iter().zip(det.tree.counts()) {
-            if delta == 0 {
-                continue;
-            }
-            // Stale detector entries (itemsets dropped from the model)
-            // match neither map and are ignored.
+        tree.for_each_counted(|set, delta| {
+            // Dead slots (itemsets dropped from the model) match neither
+            // map and are ignored.
             if let Some(c) = freq.get_mut(set).or_else(|| border.get_mut(set)) {
                 *c = (*c as i64 + sign * delta as i64).max(0) as u64;
             }
-        }
+        });
     }
 
     /// Pre-builds the detection index. Absorbing a block builds it on
@@ -440,22 +481,23 @@ impl FrequentItemsets {
     }
 
     /// Builds the detector on first use (or after deserialization), and
-    /// rebuilds it when stale entries outnumber live ones.
+    /// rebuilds it when dead slots outnumber live ones. Every tracked
+    /// itemset owns exactly one slot, so `slots − tracked` *is* the number
+    /// of dead ones.
     fn ensure_detector(&mut self) {
         let live = self.freq.len() + self.border.len();
-        let needs_rebuild = match &self.detector {
-            None => true,
-            Some(det) => det.sets.len() > 2 * live.max(1),
-        };
-        if needs_rebuild {
-            let sets: Vec<ItemSet> = self
-                .freq
-                .keys()
-                .chain(self.border.keys())
-                .cloned()
-                .collect();
-            self.detector = Some(Detector::build(sets));
+        if self
+            .detector
+            .as_ref()
+            .is_some_and(|tree| tree.len() <= 2 * live.max(1))
+        {
+            return;
         }
+        let mut tree = PrefixTree::build(&[]);
+        for set in self.freq.keys().chain(self.border.keys()) {
+            tree.insert_candidate(set);
+        }
+        self.detector = Some(tree);
     }
 
     /// The shared update-phase cascade: demote, prune, promote, generate
@@ -471,40 +513,47 @@ impl FrequentItemsets {
     /// must return exact supports over exactly those blocks — this is what
     /// lets a sharded store family substitute [`count_supports_sharded`]
     /// without touching the BORDERS state machine.
+    ///
+    /// Its work follows the itemsets that cross the border, not the item
+    /// universe or the square of the model's size: every pass below is
+    /// over the sets that moved, or is a few hash probes per tracked set.
     fn cascade_counted<F>(&mut self, stats: &mut MaintenanceStats, mut count: F)
     where
         F: FnMut(&[BlockId], &[ItemSet]) -> CountResult,
     {
         let thresh = self.threshold();
+        let (freq, border) = (&mut self.freq, &mut self.border);
+        // Reused by every borrowed-subset probe below.
+        let mut scratch: Vec<Item> = Vec::new();
 
         // Demotions: frequent itemsets that dropped below the threshold
         // move into the border; border itemsets that now have an
         // infrequent proper subset are no longer border members.
-        let demoted: Vec<ItemSet> = self
-            .freq
-            .iter()
-            .filter(|&(_, &c)| c < thresh)
-            .map(|(s, _)| s.clone())
-            .collect();
-        if !demoted.is_empty() {
-            stats.demoted += demoted.len();
-            obs::add(obs::Counter::BorderDemotions, demoted.len() as u64);
-            for set in &demoted {
-                if let Some(c) = self.freq.remove(set) {
-                    self.border.insert(set.clone(), c);
-                }
+        let was_frequent = freq.len();
+        freq.retain(|set, &mut c| {
+            if c < thresh {
+                border.insert(set.clone(), c);
             }
-            self.border.retain(|set, _| {
-                !demoted
-                    .iter()
-                    .any(|d| d.is_proper_subset_of(set))
+            c >= thresh
+        });
+        let demoted = was_frequent - freq.len();
+        if demoted > 0 {
+            stats.demoted += demoted;
+            obs::add(obs::Counter::BorderDemotions, demoted as u64);
+            // Counts are exact, hence anti-monotone: every superset of a
+            // demoted set left `L` with it, and `L` is downward closed
+            // again. So a border member has lost a proper subset exactly
+            // when one of its maximal proper subsets is no longer in `L`
+            // (singletons, whose only proper subset is ∅, always stay).
+            border.retain(|set, _| {
+                set.len() == 1
+                    || set.all_maximal_subsets(&mut scratch, |sub, _| freq.contains_key(sub))
             });
         }
 
         // Promotion loop.
         loop {
-            let promoted: Vec<ItemSet> = self
-                .border
+            let promoted: Vec<ItemSet> = border
                 .iter()
                 .filter(|&(_, &c)| c >= thresh)
                 .map(|(s, _)| s.clone())
@@ -515,34 +564,36 @@ impl FrequentItemsets {
             stats.promoted += promoted.len();
             obs::add(obs::Counter::BorderPromotions, promoted.len() as u64);
             for set in &promoted {
-                if let Some(c) = self.border.remove(set) {
-                    self.freq.insert(set.clone(), c);
+                if let Some((set, c)) = border.remove_entry(set) {
+                    freq.insert(set, c);
                 }
             }
 
             // Candidate generation: a set becomes a candidate exactly when
             // its *last* maximal subset turns frequent, so every new
-            // candidate is a one-item extension of some promoted set.
-            // Enumerating `P ∪ {i}` over the item universe and
-            // Apriori-pruning is complete — unlike a prefix join of the
-            // promoted sets against `L`, which misses candidates whose
-            // promoted subset is not a prefix parent.
+            // candidate is a one-item extension `P ∪ {i}` of some promoted
+            // set `P` — unlike a prefix join of the promoted sets against
+            // `L`, which misses candidates whose promoted subset is not a
+            // prefix parent. Only items that can pass the Apriori prune
+            // below are tried.
+            let (singles, extensions) = extension_items(freq, &promoted, &mut scratch);
             let mut candidates: FastSet<ItemSet> = FastSet::default();
             for x in &promoted {
-                for i in 0..self.n_items {
-                    let Some(cand) = x.with_item(Item(i)) else {
+                let items = extensions.get(prefix(x)).unwrap_or(&singles);
+                for &i in items {
+                    let Some(cand) = x.with_item(i) else {
                         continue;
                     };
-                    if self.freq.contains_key(&cand)
-                        || self.border.contains_key(&cand)
-                        || candidates.contains(&cand)
-                    {
-                        continue;
-                    }
-                    if cand
-                        .proper_maximal_subsets()
-                        .all(|s| self.freq.contains_key(&s))
-                    {
+                    stats.extensions_probed += 1;
+                    // `P` was not frequent until this round, so no superset
+                    // of it can be tracked yet: every tracked set has all
+                    // its proper subsets in `L`.
+                    debug_assert!(!freq.contains_key(&cand) && !border.contains_key(&cand));
+                    // (The set drops the second copy of a candidate two
+                    // sets promoted this round both extend to.)
+                    if cand.all_maximal_subsets(&mut scratch, |sub, dropped| {
+                        dropped == i || freq.contains_key(sub)
+                    }) {
                         candidates.insert(cand);
                     }
                 }
@@ -554,14 +605,15 @@ impl FrequentItemsets {
             stats.candidates_counted += candidates.len();
             let counted = count(&self.included, &candidates);
             stats.update_units += counted.units_read;
+            border.reserve(candidates.len());
             for (cand, count) in candidates.into_iter().zip(counted.counts) {
                 // Frequent candidates will be promoted next round and then
                 // generate further candidates — the paper's "and so on
                 // until no new frequent itemsets are found".
-                if let Some(det) = &mut self.detector {
-                    det.insert(&cand);
+                if let Some(tree) = &mut self.detector {
+                    tree.insert_candidate(&cand);
                 }
-                self.border.insert(cand, count);
+                border.insert(cand, count);
             }
         }
     }
@@ -788,6 +840,46 @@ mod tests {
         let batch =
             FrequentItemsets::mine_from(&store, &[BlockId(1), BlockId(2)], k(0.45)).unwrap();
         assert_same_model(&m, &batch);
+    }
+
+    #[test]
+    fn cascade_work_is_independent_of_the_item_universe() {
+        // Three blocks over items 0..16, the dominant half switching in
+        // the last one so whole levels are promoted at once; absorbed
+        // under a 64-item and an 8192-item universe. The items beyond 16
+        // never occur, so the update phase must not do more for them.
+        use rand::prelude::*;
+        let mut rng = StdRng::seed_from_u64(17);
+        let raw: Vec<Vec<Vec<u32>>> = (0..3u32)
+            .map(|b| {
+                let base = if b < 2 { 0 } else { 8 };
+                (0..200)
+                    .map(|_| (0..4).map(|_| base + rng.gen_range(0..8u32)).collect())
+                    .collect()
+            })
+            .collect();
+        let run = |n_items: u32| {
+            let mut store = TxStore::new(n_items);
+            let mut model = FrequentItemsets::empty(k(0.05), n_items);
+            let mut total = MaintenanceStats::default();
+            for (b, txs) in raw.iter().enumerate() {
+                let slices: Vec<&[u32]> = txs.iter().map(|v| v.as_slice()).collect();
+                let id = b as u64 + 1;
+                store.add_block(block(id, 1000 * id, &slices));
+                let stats = model
+                    .absorb_block(&store, BlockId(id), CounterKind::Ecut)
+                    .unwrap();
+                total.merge(&stats);
+            }
+            model.check_invariants(&store);
+            (total, model)
+        };
+        let (small, small_model) = run(64);
+        let (large, large_model) = run(8192);
+        assert!(small.extensions_probed > 0 && small.promoted > 8);
+        assert_eq!(small.extensions_probed, large.extensions_probed);
+        assert_eq!(small.candidates_counted, large.candidates_counted);
+        assert_eq!(small_model.frequent(), large_model.frequent());
     }
 
     #[test]

@@ -49,7 +49,10 @@ impl PrefixTree {
         tree
     }
 
-    fn insert(&mut self, itemset: &ItemSet, candidate_idx: u32) {
+    /// Walks (creating where missing) the path spelling `itemset` and marks
+    /// its end with `candidate_idx` unless a candidate already ends there;
+    /// returns the slot that ends there afterwards.
+    fn insert(&mut self, itemset: &ItemSet, candidate_idx: u32) -> u32 {
         let mut node = ROOT;
         for &item in itemset.items() {
             node = match self.nodes[node as usize]
@@ -65,10 +68,9 @@ impl PrefixTree {
                 }
             };
         }
-        let slot = &mut self.nodes[node as usize].candidate;
-        if slot.is_none() {
-            *slot = Some(candidate_idx);
-        }
+        *self.nodes[node as usize]
+            .candidate
+            .get_or_insert(candidate_idx)
     }
 
     /// Adds one candidate after construction, returning its count slot.
@@ -76,17 +78,7 @@ impl PrefixTree {
     /// returned (its accumulated count is preserved).
     pub fn insert_candidate(&mut self, itemset: &ItemSet) -> usize {
         let idx = self.counts.len() as u32;
-        self.insert(itemset, idx);
-        // `insert` keeps an existing slot; detect which case happened.
-        let mut node = 0u32;
-        for &item in itemset.items() {
-            let pos = self.nodes[node as usize]
-                .children
-                .binary_search_by_key(&item, |&(it, _)| it)
-                .expect("path was just inserted");
-            node = self.nodes[node as usize].children[pos].1;
-        }
-        let slot = self.nodes[node as usize].candidate.expect("candidate set");
+        let slot = self.insert(itemset, idx);
         if slot == idx {
             self.counts.push(0);
             self.n_candidates += 1;
@@ -141,6 +133,36 @@ impl PrefixTree {
     /// The accumulated counts, in candidate order.
     pub fn counts(&self) -> &[u64] {
         &self.counts
+    }
+
+    /// Calls `visit(itemset, count)` for every candidate with a non-zero
+    /// count. A candidate counted zero times is contained in no counted
+    /// transaction, so neither is any superset of it: the walk does not
+    /// descend below one, and its cost follows the candidates that were
+    /// hit, not the size of the tree.
+    pub fn for_each_counted(&self, mut visit: impl FnMut(&[Item], u64)) {
+        self.walk_counted(ROOT, &mut Vec::new(), &mut visit);
+    }
+
+    fn walk_counted(
+        &self,
+        node: NodeId,
+        path: &mut Vec<Item>,
+        visit: &mut impl FnMut(&[Item], u64),
+    ) {
+        let node = &self.nodes[node as usize];
+        if let Some(ci) = node.candidate {
+            let count = self.counts[ci as usize];
+            if count == 0 {
+                return;
+            }
+            visit(path, count);
+        }
+        for &(item, child) in &node.children {
+            path.push(item);
+            self.walk_counted(child, path, visit);
+            path.pop();
+        }
     }
 
     /// Consumes the tree, yielding the counts.
@@ -401,6 +423,32 @@ mod tests {
             }
             assert_eq!(tree.counts()[ci], naive, "candidate {cand}");
         }
+    }
+
+    #[test]
+    fn counted_walk_reports_exactly_the_nonzero_candidates() {
+        // {2,3} sits below the node {2}, which is no candidate and has no
+        // count to prune on; {5,6} below the zero-count candidate {5}.
+        let cands = vec![set(&[1]), set(&[1, 3]), set(&[2, 3]), set(&[5]), set(&[5, 6])];
+        let mut t = PrefixTree::build(&cands);
+        let late = t.insert_candidate(&set(&[1, 3, 4]));
+        assert_eq!(late, 5);
+        assert_eq!(t.insert_candidate(&set(&[1, 3])), 1, "existing slot kept");
+        t.add_transaction(tx(1, &[1, 3, 4]).items());
+        t.add_transaction(tx(2, &[2, 3]).items());
+        let mut seen = Vec::new();
+        t.for_each_counted(|items, count| seen.push((ItemSet::new(items.to_vec()), count)));
+        seen.sort();
+        let mut expected: Vec<(ItemSet, u64)> = cands
+            .iter()
+            .cloned()
+            .chain([set(&[1, 3, 4])])
+            .zip(t.counts().iter().copied())
+            .filter(|&(_, c)| c > 0)
+            .collect();
+        expected.sort();
+        assert_eq!(seen, expected);
+        assert_eq!(seen.len(), 4);
     }
 
     #[test]

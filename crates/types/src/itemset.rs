@@ -167,6 +167,37 @@ impl ItemSet {
         })
     }
 
+    /// Whether `pred(subset, dropped)` holds for every `(k-1)`-subset of
+    /// this k-itemset, `dropped` being the item the subset leaves out —
+    /// [`proper_maximal_subsets`](Self::proper_maximal_subsets) without an
+    /// allocation per subset, for the BORDERS cascade's inner loops. The
+    /// subsets are built one after another in `scratch` (same order: drop
+    /// the first item, then the second, …), each differing from the one
+    /// before in a single position, and are meant to be looked up in maps
+    /// keyed by `ItemSet` through its `Borrow<[Item]>`. Stops at the first
+    /// subset `pred` rejects; vacuously true for the empty set.
+    pub fn all_maximal_subsets(
+        &self,
+        scratch: &mut Vec<Item>,
+        mut pred: impl FnMut(&[Item], Item) -> bool,
+    ) -> bool {
+        let Some((&first, rest)) = self.0.split_first() else {
+            return true;
+        };
+        scratch.clear();
+        scratch.extend_from_slice(rest);
+        if !pred(scratch, first) {
+            return false;
+        }
+        for (j, &dropped) in rest.iter().enumerate() {
+            scratch[j] = self.0[j];
+            if !pred(scratch, dropped) {
+                return false;
+            }
+        }
+        true
+    }
+
     /// All 2-subsets of the set (used by the ECUT+ materialization
     /// heuristic when decomposing an itemset into covered pairs).
     pub fn pairs(&self) -> impl Iterator<Item = (Item, Item)> + '_ {
@@ -192,6 +223,15 @@ pub(crate) fn sorted_subset(needle: &[Item], hay: &[Item]) -> bool {
         return false;
     }
     true
+}
+
+/// An itemset hashes, compares and orders exactly as its sorted item slice
+/// (the derives above forward to the one boxed-slice field), so a map keyed
+/// by `ItemSet` can be probed with a `&[Item]` built in a scratch buffer.
+impl std::borrow::Borrow<[Item]> for ItemSet {
+    fn borrow(&self) -> &[Item] {
+        &self.0
+    }
 }
 
 impl From<Vec<Item>> for ItemSet {
@@ -305,6 +345,41 @@ mod tests {
                 ItemSet::from_ids(&[1, 2]),
             ]
         );
+    }
+
+    #[test]
+    fn borrowed_subset_walk_matches_the_allocating_one() {
+        let mut scratch = Vec::new();
+        for ids in [&[][..], &[4], &[1, 2], &[1, 2, 3, 7]] {
+            let s = ItemSet::from_ids(ids);
+            let mut seen = Vec::new();
+            assert!(s.all_maximal_subsets(&mut scratch, |sub, dropped| {
+                seen.push((ItemSet::new(sub.to_vec()), dropped));
+                true
+            }));
+            let expected: Vec<_> = s
+                .proper_maximal_subsets()
+                .zip(s.items().iter().copied())
+                .collect();
+            assert_eq!(seen, expected);
+        }
+        // Stops at the first rejected subset.
+        let mut calls = 0;
+        assert!(!ItemSet::from_ids(&[1, 2, 3]).all_maximal_subsets(&mut scratch, |_, _| {
+            calls += 1;
+            calls < 2
+        }));
+        assert_eq!(calls, 2);
+    }
+
+    #[test]
+    fn maps_keyed_by_itemset_answer_slice_probes() {
+        let mut m: crate::FastMap<ItemSet, u64> = crate::FastMap::default();
+        m.insert(ItemSet::from_ids(&[2, 5, 9]), 7);
+        m.insert(ItemSet::empty(), 1);
+        assert_eq!(m.get(&[Item(2), Item(5), Item(9)][..]), Some(&7));
+        assert_eq!(m.get(&[][..]), Some(&1));
+        assert_eq!(m.get(&[Item(2), Item(5)][..]), None);
     }
 
     #[test]

@@ -41,12 +41,49 @@ fn blocks_strategy(max_blocks: usize) -> impl Strategy<Value = Vec<TxBlock>> {
     })
 }
 
+/// Items of the churn stream: two halves of 8.
+const CHURN_UNIVERSE: u32 = 16;
+
+/// A stream of 6–10 blocks with a regime switch in the middle: items
+/// 0..8 dominate the first half of the blocks and 8..16 the second, one
+/// item in eight coming from the other half. The switch demotes most of
+/// `L` and promotes whole levels at once — border traffic the uniform
+/// streams above almost never produce.
+fn churn_strategy() -> impl Strategy<Value = Vec<TxBlock>> {
+    prop::collection::vec(
+        prop::collection::vec(prop::collection::vec((0..8u32, 0..8u32), 1..6), 20..60),
+        6..=10,
+    )
+    .prop_map(|raw_blocks| {
+        let half = raw_blocks.len() / 2;
+        let mut tid = 1u64;
+        raw_blocks
+            .into_iter()
+            .enumerate()
+            .map(|(i, txs)| {
+                let records: Vec<Transaction> = txs
+                    .into_iter()
+                    .map(|items| {
+                        let items = items
+                            .into_iter()
+                            .map(|(item, roll)| Item(item + 8 * u32::from((i >= half) != (roll == 0))))
+                            .collect();
+                        tid += 1;
+                        Transaction::new(Tid(tid - 1), items)
+                    })
+                    .collect();
+                Block::new(BlockId(i as u64 + 1), records)
+            })
+            .collect()
+    })
+}
+
 fn minsup_strategy() -> impl Strategy<Value = MinSupport> {
     (0.05f64..0.5).prop_map(|k| MinSupport::new(k).unwrap())
 }
 
-fn store_of(blocks: &[TxBlock]) -> TxStore {
-    let mut store = TxStore::new(UNIVERSE);
+fn store_of(blocks: &[TxBlock], universe: u32) -> TxStore {
+    let mut store = TxStore::new(universe);
     for b in blocks {
         store.add_block(b.clone());
     }
@@ -76,7 +113,7 @@ proptest! {
         blocks in blocks_strategy(4),
         minsup in minsup_strategy(),
     ) {
-        let store = store_of(&blocks);
+        let store = store_of(&blocks, UNIVERSE);
         let mut models: Vec<FrequentItemsets> = COUNTERS
             .iter()
             .map(|_| FrequentItemsets::empty(minsup, UNIVERSE))
@@ -106,7 +143,7 @@ proptest! {
         blocks in blocks_strategy(4),
         minsup in minsup_strategy(),
     ) {
-        let store = store_of(&blocks);
+        let store = store_of(&blocks, UNIVERSE);
         let batch = FrequentItemsets::mine_from(&store, store.block_ids(), minsup).unwrap();
         let reference = observe(&batch);
         for kind in COUNTERS {
@@ -122,5 +159,41 @@ proptest! {
             );
             model.check_invariants(&store);
         }
+    }
+
+    /// Under churn the maintained model is the batch model at *every*
+    /// prefix — frequent itemsets and negative border, with counts — and
+    /// again after the oldest block is deleted. This is the case that
+    /// drives the demotion prune and the k ≥ 2 extension index of the
+    /// cascade together.
+    #[test]
+    fn churn_stream_equals_batch_mine_at_every_prefix(
+        blocks in churn_strategy(),
+        minsup in (0.02f64..0.3).prop_map(|k| MinSupport::new(k).unwrap()),
+        kind in (0..COUNTERS.len()).prop_map(|i| COUNTERS[i]),
+    ) {
+        let store = store_of(&blocks, CHURN_UNIVERSE);
+        let ids = store.block_ids();
+        let mut model = FrequentItemsets::empty(minsup, CHURN_UNIVERSE);
+        for (i, &id) in ids.iter().enumerate() {
+            model.absorb_block(&store, id, kind).unwrap();
+            let batch = FrequentItemsets::mine_from(&store, &ids[..=i], minsup).unwrap();
+            prop_assert_eq!(
+                &observe(&model),
+                &observe(&batch),
+                "{} diverged from batch after block {}",
+                kind.name(),
+                id
+            );
+        }
+        model.remove_block(&store, ids[0], kind).unwrap();
+        let batch = FrequentItemsets::mine_from(&store, &ids[1..], minsup).unwrap();
+        prop_assert_eq!(
+            &observe(&model),
+            &observe(&batch),
+            "{} diverged from batch after deleting block {}",
+            kind.name(),
+            ids[0]
+        );
     }
 }
