@@ -21,11 +21,11 @@ use demon::core::bss::{BlockSelector, WiBss, WrBss};
 use demon::core::{Gemm, ItemsetMaintainer};
 use demon::datagen::{
     ClusterDataGen, ClusterParams, DensityDriftGen, DriftingQuestGen, QuestGen, QuestParams,
-    ShapeParams,
+    Shape, ShapeParams,
 };
 use demon::focus::{
     ClusterSimilarity, CompactSequenceMiner, DbscanSimilarity, ItemsetSimilarity,
-    SimilarityConfig, SimilarityOracle,
+    SimilarityConfig, SimilarityOracle, WindowedCompactMiner,
 };
 use demon::itemsets::{count_supports_with, CounterKind, FrequentItemsets, TxStore};
 use demon::store::StoreConfig;
@@ -505,4 +505,105 @@ fn dbscan_focus_flags_density_drift_that_birch_misses() {
             "consecutive_deviations": rendered,
         }),
     );
+}
+
+/// Renders sequences as one `"1,2,4"` string each (keeps the fixtures
+/// short enough to review).
+fn sequence_strings(sequences: &[Vec<BlockId>]) -> Vec<String> {
+    sequences
+        .iter()
+        .map(|s| {
+            let ids: Vec<String> = s.iter().map(|id| id.0.to_string()).collect();
+            ids.join(",")
+        })
+        .collect()
+}
+
+/// Both pattern-detection modes over one stream, every prefix recorded:
+/// per arriving block the step's counters and the sequence list each
+/// mode reports (maximal for the unrestricted window, all live sequences
+/// for the `w` most recent blocks), plus the unrestricted miner's full
+/// collection and deviation matrix at the end.
+fn sequence_trace<R, O>(blocks: &[Block<R>], oracle: impl Fn() -> O, w: usize) -> Value
+where
+    R: Clone,
+    O: SimilarityOracle<R>,
+{
+    let stats_row = |s: demon::focus::CompactStats| {
+        format!("{} {} {}", s.pairs_evaluated, s.similar_pairs, s.extended)
+    };
+    let mut unrestricted = CompactSequenceMiner::new(oracle());
+    let mut windowed = WindowedCompactMiner::new(oracle(), w);
+    let (mut uw_rows, mut mrw_rows) = (Vec::new(), Vec::new());
+    for b in blocks {
+        let stats = unrestricted.add_block(b.clone());
+        uw_rows.push(json!({
+            "block": b.id().0,
+            "pairs_similar_extended": stats_row(stats),
+            "maximal": sequence_strings(&unrestricted.maximal_sequences()),
+        }));
+        let stats = windowed.add_block(b.clone());
+        mrw_rows.push(json!({
+            "block": b.id().0,
+            "pairs_similar_extended": stats_row(stats),
+            "sequences": sequence_strings(&windowed.sequences()),
+        }));
+    }
+    let n = unrestricted.n_blocks();
+    let deviations: Vec<String> = (0..n)
+        .map(|i| {
+            let row: Vec<String> = (0..i)
+                .map(|j| format!("{:.6}", unrestricted.deviation(i, j).unwrap()))
+                .collect();
+            row.join(" ")
+        })
+        .collect();
+    json!({
+        "n_blocks": blocks.len(),
+        "unrestricted": {
+            "prefixes": uw_rows,
+            "all_sequences": sequence_strings(&unrestricted.sequences()),
+            "deviations": deviations,
+        },
+        "window": { "w": w, "prefixes": mrw_rows },
+    })
+}
+
+/// Pins what pattern detection reports over an itemset stream that
+/// revisits three regimes — overlapping sequences, skipped blocks and,
+/// at `w = 4`, ten retirements.
+#[test]
+fn itemset_sequences_are_pinned_at_every_prefix() {
+    maybe_enable_recorder();
+    let n_items = 60;
+    let params = QuestParams {
+        n_transactions: 0,
+        avg_tx_len: 6.0,
+        n_items,
+        n_patterns: 20,
+        avg_pattern_len: 3.0,
+        ..QuestParams::default()
+    };
+    let schedule = vec![0, 0, 1, 0, 1, 1, 2, 0, 2, 2, 1, 0, 0, 2];
+    let total = schedule.len();
+    let mut gen = DriftingQuestGen::new(params, 3, 41, schedule);
+    let blocks: Vec<TxBlock> = (0..total).map(|_| gen.next_block(150)).collect();
+    let oracle = || {
+        ItemsetSimilarity::new(n_items, k(0.05), SimilarityConfig::Threshold { alpha: 0.35 })
+    };
+    golden_check("sequences_itemsets", &sequence_trace(&blocks, oracle, 4));
+}
+
+/// The same pin for a point class: moons and rings alternating under the
+/// DBSCAN oracle.
+#[test]
+fn dbscan_sequences_are_pinned_at_every_prefix() {
+    maybe_enable_recorder();
+    use Shape::{Moons as M, Rings as R};
+    let schedule = vec![M, M, R, M, R, R, M, M, R, M, R, R];
+    let total = schedule.len();
+    let mut gen = DensityDriftGen::new(ShapeParams::new(8.0, 0.1), 53, schedule);
+    let blocks: Vec<PointBlock> = (0..total).map(|_| gen.next_block(150)).collect();
+    let oracle = || DbscanSimilarity::new(DbscanParams::new(2, 1.0, 4), 0.25);
+    golden_check("sequences_dbscan", &sequence_trace(&blocks, oracle, 4));
 }
