@@ -3,16 +3,15 @@
 //! evolving block stream.
 //!
 //! [`DemonMonitor`] feeds every arriving block to a maintenance engine
-//! (UW or GEMM) *and* to a compact-sequence miner (unrestricted or
-//! windowed), so an application gets the up-to-date model and the
-//! evolving block-similarity patterns from a single `add_block` call —
-//! the paper's two problem dimensions composed.
+//! (UW or GEMM) *and* to the compact-sequence miner (over the
+//! unrestricted or the most recent window), so an application gets the
+//! up-to-date model and the evolving block-similarity patterns from a
+//! single `add_block` call — the paper's two problem dimensions composed.
 
 use crate::engine::{DataSpan, DemonEngine, EngineStats};
 use crate::maintainer::{DecrementalMaintainer, ModelMaintainer};
 use demon_focus::compact::{CompactSequenceMiner, CompactStats};
 use demon_focus::similarity::SimilarityOracle;
-use demon_focus::windowed::WindowedCompactMiner;
 use demon_types::{Block, BlockId, Result};
 
 /// Combined per-block statistics.
@@ -24,14 +23,6 @@ pub struct MonitorStats {
     pub patterns: CompactStats,
 }
 
-enum PatternMiner<O, R>
-where
-    O: SimilarityOracle<R>,
-{
-    Unrestricted(CompactSequenceMiner<O, R>),
-    MostRecent(WindowedCompactMiner<O, R>),
-}
-
 /// The unified monitor over one block stream.
 pub struct DemonMonitor<M, O>
 where
@@ -40,7 +31,7 @@ where
     O: SimilarityOracle<M::Record>,
 {
     engine: DemonEngine<M>,
-    miner: PatternMiner<O, M::Record>,
+    miner: CompactSequenceMiner<O, M::Record>,
 }
 
 impl<M, O> DemonMonitor<M, O>
@@ -51,19 +42,14 @@ where
 {
     /// Builds the monitor: `span` picks the maintenance quadrant,
     /// `pattern_window` picks the pattern-detection quadrant (`None` =
-    /// unrestricted, `Some(w)` = most recent `w` blocks).
+    /// unrestricted, `Some(w)` = most recent `w ≥ 2` blocks).
     pub fn new(
         maintainer: M,
         span: DataSpan,
         oracle: O,
         pattern_window: Option<usize>,
     ) -> Result<Self> {
-        let engine = DemonEngine::new(maintainer, span)?;
-        let miner = match pattern_window {
-            None => PatternMiner::Unrestricted(CompactSequenceMiner::new(oracle)),
-            Some(w) => PatternMiner::MostRecent(WindowedCompactMiner::new(oracle, w)),
-        };
-        Ok(DemonMonitor { engine, miner })
+        Self::over(DemonEngine::new(maintainer, span)?, oracle, pattern_window)
     }
 
     /// [`DemonMonitor::new`] with a **deletion-based** most-recent-window
@@ -79,11 +65,15 @@ where
     where
         M: DecrementalMaintainer,
     {
-        let engine = DemonEngine::new_decremental(maintainer, w)?;
-        let miner = match pattern_window {
-            None => PatternMiner::Unrestricted(CompactSequenceMiner::new(oracle)),
-            Some(w) => PatternMiner::MostRecent(WindowedCompactMiner::new(oracle, w)),
-        };
+        Self::over(
+            DemonEngine::new_decremental(maintainer, w)?,
+            oracle,
+            pattern_window,
+        )
+    }
+
+    fn over(engine: DemonEngine<M>, oracle: O, pattern_window: Option<usize>) -> Result<Self> {
+        let miner = CompactSequenceMiner::with_window(oracle, pattern_window)?;
         Ok(DemonMonitor { engine, miner })
     }
 
@@ -98,10 +88,7 @@ where
     /// the monitor keeps accepting the correct next id.
     pub fn add_block(&mut self, block: Block<M::Record>) -> Result<MonitorStats> {
         let maintenance = self.engine.add_block(block.clone())?;
-        let patterns = match &mut self.miner {
-            PatternMiner::Unrestricted(m) => m.add_block(block),
-            PatternMiner::MostRecent(m) => m.add_block(block),
-        };
+        let patterns = self.miner.add_block(block);
         Ok(MonitorStats {
             maintenance,
             patterns,
@@ -118,12 +105,14 @@ where
         &self.engine
     }
 
+    /// The pattern miner.
+    pub fn miner(&self) -> &CompactSequenceMiner<O, M::Record> {
+        &self.miner
+    }
+
     /// The current (maximal for UW, live for MRW) block sequences.
     pub fn sequences(&self) -> Vec<Vec<BlockId>> {
-        match &self.miner {
-            PatternMiner::Unrestricted(m) => m.maximal_sequences(),
-            PatternMiner::MostRecent(m) => m.sequences(),
-        }
+        self.miner.current_sequences()
     }
 }
 

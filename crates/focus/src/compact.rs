@@ -1,5 +1,6 @@
 //! Incremental mining of **compact sequences** of pairwise-similar blocks
-//! (paper §4).
+//! (paper §4), over the whole stream or over its most recent window
+//! (footnote 9).
 //!
 //! A compact sequence is a maximal sequence of pairwise-similar blocks
 //! with no "holes": any block lying between the first and last member that
@@ -9,13 +10,23 @@
 //! co-exist.
 //!
 //! The miner follows the paper's inductive algorithm: when block `D_{t+1}`
-//! arrives, it is compared against every earlier block (the deviations are
-//! cached in a growing half-matrix), every existing sequence is extended
-//! with `D_{t+1}` if the extension is still compact, and the singleton
-//! sequence `{D_{t+1}}` is added.
+//! arrives, one batched oracle call judges it against every live block,
+//! every existing sequence is extended with `D_{t+1}` if the extension is
+//! still compact, and the singleton sequence `{D_{t+1}}` is added. One
+//! sequence starts at each live block.
+//!
+//! **The window is data, not a second algorithm.** Unrestricted, every
+//! block stays live. With a window of `w` blocks, the block that slides
+//! out takes with it its data, its row and column of the verdict matrix,
+//! the sequence that started at it, and — through
+//! [`SimilarityOracle::retire`] — whatever the oracle cached for it. A
+//! sequence that starts at a live block only ever looked at blocks after
+//! its start, so what remains is exactly what an unrestricted miner fed
+//! only the live blocks would hold, and the miner's state is `O(w²)` at
+//! any stream length.
 
 use crate::similarity::SimilarityOracle;
-use demon_types::{Block, BlockId, Transaction};
+use demon_types::{Block, BlockId, DemonError, Result, Transaction};
 use std::time::{Duration, Instant};
 
 /// Cost evidence of one `add_block` step (Figure 10: per-block update
@@ -24,7 +35,7 @@ use std::time::{Duration, Instant};
 pub struct CompactStats {
     /// Wall-clock time of the whole step.
     pub time: Duration,
-    /// Pairwise similarity evaluations performed (one per earlier block).
+    /// Pairwise similarity evaluations performed (one per live block).
     pub pairs_evaluated: usize,
     /// How many of those pairs were similar.
     pub similar_pairs: usize,
@@ -34,17 +45,26 @@ pub struct CompactStats {
 
 /// The incremental compact-sequence miner, generic over the record type
 /// of the blocks (and therefore over the model class judging similarity).
+///
+/// Blocks are addressed by arrival index (`0` = first block absorbed);
+/// live block `i` sits at position `i - retired` of the three per-block
+/// collections, which always have equal length.
 pub struct CompactSequenceMiner<O, R = Transaction>
 where
     O: SimilarityOracle<R>,
 {
     oracle: O,
+    /// `Some(w)`: only the `w` most recent blocks are live.
+    window: Option<usize>,
+    /// Blocks that slid out of the window (0 when unrestricted).
+    retired: usize,
+    /// The live blocks, in arrival order.
     blocks: Vec<Block<R>>,
-    /// `sim[i][j]`, `j < i`: is block `j` similar to block `i`?
-    sim: Vec<Vec<bool>>,
-    /// Cached deviations, same shape as `sim`.
-    dev: Vec<Vec<f64>>,
-    /// Sequences as indices into `blocks`, ascending.
+    /// `(similar, deviation)` of each live block against the live blocks
+    /// before it: row `r` has `r` entries.
+    verdicts: Vec<Vec<(bool, f64)>>,
+    /// The sequence that starts at each live block, as ascending arrival
+    /// indices.
     sequences: Vec<Vec<usize>>,
 }
 
@@ -52,72 +72,100 @@ impl<O, R> CompactSequenceMiner<O, R>
 where
     O: SimilarityOracle<R>,
 {
-    /// A miner over the given similarity oracle.
+    /// A miner over the unrestricted window: every block stays live.
     pub fn new(oracle: O) -> Self {
         CompactSequenceMiner {
             oracle,
+            window: None,
+            retired: 0,
             blocks: Vec::new(),
-            sim: Vec::new(),
-            dev: Vec::new(),
+            verdicts: Vec::new(),
             sequences: Vec::new(),
         }
     }
 
-    /// Number of blocks absorbed.
+    /// A miner over the given pattern window: `None` is
+    /// [`CompactSequenceMiner::new`], `Some(w)` keeps the `w` most recent
+    /// blocks. A window below 2 blocks cannot hold a pattern and is
+    /// refused.
+    pub fn with_window(oracle: O, window: Option<usize>) -> Result<Self> {
+        if let Some(w) = window.filter(|&w| w < 2) {
+            return Err(DemonError::InvalidParameter(format!(
+                "a pattern window below 2 blocks cannot hold a pattern (got {w})"
+            )));
+        }
+        Ok(CompactSequenceMiner {
+            window,
+            ..Self::new(oracle)
+        })
+    }
+
+    /// Number of blocks absorbed (retired ones included).
     pub fn n_blocks(&self) -> usize {
+        self.retired + self.blocks.len()
+    }
+
+    /// Number of live blocks (all of them when unrestricted).
+    pub fn n_live(&self) -> usize {
         self.blocks.len()
     }
 
-    /// The cached deviation between the `i`-th and `j`-th absorbed blocks.
-    pub fn deviation(&self, i: usize, j: usize) -> Option<f64> {
+    /// The verdict on the `i`-th and `j`-th absorbed blocks; `None` when
+    /// either is retired or not absorbed yet.
+    fn verdict(&self, i: usize, j: usize) -> Option<(bool, f64)> {
         let (lo, hi) = if i < j { (i, j) } else { (j, i) };
+        if lo < self.retired || hi >= self.n_blocks() {
+            return None;
+        }
         if lo == hi {
-            return Some(0.0);
+            return Some((true, 0.0));
         }
-        self.dev.get(hi).and_then(|row| row.get(lo)).copied()
+        Some(self.verdicts[hi - self.retired][lo - self.retired])
     }
 
-    /// Whether blocks `i` and `j` were judged similar.
+    /// The cached deviation between the `i`-th and `j`-th absorbed blocks
+    /// (`None` once either has retired).
+    pub fn deviation(&self, i: usize, j: usize) -> Option<f64> {
+        self.verdict(i, j).map(|(_, deviation)| deviation)
+    }
+
+    /// Whether live blocks `i` and `j` were judged similar.
     pub fn is_similar(&self, i: usize, j: usize) -> bool {
-        if i == j {
-            return true;
-        }
-        let (lo, hi) = if i < j { (i, j) } else { (j, i) };
-        self.sim[hi][lo]
+        self.verdict(i, j).is_some_and(|(similar, _)| similar)
     }
 
-    /// Absorbs the next block, updating the deviation matrix and the set
-    /// of compact sequences.
+    /// Absorbs the next block, updating the verdict matrix and the set of
+    /// compact sequences, then slides the window if it is full.
     pub fn add_block(&mut self, block: Block<R>) -> CompactStats {
         let t0 = Instant::now();
-        let mut stats = CompactStats::default();
-        let t = self.blocks.len();
+        let t = self.n_blocks();
 
-        // One batched oracle call for all `t` pairs: parallel oracles
-        // (e.g. `ItemsetSimilarity`) evaluate them concurrently while
-        // returning verdicts in arrival order.
-        let verdicts = self.oracle.similar_to_many(&self.blocks, &block);
-        let mut sim_row = Vec::with_capacity(t);
-        let mut dev_row = Vec::with_capacity(t);
-        for (similar, deviation) in verdicts {
-            stats.pairs_evaluated += 1;
-            stats.similar_pairs += usize::from(similar);
-            sim_row.push(similar);
-            dev_row.push(deviation);
-        }
-        self.sim.push(sim_row);
-        self.dev.push(dev_row);
+        // One batched oracle call for all live pairs: parallel oracles
+        // evaluate them concurrently while returning verdicts in arrival
+        // order.
+        let row = self.oracle.similar_to_many(&self.blocks, &block);
+        let mut stats = CompactStats {
+            pairs_evaluated: row.len(),
+            similar_pairs: row.iter().filter(|(similar, _)| *similar).count(),
+            ..CompactStats::default()
+        };
+        self.verdicts.push(row);
         self.blocks.push(block);
 
         // Try to extend every existing sequence with the new block.
-        let n_seq = self.sequences.len();
-        for s in 0..n_seq {
+        for s in 0..self.sequences.len() {
             if self.can_extend(&self.sequences[s], t) {
                 self.sequences[s].push(t);
                 stats.extended += 1;
             }
         }
         self.sequences.push(vec![t]);
+
+        if let Some(w) = self.window {
+            while self.blocks.len() > w {
+                self.retire_oldest();
+            }
+        }
         stats.time = t0.elapsed();
         stats
     }
@@ -139,14 +187,30 @@ where
         true
     }
 
-    /// All maintained sequences as block-id lists (one sequence starts at
-    /// every block, so subsets of longer sequences are included — exactly
-    /// the paper's collection `G₁ … G_t`).
-    pub fn sequences(&self) -> Vec<Vec<BlockId>> {
-        self.sequences
-            .iter()
-            .map(|seq| seq.iter().map(|&i| self.blocks[i].id()).collect())
+    /// Drops everything held for the oldest live block. No other sequence
+    /// contains it: a sequence only holds blocks from its start onwards.
+    fn retire_oldest(&mut self) {
+        let gone = self.blocks.remove(0);
+        self.verdicts.remove(0);
+        for row in &mut self.verdicts {
+            row.remove(0);
+        }
+        self.sequences.remove(0);
+        self.retired += 1;
+        self.oracle.retire(gone.id());
+    }
+
+    fn block_ids(&self, seq: &[usize]) -> Vec<BlockId> {
+        seq.iter()
+            .map(|&i| self.blocks[i - self.retired].id())
             .collect()
+    }
+
+    /// All maintained sequences as block-id lists (one sequence starts at
+    /// every live block, so subsets of longer sequences are included —
+    /// exactly the paper's collection `G₁ … G_t`).
+    pub fn sequences(&self) -> Vec<Vec<BlockId>> {
+        self.sequences.iter().map(|s| self.block_ids(s)).collect()
     }
 
     /// The maximal sequences: those not a subset of any other maintained
@@ -162,26 +226,52 @@ where
                     && s.iter().all(|m| other.contains(m))
             });
             if !subset_of_other {
-                maximal.push(s.iter().map(|&i| self.blocks[i].id()).collect());
+                maximal.push(self.block_ids(s));
             }
         }
         maximal
     }
 
-    /// The blocks absorbed so far, in arrival order.
+    /// What a monitor reports as "the current sequences": the maximal
+    /// ones over the unrestricted window, every live one over a most
+    /// recent window.
+    pub fn current_sequences(&self) -> Vec<Vec<BlockId>> {
+        match self.window {
+            None => self.maximal_sequences(),
+            Some(_) => self.sequences(),
+        }
+    }
+
+    /// The live blocks, in arrival order.
     pub fn blocks(&self) -> &[Block<R>] {
         &self.blocks
     }
 
-    /// Consumes the miner, handing the oracle back (to inspect its caches).
+    /// The similarity oracle (to inspect its caches).
+    pub fn oracle(&self) -> &O {
+        &self.oracle
+    }
+
+    /// Consumes the miner, handing the oracle back.
     pub fn into_oracle(self) -> O {
         self.oracle
     }
 
-    /// Checks the definition of compactness against the cached similarity
-    /// matrix for every maintained sequence. Test support.
+    /// Checks Definition 4.1 against the verdict matrix for every
+    /// maintained sequence, and that the per-block collections stay
+    /// aligned and within the window. Test support.
     pub fn check_invariants(&self) {
-        for seq in &self.sequences {
+        let live = self.blocks.len();
+        if let Some(w) = self.window {
+            assert!(live <= w, "{live} live blocks in a window of {w}");
+        }
+        assert_eq!(self.sequences.len(), live);
+        assert_eq!(self.verdicts.len(), live);
+        for (r, row) in self.verdicts.iter().enumerate() {
+            assert_eq!(row.len(), r, "verdict row {r} is misaligned");
+        }
+        for (s, seq) in self.sequences.iter().enumerate() {
+            assert_eq!(seq[0], self.retired + s, "sequence {seq:?} lost its start");
             // (1) pairwise similarity.
             for (ai, &a) in seq.iter().enumerate() {
                 for &b in &seq[ai + 1..] {
@@ -373,5 +463,83 @@ mod tests {
         assert_eq!(miner.deviation(1, 1), Some(0.0));
         assert!(miner.is_similar(0, 1));
         assert!(!miner.is_similar(2, 0));
+    }
+
+    /// Scripted oracle: similar iff block ids are congruent mod `m`.
+    struct ModOracle(u64);
+    impl SimilarityOracle for ModOracle {
+        fn similar(&mut self, a: &TxBlock, b: &TxBlock) -> (bool, f64) {
+            let sim = a.id().value() % self.0 == b.id().value() % self.0;
+            (sim, if sim { 0.0 } else { 1.0 })
+        }
+    }
+
+    fn windowed<O: SimilarityOracle>(oracle: O, w: usize) -> CompactSequenceMiner<O> {
+        CompactSequenceMiner::with_window(oracle, Some(w)).unwrap()
+    }
+
+    #[test]
+    fn sequences_cover_only_the_window() {
+        let mut miner = windowed(ModOracle(2), 4);
+        for id in 1..=8 {
+            miner.add_block(blk(id));
+        }
+        // Window = blocks 5..8; parity classes {5,7} and {6,8}.
+        assert_eq!(
+            miner.current_sequences(),
+            vec![ids(&[5, 7]), ids(&[6, 8]), ids(&[7]), ids(&[8])]
+        );
+    }
+
+    /// D1 kept D3 out of `{D1, D2, D4}` (D1 ≁ D3). Once D1 retires, the
+    /// leftover `{D2, D4}` would have D3 as an eligible hole (D3 ~ D2):
+    /// the retired block's sequence goes with it, and the window holds
+    /// what an unrestricted miner over D2..D5 holds.
+    #[test]
+    fn retirement_leaves_no_hole_behind() {
+        let script = || Scripted {
+            similar_pairs: vec![(1, 2), (1, 4), (2, 4), (2, 3)],
+        };
+        let mut miner = windowed(script(), 4);
+        let mut suffix = CompactSequenceMiner::new(script());
+        for id in 1..=5 {
+            miner.add_block(blk(id));
+            miner.check_invariants();
+            if id >= 2 {
+                suffix.add_block(blk(id));
+            }
+        }
+        assert_eq!(miner.sequences(), suffix.sequences());
+        assert!(!miner.sequences().contains(&ids(&[2, 4])));
+    }
+
+    #[test]
+    fn windowed_state_does_not_grow_with_the_stream() {
+        let w = 4;
+        let mut miner = windowed(ModOracle(3), w);
+        for id in 1..=10_000 {
+            let stats = miner.add_block(blk(id));
+            assert!(stats.pairs_evaluated <= w, "a retired block was compared");
+            assert!(miner.blocks.len() <= w);
+            assert!(miner.verdicts.len() <= w);
+            assert!(miner.verdicts.iter().all(|row| row.len() < w));
+            assert!(miner.sequences.len() <= w);
+            assert!(miner.sequences.iter().all(|seq| seq.len() <= w));
+            miner.check_invariants();
+        }
+        assert_eq!((miner.n_blocks(), miner.n_live()), (10_000, w));
+        assert_eq!(miner.deviation(9_995, 9_996), None, "block 9 995 retired");
+        assert_eq!(miner.deviation(9_996, 9_999), Some(0.0));
+    }
+
+    #[test]
+    fn a_window_below_two_blocks_is_a_typed_error() {
+        for w in [0, 1] {
+            let err = CompactSequenceMiner::with_window(ModOracle(1), Some(w))
+                .err()
+                .expect("refused");
+            assert!(matches!(err, DemonError::InvalidParameter(_)), "{err}");
+        }
+        assert!(CompactSequenceMiner::with_window(ModOracle(1), None).is_ok());
     }
 }

@@ -17,8 +17,10 @@
 //! * [`significance`] — bootstrap estimation of the statistical
 //!   significance of an observed deviation under the pooled null;
 //! * [`similarity`] — the binary block-similarity predicate of
-//!   Definition 4.1, with model caching;
-//! * [`compact`] — the incremental **compact sequence** miner of §4.
+//!   Definition 4.1: one per-block model cache, instantiated for the
+//!   four model classes, that forgets a block when the miner retires it;
+//! * [`compact`] — the incremental **compact sequence** miner of §4,
+//!   over the whole stream or its `w` most recent blocks.
 //!
 //! # Paper → module map
 //!
@@ -28,14 +30,15 @@
 //! | §4 | bootstrap significance of a deviation | [`significance`] |
 //! | Def. 4.1 | binary block-similarity predicate | [`similarity`] |
 //! | §4 | compact sequences `G₁ … G_t` | [`compact`] |
-//! | §4 | windowed pattern detection | [`windowed`] |
+//! | footnote 9 | the same over the most recent window | [`CompactSequenceMiner::with_window`] |
 //! | §5 | block-granularity selection | [`granularity`] |
 //! | §5 | cyclic sub-sequence reporting | [`postprocess`] |
 //!
-//! Bootstrap resamples and the miner's per-arrival pairwise deviations
-//! shard across threads via `demon_types::parallel`; resample `i` is
-//! seeded from `(seed, i)`, so scores are bit-identical at any thread
-//! count ([`bootstrap_significance_with`],
+//! Bootstrap resamples and, for every model class, the miner's
+//! per-arrival model fit and pairwise deviations shard across threads
+//! via `demon_types::parallel`; resample `i` is seeded from `(seed, i)`,
+//! so scores are bit-identical at any thread count
+//! ([`bootstrap_significance_with`],
 //! [`similarity::SimilarityOracle::similar_to_many`]).
 //!
 //! # Example
@@ -74,7 +77,6 @@ pub mod granularity;
 pub mod postprocess;
 pub mod significance;
 pub mod similarity;
-pub mod windowed;
 
 pub use compact::{CompactSequenceMiner, CompactStats};
 pub use deviation::{
@@ -84,7 +86,6 @@ pub use granularity::{evaluate_granularities, select_granularity, GranularityRep
 pub use postprocess::{cyclic_subsequences, CyclicSequence};
 pub use significance::{bootstrap_significance, bootstrap_significance_with};
 pub use similarity::{
-    ClusterSimilarity, DbscanSimilarity, ItemsetSimilarity, SimilarityConfig, SimilarityOracle,
-    TreeSimilarity,
+    CachedSimilarity, ClusterSimilarity, DbscanSimilarity, ItemsetSimilarity, SimilarityConfig,
+    SimilarityOracle, TreeSimilarity,
 };
-pub use windowed::WindowedCompactMiner;

@@ -3,17 +3,24 @@
 //!
 //! "In practice this similarity function is used with a binary range"
 //! (§4): two blocks are similar when the deviation between them is
-//! statistically insignificant. The oracle below caches each block's
-//! frequent-itemset model — a block is mined exactly once no matter how
-//! many pairs it participates in — and can judge significance either by a
-//! fixed deviation threshold (fast; the default for the large trace
-//! experiments) or by the full bootstrap.
+//! statistically insignificant. Every model class plugs into one cache,
+//! [`CachedSimilarity`], by saying how a block's model is fitted and how
+//! a pair of fitted blocks is judged: a block is fitted exactly once no
+//! matter how many pairs it participates in, and its model is dropped
+//! when the miner retires the block. The itemset class can judge
+//! significance either by a fixed deviation threshold (fast; the default
+//! for the large trace experiments) or by the full bootstrap; the point
+//! classes threshold their deviation.
 
-use crate::deviation::itemset_deviation;
-use crate::significance::{bootstrap_significance, bootstrap_significance_with};
+use crate::deviation::{
+    cluster_deviation, dbscan_deviation, itemset_deviation, tree_deviation, DeviationResult,
+};
+use crate::significance::bootstrap_significance;
+use demon_clustering::{Birch, BirchModel, BirchParams, DbscanParams, IncrementalDbscan};
 use demon_itemsets::FrequentItemsets;
+use demon_trees::{DecisionTree, LabeledPoint, TreeParams};
 use demon_types::parallel::{self, par_map};
-use demon_types::{Block, BlockId, MinSupport, Transaction, TxBlock};
+use demon_types::{Block, BlockId, MinSupport, Point, PointBlock, Transaction, TxBlock};
 use std::collections::HashMap;
 
 /// How significance is judged.
@@ -46,7 +53,8 @@ pub trait SimilarityOracle<R = Transaction> {
 
     /// Judges `new` against every block of `earlier`, returning the
     /// verdicts in `earlier` order — the hot loop of the compact-sequence
-    /// miner's `add_block` (one call per arriving block, `t` pairs).
+    /// miner's `add_block` (one call per arriving block, one pair per
+    /// live block).
     ///
     /// The default evaluates pairs sequentially via
     /// [`SimilarityOracle::similar`]; implementations may parallelize as
@@ -55,125 +63,121 @@ pub trait SimilarityOracle<R = Transaction> {
     fn similar_to_many(&mut self, earlier: &[Block<R>], new: &Block<R>) -> Vec<(bool, f64)> {
         earlier.iter().map(|e| self.similar(e, new)).collect()
     }
+
+    /// Block `id` has left the pattern window and will not be asked
+    /// about again: drop whatever is cached for it. The default keeps
+    /// nothing, so does nothing.
+    fn retire(&mut self, _id: BlockId) {}
 }
 
-/// The frequent-itemset instantiation of the oracle.
-pub struct ItemsetSimilarity {
-    n_items: u32,
-    minsup: MinSupport,
-    config: SimilarityConfig,
-    models: HashMap<BlockId, FrequentItemsets>,
+type Fit<R, M> = Box<dyn Fn(&Block<R>) -> M + Send + Sync>;
+type Judge<R, M> = Box<dyn Fn(&Block<R>, &M, &Block<R>, &M) -> (bool, f64) + Send + Sync>;
+
+/// The one per-block model cache behind every class's oracle: a model
+/// class is a way to fit one block (`M` from a `Block<R>`) and a way to
+/// judge one pair of fitted blocks.
+pub struct CachedSimilarity<R, M> {
+    fit: Fit<R, M>,
+    judge: Judge<R, M>,
+    models: HashMap<BlockId, M>,
 }
 
-impl ItemsetSimilarity {
-    /// A new oracle over an `n_items` universe at threshold `minsup`.
-    pub fn new(n_items: u32, minsup: MinSupport, config: SimilarityConfig) -> Self {
-        ItemsetSimilarity {
-            n_items,
-            minsup,
-            config,
+impl<R, M> CachedSimilarity<R, M> {
+    fn over(
+        fit: impl Fn(&Block<R>) -> M + Send + Sync + 'static,
+        judge: impl Fn(&Block<R>, &M, &Block<R>, &M) -> (bool, f64) + Send + Sync + 'static,
+    ) -> Self {
+        CachedSimilarity {
+            fit: Box::new(fit),
+            judge: Box::new(judge),
             models: HashMap::new(),
         }
     }
 
-    /// The cached model of a block, mining it on first use.
-    pub fn model(&mut self, block: &TxBlock) -> &FrequentItemsets {
-        self.models.entry(block.id()).or_insert_with(|| {
-            FrequentItemsets::mine_blocks(&[block], self.n_items, self.minsup)
-        })
+    /// The cached model of a block, fitting it on first use.
+    pub fn model(&mut self, block: &Block<R>) -> &M {
+        self.models
+            .entry(block.id())
+            .or_insert_with(|| (self.fit)(block))
     }
 
     /// Number of models currently cached.
     pub fn cached_models(&self) -> usize {
         self.models.len()
     }
+}
 
-    /// Evicts the cached model of a retired block.
-    pub fn evict(&mut self, id: BlockId) {
+impl<R: Sync, M: Send + Sync> SimilarityOracle<R> for CachedSimilarity<R, M> {
+    fn similar(&mut self, a: &Block<R>, b: &Block<R>) -> (bool, f64) {
+        // Ensure both models are cached, then read them back immutably.
+        self.model(a);
+        self.model(b);
+        (self.judge)(a, &self.models[&a.id()], b, &self.models[&b.id()])
+    }
+
+    /// Parallel batch evaluation: uncached models (including `new`'s) are
+    /// fitted concurrently and cached in block order, then the pairs are
+    /// judged concurrently with [`par_map`] at the process-wide default
+    /// [`parallel::global`]. Order-preserving sharding keeps the verdicts
+    /// bit-identical to the sequential loop at any thread count; under
+    /// the bootstrap config each pair's resamples are seeded from the
+    /// pair ids, so they too are layout-independent.
+    fn similar_to_many(&mut self, earlier: &[Block<R>], new: &Block<R>) -> Vec<(bool, f64)> {
+        let par = parallel::global();
+        let mut to_fit: Vec<&Block<R>> = Vec::new();
+        for b in earlier.iter().chain(std::iter::once(new)) {
+            if !self.models.contains_key(&b.id()) && to_fit.iter().all(|m| m.id() != b.id()) {
+                to_fit.push(b);
+            }
+        }
+        let fitted = par_map(par, &to_fit, |b| (self.fit)(b));
+        for (b, m) in to_fit.iter().zip(fitted) {
+            self.models.insert(b.id(), m);
+        }
+
+        let (judge, models) = (&self.judge, &self.models);
+        let mb = &models[&new.id()];
+        par_map(par, earlier, |a| judge(a, &models[&a.id()], new, mb))
+    }
+
+    fn retire(&mut self, id: BlockId) {
         self.models.remove(&id);
     }
 }
 
-impl SimilarityOracle for ItemsetSimilarity {
-    fn similar(&mut self, a: &TxBlock, b: &TxBlock) -> (bool, f64) {
-        // Ensure both models are cached, then read them back immutably.
-        self.model(a);
-        self.model(b);
-        let ma = &self.models[&a.id()];
-        let mb = &self.models[&b.id()];
-        match self.config {
-            SimilarityConfig::Threshold { alpha } => {
-                let d = itemset_deviation(a, ma, b, mb).deviation;
-                (d < alpha, d)
-            }
-            SimilarityConfig::Bootstrap {
-                n_resamples,
-                max_significance,
-                seed,
-            } => {
-                // Derive a pair-specific sub-seed for reproducibility.
-                let pair_seed = seed ^ (a.id().value().wrapping_mul(0x9E3779B97F4A7C15))
-                    ^ b.id().value();
-                let (d, sig) = bootstrap_significance(
-                    a,
-                    b,
-                    self.n_items,
-                    self.minsup,
-                    n_resamples,
-                    pair_seed,
-                );
-                (sig <= max_significance, d)
-            }
-        }
+/// Definition 4.1's `δ < alpha` reading of one class's deviation.
+fn threshold<R, M>(
+    alpha: f64,
+    deviation: fn(&Block<R>, &M, &Block<R>, &M) -> DeviationResult,
+) -> impl Fn(&Block<R>, &M, &Block<R>, &M) -> (bool, f64) + Send + Sync {
+    move |a, ma, b, mb| {
+        let d = deviation(a, ma, b, mb).deviation;
+        (d < alpha, d)
     }
+}
 
-    /// Parallel batch evaluation: uncached models (including `new`'s) are
-    /// mined concurrently and cached in block order, then the `t`
-    /// pairwise deviations are computed concurrently with [`par_map`] at
-    /// the process-wide default [`parallel::global`]. Order-preserving
-    /// sharding keeps the verdicts bit-identical to the sequential loop
-    /// at any thread count; under the bootstrap config each pair's
-    /// resamples are seeded from the pair ids, so they too are
-    /// layout-independent.
-    fn similar_to_many(&mut self, earlier: &[TxBlock], new: &TxBlock) -> Vec<(bool, f64)> {
-        let par = parallel::global();
-        let mut to_mine: Vec<&TxBlock> = Vec::new();
-        for b in earlier.iter().chain(std::iter::once(new)) {
-            if !self.models.contains_key(&b.id()) && to_mine.iter().all(|m| m.id() != b.id()) {
-                to_mine.push(b);
+/// The frequent-itemset instantiation of the oracle: each block is mined
+/// once with Apriori.
+pub type ItemsetSimilarity = CachedSimilarity<Transaction, FrequentItemsets>;
+
+impl ItemsetSimilarity {
+    /// A new oracle over an `n_items` universe at threshold `minsup`.
+    pub fn new(n_items: u32, minsup: MinSupport, config: SimilarityConfig) -> Self {
+        let fit = move |b: &TxBlock| FrequentItemsets::mine_blocks(&[b], n_items, minsup);
+        match config {
+            SimilarityConfig::Threshold { alpha } => {
+                Self::over(fit, threshold(alpha, itemset_deviation))
             }
-        }
-        let (n_items, minsup) = (self.n_items, self.minsup);
-        let mined = par_map(par, &to_mine, |b| {
-            FrequentItemsets::mine_blocks(&[*b], n_items, minsup)
-        });
-        for (b, m) in to_mine.iter().zip(mined) {
-            self.models.insert(b.id(), m);
-        }
-
-        let models = &self.models;
-        let mb = &models[&new.id()];
-        match self.config {
-            SimilarityConfig::Threshold { alpha } => par_map(par, earlier, |a| {
-                let d = itemset_deviation(a, &models[&a.id()], new, mb).deviation;
-                (d < alpha, d)
-            }),
             SimilarityConfig::Bootstrap {
                 n_resamples,
                 max_significance,
                 seed,
-            } => par_map(par, earlier, |a| {
-                let pair_seed = seed ^ (a.id().value().wrapping_mul(0x9E3779B97F4A7C15))
-                    ^ new.id().value();
-                let (d, sig) = bootstrap_significance_with(
-                    a,
-                    new,
-                    n_items,
-                    minsup,
-                    n_resamples,
-                    pair_seed,
-                    par,
-                );
+            } => Self::over(fit, move |a, _, b, _| {
+                // Derive a pair-specific sub-seed for reproducibility.
+                let pair_seed =
+                    seed ^ (a.id().value().wrapping_mul(0x9E3779B97F4A7C15)) ^ b.id().value();
+                let (d, sig) =
+                    bootstrap_significance(a, b, n_items, minsup, n_resamples, pair_seed);
                 (sig <= max_significance, d)
             }),
         }
@@ -183,48 +187,15 @@ impl SimilarityOracle for ItemsetSimilarity {
 /// The cluster-model instantiation of the oracle: each block is clustered
 /// once with BIRCH (model cached), and similarity is a threshold on the
 /// cluster deviation.
-pub struct ClusterSimilarity {
-    params: demon_clustering::BirchParams,
-    alpha: f64,
-    models: HashMap<BlockId, demon_clustering::BirchModel>,
-}
+pub type ClusterSimilarity = CachedSimilarity<Point, BirchModel>;
 
 impl ClusterSimilarity {
     /// An oracle clustering blocks with `params`, similar iff `δ < alpha`.
-    pub fn new(params: demon_clustering::BirchParams, alpha: f64) -> Self {
-        ClusterSimilarity {
-            params,
-            alpha,
-            models: HashMap::new(),
-        }
-    }
-
-    fn model(&mut self, block: &demon_types::PointBlock) -> &demon_clustering::BirchModel {
-        self.models.entry(block.id()).or_insert_with(|| {
-            let (model, _) =
-                demon_clustering::Birch::new(self.params).cluster_points(block.records());
-            model
-        })
-    }
-
-    /// Number of models currently cached.
-    pub fn cached_models(&self) -> usize {
-        self.models.len()
-    }
-}
-
-impl SimilarityOracle<demon_types::Point> for ClusterSimilarity {
-    fn similar(
-        &mut self,
-        a: &demon_types::PointBlock,
-        b: &demon_types::PointBlock,
-    ) -> (bool, f64) {
-        self.model(a);
-        self.model(b);
-        let ma = &self.models[&a.id()];
-        let mb = &self.models[&b.id()];
-        let d = crate::deviation::cluster_deviation(a, ma, b, mb).deviation;
-        (d < self.alpha, d)
+    pub fn new(params: BirchParams, alpha: f64) -> Self {
+        Self::over(
+            move |b| Birch::new(params).cluster_points(b.records()).0,
+            threshold(alpha, cluster_deviation),
+        )
     }
 }
 
@@ -233,50 +204,19 @@ impl SimilarityOracle<demon_types::Point> for ClusterSimilarity {
 /// threshold on the core-reachability deviation of
 /// [`crate::deviation::dbscan_deviation`] — sensitive to cluster *shape*,
 /// not just centroid mass.
-pub struct DbscanSimilarity {
-    params: demon_clustering::DbscanParams,
-    alpha: f64,
-    models: HashMap<BlockId, demon_clustering::IncrementalDbscan>,
-}
+pub type DbscanSimilarity = CachedSimilarity<Point, IncrementalDbscan>;
 
 impl DbscanSimilarity {
     /// An oracle clustering blocks with `params`, similar iff `δ < alpha`.
-    pub fn new(params: demon_clustering::DbscanParams, alpha: f64) -> Self {
-        DbscanSimilarity {
-            params,
-            alpha,
-            models: HashMap::new(),
-        }
-    }
-
-    fn model(&mut self, block: &demon_types::PointBlock) -> &demon_clustering::IncrementalDbscan {
-        self.models.entry(block.id()).or_insert_with(|| {
-            let mut m = demon_clustering::IncrementalDbscan::with_params(self.params);
-            for p in block.records() {
+    pub fn new(params: DbscanParams, alpha: f64) -> Self {
+        let fit = move |b: &PointBlock| {
+            let mut m = IncrementalDbscan::with_params(params);
+            for p in b.records() {
                 m.insert(p.clone());
             }
             m
-        })
-    }
-
-    /// Number of models currently cached.
-    pub fn cached_models(&self) -> usize {
-        self.models.len()
-    }
-}
-
-impl SimilarityOracle<demon_types::Point> for DbscanSimilarity {
-    fn similar(
-        &mut self,
-        a: &demon_types::PointBlock,
-        b: &demon_types::PointBlock,
-    ) -> (bool, f64) {
-        self.model(a);
-        self.model(b);
-        let ma = &self.models[&a.id()];
-        let mb = &self.models[&b.id()];
-        let d = crate::deviation::dbscan_deviation(a, ma, b, mb).deviation;
-        (d < self.alpha, d)
+        };
+        Self::over(fit, threshold(alpha, dbscan_deviation))
     }
 }
 
@@ -284,49 +224,16 @@ impl SimilarityOracle<demon_types::Point> for DbscanSimilarity {
 /// fitted once (model cached); similarity thresholds the class-aware tree
 /// deviation. Completes the three FOCUS model classes of §4 as usable
 /// similarity oracles.
-pub struct TreeSimilarity {
-    params: demon_trees::TreeParams,
-    dim: usize,
-    alpha: f64,
-    models: HashMap<BlockId, demon_trees::DecisionTree>,
-}
+pub type TreeSimilarity = CachedSimilarity<LabeledPoint, DecisionTree>;
 
 impl TreeSimilarity {
     /// An oracle fitting `dim`-dimensional labeled blocks with `params`,
     /// similar iff `δ < alpha`.
-    pub fn new(dim: usize, params: demon_trees::TreeParams, alpha: f64) -> Self {
-        TreeSimilarity {
-            params,
-            dim,
-            alpha,
-            models: HashMap::new(),
-        }
-    }
-
-    fn model(&mut self, block: &Block<demon_trees::LabeledPoint>) -> &demon_trees::DecisionTree {
-        self.models.entry(block.id()).or_insert_with(|| {
-            demon_trees::DecisionTree::fit(block.records(), self.dim, self.params)
-        })
-    }
-
-    /// Number of models currently cached.
-    pub fn cached_models(&self) -> usize {
-        self.models.len()
-    }
-}
-
-impl SimilarityOracle<demon_trees::LabeledPoint> for TreeSimilarity {
-    fn similar(
-        &mut self,
-        a: &Block<demon_trees::LabeledPoint>,
-        b: &Block<demon_trees::LabeledPoint>,
-    ) -> (bool, f64) {
-        self.model(a);
-        self.model(b);
-        let ma = &self.models[&a.id()];
-        let mb = &self.models[&b.id()];
-        let d = crate::deviation::tree_deviation(a, ma, b, mb).deviation;
-        (d < self.alpha, d)
+    pub fn new(dim: usize, params: TreeParams, alpha: f64) -> Self {
+        Self::over(
+            move |b| DecisionTree::fit(b.records(), dim, params),
+            threshold(alpha, tree_deviation),
+        )
     }
 }
 
@@ -378,7 +285,7 @@ mod tests {
         oracle.similar(&a, &c);
         oracle.similar(&b, &c);
         assert_eq!(oracle.cached_models(), 3);
-        oracle.evict(BlockId(2));
+        oracle.retire(BlockId(2));
         assert_eq!(oracle.cached_models(), 2);
     }
 

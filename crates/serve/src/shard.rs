@@ -38,10 +38,10 @@
 
 use crate::model::{MaintainedModel, ServableModel, ShardableModel};
 use crate::server::ServeConfig;
+use demon_core::engine;
 use demon_core::maintainer::ModelMaintainer;
 use demon_core::monitor::DemonMonitor;
 use demon_focus::compact::CompactSequenceMiner;
-use demon_focus::windowed::WindowedCompactMiner;
 use demon_store::StoreConfig;
 use demon_types::obs::{self, Counter};
 use demon_types::{Block, BlockId, DemonError, Result};
@@ -175,29 +175,6 @@ impl<S: ServableModel> AppliedState<S> for MonitorState<S> {
     }
 }
 
-/// Mirror of the engine's systematic-evolution check: block `id` must be
-/// exactly the successor of `latest`. Same typed errors, same messages.
-fn check_sequential(id: BlockId, latest: Option<BlockId>) -> Result<()> {
-    let expected = latest.map_or(BlockId::FIRST, BlockId::next);
-    if id == expected {
-        return Ok(());
-    }
-    match latest {
-        Some(latest) if id <= latest => Err(DemonError::DuplicateBlock {
-            id: id.value(),
-            latest: latest.value(),
-        }),
-        _ => Err(DemonError::InvalidParameter(format!(
-            "expected block {expected}, got {id}"
-        ))),
-    }
-}
-
-enum Patterns<S: ServableModel> {
-    Unrestricted(CompactSequenceMiner<S::Oracle, S::Record>),
-    MostRecent(WindowedCompactMiner<S::Oracle, S::Record>),
-}
-
 /// The `shards ≥ 2` state: one maintainer per shard (store +
 /// registration work, exactly the 1-shard register path applied to the
 /// owning shard), one global model absorbed with the class's exact
@@ -205,7 +182,7 @@ enum Patterns<S: ServableModel> {
 pub struct ShardSet<S: ShardableModel> {
     shards: Vec<S::Maintainer>,
     model: MaintainedModel<S>,
-    miner: Patterns<S>,
+    miner: CompactSequenceMiner<S::Oracle, S::Record>,
     latest: Option<BlockId>,
     shard_blocks: Vec<u64>,
     config: ServeConfig,
@@ -221,11 +198,7 @@ impl<S: ShardableModel> ShardSet<S> {
             shards.push(S::maintainer(config)?);
         }
         let model = shards[0].fresh();
-        let oracle = S::oracle(config);
-        let miner = match config.pattern_window {
-            None => Patterns::Unrestricted(CompactSequenceMiner::new(oracle)),
-            Some(w) => Patterns::MostRecent(WindowedCompactMiner::new(oracle, w)),
-        };
+        let miner = CompactSequenceMiner::with_window(S::oracle(config), config.pattern_window)?;
         Ok(ShardSet {
             shards,
             model,
@@ -242,18 +215,11 @@ impl<S: ShardableModel> ShardSet<S> {
     /// A replayed or out-of-order id is rejected before any state moves.
     pub fn add_block(&mut self, block: Block<S::Record>) -> Result<()> {
         let id = block.id();
-        check_sequential(id, self.latest)?;
+        engine::check_sequential(id, self.latest)?;
         let s = shard_of(id, self.shards.len());
         self.shards[s].register_block(block.clone());
         S::absorb_sharded(&mut self.model, &self.shards, id, &self.config)?;
-        match &mut self.miner {
-            Patterns::Unrestricted(m) => {
-                m.add_block(block);
-            }
-            Patterns::MostRecent(m) => {
-                m.add_block(block);
-            }
-        }
+        self.miner.add_block(block);
         self.latest = Some(id);
         self.shard_blocks[s] += 1;
         Ok(())
@@ -261,17 +227,13 @@ impl<S: ShardableModel> ShardSet<S> {
 
     /// Builds the immutable replica of the current state.
     pub fn replica(&self, epoch: u64) -> Replica<S> {
-        let sequences = match &self.miner {
-            Patterns::Unrestricted(m) => m.maximal_sequences(),
-            Patterns::MostRecent(m) => m.sequences(),
-        };
         Replica {
             epoch,
             blocks: self.shard_blocks.iter().sum(),
             model: Some(self.model.clone()),
             render_ctx: S::render_ctx(&self.shards[0]),
             model_json: OnceLock::new(),
-            sequences,
+            sequences: self.miner.current_sequences(),
             shard_blocks: self.shard_blocks.clone(),
         }
     }

@@ -66,7 +66,7 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// The requested degree of parallelism for the hot mining paths.
 ///
@@ -171,11 +171,17 @@ pub fn in_parallel_region() -> bool {
 /// parallelism, or "no cap" when the hint is unavailable. Shard
 /// *structure* is set by the requested [`Parallelism`]; this only bounds
 /// how many workers execute it (see the module docs, "Shards vs.
-/// workers").
+/// workers"). Asked of the OS once per process: the call reads the
+/// affinity mask and the cgroup quota (≈ 12 µs in a container), and
+/// every parallel region — two per block on the FOCUS path — passes
+/// through here.
 fn max_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(usize::MAX)
+    static MAX_WORKERS: OnceLock<usize> = OnceLock::new();
+    *MAX_WORKERS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(usize::MAX)
+    })
 }
 
 /// Whether the hardware can run at most one worker thread

@@ -4,8 +4,9 @@
 //! 1. **granularity selection** (the paper's future work): score several
 //!    block granularities on a warm-up prefix of the trace and pick the
 //!    one whose blocks organize best into patterns;
-//! 2. **windowed pattern detection** (footnote 9): mine compact sequences
-//!    over only the most recent window, retiring old blocks;
+//! 2. **windowed pattern detection** (footnote 9): the compact-sequence
+//!    miner over only the most recent window, retiring old blocks (and
+//!    their cached models) as they slide out;
 //! 3. **cyclic post-processing** (§4): extract periodic structure from
 //!    the discovered sequences;
 //! 4. anomaly flagging: a new block similar to *no* live block is
@@ -17,8 +18,8 @@
 
 use demon::datagen::webtrace::{self, WebTraceConfig, WebTraceGen};
 use demon::focus::{
-    cyclic_subsequences, evaluate_granularities, select_granularity, ItemsetSimilarity,
-    SimilarityConfig, WindowedCompactMiner,
+    cyclic_subsequences, evaluate_granularities, select_granularity, CompactSequenceMiner,
+    ItemsetSimilarity, SimilarityConfig,
 };
 use demon::types::calendar::format_date;
 use demon::types::{MinSupport, Timestamp};
@@ -69,7 +70,8 @@ fn main() {
         Timestamp::from_day_hour(0, 12),
     );
     let blocks_per_week = (7 * 24 / best.granularity) as usize;
-    let mut miner = WindowedCompactMiner::new(oracle(), blocks_per_week);
+    let mut miner = CompactSequenceMiner::with_window(oracle(), Some(blocks_per_week))
+        .expect("a week holds at least two blocks");
     println!(
         "auditing {} blocks with a {}-block window:",
         blocks.len(),

@@ -48,9 +48,7 @@ use demon::core::report;
 use demon::core::{Gemm, ItemsetMaintainer};
 use demon::datagen::webtrace::{self, WebTraceConfig, WebTraceGen};
 use demon::datagen::{ClusterDataGen, ClusterParams, QuestGen, QuestParams};
-use demon::focus::{
-    CompactSequenceMiner, ItemsetSimilarity, SimilarityConfig, WindowedCompactMiner,
-};
+use demon::focus::{CompactSequenceMiner, ItemsetSimilarity, SimilarityConfig};
 use demon::itemsets::persist::{
     load_store_configured, save_store, verify_store, RecoveryPolicy,
 };
@@ -727,9 +725,8 @@ fn patterns(positional: &[&str], flags: &HashMap<&str, &str>) -> Result<(), Stri
     let alpha: f64 = flag_parse(flags, "alpha", 0.12)?;
     let min_len: usize = flag_parse(flags, "min-len", 4)?;
     let minsup = minsup_flag(flags)?;
-    let oracle = || {
-        ItemsetSimilarity::new(store.n_items(), minsup, SimilarityConfig::Threshold { alpha })
-    };
+    let oracle =
+        ItemsetSimilarity::new(store.n_items(), minsup, SimilarityConfig::Threshold { alpha });
     let ids = store.block_ids().to_vec();
     let mut intervals = HashMap::new();
     for &id in &ids {
@@ -750,29 +747,15 @@ fn patterns(positional: &[&str], flags: &HashMap<&str, &str>) -> Result<(), Stri
         None => None,
         Some(v) => Some(v.parse().map_err(|_| "--window: bad number".to_string())?),
     };
+    let mut miner =
+        CompactSequenceMiner::with_window(oracle, window).map_err(|e| e.to_string())?;
+    for &id in &ids {
+        miner.add_block((*block_ref(&store, id)?).clone());
+    }
     let mut rows: Vec<(usize, String)> = Vec::new();
-    match window {
-        None => {
-            let mut miner = CompactSequenceMiner::new(oracle());
-            for &id in &ids {
-                miner.add_block((*block_ref(&store, id)?).clone());
-            }
-            for seq in miner.maximal_sequences() {
-                if seq.len() >= min_len {
-                    rows.push((seq.len(), describe(&seq)));
-                }
-            }
-        }
-        Some(w) => {
-            let mut miner = WindowedCompactMiner::new(oracle(), w);
-            for &id in &ids {
-                miner.add_block((*block_ref(&store, id)?).clone());
-            }
-            for seq in miner.sequences() {
-                if seq.len() >= min_len {
-                    rows.push((seq.len(), describe(&seq)));
-                }
-            }
+    for seq in miner.current_sequences() {
+        if seq.len() >= min_len {
+            rows.push((seq.len(), describe(&seq)));
         }
     }
     rows.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));

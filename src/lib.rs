@@ -113,7 +113,6 @@ pub mod prelude {
     pub use demon_core::{ClusterMaintainer, Gemm, ItemsetMaintainer, ModelMaintainer};
     pub use demon_focus::{
         ClusterSimilarity, CompactSequenceMiner, ItemsetSimilarity, SimilarityConfig,
-        WindowedCompactMiner,
     };
     pub use demon_itemsets::{derive_rules, CounterKind, FrequentItemsets, Rule, TxStore};
     pub use demon_store::{BlockStore, SpillPolicy, StoreConfig};

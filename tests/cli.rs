@@ -142,6 +142,23 @@ fn windowed_patterns_through_cli() {
         "4",
     ]));
     assert!(stdout(&out).contains("compact sequences"));
+
+    // A window too short to hold a pattern is a typed refusal, not a
+    // panic — for `patterns` and for the daemon at any shard count.
+    let store = store.to_str().unwrap();
+    let refused: [&[&str]; 4] = [
+        &["patterns", store, "--window", "1"],
+        &["serve", "--listen", "127.0.0.1:0", "--pattern-window", "1"],
+        &["serve", "--listen", "127.0.0.1:0", "--pattern-window", "0"],
+        &["serve", "--listen", "127.0.0.1:0", "--pattern-window", "1", "--shards", "2"],
+    ];
+    for args in refused {
+        let out = cli().args(args).output().expect("binary runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.contains("pattern window below 2 blocks"), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -13,6 +13,7 @@ use demon::core::{Gemm, ItemsetMaintainer, ShelfMode};
 use demon::datagen::{QuestGen, QuestParams};
 use demon::focus::{
     bootstrap_significance_with, CompactSequenceMiner, ItemsetSimilarity, SimilarityConfig,
+    SimilarityOracle,
 };
 use demon::itemsets::{count_supports_with, CounterKind, FrequentItemsets, TxStore};
 use demon::types::parallel::set_global;
@@ -362,35 +363,61 @@ fn focus_scores_are_invariant(blocks: &[TxBlock]) {
     }
 }
 
-/// The compact-sequence miner — whose oracle batches pairwise deviations
-/// through the parallel layer at the process default — produces the same
-/// deviation matrix and sequences at every thread count.
+/// The compact-sequence miner — whose oracle fits models and judges
+/// pairs through the parallel layer at the process default — produces
+/// the same deviations and sequences at every thread count, in both
+/// window modes, for itemsets and for a point class.
 fn patterns_are_invariant(blocks: &[TxBlock]) {
-    let run = |threads: usize| -> (Vec<u64>, Vec<Vec<BlockId>>) {
+    use demon::clustering::DbscanParams;
+    use demon::datagen::{DensityDriftGen, ShapeParams};
+    use demon::focus::DbscanSimilarity;
+
+    let itemsets =
+        || ItemsetSimilarity::new(N_ITEMS, k(0.05), SimilarityConfig::Threshold { alpha: 0.3 });
+    let mut gen = DensityDriftGen::switch_once(ShapeParams::new(4.0, 0.1), 41, 2, 4);
+    let shapes: Vec<_> = (0..4).map(|_| gen.next_block(100)).collect();
+    let density = || DbscanSimilarity::new(DbscanParams::new(2, 0.9, 4), 0.3);
+    for window in [None, Some(2)] {
+        miner_is_invariant(blocks, window, itemsets);
+        miner_is_invariant(&shapes, window, density);
+    }
+}
+
+/// One miner configuration at 1/2/8 threads: after every block, the bits
+/// of every live deviation and the reported sequences must agree.
+fn miner_is_invariant<R: Clone, O: SimilarityOracle<R>>(
+    blocks: &[Block<R>],
+    window: Option<usize>,
+    oracle: impl Fn() -> O,
+) {
+    type Prefix = (Vec<Option<u64>>, Vec<Vec<BlockId>>);
+    let run = |threads: usize| -> Vec<Prefix> {
         set_global(Parallelism::new(threads));
-        let oracle =
-            ItemsetSimilarity::new(N_ITEMS, k(0.05), SimilarityConfig::Threshold { alpha: 0.3 });
-        let mut miner = CompactSequenceMiner::new(oracle);
-        for b in blocks {
-            miner.add_block(b.clone());
-        }
-        let n = miner.n_blocks();
-        let mut devs = Vec::new();
-        for i in 0..n {
-            for j in 0..i {
-                devs.push(miner.deviation(i, j).unwrap().to_bits());
-            }
-        }
-        (devs, miner.maximal_sequences())
+        let mut miner = CompactSequenceMiner::with_window(oracle(), window).unwrap();
+        blocks
+            .iter()
+            .map(|b| {
+                miner.add_block(b.clone());
+                let n = miner.n_blocks();
+                let devs = (0..n)
+                    .flat_map(|i| (0..i).map(move |j| (i, j)))
+                    .map(|(i, j)| miner.deviation(i, j).map(f64::to_bits))
+                    .collect();
+                (devs, miner.current_sequences())
+            })
+            .collect()
     };
     let reference = run(THREADS[0]);
+    assert!(
+        reference.last().unwrap().0.iter().any(Option::is_some),
+        "no live deviation was compared"
+    );
     for &t in &THREADS[1..] {
-        let got = run(t);
         assert_eq!(
-            reference.0, got.0,
-            "deviation matrix diverged at {t} threads"
+            reference,
+            run(t),
+            "deviations or sequences diverged at {t} threads (window {window:?})"
         );
-        assert_eq!(reference.1, got.1, "sequences diverged at {t} threads");
     }
 }
 

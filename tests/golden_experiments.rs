@@ -25,7 +25,7 @@ use demon::datagen::{
 };
 use demon::focus::{
     ClusterSimilarity, CompactSequenceMiner, DbscanSimilarity, ItemsetSimilarity,
-    SimilarityConfig, SimilarityOracle, WindowedCompactMiner,
+    SimilarityConfig, SimilarityOracle,
 };
 use demon::itemsets::{count_supports_with, CounterKind, FrequentItemsets, TxStore};
 use demon::store::StoreConfig;
@@ -377,6 +377,18 @@ fn incremental_pairs(inc: &[Point], scratch: &[Point]) -> Vec<(Point, Point)> {
         .collect()
 }
 
+/// The pattern pools of the drift experiments' regimes.
+fn drift_quest_params(n_items: u32) -> QuestParams {
+    QuestParams {
+        n_transactions: 0,
+        avg_tx_len: 6.0,
+        n_items,
+        n_patterns: 20,
+        avg_pattern_len: 3.0,
+        ..QuestParams::default()
+    }
+}
+
 /// §6.3 shape: FOCUS compact sequences split exactly at a planted drift
 /// point — blocks before and after the regime switch form separate
 /// maximal sequences.
@@ -384,14 +396,7 @@ fn incremental_pairs(inc: &[Point], scratch: &[Point]) -> Vec<(Point, Point)> {
 fn focus_detects_planted_drift() {
     maybe_enable_recorder();
     let n_items = 60;
-    let params = QuestParams {
-        n_transactions: 0,
-        avg_tx_len: 6.0,
-        n_items,
-        n_patterns: 20,
-        avg_pattern_len: 3.0,
-        ..QuestParams::default()
-    };
+    let params = drift_quest_params(n_items);
     let switch_at = 4;
     let total = 8;
     let mut gen = DriftingQuestGen::switch_once(params, 41, switch_at, total);
@@ -533,7 +538,7 @@ where
         format!("{} {} {}", s.pairs_evaluated, s.similar_pairs, s.extended)
     };
     let mut unrestricted = CompactSequenceMiner::new(oracle());
-    let mut windowed = WindowedCompactMiner::new(oracle(), w);
+    let mut windowed = CompactSequenceMiner::with_window(oracle(), Some(w)).unwrap();
     let (mut uw_rows, mut mrw_rows) = (Vec::new(), Vec::new());
     for b in blocks {
         let stats = unrestricted.add_block(b.clone());
@@ -546,7 +551,7 @@ where
         mrw_rows.push(json!({
             "block": b.id().0,
             "pairs_similar_extended": stats_row(stats),
-            "sequences": sequence_strings(&windowed.sequences()),
+            "sequences": sequence_strings(&windowed.current_sequences()),
         }));
     }
     let n = unrestricted.n_blocks();
@@ -576,14 +581,7 @@ where
 fn itemset_sequences_are_pinned_at_every_prefix() {
     maybe_enable_recorder();
     let n_items = 60;
-    let params = QuestParams {
-        n_transactions: 0,
-        avg_tx_len: 6.0,
-        n_items,
-        n_patterns: 20,
-        avg_pattern_len: 3.0,
-        ..QuestParams::default()
-    };
+    let params = drift_quest_params(n_items);
     let schedule = vec![0, 0, 1, 0, 1, 1, 2, 0, 2, 2, 1, 0, 0, 2];
     let total = schedule.len();
     let mut gen = DriftingQuestGen::new(params, 3, 41, schedule);

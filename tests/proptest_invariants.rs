@@ -49,6 +49,24 @@ fn minsup_strategy() -> impl Strategy<Value = MinSupport> {
     (0.05f64..0.5).prop_map(|k| MinSupport::new(k).unwrap())
 }
 
+/// A fixed pseudo-random symmetric relation over block ids (SplitMix64
+/// of the ordered pair): about half of all pairs are similar, with no
+/// transitivity or other structure a miner could lean on.
+struct Relation(u64);
+
+impl SimilarityOracle for Relation {
+    fn similar(&mut self, a: &TxBlock, b: &TxBlock) -> (bool, f64) {
+        let (x, y) = (a.id().value().min(b.id().value()), a.id().value().max(b.id().value()));
+        let mut z = self.0
+            ^ x.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            ^ y.wrapping_mul(0xD1B5_4A32_D192_ED03);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        let similar = (z ^ (z >> 31)) & 1 == 0;
+        (similar, if similar { 0.25 } else { 0.75 })
+    }
+}
+
 fn store_of(blocks: &[TxBlock]) -> TxStore {
     let mut store = TxStore::new(UNIVERSE);
     for b in blocks {
@@ -243,20 +261,7 @@ proptest! {
     /// arbitrary (deterministic) similarity relation.
     #[test]
     fn compact_sequences_respect_definition(seed in 0u64..5000, n in 2usize..12) {
-        struct HashOracle(u64);
-        impl SimilarityOracle for HashOracle {
-            fn similar(&mut self, a: &TxBlock, b: &TxBlock) -> (bool, f64) {
-                let (x, y) = (a.id().value().min(b.id().value()), a.id().value().max(b.id().value()));
-                // A fixed pseudo-random symmetric relation.
-                let h = x
-                    .wrapping_mul(0x9E3779B97F4A7C15)
-                    .wrapping_add(y.wrapping_mul(0xD1B54A32D192ED03))
-                    .wrapping_add(self.0);
-                let sim = (h >> 7) % 3 == 0;
-                (sim, if sim { 0.0 } else { 1.0 })
-            }
-        }
-        let mut miner = CompactSequenceMiner::new(HashOracle(seed));
+        let mut miner = CompactSequenceMiner::new(Relation(seed));
         for id in 1..=n as u64 {
             miner.add_block(TxBlock::new(BlockId(id), vec![]));
         }
@@ -302,39 +307,83 @@ proptest! {
         }
     }
 
-    /// The windowed compact miner over a full-history oracle agrees with
-    /// the unrestricted miner restricted to the window, for sequences
-    /// entirely inside the window.
+    /// With a window at least as long as the stream nothing ever retires:
+    /// the windowed miner holds the unrestricted miner's sequences and
+    /// verdict matrix at every prefix.
     #[test]
-    fn windowed_miner_bounds_live_blocks(seed in 0u64..2000, n in 3usize..14, w in 2usize..6) {
-        use demon::focus::similarity::SimilarityOracle;
-        use demon::focus::WindowedCompactMiner;
-        struct HashOracle(u64);
-        impl SimilarityOracle for HashOracle {
-            fn similar(&mut self, a: &TxBlock, b: &TxBlock) -> (bool, f64) {
-                let (x, y) = (
-                    a.id().value().min(b.id().value()),
-                    a.id().value().max(b.id().value()),
-                );
-                let h = x
-                    .wrapping_mul(0x9E3779B97F4A7C15)
-                    .wrapping_add(y.wrapping_mul(0xD1B54A32D192ED03))
-                    .wrapping_add(self.0);
-                ((h >> 5) % 2 == 0, 0.5)
+    fn window_at_least_the_stream_is_the_unrestricted_miner(
+        seed in 0u64..2000,
+        n in 2usize..14,
+        slack in 0usize..3,
+    ) {
+        let mut unrestricted = CompactSequenceMiner::new(Relation(seed));
+        let mut windowed =
+            CompactSequenceMiner::with_window(Relation(seed), Some(n + slack)).unwrap();
+        for id in 1..=n as u64 {
+            unrestricted.add_block(TxBlock::new(BlockId(id), vec![]));
+            windowed.add_block(TxBlock::new(BlockId(id), vec![]));
+            prop_assert_eq!(windowed.sequences(), unrestricted.sequences());
+            for i in 0..id as usize {
+                for j in 0..i {
+                    prop_assert_eq!(windowed.is_similar(i, j), unrestricted.is_similar(i, j));
+                    prop_assert_eq!(windowed.deviation(i, j), unrestricted.deviation(i, j));
+                }
             }
         }
-        let mut miner = WindowedCompactMiner::new(HashOracle(seed), w);
+    }
+
+    /// At every prefix the windowed miner keeps Definition 4.1, holds at
+    /// most `w` blocks, and reports exactly what an unrestricted miner fed
+    /// only the live blocks reports — for an arbitrary (not transitive)
+    /// similarity relation.
+    #[test]
+    fn windowed_miner_is_the_unrestricted_miner_over_the_live_blocks(
+        seed in 0u64..2000,
+        n in 3usize..20,
+        w in 2usize..6,
+    ) {
+        let mut miner = CompactSequenceMiner::with_window(Relation(seed), Some(w)).unwrap();
+        for t in 1..=n as u64 {
+            miner.add_block(TxBlock::new(BlockId(t), vec![]));
+            miner.check_invariants();
+            prop_assert_eq!(miner.n_live(), w.min(t as usize));
+            let mut over_live = CompactSequenceMiner::new(Relation(seed));
+            for id in t.saturating_sub(w as u64) + 1..=t {
+                over_live.add_block(TxBlock::new(BlockId(id), vec![]));
+            }
+            prop_assert_eq!(miner.sequences(), over_live.sequences());
+        }
+    }
+
+    /// The oracle hears `retire(id)` exactly once per block that slid out,
+    /// in arrival order, and is never asked about that block again.
+    #[test]
+    fn slid_out_blocks_are_retired_once_in_order_and_never_asked_again(
+        seed in 0u64..2000,
+        n in 3usize..20,
+        w in 2usize..6,
+    ) {
+        struct Recording {
+            relation: Relation,
+            retired: Vec<BlockId>,
+        }
+        impl SimilarityOracle for Recording {
+            fn similar(&mut self, a: &TxBlock, b: &TxBlock) -> (bool, f64) {
+                for id in [a.id(), b.id()] {
+                    assert!(!self.retired.contains(&id), "asked about retired block {id}");
+                }
+                self.relation.similar(a, b)
+            }
+            fn retire(&mut self, id: BlockId) {
+                self.retired.push(id);
+            }
+        }
+        let oracle = Recording { relation: Relation(seed), retired: Vec::new() };
+        let mut miner = CompactSequenceMiner::with_window(oracle, Some(w)).unwrap();
         for id in 1..=n as u64 {
             miner.add_block(TxBlock::new(BlockId(id), vec![]));
-            miner.check_invariants();
-            prop_assert!(miner.n_live() <= w);
-        }
-        // Every live sequence references only in-window blocks.
-        let window_start = (n as u64).saturating_sub(w as u64 - 1).max(1);
-        for seq in miner.sequences() {
-            for b in seq {
-                prop_assert!(b.value() >= window_start);
-            }
+            let slid_out: Vec<BlockId> = (1..=id.saturating_sub(w as u64)).map(BlockId).collect();
+            prop_assert_eq!(&miner.oracle().retired, &slid_out);
         }
     }
 

@@ -10,7 +10,9 @@ use demon::itemsets::persist::{load_store_configured, verify_store, RecoveryPoli
 use demon::itemsets::{CounterKind, FrequentItemsets, TxStore};
 use demon::serve::{Client, ServeConfig, Server, ServeSummary};
 use demon::store::StoreConfig;
-use demon::types::{Block, BlockId, Item, MinSupport, Tid, Transaction, TxBlock};
+use demon::types::{
+    Block, BlockId, DemonError, Item, MinSupport, Tid, Transaction, TxBlock,
+};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -34,6 +36,10 @@ fn spawn(shards: usize, counter: CounterKind, minsup: MinSupport, n_items: u32) 
     let mut config = ServeConfig::new("127.0.0.1:0", n_items, minsup);
     config.shards = shards;
     config.counter = counter;
+    spawn_config(config)
+}
+
+fn spawn_config(mut config: ServeConfig) -> Daemon {
     config.workers = 2;
     let server = Server::bind(config).expect("bind");
     let addr = server.local_addr();
@@ -229,8 +235,67 @@ fn sharded_snapshots_are_byte_identical_across_shard_counts() {
     std::fs::remove_dir_all(&root).ok();
 }
 
-/// Config validation: zero shards is rejected, and the GEMM window
-/// (which the sharded runtime does not partition) demands `--shards 1`.
+/// With a pattern window the daemon answers `QuerySequences` exactly as
+/// the library miner does, after every ingested block, at one shard (the
+/// monitor's miner) and at two (the shard set's). The stream revisits
+/// three regimes over 14 blocks, so at `w = 4` ten blocks retire.
+#[test]
+fn served_pattern_window_matches_the_library_miner_at_every_prefix() {
+    use demon::datagen::{DriftingQuestGen, QuestParams};
+    use demon::focus::{CompactSequenceMiner, ItemsetSimilarity, SimilarityConfig};
+    let n_items = 60u32;
+    let minsup = MinSupport::new(0.05).unwrap();
+    let params = QuestParams {
+        n_transactions: 0,
+        avg_tx_len: 6.0,
+        n_items,
+        n_patterns: 20,
+        avg_pattern_len: 3.0,
+        ..QuestParams::default()
+    };
+    let schedule = vec![0, 0, 1, 0, 1, 1, 2, 0, 2, 2, 1, 0, 0, 2];
+    let total = schedule.len();
+    let mut gen = DriftingQuestGen::new(params, 3, 41, schedule);
+    let blocks: Vec<TxBlock> = (0..total).map(|_| gen.next_block(150)).collect();
+
+    let mut config = ServeConfig::new("127.0.0.1:0", n_items, minsup);
+    config.alpha = 0.35;
+    config.pattern_window = Some(4);
+    let mut daemons: Vec<Daemon> = [1, 2]
+        .map(|shards| {
+            let mut config = config.clone();
+            config.shards = shards;
+            spawn_config(config)
+        })
+        .into();
+    let oracle = ItemsetSimilarity::new(
+        n_items,
+        minsup,
+        SimilarityConfig::Threshold { alpha: config.alpha },
+    );
+    let mut miner = CompactSequenceMiner::with_window(oracle, config.pattern_window).unwrap();
+    for block in &blocks {
+        miner.add_block(block.clone());
+        for (d, shards) in daemons.iter_mut().zip([1, 2]) {
+            d.client.ingest(n_items, block).expect("ingest acked");
+            assert_eq!(
+                d.client.query_sequences().unwrap(),
+                miner.current_sequences(),
+                "shards={shards} after block {}",
+                block.id()
+            );
+        }
+    }
+    assert_eq!(miner.n_live(), 4);
+    for d in daemons {
+        d.finish();
+    }
+}
+
+/// Config validation: zero shards is rejected, the GEMM window (which
+/// the sharded runtime does not partition) demands `--shards 1`, and a
+/// pattern window too short to hold a pattern is refused at any shard
+/// count.
 #[test]
 fn invalid_shard_configs_are_typed_errors() {
     let minsup = MinSupport::new(0.1).unwrap();
@@ -251,6 +316,19 @@ fn invalid_shard_configs_are_typed_errors() {
         Ok(_) => panic!("shards=2 with a window must be rejected"),
     };
     assert!(err.contains("--shards 1"), "{err}");
+
+    for (shards, w) in [(1, 0), (1, 1), (2, 1)] {
+        let mut short = ServeConfig::new("127.0.0.1:0", UNIVERSE, minsup);
+        short.shards = shards;
+        short.pattern_window = Some(w);
+        match Server::bind(short) {
+            Err(e @ DemonError::InvalidParameter(_)) => {
+                assert!(e.to_string().contains("pattern window"), "{e}");
+            }
+            Err(e) => panic!("pattern window {w}: unexpected {e}"),
+            Ok(_) => panic!("pattern window {w} must be rejected"),
+        }
+    }
 }
 
 /// Duplicate and out-of-order blocks stay typed protocol errors under
