@@ -249,6 +249,30 @@ impl<M: ModelMaintainer + Sync> DemonEngine<M> {
         }
     }
 
+    /// Starts an engine that has consumed nothing at block `first`
+    /// instead of `D1` — over a log whose older blocks were dropped; from
+    /// there on ids must be sequential as ever.
+    pub fn resume_at(&mut self, first: BlockId) {
+        match self {
+            DemonEngine::Uw(e) => e.latest = first.prev(),
+            DemonEngine::Mrw(g) => g.latest = first.prev(),
+            DemonEngine::Sliding(s) => s.latest = first.prev(),
+        }
+    }
+
+    /// The oldest block the model depends on, now or after any later
+    /// block (paper §2.2): the first block under the unrestricted window,
+    /// the window's start under the most recent one. An engine resumed
+    /// above it is missing data.
+    pub fn oldest_needed(&self) -> BlockId {
+        let (latest, w) = match self {
+            DemonEngine::Uw(_) => return BlockId::FIRST,
+            DemonEngine::Mrw(g) => (g.latest, g.window_size()),
+            DemonEngine::Sliding(s) => (s.latest, s.w),
+        };
+        latest.map_or(BlockId::FIRST, |t| t.window_start(w))
+    }
+
     /// The currently required model (`None` only for an MRW engine that
     /// has seen no blocks).
     pub fn current_model(&self) -> Option<&M::Model> {
@@ -348,6 +372,40 @@ mod tests {
             Err(DemonError::DuplicateBlock { .. })
         ));
         assert!(e.add_block(blob(7)).is_err());
+    }
+
+    /// An engine resumed at `D5` takes `D5` first and nothing else, ends
+    /// up where an engine fed from `D1` does once the window has slid
+    /// past the resume point, and names what it depends on: the window
+    /// under a window, the first block without one.
+    #[test]
+    fn a_resumed_engine_continues_the_stream_and_names_its_oldest_block() {
+        let windowed = || {
+            let span = DataSpan::MostRecent {
+                w: 2,
+                selector: BlockSelector::all(),
+            };
+            DemonEngine::new(maintainer(), span).unwrap()
+        };
+        let (mut whole, mut resumed) = (windowed(), windowed());
+        assert_eq!(whole.oldest_needed(), BlockId::FIRST);
+        resumed.resume_at(BlockId(5));
+        assert!(resumed.add_block(marker_block(1, 4)).is_err());
+        for id in 1..=7u64 {
+            whole.add_block(marker_block(id, 4)).unwrap();
+            if id >= 5 {
+                resumed.add_block(marker_block(id, 4)).unwrap();
+            }
+        }
+        assert_eq!(whole.oldest_needed(), BlockId(6));
+        assert_eq!(resumed.oldest_needed(), BlockId(6));
+        let json = |e: &DemonEngine<ItemsetMaintainer>| serde_json::to_string(e.current_model().unwrap()).unwrap();
+        assert_eq!(json(&resumed), json(&whole));
+
+        let mut uw = DemonEngine::new(maintainer(), DataSpan::Unrestricted(WiBss::All)).unwrap();
+        uw.resume_at(BlockId(5));
+        uw.add_block(marker_block(5, 4)).unwrap();
+        assert_eq!(uw.oldest_needed(), BlockId::FIRST);
     }
 
     #[test]

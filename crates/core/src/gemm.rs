@@ -146,7 +146,9 @@ pub struct Gemm<M: ModelMaintainer> {
     starts: Vec<BlockId>,
     /// The current window's model — always pinned in memory.
     current: Option<M::Model>,
-    latest: Option<BlockId>,
+    /// The latest consumed block; [`crate::engine::DemonEngine::resume_at`]
+    /// sets it on an empty instance.
+    pub(crate) latest: Option<BlockId>,
     /// Lifetime count of shelved models rebuilt from the block stream
     /// (atomic because [`Gemm::future_model`] rebuilds through `&self`).
     rebuilds: AtomicU64,
@@ -235,11 +237,6 @@ impl<M: ModelMaintainer + Sync> Gemm<M> {
     /// The underlying maintainer.
     pub fn maintainer(&self) -> &M {
         &self.maintainer
-    }
-
-    /// The latest absorbed block id.
-    pub fn latest_block(&self) -> Option<BlockId> {
-        self.latest
     }
 
     /// Lifetime count of shelved models that had to be rebuilt from the

@@ -95,6 +95,18 @@ where
         })
     }
 
+    /// Starts a monitor that has consumed nothing at block `first`
+    /// instead of `D1` (the miner addresses blocks by arrival, not id).
+    pub fn resume_at(&mut self, first: BlockId) {
+        self.engine.resume_at(first);
+    }
+
+    /// The oldest block either dimension still depends on — what a
+    /// restart has to replay from to rebuild this monitor.
+    pub fn oldest_needed(&self) -> BlockId {
+        self.engine.oldest_needed().min(self.miner.oldest_needed())
+    }
+
     /// The currently required model.
     pub fn model(&self) -> Option<&M::Model> {
         self.engine.current_model()

@@ -242,6 +242,16 @@ where
         }
     }
 
+    /// The oldest block the miner's state depends on: the first block
+    /// when unrestricted, else the start of the window that ends at the
+    /// newest block.
+    pub fn oldest_needed(&self) -> BlockId {
+        match (self.window, self.blocks.last()) {
+            (Some(w), Some(newest)) => newest.id().window_start(w),
+            _ => BlockId::FIRST,
+        }
+    }
+
     /// The live blocks, in arrival order.
     pub fn blocks(&self) -> &[Block<R>] {
         &self.blocks

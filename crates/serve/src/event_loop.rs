@@ -155,7 +155,7 @@ impl<S: ServableModel> Conn<S> {
             None => {}
             Some(PendingState::Submit { task, deadline }) => {
                 let (gauge, done) = match &task {
-                    Task::Ingest { block, done } => {
+                    Task::Ingest { block, done, .. } => {
                         let shard = shard_of(block.id(), hub.n_shards());
                         (Some(&hub.shard_pending[shard]), Arc::clone(done))
                     }
@@ -262,7 +262,9 @@ impl<S: ServableModel> Conn<S> {
         hub.requests.fetch_add(1, Ordering::Relaxed);
         obs::incr(Counter::ServeRequests);
         obs::add(Counter::ServeBytesIn, total as u64);
-        let request = Request::decode(payload);
+        // An ingest's body goes to the sequencer as received, for the log.
+        let body = payload.to_vec();
+        let request = Request::decode(&body);
         self.in_buf.drain(..total);
         let other = |msg: String| Response::Err(WireError::Other(msg));
         match request {
@@ -283,7 +285,7 @@ impl<S: ServableModel> Conn<S> {
                         Err(e) => self.push_response(&other(e.to_string())),
                         Ok(block) => {
                             let done = Arc::new(Pending::new(std::thread::current()));
-                            self.submit(hub, Task::Ingest { block, done });
+                            self.submit(hub, Task::Ingest { block, body, done });
                         }
                     }
                 }

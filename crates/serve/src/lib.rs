@@ -27,7 +27,7 @@
 //! | [`model`] | the [`ServableModel`] abstraction: codecs, rendering, snapshots, shard capability per model class |
 //! | [`server`] | [`ServeConfig`], [`Server`]: bind (validation, recovery) and run (thread set-up) |
 //! | [`shard`] | the state the sequencer applies blocks to (the class's monitor, or per-shard stores with an exact merge) and the epoch-swapped replicas readers see |
-//! | [`sequencer`] | bounded queue, WAL lanes + group commit, recovery, compaction, `Stats` |
+//! | [`sequencer`] | bounded queue, WAL lanes + group commit, recovery, rotation and retention, `Stats` |
 //! | [`event_loop`] | poll-based (std-only) non-blocking connection loop: framing, verbs, idle policy |
 //! | [`client`] | blocking one-call-per-request client with bounded retry |
 //!
@@ -59,13 +59,13 @@
 //! * An acknowledged `IngestBlock` is **applied**: any later query — on
 //!   any connection — sees the block.
 //! * With a WAL directory configured (`ServeConfig::wal_dir`), an
-//!   acknowledged `IngestBlock` is also **durable**: the encoded block
-//!   is appended to the write-ahead log and fsynced *before* the ack is
-//!   sent, so a `kill -9` after the ack never loses the block. On
-//!   restart the daemon loads the newest snapshot generation and
-//!   replays the WAL tail, salvaging a torn final record instead of
-//!   refusing to start. Background compaction (snapshot + log rotation)
-//!   is atomic: a crash mid-compaction recovers from either generation.
+//!   acknowledged `IngestBlock` is also **durable**: the request body it
+//!   arrived in is appended to the write-ahead log and fsynced *before*
+//!   the ack is sent, so a `kill -9` after the ack never loses the
+//!   block. The log is the daemon's whole durable state: a restart
+//!   replays it, salvaging a torn final record and refusing — typed —
+//!   damage that acked records follow. Full segments are sealed, and
+//!   unlinked only once no window of the data span reaches their blocks.
 //! * Client-side, transient transport faults are retried under a
 //!   bounded [`RetryPolicy`] and a `Duplicate` answer to a *retried*
 //!   ingest is success (the ack was lost, not the block).

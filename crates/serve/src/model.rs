@@ -12,7 +12,7 @@
 //! | per-block wire meta (universe / dim) | [`ServableModel::block_meta`], [`ServableModel::meta_mismatch`] |
 //! | block-record wire codec | [`ServableModel::encode_records`], [`ServableModel::decode_records`] |
 //! | model → canonical JSON | [`ServableModel::render_model_json`] |
-//! | snapshot persist / load | [`ServableModel::block`], [`ServableModel::save_snapshot`], [`ServableModel::load_snapshot`] |
+//! | `Snapshot` export / its fsck | [`ServableModel::save_snapshot`], [`verify_export`] |
 //! | exact shard merge (optional) | [`ShardableModel`] |
 //!
 //! Four classes implement it: [`ItemsetModel`] (frequent itemsets over
@@ -39,7 +39,9 @@
 //!
 //! ## Generic snapshots
 //!
-//! Itemset snapshots keep the seed's `save_store_atomic` layout (the
+//! A snapshot is what the `Snapshot` verb exports — no part of a
+//! daemon's own durable state, which is its log alone. Itemset snapshots
+//! keep the seed's `save_store_atomic` layout (the
 //! BENCH gates and fsck know those bytes). The point classes persist
 //! through the storage engine's own framed [`Spillable`] encoding
 //! ([`demon_store::BlockEntry`], whose row section is also their wire
@@ -61,11 +63,9 @@ use demon_focus::similarity::{
     ClusterSimilarity, DbscanSimilarity, ItemsetSimilarity, SimilarityConfig, SimilarityOracle,
     TreeSimilarity,
 };
-use demon_itemsets::persist::{
-    decode_block_txs, encode_block_txs, load_store_configured, save_store_atomic, RecoveryPolicy,
-};
+use demon_itemsets::persist::{decode_block_txs, encode_block_txs, save_store_atomic};
 use demon_itemsets::TxStore;
-use demon_store::{BlockStore, Spillable, StoreConfig};
+use demon_store::{BlockStore, Spillable};
 use demon_trees::{LabeledBlockEntry, LabeledPoint, TreeParams};
 use demon_types::durable::{self, FrameClass, Reader, Row};
 use demon_types::{Block, BlockId, DemonError, ModelClass, Point, Result};
@@ -139,20 +139,9 @@ pub trait ServableModel: Send + Sync + 'static {
     /// identical to what the batch pipeline prints for the same blocks.
     fn render_model_json(ctx: &Self::RenderCtx, model: &MaintainedModel<Self>) -> Result<String>;
 
-    /// Ids of every block the maintainer holds, ascending.
-    fn block_ids(maintainer: &Self::Maintainer) -> Vec<BlockId>;
-
-    /// A copy of held block `id` (snapshots gather these into a fresh
-    /// maintainer; see [`crate::shard::AppliedState::snapshot_source`]).
-    fn block(maintainer: &Self::Maintainer, id: BlockId) -> Result<Block<Self::Record>>;
-
     /// Persists the maintainer's blocks to `dir` all-or-nothing;
     /// returns the persisted block count.
     fn save_snapshot(maintainer: &Self::Maintainer, dir: &Path) -> Result<u64>;
-
-    /// Loads a [`ServableModel::save_snapshot`] directory back into
-    /// blocks, ascending by id, strictly (corruption is a typed error).
-    fn load_snapshot(dir: &Path, config: &ServeConfig) -> Result<Vec<Block<Self::Record>>>;
 }
 
 /// The optional exact shard-merge capability behind `--shards ≥ 2`.
@@ -165,6 +154,10 @@ pub trait ServableModel: Send + Sync + 'static {
 /// implement it — the daemon then refuses sharding with the typed
 /// [`DemonError::ShardsUnsupported`].
 pub trait ShardableModel: ServableModel {
+    /// A copy of block `id` as the shard that owns it holds it (the
+    /// sharded `Snapshot` gathers these into the 1-shard layout).
+    fn block(shard: &Self::Maintainer, id: BlockId) -> Result<Block<Self::Record>>;
+
     /// Absorbs block `id` into `model`, counting across the per-shard
     /// stores (exact scatter/gather).
     fn absorb_sharded(
@@ -230,39 +223,18 @@ impl ServableModel for ItemsetModel {
             .map_err(|e| DemonError::Serde(format!("model serialization: {e}")))
     }
 
-    fn block_ids(maintainer: &ItemsetMaintainer) -> Vec<BlockId> {
-        maintainer.store().block_ids().to_vec()
-    }
-
-    fn block(maintainer: &ItemsetMaintainer, id: BlockId) -> Result<Block<Self::Record>> {
-        let block = maintainer.store().try_block(id)?;
-        Ok((*block.ok_or(DemonError::UnknownBlock(id.value()))?).clone())
-    }
-
     fn save_snapshot(maintainer: &ItemsetMaintainer, dir: &Path) -> Result<u64> {
         save_store_atomic(maintainer.store(), dir)?;
         Ok(maintainer.store().len() as u64)
     }
-
-    fn load_snapshot(dir: &Path, _config: &ServeConfig) -> Result<Vec<Block<Self::Record>>> {
-        // Loaded into a transient in-memory store and handed back as
-        // blocks; the caller replays them into the configured engine.
-        let (store, _) = load_store_configured(dir, RecoveryPolicy::Strict, &StoreConfig::InMemory)?;
-        store
-            .block_ids()
-            .to_vec()
-            .iter()
-            .map(|&id| {
-                store
-                    .block(id)
-                    .map(|b| (*b).clone())
-                    .ok_or(DemonError::UnknownBlock(id.value()))
-            })
-            .collect()
-    }
 }
 
 impl ShardableModel for ItemsetModel {
+    fn block(shard: &ItemsetMaintainer, id: BlockId) -> Result<Block<Self::Record>> {
+        let block = shard.store().try_block(id)?;
+        Ok((*block.ok_or(DemonError::UnknownBlock(id.value()))?).clone())
+    }
+
     fn absorb_sharded(
         model: &mut MaintainedModel<Self>,
         shards: &[ItemsetMaintainer],
@@ -325,22 +297,8 @@ impl ServableModel for ClusterModel {
             .map_err(|e| DemonError::Serde(format!("model serialization: {e}")))
     }
 
-    fn block_ids(maintainer: &ClusterMaintainer) -> Vec<BlockId> {
-        maintainer.store().ids()
-    }
-
-    fn block(maintainer: &ClusterMaintainer, id: BlockId) -> Result<Block<Point>> {
-        stored_block(maintainer.store(), id, |entry| &entry.0)
-    }
-
     fn save_snapshot(maintainer: &ClusterMaintainer, dir: &Path) -> Result<u64> {
         save_blocks_atomic(maintainer.store(), Self::CLASS, dir)
-    }
-
-    fn load_snapshot(dir: &Path, _config: &ServeConfig) -> Result<Vec<Block<Point>>> {
-        load_blocks_strict::<PointBlockEntry>(dir, Self::CLASS).map(|entries| {
-            entries.into_iter().map(|e| e.0).collect()
-        })
     }
 }
 
@@ -420,21 +378,8 @@ impl ServableModel for DbscanModel {
             .map_err(|e| DemonError::Serde(format!("model serialization: {e}")))
     }
 
-    fn block_ids(maintainer: &DbscanMaintainer) -> Vec<BlockId> {
-        maintainer.store().ids()
-    }
-
-    fn block(maintainer: &DbscanMaintainer, id: BlockId) -> Result<Block<Point>> {
-        stored_block(maintainer.store(), id, |entry| &entry.0)
-    }
-
     fn save_snapshot(maintainer: &DbscanMaintainer, dir: &Path) -> Result<u64> {
         save_blocks_atomic(maintainer.store(), Self::CLASS, dir)
-    }
-
-    fn load_snapshot(dir: &Path, _config: &ServeConfig) -> Result<Vec<Block<Point>>> {
-        load_blocks_strict::<PointBlockEntry>(dir, Self::CLASS)
-            .map(|entries| entries.into_iter().map(|e| e.0).collect())
     }
 }
 
@@ -486,33 +431,9 @@ impl ServableModel for TreeModel {
             .map_err(|e| DemonError::Serde(format!("model serialization: {e}")))
     }
 
-    fn block_ids(maintainer: &TreeMaintainer) -> Vec<BlockId> {
-        maintainer.store().ids()
-    }
-
-    fn block(maintainer: &TreeMaintainer, id: BlockId) -> Result<Block<LabeledPoint>> {
-        stored_block(maintainer.store(), id, |entry| &entry.0)
-    }
-
     fn save_snapshot(maintainer: &TreeMaintainer, dir: &Path) -> Result<u64> {
         save_blocks_atomic(maintainer.store(), Self::CLASS, dir)
     }
-
-    fn load_snapshot(dir: &Path, _config: &ServeConfig) -> Result<Vec<Block<LabeledPoint>>> {
-        load_blocks_strict::<LabeledBlockEntry>(dir, Self::CLASS).map(|entries| {
-            entries.into_iter().map(|e| e.0).collect()
-        })
-    }
-}
-
-/// A copy of the block a [`BlockStore`] entry wraps.
-fn stored_block<E: Spillable, R: Clone>(
-    store: &BlockStore<E>,
-    id: BlockId,
-    block_of: impl Fn(&E) -> &Block<R>,
-) -> Result<Block<R>> {
-    let entry = store.get(id)?.ok_or(DemonError::UnknownBlock(id.value()))?;
-    Ok(block_of(&entry).clone())
 }
 
 /// The dimension-mismatch refusal shared by the point-record classes.
@@ -577,10 +498,10 @@ fn save_blocks_atomic<R: Spillable>(
     Ok(ids.len() as u64)
 }
 
-/// Loads a [`save_blocks_atomic`] directory strictly: every frame CRC
-/// must verify, the manifest's class must match, and every listed block
-/// must decode.
-fn load_blocks_strict<R: Spillable>(dir: &Path, class: ModelClass) -> Result<Vec<R>> {
+/// Loads a point-class `Snapshot` export (a `save_blocks_atomic`
+/// directory) strictly: every frame CRC must verify, the manifest's
+/// class must match, and every listed block must decode.
+pub fn load_blocks_strict<R: Spillable>(dir: &Path, class: ModelClass) -> Result<Vec<R>> {
     let (manifest, _) = durable::read_framed(&dir.join("blocks.manifest"), FrameClass::SNAP_MANIFEST)?;
     let mut r = Reader::new(&manifest);
     let tag = r.u8("snapshot class tag")?;
@@ -600,6 +521,24 @@ fn load_blocks_strict<R: Spillable>(dir: &Path, class: ModelClass) -> Result<Vec
     }
     r.finish("the last block id")?;
     Ok(entries)
+}
+
+/// The fsck of a point-class `Snapshot` export: reads the class the
+/// manifest opens with and loads the directory strictly as that class.
+/// Returns the class and the number of blocks that verified.
+pub fn verify_export(dir: &Path) -> Result<(ModelClass, usize)> {
+    let manifest = dir.join("blocks.manifest");
+    let (payload, _) = durable::read_framed(&manifest, FrameClass::SNAP_MANIFEST)?;
+    let tag = Reader::new(&payload).u8("snapshot class tag")?;
+    let class = ModelClass::from_tag(tag).ok_or_else(|| DemonError::Corrupt {
+        file: manifest.display().to_string(),
+        detail: format!("class tag {tag} names no model class"),
+    })?;
+    let blocks = match class {
+        ModelClass::Trees => load_blocks_strict::<LabeledBlockEntry>(dir, class)?.len(),
+        _ => load_blocks_strict::<PointBlockEntry>(dir, class)?.len(),
+    };
+    Ok((class, blocks))
 }
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
 //! The single writer: a bounded queue of ingest and snapshot work, the
-//! write-ahead log it appends to before applying, recovery of both at
-//! bind time, and the compactor that bounds the log.
+//! write-ahead log it appends to before applying — the daemon's only
+//! durable state — its recovery at bind time, and the rotation and
+//! retention that bound it.
 //!
 //! ```text
 //!  event-loop threads ──try_submit──▶ bounded queue ──▶ sequencer thread
@@ -8,13 +9,14 @@
 //!                                                        │ apply to the AppliedState
 //!                                                        │ publish Arc<Replica>, then ack
 //!                                                        ▼
-//!                                   compactor ◀── (gen, snapshot source) at rotation
-//!                                   snapshot-<gen>, flip CURRENT, delete shadowed files
+//!                           segment full: seal wal-<g>, open wal-<g+1> on every lane,
+//!                           move CURRENT past the generations no window still needs,
+//!                           unlink them
 //! ```
 //!
-//! * **Ack contract**: the sequencer appends the block's encoded ingest
-//!   request to the WAL lane of its shard and fsyncs it, applies it,
-//!   publishes the replica, and only then fills the connection's
+//! * **Ack contract**: the sequencer appends the request body the block
+//!   arrived in to the WAL lane of its shard and fsyncs it, applies the
+//!   block, publishes the replica, and only then fills the connection's
 //!   completion slot — so an ack means durable (with `wal_dir`),
 //!   applied, *and* visible to every later query. Only the exact
 //!   successor of the last applied id is ever appended: a duplicate or
@@ -32,34 +34,37 @@
 //!   With one block queued the batch is that block: append + fsync.
 //! * **WAL lanes**: shard `s` of `N ≥ 2` appends to
 //!   `wal_dir/shard-<s>/wal-<g>.log`; with one shard the lane is
-//!   `wal_dir` itself. The root `CURRENT` pointer and `snapshot-<g>` are
-//!   common to all lanes; rotation moves every lane to `g+1` at once.
-//!   Lanes are appended in block-id order, so recovery merges lane
-//!   records by block id and replays the contiguous prefix: the first
-//!   gap ends replay, which keeps `acked ≤ recovered` and, for one
-//!   block in flight, `recovered ≤ acked + 1`. Every record carries the
+//!   `wal_dir` itself. The root `CURRENT` pointer is common to all
+//!   lanes; rotation moves every lane to `g+1` at once. Lanes are
+//!   appended in block-id order, so recovery merges lane records by
+//!   block id and replays the contiguous prefix: the first gap ends
+//!   replay, which keeps `acked ≤ recovered` and, for one block in
+//!   flight, `recovered ≤ acked + 1`. Every record carries the
 //!   model-class tag; a log written by another class refuses to replay.
-//! * **Compaction**: once the lanes' live bytes cross `wal_max_bytes`
-//!   the sequencer rotates and hands the compactor the new generation
-//!   with a snapshot source. It rotates only when nothing is appended
-//!   but not yet applied — after the *last* logged block of a batch —
-//!   so the snapshot covers every record the old logs hold that was or
-//!   will be acked. The compactor saves `snapshot-<gen>` atomically,
-//!   flips `CURRENT`, and deletes what that shadows. A crash at any
-//!   instant recovers from whichever generation `CURRENT` still names.
+//! * **Rotation and retention**: every acked block has exactly one
+//!   durable copy, its log record. Once the lanes' live bytes reach
+//!   `wal_max_bytes` (the segment size) the sequencer seals the
+//!   generation and opens the next on every lane — only when nothing is
+//!   appended but not yet applied, after the *last* logged block of a
+//!   batch — and unlinks the sealed generations that end below the
+//!   oldest block the state can still need
+//!   ([`AppliedState::oldest_needed`]): they are in no current or future
+//!   window. `CURRENT` names the oldest retained generation and moves
+//!   *before* anything below it is unlinked. An unrestricted daemon
+//!   needs its first block for ever and never unlinks anything.
 
 use crate::model::ServableModel;
 use crate::protocol::{Request, Response, WireError};
 use crate::server::{crash_point, ServeConfig};
-use crate::shard::{shard_lane_dir, shard_of, AppliedState, ReplicaCell};
+use crate::shard::{shard_of, AppliedState, ReplicaCell};
 use demon_types::obs::{self, Counter};
-use demon_types::wal::{self, WalWriter};
+use demon_types::wal::{self, LaneChain, WalWriter};
 use demon_types::{Block, BlockId, BlockInterval, DemonError, ModelClass, Result};
 use std::collections::{BTreeMap, VecDeque};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::Thread;
 use std::time::Duration;
 
@@ -92,12 +97,14 @@ impl Pending {
 
 /// A unit of sequencer work.
 pub(crate) enum Task<S: ServableModel> {
-    /// Apply one block (WAL append first when durable).
+    /// Apply one block (WAL append first when durable): the decoded
+    /// block, and the request body it arrived in — what the log records.
     Ingest {
         block: Block<S::Record>,
+        body: Vec<u8>,
         done: Arc<Pending>,
     },
-    /// Persist the snapshot source atomically to a server-side directory.
+    /// Persist the held blocks atomically to a server-side directory.
     Snapshot { dir: String, done: Arc<Pending> },
 }
 
@@ -209,8 +216,6 @@ pub(crate) struct Hub<S: ServableModel> {
     pub(crate) shutdown: AtomicBool,
     /// Requests served across all connections and verbs.
     pub(crate) requests: AtomicU64,
-    /// Blocks applied (recovered blocks included).
-    pub(crate) blocks: AtomicU64,
     /// The bound address.
     addr: SocketAddr,
     /// The event-loop threads, once spawned: shutdown unparks them.
@@ -230,10 +235,8 @@ impl<S: ServableModel> Hub<S> {
         addr: SocketAddr,
         state: &dyn AppliedState<S>,
     ) -> Hub<S> {
-        let replica = state.replica(0);
         Hub {
-            blocks: AtomicU64::new(replica.blocks),
-            replica: ReplicaCell::new(replica),
+            replica: ReplicaCell::new(state.replica(0)),
             queue: TaskQueue::new(config.queue_capacity),
             shard_pending: (0..config.shards).map(|_| AtomicU64::new(0)).collect(),
             shutdown: AtomicBool::new(false),
@@ -282,19 +285,21 @@ impl<S: ServableModel> Hub<S> {
     }
 
     /// The `Stats` body: the daemon's gauges, then the obs counter
-    /// table, as one JSON object. `"blocks"` comes first, ahead of the
-    /// shard keys, so gauge parsers keyed on the first `"blocks":` match
-    /// keep working. Built by hand — every key is a static snake_case
+    /// table, as one JSON object. `"blocks"` — the stream position, the
+    /// latest applied block id — comes first, ahead of the shard keys,
+    /// so gauge parsers keyed on the first `"blocks":` match keep
+    /// working. Built by hand — every key is a static snake_case
     /// name, so no escaping is ever needed.
     pub(crate) fn stats_json(&self) -> String {
         fn join(values: impl Iterator<Item = u64>) -> String {
             values.map(|v| v.to_string()).collect::<Vec<_>>().join(",")
         }
+        let replica = self.replica.load();
         let mut out = format!(
             "{{\"blocks\":{},\"shards\":{},\"shard_blocks\":[{}],\"shard_queue_depths\":[{}],\"requests\":{},\"queue_depth\":{},\"counters\":{{",
-            self.blocks.load(Ordering::SeqCst),
+            replica.blocks,
             self.n_shards(),
-            join(self.replica.load().shard_blocks.iter().copied()),
+            join(replica.shard_blocks.iter().copied()),
             join(self.shard_pending.iter().map(|d| d.load(Ordering::SeqCst))),
             self.requests.load(Ordering::Relaxed),
             self.queue.depth(),
@@ -321,38 +326,32 @@ pub(crate) fn decode_block<S: ServableModel>(
     Ok(Block::from_parts(id, interval, S::decode_records(payload, id, meta)?))
 }
 
-/// The directory lane `shard` of `n_shards` logs to: the WAL root itself
-/// when there is one lane, so a 1-shard directory is
-/// `wal-<g>.log` + `CURRENT` + `snapshot-<g>/` and nothing else.
+/// The directory lane `shard` of `n_shards` logs to: `shard-<s>/` under
+/// the WAL root, or the root itself when there is one lane — a 1-shard
+/// directory is `wal-<g>.log` + `CURRENT` and nothing else.
 fn lane_dir(root: &Path, shard: usize, n_shards: usize) -> PathBuf {
     if n_shards == 1 {
         root.to_path_buf()
     } else {
-        shard_lane_dir(root, shard)
+        root.join(format!("shard-{shard}"))
     }
 }
 
-/// The sequencer's durable state: one WAL lane per shard, all rotated
-/// together, behind the root `CURRENT` pointer. Owned by the sequencer
-/// thread alone — the single-appender discipline is what makes rotation
-/// sound.
-pub(crate) struct WalLanes<S: ServableModel> {
+/// The sequencer's durable state: one WAL lane per shard, all writing
+/// generation `gen`, behind the root `CURRENT` pointer. Owned by the
+/// sequencer thread alone — the single-appender discipline is what makes
+/// rotation sound.
+pub(crate) struct WalLanes {
     root: PathBuf,
     writers: Vec<WalWriter>,
-    gen: u64,
+    /// The segment size: live bytes across the lanes that seal `gen`.
     max_bytes: u64,
-    compact_tx: mpsc::Sender<(u64, S::Maintainer)>,
-    /// One compaction at a time; while it runs, the live logs simply
-    /// keep growing past the threshold.
-    compacting: Arc<AtomicBool>,
-}
-
-/// The compactor's end of a [`WalLanes`].
-pub(crate) struct CompactorInbox<S: ServableModel> {
-    root: PathBuf,
-    n_shards: usize,
-    compacting: Arc<AtomicBool>,
-    rx: mpsc::Receiver<(u64, S::Maintainer)>,
+    gen: u64,
+    /// The highest block id logged in `gen` (`None`: nothing yet).
+    highest: Option<BlockId>,
+    /// `(generation, highest block id logged in it)` of the sealed
+    /// generations still on disk, oldest — `CURRENT` — first.
+    sealed: VecDeque<(u64, Option<BlockId>)>,
 }
 
 /// The typed refusal when a WAL record (header tag or request body)
@@ -364,67 +363,64 @@ fn cross_class_replay<S: ServableModel>(got: u8) -> DemonError {
     }
 }
 
-/// Deletes every `snapshot-*` directory under `root` other than
-/// generation `keep` (a compaction's tmp residue included).
-fn remove_shadowed_snapshots(root: &Path, keep: u64) {
-    for entry in std::fs::read_dir(root).into_iter().flatten().flatten() {
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if name.starts_with("snapshot-") && wal::parse_snapshot_dir_name(name) != Some(keep) {
-            let _ = std::fs::remove_dir_all(entry.path());
-        }
-    }
-}
-
 /// Recovers `state` (handed in empty) from a WAL root and reopens the
-/// lanes for appending: load `snapshot-<CURRENT>` under `Strict` (the
-/// snapshot was written atomically — damage there is real bit rot and
-/// must be loud), merge every lane's record chain of generations ≥
-/// `CURRENT` by block id, replay the contiguous prefix, and truncate
-/// each live log's torn tail (counted under `wal.torn_tails`).
-///
-/// Replay is idempotent and salvaging: an id the snapshot already
-/// covers is skipped; of two records with one id the later wins (the
+/// lanes for appending. The log is the whole durable state: read every
+/// lane's chain of generations ≥ `CURRENT` ([`LaneChain`]: a torn end of
+/// chain is dropped and counted under `wal.torn_tails`, damage that
+/// intact records follow is [`DemonError::Corrupt`]), merge the records
+/// by block id, start the state at the first retained id and replay the
+/// contiguous prefix. Of two records with one id the later wins (the
 /// earlier was refused at apply, or it could not have been logged
 /// again); the first gap or failed apply ends replay — nothing past it
-/// was ever acknowledged. Generations below `CURRENT` and snapshots
-/// other than `CURRENT`'s are shadowed: deleting them makes a crash
-/// mid-cleanup converge instead of accreting. A record tagged with a
-/// *different model class* is not salvage — this WAL belongs to
-/// another daemon, and recovery refuses with the typed
-/// [`DemonError::ModelClassMismatch`] instead of replaying garbage.
+/// was ever acknowledged. Generations below `CURRENT` are stale residue
+/// of a crash between the pointer move and the unlink. Refused, not
+/// guessed at: a record of another model class
+/// ([`DemonError::ModelClassMismatch`]); a log that starts above the
+/// oldest block the replayed state needs (trimmed under a narrower data
+/// span than the daemon came back with); and a `snapshot-<g>/`, which
+/// only a build that compacted into snapshots can read.
 pub(crate) fn recover<S: ServableModel>(
     root: &Path,
     config: &ServeConfig,
     state: &mut dyn AppliedState<S>,
-) -> Result<(WalLanes<S>, CompactorInbox<S>)> {
+) -> Result<WalLanes> {
     let n_shards = config.shards;
-    for s in 0..n_shards {
-        std::fs::create_dir_all(lane_dir(root, s, n_shards))?;
+    let lanes: Vec<PathBuf> = (0..n_shards).map(|s| lane_dir(root, s, n_shards)).collect();
+    let mut listed = Vec::with_capacity(n_shards);
+    for lane in &lanes {
+        std::fs::create_dir_all(lane)?;
+        listed.push(wal::list_wal_generations(lane)?);
+    }
+    if let Some(left) = std::fs::read_dir(root)?.flatten().find(|e| {
+        e.file_name().to_string_lossy().starts_with("snapshot-")
+    }) {
+        return Err(DemonError::InvalidParameter(format!(
+            "{} is a compaction snapshot of an older build; this build keeps a daemon's \
+             durable state in its log alone and cannot recover from it",
+            left.path().display()
+        )));
     }
     let current = wal::read_current(root)?;
-    if current > 0 {
-        for block in S::load_snapshot(&wal::snapshot_dir_path(root, current), config)? {
-            state.add_block(block)?;
-        }
-    }
-    remove_shadowed_snapshots(root, current);
+    // Every lane appends to the newest generation any lane reached (a
+    // crash between creating the lanes' next logs leaves them apart).
+    let gen = listed.iter().flatten().copied().fold(current, u64::max);
 
     let class = S::CLASS.tag();
     let mut logged: BTreeMap<BlockId, Block<S::Record>> = BTreeMap::new();
+    // Highest block id per generation ≥ CURRENT, over all lanes.
+    let mut generations: BTreeMap<u64, Option<BlockId>> = BTreeMap::new();
     let mut writers = Vec::with_capacity(n_shards);
-    let mut gen = current;
-    for s in 0..n_shards {
-        let lane = lane_dir(root, s, n_shards);
-        // (generation, clean length) of the lane's newest log, if any.
-        let mut live: Option<(u64, u64)> = None;
-        let mut next_seq = 0u64;
-        for g in wal::list_wal_generations(&lane)? {
+    for (lane, gens) in lanes.iter().zip(listed) {
+        let mut chain = LaneChain::default();
+        let mut live_len = None;
+        for g in gens {
+            let path = wal::wal_file_path(lane, g);
             if g < current {
-                let _ = std::fs::remove_file(wal::wal_file_path(&lane, g));
+                let _ = std::fs::remove_file(path);
                 continue;
             }
-            let report = wal::read_wal(&wal::wal_file_path(&lane, g))?;
+            let report = chain.read(&path)?;
+            let highest = generations.entry(g).or_default();
             for record in &report.records {
                 if record.class != class {
                     return Err(cross_class_replay::<S>(record.class));
@@ -443,160 +439,124 @@ pub(crate) fn recover<S: ServableModel>(
                     return Err(cross_class_replay::<S>(body_class));
                 }
                 if let Ok(block) = decode_block::<S>(id, interval, meta, &payload) {
+                    *highest = (*highest).max(Some(id));
                     logged.insert(id, block);
                 }
             }
-            if let Some(seq) = report.next_seq() {
-                next_seq = seq;
+            live_len = (g == gen).then_some(report.valid_len);
+            if report.torn.is_some() {
+                // The end of the chain, sealed log or live: cut it off
+                // before anything is appended behind it.
+                wal::truncate_torn_tail(&path, report.valid_len)?;
             }
-            live = Some((g, report.valid_len));
         }
-        writers.push(match live {
-            Some((g, valid_len)) => {
-                gen = gen.max(g);
-                WalWriter::open_after_recovery(
-                    &wal::wal_file_path(&lane, g),
-                    valid_len,
-                    next_seq,
-                    class,
-                )?
-            }
-            None => WalWriter::create(&wal::wal_file_path(&lane, current), next_seq, class)?,
+        let path = wal::wal_file_path(lane, gen);
+        writers.push(match live_len {
+            Some(len) => WalWriter::open_after_recovery(&path, len, chain.next_seq(), class)?,
+            None => WalWriter::create(&path, chain.next_seq(), class)?,
         });
     }
 
-    for (id, block) in logged {
-        let expected = state.latest().map_or(BlockId::FIRST, BlockId::next);
-        if id < expected {
-            continue; // covered by the snapshot
-        }
-        if id > expected || state.add_block(block).is_err() {
-            break; // never appended, or appended but never acked
+    let first = logged.keys().next().copied();
+    if let Some(first) = first {
+        state.resume_at(first);
+    }
+    for block in logged.into_values() {
+        // The state's own sequence check ends replay at the first gap
+        // (never appended), like a block appended but never acked.
+        if state.add_block(block).is_err() {
+            break;
         }
         obs::incr(Counter::WalReplays);
     }
-
-    let (compact_tx, rx) = mpsc::channel();
-    let compacting = Arc::new(AtomicBool::new(false));
-    let lanes = WalLanes {
+    if let (Some(first), Some(_)) = (first, state.latest()) {
+        let needed = state.oldest_needed();
+        if needed < first {
+            let span = |w: Option<usize>| w.map_or("unrestricted".to_string(), |w| w.to_string());
+            return Err(DemonError::InvalidParameter(format!(
+                "the log in {} starts at block {first}, but --window {} with --pattern-window {} \
+                 needs block {needed}: the generations below were dropped under a narrower data span",
+                root.display(),
+                span(config.window),
+                span(config.pattern_window),
+            )));
+        }
+    }
+    Ok(WalLanes {
         root: root.to_path_buf(),
         writers,
-        gen,
         max_bytes: config.wal_max_bytes.max(1),
-        compact_tx,
-        compacting: Arc::clone(&compacting),
-    };
-    let inbox = CompactorInbox {
-        root: root.to_path_buf(),
-        n_shards,
-        compacting,
-        rx,
-    };
-    Ok((lanes, inbox))
+        gen,
+        highest: generations.remove(&gen).flatten(),
+        sealed: generations.into_iter().collect(),
+    })
 }
 
-impl<S: ServableModel> WalLanes<S> {
-    /// Appends one block to the lane of its shard, unsynced; returns
-    /// the lane for the covering fsync.
-    fn append(
-        &mut self,
-        meta: u32,
-        block: &Block<S::Record>,
-    ) -> std::result::Result<usize, WireError> {
-        let payload =
-            S::encode_records(block).map_err(|e| WireError::Other(format!("wal encode: {e}")))?;
-        let body = Request::IngestBlock {
-            class: S::CLASS.tag(),
-            id: block.id(),
-            interval: block.interval(),
-            meta,
-            payload,
-        }
-        .encode();
-        let lane = shard_of(block.id(), self.writers.len());
-        match self.writers[lane].append_unsynced(&body) {
-            Ok(_) => Ok(lane),
+impl WalLanes {
+    /// Appends the request body block `id` arrived in to the lane of its
+    /// shard, unsynced; returns the lane for the covering fsync.
+    fn append(&mut self, id: BlockId, body: &[u8]) -> std::result::Result<usize, WireError> {
+        let lane = shard_of(id, self.writers.len());
+        match self.writers[lane].append_unsynced(body) {
+            Ok(_) => {
+                self.highest = Some(id);
+                Ok(lane)
+            }
             Err(e) => Err(WireError::Io(format!("wal append: {e}"))),
         }
     }
 
-    /// Rotates every lane to `gen+1` once the lanes' combined live
-    /// bytes cross the threshold, then hands the snapshot source to the
-    /// compactor. Called only when every appended record is applied (or
-    /// was refused and never acked): the snapshot then shadows the old
-    /// logs, which the compactor deletes. Skipped while a compaction is
-    /// in flight.
-    fn maybe_rotate(&mut self, state: &dyn AppliedState<S>) {
+    /// Once the lanes' combined live bytes reach the segment size: seals
+    /// generation `gen` — every lane moves to `gen+1` at once — and
+    /// unlinks the sealed generations whose highest block id lies below
+    /// the oldest block `state` still needs. Called only when every
+    /// appended record is applied (or was refused and never acked), so
+    /// `state` speaks for everything the sealed logs hold. Nothing here
+    /// looks at a block: the cost is a file per lane and, when something
+    /// is dropped, one pointer write.
+    fn maybe_rotate<S: ServableModel>(&mut self, state: &dyn AppliedState<S>) {
         let total: u64 = self.writers.iter().map(WalWriter::bytes).sum();
-        if total < self.max_bytes || self.compacting.swap(true, Ordering::SeqCst) {
+        if total < self.max_bytes {
             return;
         }
-        let next_gen = self.gen + 1;
         let n_shards = self.writers.len();
-        let rotated: Result<Vec<WalWriter>> = self
-            .writers
-            .iter()
-            .enumerate()
-            .map(|(s, writer)| {
-                let lane = lane_dir(&self.root, s, n_shards);
-                let path = wal::wal_file_path(&lane, next_gen);
-                WalWriter::create(&path, writer.next_seq(), S::CLASS.tag())
-            })
+        let log = |s, g| wal::wal_file_path(&lane_dir(&self.root, s, n_shards), g);
+        let rotated: Result<Vec<WalWriter>> = (self.writers.iter().enumerate())
+            .map(|(s, w)| WalWriter::create(&log(s, self.gen + 1), w.next_seq(), w.class()))
             .collect();
         // Any failure aborts the whole rotation: keep appending to the
-        // old lanes and retry at the next threshold crossing. An
-        // already-created empty `wal-<gen+1>.log` is harmless —
-        // recovery replays it as an empty generation.
-        match rotated.and_then(|rotated| Ok((rotated, state.snapshot_source()?))) {
-            Ok((rotated, source)) => {
-                self.writers = rotated;
-                self.gen = next_gen;
-                // A send failure means the compactor died; keep serving
-                // — the logs just stop rotating.
-                let _ = self.compact_tx.send((next_gen, source));
+        // old lanes and retry after the next block. An already-created
+        // empty `wal-<gen+1>.log` is harmless — recovery reads it as an
+        // empty generation.
+        let Ok(rotated) = rotated else { return };
+        crash_point("mid_rotation");
+        self.writers = rotated;
+        self.sealed.push_back((self.gen, self.highest.take()));
+        self.gen += 1;
+
+        let needed = Some(state.oldest_needed());
+        let droppable = self.sealed.iter().take_while(|(_, highest)| *highest < needed).count();
+        let oldest_kept = self.sealed.get(droppable).map_or(self.gen, |(g, _)| *g);
+        // The pointer moves first: a crash after it leaves stale files
+        // that the next bind sweeps, never a pointer below a missing
+        // file. A failed pointer write drops nothing; the next rotation
+        // tries again.
+        if droppable == 0 || wal::write_current(&self.root, oldest_kept).is_err() {
+            return;
+        }
+        crash_point("after_current");
+        for (g, _) in self.sealed.drain(..droppable) {
+            for s in 0..n_shards {
+                let _ = std::fs::remove_file(log(s, g));
             }
-            Err(_) => self.compacting.store(false, Ordering::SeqCst),
         }
     }
 }
 
-/// The compactor: for each rotated generation, save the snapshot
-/// atomically, flip `CURRENT`, and delete the shadowed logs and
-/// snapshots. A crash anywhere in here is recoverable — before the
-/// `CURRENT` flip the old generation chain is intact; after it the new
-/// one is.
-pub(crate) fn compactor_loop<S: ServableModel>(inbox: &CompactorInbox<S>) {
-    let root = &inbox.root;
-    while let Ok((gen, source)) = inbox.rx.recv() {
-        let result: Result<()> = (|| {
-            S::save_snapshot(&source, &wal::snapshot_dir_path(root, gen))?;
-            crash_point("mid_compaction");
-            wal::write_current(root, gen)
-        })();
-        if result.is_ok() {
-            // The old generations are shadowed by CURRENT=gen; deleting
-            // them is cleanup, not correctness (recovery re-deletes).
-            for s in 0..inbox.n_shards {
-                let lane = lane_dir(root, s, inbox.n_shards);
-                for g in wal::list_wal_generations(&lane).unwrap_or_default() {
-                    if g < gen {
-                        let _ = std::fs::remove_file(wal::wal_file_path(&lane, g));
-                    }
-                }
-            }
-            remove_shadowed_snapshots(root, gen);
-        }
-        inbox.compacting.store(false, Ordering::SeqCst);
-    }
-}
-
-/// Persists the snapshot source to `dir` all-or-nothing: a failure
-/// leaves no partial directory, and the error stays typed end to end.
+/// Persists the held blocks to `dir` all-or-nothing: a failure leaves no
+/// partial directory, and the error stays typed end to end.
 fn snapshot_to<S: ServableModel>(state: &dyn AppliedState<S>, dir: &str) -> Response {
-    match state
-        .snapshot_source()
-        .and_then(|source| S::save_snapshot(&source, Path::new(dir)))
-    {
+    match state.save_snapshot(Path::new(dir)) {
         Ok(blocks) => Response::SnapshotDone(blocks),
         Err(DemonError::Io(e)) => Response::Err(WireError::Io(format!("snapshot to {dir}: {e}"))),
         Err(e) => Response::Err(WireError::Other(format!("snapshot to {dir}: {e}"))),
@@ -607,7 +567,7 @@ fn snapshot_to<S: ServableModel>(state: &dyn AppliedState<S>, dir: &str) -> Resp
 pub(crate) fn sequencer_loop<S: ServableModel>(
     hub: &Hub<S>,
     mut state: Box<dyn AppliedState<S>>,
-    mut lanes: Option<WalLanes<S>>,
+    mut lanes: Option<WalLanes>,
 ) {
     let mut epoch = hub.replica.load().epoch;
     let mut poisoned = false;
@@ -618,7 +578,7 @@ pub(crate) fn sequencer_loop<S: ServableModel>(
         let mut appended: Vec<std::result::Result<Option<usize>, WireError>> =
             Vec::with_capacity(batch.len());
         for task in &batch {
-            let Task::Ingest { block, .. } = task else {
+            let Task::Ingest { block, body, .. } = task else {
                 appended.push(Ok(None));
                 continue;
             };
@@ -626,7 +586,7 @@ pub(crate) fn sequencer_loop<S: ServableModel>(
             appended.push(match lanes.as_mut() {
                 Some(l) if block.id() == next && !poisoned => {
                     next = next.next();
-                    l.append(hub.meta, block).map(Some)
+                    l.append(block.id(), body).map(Some)
                 }
                 _ => Ok(None),
             });
@@ -647,13 +607,14 @@ pub(crate) fn sequencer_loop<S: ServableModel>(
             }
         }
 
-        // The old logs may only be shadowed by a snapshot that holds
-        // every block of theirs that gets acked, so within a batch only
-        // the last logged block may rotate (`None`: nothing logged).
+        // Retention asks the state what it still needs, and the state
+        // must speak for every block the sealed logs hold, so within a
+        // batch only the last logged block may rotate (`None`: nothing
+        // logged).
         let last_logged = appended.iter().rposition(|a| matches!(a, Ok(Some(_))));
         for (i, (task, appended)) in batch.into_iter().zip(appended).enumerate() {
             let (block, done) = match task {
-                Task::Ingest { block, done } => (block, done),
+                Task::Ingest { block, done, .. } => (block, done),
                 Task::Snapshot { dir, done } => {
                     done.fill(if poisoned {
                         Response::Err(WireError::Other("monitor poisoned".to_string()))
@@ -687,7 +648,6 @@ pub(crate) fn sequencer_loop<S: ServableModel>(
             };
             let response = match result {
                 Ok(()) => {
-                    hub.blocks.fetch_add(1, Ordering::SeqCst);
                     obs::incr(Counter::ServeShardIngests);
                     epoch += 1;
                     let replica = state.replica(epoch);
@@ -728,6 +688,19 @@ mod tests {
         Block::new(BlockId(id), txs)
     }
 
+    /// Block `id` as a canonical client puts it on the wire.
+    fn request_body(config: &ServeConfig, id: u64) -> Vec<u8> {
+        let block = block(id);
+        Request::IngestBlock {
+            class: ItemsetModel::CLASS.tag(),
+            id: block.id(),
+            interval: block.interval(),
+            meta: config.n_items,
+            payload: ItemsetModel::encode_records(&block).expect("encode"),
+        }
+        .encode()
+    }
+
     /// A durable config over a fresh directory.
     fn config(name: &str, shards: usize) -> ServeConfig {
         let dir = std::env::temp_dir().join(format!("demon-seq-{name}-{}", std::process::id()));
@@ -738,26 +711,22 @@ mod tests {
         config
     }
 
-    fn reopen(
-        config: &ServeConfig,
-    ) -> (State, WalLanes<ItemsetModel>, CompactorInbox<ItemsetModel>) {
+    fn reopen(config: &ServeConfig) -> Result<(State, WalLanes)> {
         let mut state: State = if config.shards == 1 {
             Box::new(MonitorState::<ItemsetModel>::new(config).expect("state"))
         } else {
             Box::new(ShardSet::<ItemsetModel>::new(config).expect("state"))
         };
         let root = config.wal_dir.as_ref().expect("durable config");
-        let (lanes, inbox) =
-            recover::<ItemsetModel>(root, config, state.as_mut()).expect("recover");
-        (state, lanes, inbox)
+        let lanes = recover::<ItemsetModel>(root, config, state.as_mut())?;
+        Ok((state, lanes))
     }
 
-    /// Queues `ids` and runs the sequencer over them as one batch, then
-    /// the compactor over whatever that rotated; returns the answers and
-    /// the fsyncs the sequencer spent.
+    /// Queues `ids` and runs the sequencer over them as one batch;
+    /// returns the answers and the fsyncs the sequencer spent.
     fn run_one_batch(config: &ServeConfig, ids: &[u64]) -> (Hub<ItemsetModel>, Vec<Response>, u64) {
         obs::enable();
-        let (state, lanes, inbox) = reopen(config);
+        let (state, lanes) = reopen(config).expect("recover");
         let hub = Hub::<ItemsetModel>::new(config, "127.0.0.1:1".parse().unwrap(), state.as_ref());
         let slots: Vec<Arc<Pending>> = ids
             .iter()
@@ -765,6 +734,7 @@ mod tests {
                 let done = Arc::new(Pending::new(std::thread::current()));
                 let task = Task::Ingest {
                     block: block(id),
+                    body: request_body(config, id),
                     done: Arc::clone(&done),
                 };
                 let gauge = &hub.shard_pending[shard_of(BlockId(id), config.shards)];
@@ -776,7 +746,6 @@ mod tests {
         let fsyncs = obs::counter_value(Counter::WalFsyncs);
         sequencer_loop(&hub, state, Some(lanes));
         let fsyncs = obs::counter_value(Counter::WalFsyncs) - fsyncs;
-        compactor_loop(&inbox);
         let answers = slots.iter().map(|s| s.take().expect("answered")).collect();
         (hub, answers, fsyncs)
     }
@@ -805,15 +774,30 @@ mod tests {
         );
         assert_eq!(hub.replica.load().shard_blocks, vec![2, 2, 1, 1]);
 
-        let (state, ..) = reopen(&config);
+        let (state, _) = reopen(&config).expect("recover");
         assert_eq!(state.latest(), Some(BlockId(6)));
         let _ = std::fs::remove_dir_all(config.wal_dir.unwrap());
     }
 
-    /// A batch whose first block already crosses `wal_max_bytes` still
-    /// rotates only once its last block is applied: the compaction's
-    /// snapshot shadows logs that hold the whole batch, so it must hold
-    /// the whole batch too — every acked block survives the restart.
+    /// The log holds what crossed the socket, and for a canonical client
+    /// those are the bytes a re-encode of the decoded block yields — the
+    /// record bytes every earlier build wrote.
+    #[test]
+    fn the_log_record_is_the_request_body_as_received() {
+        let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+        let config = config("body", 1);
+        run_one_batch(&config, &[1, 2]);
+        let root = config.wal_dir.clone().unwrap();
+        let report = wal::read_wal(&wal::wal_file_path(&root, 0)).expect("wal-0.log");
+        let bodies: Vec<&[u8]> = report.records.iter().map(|r| r.body.as_slice()).collect();
+        assert_eq!(bodies, [request_body(&config, 1), request_body(&config, 2)]);
+        let _ = std::fs::remove_dir_all(root);
+    }
+
+    /// A batch whose first block already fills the segment still rotates
+    /// only once its last block is applied, and an unrestricted daemon
+    /// unlinks nothing: every acked block survives the restart, `CURRENT`
+    /// never moves, and the sealed generation is still there.
     #[test]
     fn a_rotation_inside_a_batch_keeps_every_acked_block() {
         let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
@@ -825,8 +809,10 @@ mod tests {
                 assert!(answers.iter().all(|r| *r == Response::Ok), "{answers:?}");
 
                 let root = config.wal_dir.clone().unwrap();
-                assert_eq!(wal::read_current(&root).unwrap(), 1, "rotated once");
-                let (state, ..) = reopen(&config);
+                assert_eq!(wal::read_current(&root).unwrap(), 0, "nothing was dropped");
+                let lane = lane_dir(&root, 0, shards);
+                assert_eq!(wal::list_wal_generations(&lane).unwrap(), [0, 1], "rotated once");
+                let (state, _) = reopen(&config).expect("recover");
                 assert_eq!(
                     state.latest(),
                     Some(BlockId(6)),
@@ -835,5 +821,43 @@ mod tests {
                 let _ = std::fs::remove_dir_all(root);
             }
         }
+    }
+
+    /// Under a window the sealed generations behind it are unlinked —
+    /// pointer first — and the generation count stays bounded; a restart
+    /// resumes at the first retained block, and a restart that asks for
+    /// more history than was kept is refused by name.
+    #[test]
+    fn a_windowed_daemon_unlinks_what_no_window_needs_and_resumes_there() {
+        let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+        let mut config = config("retain", 1);
+        config.window = Some(2);
+        config.pattern_window = Some(2);
+        config.wal_max_bytes = 1; // a generation per block
+        let root = config.wal_dir.clone().unwrap();
+        for id in 1..=6 {
+            let (_, answers, _) = run_one_batch(&config, &[id]);
+            assert_eq!(answers, [Response::Ok]);
+            let gens = wal::list_wal_generations(&root).unwrap();
+            assert!(gens.len() <= 3, "block {id}: generations {gens:?}");
+            assert_eq!(wal::read_current(&root).unwrap(), gens[0], "block {id}");
+        }
+        // D5 and D6 are the window; their generations and the open one stay.
+        assert_eq!(wal::list_wal_generations(&root).unwrap(), [4, 5, 6]);
+        let (state, _) = reopen(&config).expect("recover");
+        assert_eq!(state.latest(), Some(BlockId(6)));
+        assert_eq!(state.oldest_needed(), BlockId(5));
+
+        config.window = Some(4);
+        let err = reopen(&config).err().expect("D3 is gone");
+        let text = err.to_string();
+        assert!(matches!(err, DemonError::InvalidParameter(_)), "{text}");
+        assert!(text.contains("starts at block D5") && text.contains("needs block D3"), "{text}");
+        assert!(text.contains("--window 4"), "{text}");
+
+        std::fs::create_dir_all(root.join("snapshot-1")).unwrap();
+        let text = reopen(&config).err().expect("leftover snapshot").to_string();
+        assert!(text.contains("snapshot-1"), "{text}");
+        let _ = std::fs::remove_dir_all(root);
     }
 }

@@ -11,8 +11,7 @@
 //!              │ owns the AppliedState: the class's monitor (shards = 1)
 //!              │ or a ShardSet (shards ≥ 2)
 //!              │ append + fsync to the WAL lane(s), then apply, publish, ack
-//!              ▼
-//!        compactor ◀── snapshot-<gen> + CURRENT
+//!              │ segment full: seal the generation, unlink those no window needs
 //! ```
 //!
 //! [`Server::bind`] builds the same runtime for every model class
@@ -32,7 +31,7 @@
 
 use crate::event_loop::{acceptor, event_loop};
 use crate::model::{ClusterModel, DbscanModel, ItemsetModel, ServableModel, TreeModel};
-use crate::sequencer::{self, CompactorInbox, Hub, WalLanes};
+use crate::sequencer::{self, Hub, WalLanes};
 use crate::shard::{AppliedState, MonitorState, ShardSet};
 use demon_itemsets::CounterKind;
 use demon_store::StoreConfig;
@@ -41,7 +40,7 @@ use demon_types::{DemonError, MinSupport, ModelClass, Result};
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, OnceLock};
 use std::time::Duration;
 
 /// Everything that shapes a daemon instance.
@@ -102,8 +101,9 @@ pub struct ServeConfig {
     /// ingest durable (fsynced before the ack) and recovers the monitor
     /// from `dir` at bind time; `None` keeps the daemon memory-only.
     pub wal_dir: Option<PathBuf>,
-    /// Compaction threshold: once the live WAL file crosses this many
-    /// bytes, the daemon snapshots the store and rotates the log.
+    /// WAL segment size: once the live log files reach this many bytes
+    /// the daemon seals them and opens the next generation, unlinking
+    /// the sealed generations no window can still need.
     pub wal_max_bytes: u64,
 }
 
@@ -112,8 +112,8 @@ impl ServeConfig {
     /// 4 event-loop threads, 1 shard, a 64-block queue, 5 s
     /// backpressure deadline, 30 s connection timeouts, an unrestricted
     /// window, an in-memory store,
-    /// and no WAL (pass `wal_dir` to make ingest durable; WAL files
-    /// rotate at 8 MiB).
+    /// and no WAL (pass `wal_dir` to make ingest durable; WAL segments
+    /// are 8 MiB).
     pub fn new(addr: impl Into<String>, n_items: u32, minsup: MinSupport) -> ServeConfig {
         ServeConfig {
             addr: addr.into(),
@@ -146,7 +146,7 @@ impl ServeConfig {
 pub struct ServeSummary {
     /// Requests served across all connections and verbs.
     pub requests: u64,
-    /// Blocks ingested into the monitor (recovered blocks included).
+    /// The stream position at exit: the latest applied block id.
     pub blocks: u64,
 }
 
@@ -200,9 +200,8 @@ impl Server {
         self.addr
     }
 
-    /// Serves until a `Shutdown` request: spawns the compactor (when
-    /// durable), the sequencer, the event-loop threads and the acceptor,
-    /// then joins them all. Queued blocks are drained before the
+    /// Serves until a `Shutdown` request: spawns the sequencer, the
+    /// event-loop threads and the acceptor, then joins them all. Queued blocks are drained before the
     /// sequencer exits.
     pub fn run(self) -> Result<ServeSummary> {
         (self.run)()
@@ -216,7 +215,7 @@ struct Runtime<S: ServableModel> {
     listener: TcpListener,
     workers: usize,
     state: Box<dyn AppliedState<S>>,
-    durable: Option<(WalLanes<S>, CompactorInbox<S>)>,
+    lanes: Option<WalLanes>,
 }
 
 impl<S: ServableModel> Runtime<S> {
@@ -229,7 +228,7 @@ impl<S: ServableModel> Runtime<S> {
     fn bind(config: &ServeConfig, mut state: Box<dyn AppliedState<S>>) -> Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        let durable = match &config.wal_dir {
+        let lanes = match &config.wal_dir {
             None => None,
             Some(root) => Some(sequencer::recover::<S>(root, config, state.as_mut())?),
         };
@@ -238,7 +237,7 @@ impl<S: ServableModel> Runtime<S> {
             listener,
             workers: config.workers.max(1),
             state,
-            durable,
+            lanes,
         };
         Ok(Server {
             addr,
@@ -252,17 +251,10 @@ impl<S: ServableModel> Runtime<S> {
             listener,
             workers,
             state,
-            durable,
+            lanes,
         } = self;
-        let (lanes, inbox) = durable.unzip();
         let mut handles = Vec::new();
         let named = |name: String| std::thread::Builder::new().name(name);
-        if let Some(inbox) = inbox {
-            handles.push(
-                named("serve-compactor".to_string())
-                    .spawn(move || sequencer::compactor_loop(&inbox))?,
-            );
-        }
         {
             let hub = Arc::clone(&hub);
             handles.push(
@@ -297,7 +289,7 @@ impl<S: ServableModel> Runtime<S> {
         let _ = acceptor.join();
         Ok(ServeSummary {
             requests: hub.requests.load(Ordering::Relaxed),
-            blocks: hub.blocks.load(Ordering::SeqCst),
+            blocks: hub.replica.load().blocks,
         })
     }
 }
@@ -307,21 +299,18 @@ static CRASH_HITS: AtomicU64 = AtomicU64::new(0);
 /// Fault-injection hook: `DEMON_SERVE_CRASH=<point>:<n>` aborts the
 /// process — the moral equivalent of `kill -9`, no destructors, no
 /// flushes — the `n`-th time the named crash point is reached. Inert
-/// unless the fault tests arm it.
+/// unless the fault tests arm it, through the daemon's environment: the
+/// spec is read once per process.
 pub(crate) fn crash_point(point: &str) {
-    let Ok(spec) = std::env::var("DEMON_SERVE_CRASH") else {
-        return;
-    };
-    let Some((name, nth)) = spec.split_once(':') else {
-        return;
-    };
-    if name != point {
-        return;
-    }
-    let Ok(nth) = nth.parse::<u64>() else {
-        return;
-    };
-    if CRASH_HITS.fetch_add(1, Ordering::SeqCst) + 1 == nth {
-        std::process::abort();
+    static ARMED: OnceLock<Option<(String, u64)>> = OnceLock::new();
+    let armed = ARMED.get_or_init(|| {
+        let spec = std::env::var("DEMON_SERVE_CRASH").ok()?;
+        let (name, nth) = spec.split_once(':')?;
+        Some((name.to_string(), nth.parse().ok()?))
+    });
+    if let Some((name, nth)) = armed {
+        if name == point && CRASH_HITS.fetch_add(1, Ordering::SeqCst) + 1 == *nth {
+            std::process::abort();
+        }
     }
 }

@@ -28,31 +28,28 @@
 //!   them. The replica (model included) is published *before* the
 //!   ingest ack, so an acked block is visible to every later query;
 //!   only the stringification is deferred.
-//! * **One snapshot source**: [`AppliedState::snapshot_source`] gathers
-//!   every held block into a fresh maintainer, registered in block-id
-//!   order — in memory, or spilling under the daemon's own
-//!   `--memory-budget` policy when it has one. The `Snapshot` verb and
-//!   WAL compaction both save that maintainer, so persisted directories
-//!   are byte-identical at any shard count, and the compactor writes to
-//!   disk without holding up the sequencer.
+//! * **Data span**: [`AppliedState::oldest_needed`] names the oldest
+//!   block the state can still depend on — what lets the sequencer
+//!   unlink log generations — and [`AppliedState::resume_at`] starts the
+//!   empty state where the retained log begins.
+//! * **Snapshot export**: `MonitorState` saves straight from its live
+//!   maintainer; `ShardSet` first gathers its shards' blocks into one
+//!   fresh maintainer, in block-id order (in memory, or spilling under
+//!   the daemon's own `--memory-budget` policy), because its export must
+//!   be the 1-shard layout — byte-identical at any shard count.
 
 use crate::model::{MaintainedModel, ServableModel, ShardableModel};
 use crate::server::ServeConfig;
-use demon_core::engine;
+use demon_core::engine::check_sequential;
 use demon_core::maintainer::ModelMaintainer;
 use demon_core::monitor::DemonMonitor;
 use demon_focus::compact::CompactSequenceMiner;
 use demon_store::StoreConfig;
 use demon_types::obs::{self, Counter};
 use demon_types::{Block, BlockId, DemonError, Result};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-
-/// The lane directory of shard `s` under the WAL root.
-pub fn shard_lane_dir(root: &Path, shard: usize) -> PathBuf {
-    root.join(format!("shard-{shard}"))
-}
 
 /// The shard that owns block `id`: round-robin by block id, so every
 /// stream prefix is balanced to within one block.
@@ -75,14 +72,31 @@ pub trait AppliedState<S: ServableModel>: Send {
     /// per-shard block counts for `Stats`.
     fn replica(&self, epoch: u64) -> Replica<S>;
 
-    /// Every held block in one fresh maintainer, registered in
-    /// block-id order — what `Snapshot` and compaction persist.
-    fn snapshot_source(&self) -> Result<S::Maintainer>;
+    /// Starts the (empty) state at block `first` instead of `D1`:
+    /// recovery over a log whose older generations were dropped.
+    fn resume_at(&mut self, first: BlockId);
+
+    /// The oldest block this state depends on, now or after any later
+    /// block, in O(1): a restart must replay from here or earlier, and
+    /// nothing older can ever matter again.
+    fn oldest_needed(&self) -> BlockId;
+
+    /// Persists every held block to `dir` all-or-nothing (the
+    /// `Snapshot` verb); returns the persisted block count.
+    fn save_snapshot(&self, dir: &Path) -> Result<u64>;
 }
 
-/// Where a snapshot source keeps its copy of the blocks: in memory when
+/// Blocks owned per shard once blocks `D1..=latest` are dealt round-robin
+/// over `n_shards` — the stream position as `Stats` reports it, the same
+/// before and after a restart however much of the log was replayed.
+fn shard_blocks(latest: Option<BlockId>, n_shards: usize) -> Vec<u64> {
+    let (t, n) = (latest.map_or(0, BlockId::value), n_shards as u64);
+    (0..n).map(|s| (t + n - 1 - s) / n).collect()
+}
+
+/// Where a gathered snapshot keeps its copy of the blocks: in memory when
 /// the daemon's stores are, else under the same spill policy in a
-/// scratch directory of its own (removed when the source is dropped), so
+/// scratch directory of its own (removed when the copy is dropped), so
 /// a `--memory-budget` daemon stays within its budget while it
 /// snapshots. Only the sequencer gathers, so the sweep of emptied
 /// scratch directories cannot race a new one.
@@ -106,30 +120,10 @@ fn scratch_store_config(store_config: &StoreConfig) -> StoreConfig {
     }
 }
 
-/// Registers the blocks `ids` (ascending), each read from the
-/// maintainer `owner` names, into a fresh maintainer: the plain 1-shard
-/// register path, so the result persists to the same bytes whichever
-/// state it was gathered from.
-fn gather<'a, S: ServableModel>(
-    config: &ServeConfig,
-    ids: impl IntoIterator<Item = BlockId>,
-    owner: impl Fn(BlockId) -> &'a S::Maintainer,
-) -> Result<S::Maintainer> {
-    let mut config = config.clone();
-    config.store_config = scratch_store_config(&config.store_config);
-    let mut merged = S::maintainer(&config)?;
-    for id in ids {
-        merged.register_block(S::block(owner(id), id)?);
-    }
-    Ok(merged)
-}
-
 /// The `shards = 1` state: the class's own monitor, applied to directly.
 pub struct MonitorState<S: ServableModel> {
     monitor: DemonMonitor<S::Maintainer, S::Oracle>,
     latest: Option<BlockId>,
-    blocks: u64,
-    config: ServeConfig,
 }
 
 impl<S: ServableModel> MonitorState<S> {
@@ -138,8 +132,6 @@ impl<S: ServableModel> MonitorState<S> {
         Ok(MonitorState {
             monitor: S::build_monitor(config)?,
             latest: None,
-            blocks: 0,
-            config: config.clone(),
         })
     }
 }
@@ -149,7 +141,6 @@ impl<S: ServableModel> AppliedState<S> for MonitorState<S> {
         let id = block.id();
         self.monitor.add_block(block)?;
         self.latest = Some(id);
-        self.blocks += 1;
         Ok(())
     }
 
@@ -160,18 +151,25 @@ impl<S: ServableModel> AppliedState<S> for MonitorState<S> {
     fn replica(&self, epoch: u64) -> Replica<S> {
         Replica {
             epoch,
-            blocks: self.blocks,
+            blocks: self.latest.map_or(0, BlockId::value),
             model: self.monitor.model().cloned(),
             render_ctx: S::render_ctx(self.monitor.engine().maintainer()),
             model_json: OnceLock::new(),
             sequences: self.monitor.sequences(),
-            shard_blocks: vec![self.blocks],
+            shard_blocks: shard_blocks(self.latest, 1),
         }
     }
 
-    fn snapshot_source(&self) -> Result<S::Maintainer> {
-        let maintainer = self.monitor.engine().maintainer();
-        gather::<S>(&self.config, S::block_ids(maintainer), |_| maintainer)
+    fn resume_at(&mut self, first: BlockId) {
+        self.monitor.resume_at(first);
+    }
+
+    fn oldest_needed(&self) -> BlockId {
+        self.monitor.oldest_needed()
+    }
+
+    fn save_snapshot(&self, dir: &Path) -> Result<u64> {
+        S::save_snapshot(self.monitor.engine().maintainer(), dir)
     }
 }
 
@@ -184,7 +182,6 @@ pub struct ShardSet<S: ShardableModel> {
     model: MaintainedModel<S>,
     miner: CompactSequenceMiner<S::Oracle, S::Record>,
     latest: Option<BlockId>,
-    shard_blocks: Vec<u64>,
     config: ServeConfig,
 }
 
@@ -204,7 +201,6 @@ impl<S: ShardableModel> ShardSet<S> {
             model,
             miner,
             latest: None,
-            shard_blocks: vec![0; n],
             config: config.clone(),
         })
     }
@@ -215,13 +211,12 @@ impl<S: ShardableModel> ShardSet<S> {
     /// A replayed or out-of-order id is rejected before any state moves.
     pub fn add_block(&mut self, block: Block<S::Record>) -> Result<()> {
         let id = block.id();
-        engine::check_sequential(id, self.latest)?;
+        check_sequential(id, self.latest)?;
         let s = shard_of(id, self.shards.len());
         self.shards[s].register_block(block.clone());
         S::absorb_sharded(&mut self.model, &self.shards, id, &self.config)?;
         self.miner.add_block(block);
         self.latest = Some(id);
-        self.shard_blocks[s] += 1;
         Ok(())
     }
 
@@ -229,12 +224,12 @@ impl<S: ShardableModel> ShardSet<S> {
     pub fn replica(&self, epoch: u64) -> Replica<S> {
         Replica {
             epoch,
-            blocks: self.shard_blocks.iter().sum(),
+            blocks: self.latest.map_or(0, BlockId::value),
             model: Some(self.model.clone()),
             render_ctx: S::render_ctx(&self.shards[0]),
             model_json: OnceLock::new(),
             sequences: self.miner.current_sequences(),
-            shard_blocks: self.shard_blocks.clone(),
+            shard_blocks: shard_blocks(self.latest, self.shards.len()),
         }
     }
 }
@@ -252,11 +247,27 @@ impl<S: ShardableModel> AppliedState<S> for ShardSet<S> {
         ShardSet::replica(self, epoch)
     }
 
-    fn snapshot_source(&self) -> Result<S::Maintainer> {
-        let last = self.latest.map_or(0, |b| b.value());
-        gather::<S>(&self.config, (1..=last).map(BlockId), |id| {
-            &self.shards[shard_of(id, self.shards.len())]
-        })
+    fn resume_at(&mut self, first: BlockId) {
+        self.latest = first.prev();
+    }
+
+    /// The global model and the per-shard stores cover the whole stream.
+    fn oldest_needed(&self) -> BlockId {
+        BlockId::FIRST
+    }
+
+    /// Gathers every held block, in block-id order, into one fresh
+    /// maintainer — the plain 1-shard register path — and saves that: a
+    /// sharded daemon exports the bytes a 1-shard daemon does.
+    fn save_snapshot(&self, dir: &Path) -> Result<u64> {
+        let mut config = self.config.clone();
+        config.store_config = scratch_store_config(&config.store_config);
+        let mut gathered = S::maintainer(&config)?;
+        for id in (1..=self.latest.map_or(0, BlockId::value)).map(BlockId) {
+            let owner = &self.shards[shard_of(id, self.shards.len())];
+            gathered.register_block(S::block(owner, id)?);
+        }
+        S::save_snapshot(&gathered, dir)
     }
 }
 
@@ -267,7 +278,8 @@ pub struct Replica<S: ServableModel> {
     /// Monotone swap counter (one per applied block + the recovery
     /// publish).
     pub epoch: u64,
-    /// Blocks applied when this replica was built.
+    /// The stream position when this replica was built: the latest
+    /// applied block id (0 before the first).
     pub blocks: u64,
     /// The model at this epoch (`None`: a windowed engine that has seen
     /// no block yet).

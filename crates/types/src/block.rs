@@ -27,6 +27,21 @@ impl BlockId {
         BlockId(self.0 + 1)
     }
 
+    /// The identifier before this one (`None` before the first): the
+    /// `latest` of a consumer that expects this block next.
+    #[inline]
+    pub fn prev(self) -> Option<BlockId> {
+        (self > BlockId::FIRST).then(|| BlockId(self.0 - 1))
+    }
+
+    /// The first block of the window of `w` blocks that ends at this
+    /// one — `D_{t−w+1}`, or the first block while the stream is shorter
+    /// than the window.
+    #[inline]
+    pub fn window_start(self, w: usize) -> BlockId {
+        BlockId(self.0.saturating_sub(w as u64) + 1)
+    }
+
     /// Zero-based position of this block in the sequence.
     #[inline]
     pub fn index(self) -> usize {

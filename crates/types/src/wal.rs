@@ -29,16 +29,19 @@
 //! to the clean prefix before appending so a torn tail cannot shadow
 //! later records.
 //!
-//! Multi-file generations: a WAL directory holds `wal-<gen>.log` files,
-//! `snapshot-<gen>/` stores, and a framed `CURRENT` pointer naming the
-//! newest generation whose snapshot is complete. `CURRENT` is written
-//! with [`atomic_write`], so compaction can crash at any instant and
-//! recovery still finds either the old generation chain or the new one —
-//! never a half-written pointer.
+//! A tail can only be torn where the log *ends*: a lane's log is a chain
+//! of generations `wal-<gen>.log` whose sequence numbers continue from
+//! one file into the next, and [`LaneChain`] turns a defect that intact
+//! records follow into [`DemonError::Corrupt`] — acked records lie
+//! behind it. A WAL directory holds those files and a framed `CURRENT`
+//! pointer naming the oldest generation still retained (absent: 0),
+//! written with [`atomic_write`] and moved *before* anything below it is
+//! unlinked: a crash at any instant leaves every generation from the
+//! pointer up in place.
 
 use crate::durable::{
     atomic_write, decode_frame_header, encode_frame, put_u64, read_framed, verify_frame_payload,
-    FrameClass, Reader, FRAME_HEADER_LEN,
+    FrameClass, Reader, FRAME_HEADER_LEN, FRAME_MAGIC,
 };
 use crate::error::DemonError;
 use crate::obs::{self, Counter};
@@ -47,11 +50,9 @@ use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-/// Length of the sequence-number header opening every record payload.
-pub const WAL_SEQ_LEN: usize = 8;
-
-/// Length of the full record header (sequence number + model-class tag).
-pub const WAL_RECORD_HEADER_LEN: usize = WAL_SEQ_LEN + 1;
+/// Length of the record header opening every record payload: the
+/// sequence number (u64) and the model-class tag.
+pub const WAL_RECORD_HEADER_LEN: usize = 8 + 1;
 
 /// Name of the generation pointer file inside a WAL directory.
 pub const CURRENT_FILE: &str = "CURRENT";
@@ -61,19 +62,9 @@ pub fn wal_file_path(dir: &Path, gen: u64) -> PathBuf {
     dir.join(format!("wal-{gen}.log"))
 }
 
-/// The snapshot store for generation `gen`: `<dir>/snapshot-<gen>`.
-pub fn snapshot_dir_path(dir: &Path, gen: u64) -> PathBuf {
-    dir.join(format!("snapshot-{gen}"))
-}
-
 /// Parses a generation number out of a `wal-<gen>.log` file name.
 pub fn parse_wal_file_name(name: &str) -> Option<u64> {
     name.strip_prefix("wal-")?.strip_suffix(".log")?.parse().ok()
-}
-
-/// Parses a generation number out of a `snapshot-<gen>` directory name.
-pub fn parse_snapshot_dir_name(name: &str) -> Option<u64> {
-    name.strip_prefix("snapshot-")?.parse().ok()
 }
 
 /// Every WAL generation present in `dir`, ascending. Non-WAL entries
@@ -96,7 +87,7 @@ pub fn list_wal_generations(dir: &Path) -> Result<Vec<u64>> {
 }
 
 /// Reads the `CURRENT` generation pointer. A missing pointer means
-/// generation 0 (fresh directory, no snapshot yet); a damaged pointer is
+/// generation 0 (nothing was ever dropped); a damaged pointer is
 /// a typed corruption error — the pointer is written atomically, so
 /// damage means real bit rot, and recovery must not guess.
 pub fn read_current(dir: &Path) -> Result<u64> {
@@ -116,7 +107,7 @@ pub fn read_current(dir: &Path) -> Result<u64> {
 
 /// Atomically points `CURRENT` at `gen` (framed + checksummed, written
 /// via tmp+fsync+rename). After this returns, a crash recovers from
-/// generation `gen`.
+/// generation `gen` on.
 pub fn write_current(dir: &Path, gen: u64) -> Result<()> {
     let (bytes, _) = encode_frame(FrameClass::WAL_CURRENT, &gen.to_le_bytes());
     atomic_write(&dir.join(CURRENT_FILE), &bytes)?;
@@ -162,6 +153,9 @@ pub struct WalReadReport {
     /// Why reading stopped before end-of-file, if it did. `None` means
     /// the whole file decoded cleanly.
     pub torn: Option<String>,
+    /// Whether an intact record lies beyond the tear: damage inside the
+    /// log, not a torn tail — the records behind it were acknowledged.
+    pub intact_after_tear: bool,
 }
 
 impl WalReadReport {
@@ -237,6 +231,19 @@ pub fn decode_wal_records(bytes: &[u8], source: &str) -> WalReadReport {
         off += FRAME_HEADER_LEN + payload_len;
         report.valid_len = off as u64;
     }
+    if report.torn.is_some() {
+        // A whole, checksum-clean record beyond the defect: the reader
+        // lost the record boundary, the log did not end.
+        report.intact_after_tear = (off + 1..bytes.len().saturating_sub(FRAME_HEADER_LEN))
+            .filter(|&at| bytes[at..].starts_with(&FRAME_MAGIC))
+            .any(|at| {
+                let (header, rest) = bytes[at..].split_at(FRAME_HEADER_LEN);
+                decode_frame_header(FrameClass::WAL, header, source).is_ok_and(|header| {
+                    rest.get(..header.payload_len as usize)
+                        .is_some_and(|p| verify_frame_payload(&header, p, source).is_ok())
+                })
+            });
+    }
     report
 }
 
@@ -253,13 +260,71 @@ pub fn read_wal(path: &Path) -> Result<WalReadReport> {
     Ok(report)
 }
 
-/// An append-only WAL file handle. Every [`WalWriter::append`] writes
-/// one framed record and fsyncs before returning — when it returns
-/// `Ok`, the record survives `kill -9`.
+/// One lane's log as a chain of generations, read oldest first: each
+/// [`LaneChain::read`] is a [`read_wal`] held to the chain rule. A tear
+/// is salvage only where the chain ends; a tear that intact records
+/// follow, in the same file or a later generation, and a generation
+/// that does not open with the sequence number the chain had reached,
+/// are [`DemonError::Corrupt`] naming the file that ends short. Recovery
+/// and `demon-cli verify` both read through this.
+#[derive(Debug, Default)]
+pub struct LaneChain {
+    /// The file that last held a record, and the sequence number the
+    /// chain continues with.
+    end: Option<(String, u64)>,
+    /// The file whose tail is torn and the tear, once one was read.
+    torn: Option<(String, String)>,
+}
+
+impl LaneChain {
+    /// The sequence number the chain's next record carries.
+    pub fn next_seq(&self) -> u64 {
+        self.end.as_ref().map_or(0, |(_, seq)| *seq)
+    }
+
+    /// Reads the chain's next generation.
+    pub fn read(&mut self, path: &Path) -> Result<WalReadReport> {
+        let report = read_wal(path)?;
+        let file = path.display().to_string();
+        let corrupt = |file, detail| Err(DemonError::Corrupt { file, detail });
+        if let (Some(tear), true) = (&report.torn, report.intact_after_tear) {
+            return corrupt(file, format!("{tear}; intact records follow the damage"));
+        }
+        if let (Some(first), Some(next)) = (report.records.first(), report.next_seq()) {
+            if let Some((torn, tear)) = self.torn.take() {
+                return corrupt(torn, format!("{tear}; intact records follow in {file}"));
+            }
+            match self.end.take() {
+                Some((ended, seq)) if seq != first.seq => {
+                    let found = format!("but {file} opens with {}", first.seq);
+                    return corrupt(ended, format!("ends before sequence {seq}, {found}"));
+                }
+                _ => self.end = Some((file.clone(), next)),
+            }
+        }
+        if let Some(tear) = &report.torn {
+            self.torn.get_or_insert((file, tear.clone()));
+        }
+        Ok(report)
+    }
+}
+
+/// Cuts a log back to its clean prefix (a [`WalReadReport::valid_len`])
+/// and fsyncs the cut, so nothing appended later sits behind a tear.
+pub fn truncate_torn_tail(path: &Path, valid_len: u64) -> Result<()> {
+    let file = OpenOptions::new().write(true).open(path)?;
+    file.set_len(valid_len)?;
+    file.sync_all()?;
+    obs::incr(Counter::WalFsyncs);
+    Ok(())
+}
+
+/// An append-only WAL file handle: [`WalWriter::append_unsynced`] writes
+/// framed records, and once the [`WalWriter::sync`] that covers them
+/// returns `Ok` they survive `kill -9`.
 #[derive(Debug)]
 pub struct WalWriter {
     file: File,
-    path: PathBuf,
     bytes: u64,
     next_seq: u64,
     class: u8,
@@ -278,7 +343,6 @@ impl WalWriter {
         obs::incr(Counter::WalFsyncs);
         Ok(WalWriter {
             file,
-            path: path.to_path_buf(),
             bytes: 0,
             next_seq,
             class,
@@ -294,29 +358,18 @@ impl WalWriter {
         next_seq: u64,
         class: u8,
     ) -> Result<WalWriter> {
+        truncate_torn_tail(path, valid_len)?;
         let file = OpenOptions::new().append(true).open(path)?;
-        file.set_len(valid_len)?;
-        file.sync_all()?;
-        obs::incr(Counter::WalFsyncs);
         Ok(WalWriter {
             file,
-            path: path.to_path_buf(),
             bytes: valid_len,
             next_seq,
             class,
         })
     }
 
-    /// Appends one record and **fsyncs** it. Returns the record's
-    /// sequence number. On `Ok`, the record is durable.
-    pub fn append(&mut self, body: &[u8]) -> Result<u64> {
-        let seq = self.append_unsynced(body)?;
-        self.sync()?;
-        Ok(seq)
-    }
-
-    /// Appends one record **without** fsyncing — the group-commit half
-    /// of [`WalWriter::append`]. The record is NOT durable until a
+    /// Appends one record **without** fsyncing (group commit) and
+    /// returns its sequence number. The record is NOT durable until a
     /// subsequent [`WalWriter::sync`] returns `Ok`; callers must not ack
     /// before that covering fsync.
     pub fn append_unsynced(&mut self, body: &[u8]) -> Result<u64> {
@@ -344,7 +397,7 @@ impl WalWriter {
         self.bytes
     }
 
-    /// The sequence number the next [`WalWriter::append`] will use.
+    /// The sequence number the next appended record will carry.
     pub fn next_seq(&self) -> u64 {
         self.next_seq
     }
@@ -352,11 +405,6 @@ impl WalWriter {
     /// The model-class tag stamped on every record this writer appends.
     pub fn class(&self) -> u8 {
         self.class
-    }
-
-    /// The file this writer appends to.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 }
 
@@ -393,7 +441,7 @@ mod tests {
         let path = wal_file_path(&dir, 0);
         let mut w = WalWriter::create(&path, 10, CLASS).unwrap();
         for body in bodies() {
-            w.append(&body).unwrap();
+            w.append_unsynced(&body).unwrap();
         }
         assert_eq!(w.next_seq(), 15);
         assert_eq!(w.class(), CLASS);
@@ -506,13 +554,71 @@ mod tests {
         assert!(report.torn.unwrap().contains("sequence jumped"));
     }
 
+    /// A tear is a tail only where the chain ends: the same cut is
+    /// salvage in the last generation and `Corrupt` — naming the cut file
+    /// — once an intact record follows it, in the same file or the next;
+    /// and a generation must open where its predecessor ended.
+    #[test]
+    fn a_chain_salvages_its_end_and_refuses_damage_before_it() {
+        let dir = tmp("chain");
+        let (first, second) = (wal_file_path(&dir, 0), wal_file_path(&dir, 1));
+        let mut w = WalWriter::create(&first, 0, CLASS).unwrap();
+        for body in bodies() {
+            w.append_unsynced(&body).unwrap();
+        }
+        WalWriter::create(&second, 5, CLASS).unwrap(); // an empty generation
+        let pristine = std::fs::read(&first).unwrap();
+        let read_both = || {
+            let mut chain = LaneChain::default();
+            chain.read(&first).and_then(|a| Ok((a, chain.read(&second)?, chain.next_seq())))
+        };
+
+        // Cut inside the last record: a torn tail, the empty log after it
+        // notwithstanding.
+        std::fs::write(&first, &pristine[..pristine.len() - 2]).unwrap();
+        let (torn, empty, next_seq) = read_both().unwrap();
+        assert_eq!((torn.records.len(), empty.records.len(), next_seq), (4, 0, 4));
+        assert!(torn.torn.is_some() && !torn.intact_after_tear);
+
+        // The same bytes with a record behind them, an empty generation
+        // further on (recovery cuts a tear off before it appends anything).
+        let third = wal_file_path(&dir, 2);
+        WalWriter::create(&third, 4, CLASS).unwrap().append_unsynced(b"later").unwrap();
+        let mut chain = LaneChain::default();
+        let read = [&first, &second, &third].map(|path| chain.read(path).map(|_| ()));
+        assert!(matches!(&read, [Ok(()), Ok(()), Err(DemonError::Corrupt { file, .. })] if file.ends_with("wal-0.log")));
+        std::fs::remove_file(&third).unwrap();
+        WalWriter::create(&second, 4, CLASS).unwrap().append_unsynced(b"later").unwrap();
+        match read_both() {
+            Err(DemonError::Corrupt { file, detail }) => {
+                assert!(file.ends_with("wal-0.log") && detail.contains("wal-1.log"), "{file}: {detail}")
+            }
+            other => panic!("a tear before intact records: {other:?}"),
+        }
+
+        // A flipped byte in the first record: four intact ones follow it.
+        let mut flipped = pristine.clone();
+        flipped[FRAME_HEADER_LEN + 3] ^= 0x20;
+        std::fs::write(&first, &flipped).unwrap();
+        let alone = decode_wal_records(&flipped, "t");
+        assert!(alone.records.is_empty() && alone.intact_after_tear);
+        assert!(matches!(read_both(), Err(DemonError::Corrupt { file, .. }) if file.ends_with("wal-0.log")));
+
+        // Intact files whose sequence numbers do not meet, and ones that do.
+        std::fs::write(&first, &pristine).unwrap();
+        assert!(matches!(read_both(), Err(DemonError::Corrupt { file, .. }) if file.ends_with("wal-0.log")));
+        WalWriter::create(&second, 5, CLASS).unwrap().append_unsynced(b"later").unwrap();
+        assert_eq!(read_both().unwrap().2, 6);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn recovery_truncates_the_torn_tail_before_appending() {
         let dir = tmp("recover");
         let path = wal_file_path(&dir, 1);
         let mut w = WalWriter::create(&path, 0, CLASS).unwrap();
-        w.append(b"first").unwrap();
-        w.append(b"second").unwrap();
+        w.append_unsynced(b"first").unwrap();
+        w.append_unsynced(b"second").unwrap();
         drop(w);
         // Tear the tail: drop the last 3 bytes of the file.
         let mut bytes = std::fs::read(&path).unwrap();
@@ -525,7 +631,7 @@ mod tests {
         let mut w =
             WalWriter::open_after_recovery(&path, report.valid_len, report.next_seq().unwrap(), CLASS)
                 .unwrap();
-        w.append(b"third").unwrap();
+        w.append_unsynced(b"third").unwrap();
         let healed = read_wal(&path).unwrap();
         assert!(healed.torn.is_none(), "{:?}", healed.torn);
         assert_eq!(healed.records.len(), 2);
@@ -559,8 +665,6 @@ mod tests {
         assert_eq!(parse_wal_file_name("wal-42.log"), Some(42));
         assert_eq!(parse_wal_file_name("wal-.log"), None);
         assert_eq!(parse_wal_file_name("wal-42.log.tmp"), None);
-        assert_eq!(parse_snapshot_dir_name("snapshot-3"), Some(3));
-        assert_eq!(parse_snapshot_dir_name("snapshot-"), None);
 
         let dir = tmp("list");
         assert!(list_wal_generations(&dir.join("absent")).unwrap().is_empty());

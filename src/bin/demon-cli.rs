@@ -4,7 +4,7 @@
 //! demon-cli generate quest    --spec 2M.20L.1I.4pats.4plen --scale 0.01 --blocks 4 --out store/
 //! demon-cli generate webtrace --days 21 --rate 300 --granularity 6 --out trace/
 //! demon-cli inspect  <store>
-//! demon-cli verify   <store>
+//! demon-cli verify   <store | wal-dir | snapshot-export>
 //! demon-cli mine     <store> --minsup 0.01 [--rules 0.8 --top 20] [--salvage]
 //! demon-cli monitor  <store> --minsup 0.01 [--window 4] [--bss 1011] [--counter ecut+] [--salvage]
 //! demon-cli patterns <store> [--alpha 0.12] [--min-len 4] [--window N]
@@ -14,7 +14,8 @@
 //!
 //! Stores are directories in the `demon_itemsets::persist` layout;
 //! `generate` creates them, every other command replays them. `verify`
-//! is the read-only fsck (exit status 1 when the store is damaged), and
+//! is the read-only fsck (exit status 1 on damage) of a store, of a
+//! daemon's `--wal-dir` or of a `client snapshot` export, and
 //! `--salvage` loads a damaged store by quarantining the broken tail
 //! instead of aborting.
 //!
@@ -53,6 +54,7 @@ use demon::itemsets::persist::{
     load_store_configured, save_store, verify_store, RecoveryPolicy,
 };
 use demon::itemsets::{derive_rules, BlockRef, CounterKind, FrequentItemsets, TxStore};
+use demon::serve::model::verify_export;
 use demon::serve::{Client, ServeConfig, Server};
 use demon::store::StoreConfig;
 use demon::trees::LabeledPoint;
@@ -79,7 +81,7 @@ USAGE:
                      [--eps F] [--min-pts N]
                      [--window N] [--pattern-window N] [--alpha F] [--workers N]
                      [--shards N] [--queue N] [--queue-timeout-ms N] [--timeout-ms N]
-                     [--wal-dir DIR] [--wal-max-bytes N] [--no-wal]
+                     [--wal-dir DIR] [--wal-max-bytes N]
   demon-cli client   ADDR ingest STORE [--salvage]
   demon-cli client   ADDR ingest-points  [--spec S] [--blocks N] [--seed N] [--model CLASS]
   demon-cli client   ADDR ingest-labeled [--spec S] [--blocks N] [--seed N]
@@ -110,14 +112,15 @@ MODEL:    --model itemsets|clusters|trees|dbscan picks the served model
 BSS:      a bit string like 1011; window-relative when --window is set,
           window-independent (periodic) otherwise.
 WAL:      --wal-dir DIR serves durably: every ingest is appended to a
-          write-ahead log and fsynced before the ack, and on restart the
-          daemon recovers from the newest snapshot plus the WAL tail (a
-          torn final record is dropped, not fatal). --wal-max-bytes sets
-          the log size that triggers background compaction (snapshot +
-          log rotation, atomic); --no-wal disables durability even when
-          --wal-dir is present. Blocks queued together share one
+          write-ahead log and fsynced before the ack, and a restart
+          replays the log, its whole durable state (a torn final record
+          is dropped; damage before the end refuses to start).
+          --wal-max-bytes is the segment size: full segments are sealed
+          and unlinked once no --window / --pattern-window reaches their
+          blocks (unrestricted: never); restart with the data span the
+          log was trimmed under. Blocks queued together share one
           covering fsync per WAL lane (acks still wait for it). verify
-          also fscks a WAL directory, shard lanes included.
+          also fscks a WAL directory by the rule recovery applies.
 SHARDS:   --shards N (default 1) partitions the serving state into N
           shards (round-robin by block id) with per-shard WAL lanes and
           epoch-swapped query replicas; answers are byte-identical at
@@ -125,7 +128,8 @@ SHARDS:   --shards N (default 1) partitions the serving state into N
           event-loop runtime. --window requires --shards 1. Sharding
           needs an exact shard merge, so --shards ≥ 2 is itemsets-only (a
           clusters, trees or dbscan daemon refuses it with a typed error).
-VERIFY:   re-checks every frame and checksum; exit status 1 on damage.
+VERIFY:   re-checks every frame and checksum of a store, a --wal-dir or a
+          client snapshot export (any class); exit status 1 on damage.
 SALVAGE:  --salvage loads a damaged store by quarantining corrupt files
           and keeping the longest consistent block prefix.
 THREADS:  --threads N (any command) sets the thread count of the
@@ -152,7 +156,7 @@ fn main() -> ExitCode {
 }
 
 /// Flags that take no value.
-const BOOL_FLAGS: &[&str] = &["salvage", "stats", "json", "no-wal"];
+const BOOL_FLAGS: &[&str] = &["salvage", "stats", "json"];
 
 /// Flags that take a value — every other `--name` is refused by name.
 const VALUE_FLAGS: &[&str] = &[
@@ -333,13 +337,25 @@ fn load(positional: &[&str], flags: &HashMap<&str, &str>) -> Result<TxStore, Str
 }
 
 /// The read-only fsck behind `demon-cli verify`. A WAL directory (the
-/// daemon's `--wal-dir`) is recognised by its layout and checked with
-/// the recovery reader instead of the store reader.
+/// daemon's `--wal-dir`) and a point-class `Snapshot` export are
+/// recognised by their layout; anything else is an itemset store.
 fn verify(positional: &[&str]) -> Result<ExitCode, String> {
     let dir = store_arg(positional)?;
     let lanes = wal_lanes(dir)?;
     if dir.join(wal::CURRENT_FILE).exists() || lanes.iter().any(|(_, gens)| !gens.is_empty()) {
         return verify_wal_dir(dir, &lanes);
+    }
+    if dir.join("blocks.manifest").exists() {
+        return Ok(match verify_export(dir) {
+            Ok((class, blocks)) => {
+                println!("{} snapshot: {blocks} block(s), clean", class.name());
+                ExitCode::SUCCESS
+            }
+            Err(e) => {
+                println!("DAMAGED {}: {e}", dir.display());
+                ExitCode::FAILURE
+            }
+        });
     }
     let report =
         verify_store(dir).map_err(|e| format!("verifying {}: {e}", dir.display()))?;
@@ -388,15 +404,16 @@ fn wal_lanes(root: &Path) -> Result<Vec<(String, Vec<u64>)>, String> {
         .collect()
 }
 
-/// Fsck for a daemon WAL directory: the `CURRENT` pointer, every WAL
-/// generation of every lane (a torn tail is *recoverable*, not damage —
-/// recovery truncates it), and the snapshot the pointer names. Exit
-/// status 1 only for damage recovery could not absorb.
+/// Fsck for a daemon WAL directory: the `CURRENT` pointer and every
+/// lane's chain of generations from it, held to the rule recovery
+/// applies ([`wal::LaneChain`]): a torn end of chain is *recoverable*,
+/// damage that intact records follow is what recovery refuses to start
+/// over (exit status 1). Generations below the pointer are stale.
 fn verify_wal_dir(dir: &Path, lanes: &[(String, Vec<u64>)]) -> Result<ExitCode, String> {
     let mut damaged = 0usize;
     let current = match wal::read_current(dir) {
         Ok(gen) => {
-            println!("WAL directory (current generation {gen})");
+            println!("WAL directory (oldest retained generation {gen})");
             gen
         }
         Err(e) => {
@@ -405,45 +422,35 @@ fn verify_wal_dir(dir: &Path, lanes: &[(String, Vec<u64>)]) -> Result<ExitCode, 
             0
         }
     };
-    for (lane, gen) in lanes.iter().flat_map(|(lane, gens)| gens.iter().map(move |&g| (lane, g))) {
-        let path = wal::wal_file_path(&dir.join(lane), gen);
-        let stale = if gen < current { " (stale)" } else { "" };
-        match wal::read_wal(&path) {
-            Ok(report) => match (&report.torn, report.records.last()) {
-                (Some(torn), last) => println!(
-                    "{lane}wal-{gen}.log: {} record(s){}{stale}, torn tail (recoverable): {torn}",
-                    report.records.len(),
-                    last.map(|r| format!(" through seq {}", r.seq)).unwrap_or_default(),
-                ),
-                (None, Some(last)) => println!(
-                    "{lane}wal-{gen}.log: {} record(s) through seq {}, clean{stale}",
-                    report.records.len(),
-                    last.seq
-                ),
-                (None, None) => println!("{lane}wal-{gen}.log: empty, clean{stale}"),
-            },
-            Err(e) => {
-                println!("DAMAGED {}: {e}", path.display());
-                damaged += 1;
-            }
-        }
-    }
-    if current > 0 {
-        let snap = wal::snapshot_dir_path(dir, current);
-        match verify_store(&snap) {
-            Ok(report) if report.is_clean() => println!(
-                "snapshot-{current}: {} file(s), clean",
-                report.checked.len()
-            ),
-            Ok(report) => {
-                for (file, detail) in &report.damaged {
-                    println!("DAMAGED {}: {detail}", file.display());
+    for (lane, gens) in lanes {
+        let mut chain = wal::LaneChain::default();
+        for &gen in gens {
+            let path = wal::wal_file_path(&dir.join(lane), gen);
+            // A stale generation is outside the chain: read it alone.
+            let (read, stale) = if gen < current {
+                (wal::read_wal(&path), " (stale)")
+            } else {
+                (chain.read(&path), "")
+            };
+            match read {
+                Ok(report) => match (&report.torn, report.records.last()) {
+                    (Some(torn), last) => println!(
+                        "{lane}wal-{gen}.log: {} record(s){}{stale}, torn tail (recoverable): {torn}",
+                        report.records.len(),
+                        last.map(|r| format!(" through seq {}", r.seq)).unwrap_or_default(),
+                    ),
+                    (None, Some(last)) => println!(
+                        "{lane}wal-{gen}.log: {} record(s) through seq {}, clean{stale}",
+                        report.records.len(),
+                        last.seq
+                    ),
+                    (None, None) => println!("{lane}wal-{gen}.log: empty, clean{stale}"),
+                },
+                Err(e) => {
+                    println!("DAMAGED {}: {e}", path.display());
+                    damaged += 1;
+                    break; // the rest of this lane's chain hangs off the damage
                 }
-                damaged += report.damaged.len();
-            }
-            Err(e) => {
-                println!("DAMAGED {}: {e}", snap.display());
-                damaged += 1;
             }
         }
     }
@@ -802,12 +809,7 @@ fn serve(flags: &HashMap<&str, &str>) -> Result<(), String> {
         Duration::from_millis(flag_parse(flags, "queue-timeout-ms", 5000u64)?);
     config.io_timeout = Duration::from_millis(flag_parse(flags, "timeout-ms", 30_000u64)?);
     config.store_config = store_config(flags, "serve")?;
-    // `--no-wal` wins over `--wal-dir`, so a durable invocation can be
-    // flipped to volatile without editing the rest of the command line
-    // (the bench sweep relies on this).
-    if !flags.contains_key("no-wal") {
-        config.wal_dir = flags.get("wal-dir").map(PathBuf::from);
-    }
+    config.wal_dir = flags.get("wal-dir").map(PathBuf::from);
     config.wal_max_bytes = flag_parse(flags, "wal-max-bytes", config.wal_max_bytes)?;
     let server = Server::bind(config).map_err(|e| format!("binding {listen}: {e}"))?;
     // Tests and scripts parse this line for the resolved ephemeral port.

@@ -395,13 +395,148 @@ fn verify_salvage_exits_zero_on_clean_store() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Runs `demon-cli serve` with `flags` on an ephemeral port, hands the
+/// resolved address to `drive`, then shuts the daemon down cleanly.
+fn serve_then(flags: &[&str], drive: impl FnOnce(&str)) {
+    use std::io::BufRead;
+    let mut daemon = cli()
+        .args(["serve", "--listen", "127.0.0.1:0", "--items", "1000", "--minsup", "0.02"])
+        .args(flags)
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+        .expect("daemon spawns");
+    // Kept open until the daemon exits: it prints a summary on the way out.
+    let mut out = std::io::BufReader::new(daemon.stdout.take().expect("piped stdout"));
+    let mut line = String::new();
+    out.read_line(&mut line).expect("startup line");
+    let addr = line
+        .strip_prefix("demon-serve listening on ")
+        .unwrap_or_else(|| panic!("unexpected startup line: {line:?}"))
+        .trim();
+    drive(addr);
+    run_ok(cli().args(["client", addr, "shutdown"]));
+    assert!(daemon.wait().expect("daemon exits").success());
+}
+
+/// `verify DIR`: whether it exited 0, and what it printed.
+fn verify(dir: &std::path::Path) -> (bool, String) {
+    let out = cli().args(["verify", dir.to_str().unwrap()]).output().expect("binary runs");
+    (out.status.success(), stdout(&out))
+}
+
+/// Runs `damage` on the bytes of `file`, hands the damaged file to
+/// `check`, and puts the original back.
+fn with_damage(file: &std::path::Path, damage: impl FnOnce(&mut Vec<u8>), check: impl FnOnce()) {
+    let pristine = std::fs::read(file).unwrap();
+    let mut bytes = pristine.clone();
+    damage(&mut bytes);
+    std::fs::write(file, &bytes).unwrap();
+    check();
+    std::fs::write(file, &pristine).unwrap();
+}
+
+/// `verify` holds a WAL root to the rule recovery applies. The root of a
+/// windowed daemon is `CURRENT` plus the generations from it: each log is
+/// reported, one below the pointer is stale residue, a cut at the very
+/// end of the chain is recoverable (exit 0) — and the same cut with an
+/// intact record behind it, in a later generation or later in the same
+/// file, is damage (exit 1).
+#[test]
+fn verify_holds_a_wal_root_to_the_chain_rule_of_recovery() {
+    let (dir, store) = small_store("verify-chain");
+    let store = store.to_str().unwrap();
+    let cut = |bytes: &mut Vec<u8>| bytes.truncate(bytes.len() - 5);
+
+    // A generation per block under a 2-block window: D1's is dropped.
+    let root = dir.join("windowed");
+    let flags = ["--window", "2", "--pattern-window", "2", "--wal-max-bytes", "1024"];
+    serve_then(&[&flags[..], &["--wal-dir", root.to_str().unwrap()]].concat(), |addr| {
+        run_ok(cli().args(["client", addr, "ingest", store]));
+    });
+    let mut names: Vec<_> = std::fs::read_dir(&root)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    assert_eq!(names, ["CURRENT", "wal-1.log", "wal-2.log", "wal-3.log"]);
+    let (ok, clean) = verify(&root);
+    assert!(ok, "{clean}");
+    assert!(clean.contains("oldest retained generation 1"), "{clean}");
+    assert!(clean.contains("wal-1.log: 1 record(s) through seq 1, clean"), "{clean}");
+    assert!(clean.contains("wal-2.log: 1 record(s) through seq 2, clean"), "{clean}");
+    assert!(clean.contains("wal-3.log: empty, clean"), "{clean}");
+
+    std::fs::copy(root.join("wal-1.log"), root.join("wal-0.log")).unwrap();
+    let (ok, stale) = verify(&root);
+    assert!(ok && stale.contains("wal-0.log: 1 record(s) through seq 1, clean (stale)"), "{stale}");
+    std::fs::remove_file(root.join("wal-0.log")).unwrap();
+
+    with_damage(&root.join("wal-2.log"), cut, || {
+        let (ok, torn) = verify(&root);
+        assert!(ok && torn.contains("wal-2.log: 0 record(s), torn tail (recoverable)"), "{torn}");
+    });
+    with_damage(&root.join("wal-1.log"), cut, || {
+        let (ok, damaged) = verify(&root);
+        assert!(!ok, "{damaged}");
+        assert!(damaged.contains("DAMAGED") && damaged.contains("wal-1.log"), "{damaged}");
+        assert!(damaged.contains("intact records follow in"), "{damaged}");
+    });
+
+    // All three blocks in one generation, a byte flipped in the middle.
+    let root = dir.join("unrestricted");
+    serve_then(&["--wal-dir", root.to_str().unwrap()], |addr| {
+        run_ok(cli().args(["client", addr, "ingest", store]));
+    });
+    with_damage(
+        &root.join("wal-0.log"),
+        |bytes| {
+            let mid = bytes.len() / 2;
+            bytes[mid] ^= 0x01;
+        },
+        || {
+            let (ok, damaged) = verify(&root);
+            assert!(!ok, "{damaged}");
+            assert!(damaged.contains("intact records follow the damage"), "{damaged}");
+        },
+    );
+    assert!(verify(&root).0, "the undamaged log verifies again");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `verify` recognises what `client snapshot` exports from a point-class
+/// daemon — `blocks.manifest` + `block_<id>.bin` — by its manifest and
+/// loads it strictly: clean, a flipped byte in a block file, and a block
+/// the manifest lists but the directory lacks.
+#[test]
+fn verify_fscks_a_point_class_snapshot_export() {
+    let dir = tmp("verify-export");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let snap = dir.join("snap");
+    serve_then(&["--model", "clusters", "--dim", "2", "--k", "4"], |addr| {
+        run_ok(cli().args(["client", addr, "ingest-points", "--spec", "2K.4c.2d"]).args(["--blocks", "3", "--seed", "7"]));
+        run_ok(cli().args(["client", addr, "snapshot", snap.to_str().unwrap()]));
+    });
+    let (ok, clean) = verify(&snap);
+    assert!(ok && clean.contains("clusters snapshot: 3 block(s), clean"), "{clean}");
+
+    let block = snap.join("block_2.bin");
+    with_damage(&block, |bytes| *bytes.last_mut().unwrap() ^= 0x01, || {
+        let (ok, damaged) = verify(&snap);
+        assert!(!ok && damaged.contains("DAMAGED") && damaged.contains("block_2.bin"), "{damaged}");
+    });
+    std::fs::remove_file(&block).unwrap();
+    let (ok, missing) = verify(&snap);
+    assert!(!ok && missing.contains("DAMAGED"), "{missing}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// `verify` walks the per-shard WAL lanes of a `--shards N` directory:
 /// each lane log gets its own report line, a lane log cut mid-record is a
 /// recoverable torn tail *naming the lane*, and the exit status stays 0.
 /// The refused flag pins that group commit is no longer an option.
 #[test]
 fn verify_walks_shard_lanes_and_the_group_commit_flag_is_gone() {
-    use std::io::BufRead;
     let (dir, store) = small_store("verify-lanes");
     let wal_dir = dir.join("wal");
     let wal = wal_dir.to_str().unwrap();
@@ -414,26 +549,13 @@ fn verify_walks_shard_lanes_and_the_group_commit_flag_is_gone() {
     let err = String::from_utf8_lossy(&refused.stderr);
     assert!(err.contains("unknown flag --wal-group-commit"), "{err}");
 
-    let mut daemon = cli()
-        .args(["serve", "--listen", "127.0.0.1:0", "--items", "1000", "--minsup", "0.02"])
-        .args(["--shards", "2", "--wal-dir", wal])
-        .stdout(std::process::Stdio::piped())
-        .spawn()
-        .expect("daemon spawns");
-    // Kept open until the daemon exits: it prints a summary on the way out.
-    let mut out = std::io::BufReader::new(daemon.stdout.take().expect("piped stdout"));
-    let mut line = String::new();
-    out.read_line(&mut line).expect("startup line");
-    let addr = line
-        .strip_prefix("demon-serve listening on ")
-        .unwrap_or_else(|| panic!("unexpected startup line: {line:?}"))
-        .trim();
-    run_ok(cli().args(["client", addr, "ingest", store.to_str().unwrap()]));
-    run_ok(cli().args(["client", addr, "shutdown"]));
-    assert!(daemon.wait().expect("daemon exits").success());
+    serve_then(&["--shards", "2", "--wal-dir", wal], |addr| {
+        run_ok(cli().args(["client", addr, "ingest", store.to_str().unwrap()]));
+    });
 
-    // No compaction ran, so there is no root CURRENT: the lanes alone
-    // must identify the directory as a WAL directory.
+    // An unrestricted daemon never drops a generation, so there is no
+    // root CURRENT: the lanes alone must identify the directory as a WAL
+    // directory.
     let clean = stdout(&run_ok(cli().args(["verify", wal])));
     assert!(clean.contains("shard-0/wal-0.log: 2 record(s)"), "{clean}");
     assert!(clean.contains("shard-1/wal-0.log: 1 record(s)"), "{clean}");

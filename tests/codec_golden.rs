@@ -18,15 +18,16 @@
 //! the file compiles unchanged on either side of such a refactor.
 
 use demon::core::{ClusterMaintainer, ModelMaintainer, TreeMaintainer};
-use demon::clustering::BirchParams;
+use demon::clustering::{BirchParams, PointBlockEntry};
 use demon::itemsets::{load_store, save_store, TxStore};
-use demon::serve::model::{ClusterModel, DbscanModel, ItemsetModel, ServableModel, TreeModel};
-use demon::serve::{Request, ServeConfig};
+use demon::serve::model::{
+    load_blocks_strict, ClusterModel, DbscanModel, ItemsetModel, ServableModel, TreeModel,
+};
+use demon::serve::Request;
 use demon::store::{SpillPolicy, StoreConfig};
 use demon::trees::{LabeledPoint, TreeParams};
 use demon::types::{
-    Block, BlockId, BlockInterval, Item, MinSupport, ModelClass, Point, Tid, Timestamp,
-    Transaction,
+    Block, BlockId, BlockInterval, Item, ModelClass, Point, Tid, Timestamp, Transaction,
 };
 use std::path::{Path, PathBuf};
 
@@ -240,14 +241,12 @@ fn snapshot_manifest_is_pinned() {
     let fixture = pinned("blocks.manifest", &std::fs::read(&manifest).expect("manifest"));
 
     std::fs::write(&manifest, fixture).expect("plant fixture");
-    let mut config = ServeConfig::new("127.0.0.1:0", 1, MinSupport::new(0.5).expect("minsup"));
-    config.model = ModelClass::Clusters;
-    let back = ClusterModel::load_snapshot(&snap, &config).expect("load");
+    let back = load_blocks_strict::<PointBlockEntry>(&snap, ModelClass::Clusters).expect("load");
     assert_eq!(back.len(), 2);
     for (got, want) in back.iter().zip(&blocks) {
-        assert_eq!(got.id(), want.id());
-        assert_eq!(got.interval(), want.interval());
-        assert_eq!(got.records(), want.records());
+        assert_eq!(got.0.id(), want.id());
+        assert_eq!(got.0.interval(), want.interval());
+        assert_eq!(got.0.records(), want.records());
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -3,13 +3,14 @@
 //! produces, snapshots must be loadable, and shutdown must be clean.
 
 use demon::clustering::{phase2_model, BirchParams};
-use demon::clustering::DbscanParams;
+use demon::clustering::{DbscanParams, PointBlockEntry};
 use demon::core::{ClusterMaintainer, DbscanMaintainer, ModelMaintainer, TreeMaintainer};
 use demon::itemsets::persist::{
     load_store_configured, save_store, verify_store, RecoveryPolicy,
 };
 use demon::itemsets::{FrequentItemsets, TxStore};
-use demon::serve::{Client, ClusterModel, DbscanModel, ServableModel, ServeConfig, Server};
+use demon::serve::model::load_blocks_strict;
+use demon::serve::{Client, ServeConfig, Server};
 use demon::store::StoreConfig;
 use demon::trees::{LabeledPoint, TreeParams};
 use demon::types::{
@@ -333,12 +334,12 @@ fn birch_daemon_matches_batch_and_snapshot_loads_strict() {
     let snap = dir.join("snap");
     let n = client.snapshot(snap.to_str().unwrap()).expect("snapshot");
     assert_eq!(n, 4);
-    let loaded = ClusterModel::load_snapshot(&snap, &cluster_config())
+    let loaded = load_blocks_strict::<PointBlockEntry>(&snap, ModelClass::Clusters)
         .expect("snapshot loads under Strict");
     assert_eq!(loaded.len(), 4);
     for (got, want) in loaded.iter().zip(golden_point_blocks()) {
-        assert_eq!(got.id(), want.id());
-        assert_eq!(got.records(), want.records());
+        assert_eq!(got.0.id(), want.id());
+        assert_eq!(got.0.records(), want.records());
     }
 
     client.shutdown().expect("shutdown");
@@ -410,12 +411,12 @@ fn dbscan_daemon_matches_batch_and_snapshot_loads_strict() {
     let snap = dir.join("snap");
     let n = client.snapshot(snap.to_str().unwrap()).expect("snapshot");
     assert_eq!(n, 4);
-    let loaded = DbscanModel::load_snapshot(&snap, &dbscan_config())
+    let loaded = load_blocks_strict::<PointBlockEntry>(&snap, ModelClass::Density)
         .expect("snapshot loads under Strict");
     assert_eq!(loaded.len(), 4);
     for (got, want) in loaded.iter().zip(golden_point_blocks()) {
-        assert_eq!(got.id(), want.id());
-        assert_eq!(got.records(), want.records());
+        assert_eq!(got.0.id(), want.id());
+        assert_eq!(got.0.records(), want.records());
     }
 
     client.shutdown().expect("shutdown");

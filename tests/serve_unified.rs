@@ -272,12 +272,13 @@ fn every_class_is_served_from_replicas() {
     }
 }
 
-/// The `Snapshot` verb goes through the sequencer's gathered snapshot
-/// source at every shard count; at one shard it must still persist the
-/// bytes a plain store of the same stream persists — from memory, and
-/// from a daemon whose `--memory-budget` keeps (next to) nothing
-/// resident: there the source spills under the same policy into scratch
-/// space of its own, which is gone once the snapshot is saved.
+/// At one shard the `Snapshot` verb saves straight from the live
+/// maintainer, and must persist the bytes a plain store of the same
+/// stream persists — from memory, and from a daemon whose
+/// `--memory-budget` keeps (next to) nothing resident — without a second
+/// copy of the blocks. Only a sharded daemon gathers one, to export the
+/// 1-shard layout: under a budget it spills by the same policy into
+/// scratch space of its own, which is gone once the snapshot is saved.
 fn snapshot_is_the_plain_store_bytes() {
     let dir = tmp("snapshot");
     std::fs::remove_dir_all(&dir).ok();
@@ -286,11 +287,13 @@ fn snapshot_is_the_plain_store_bytes() {
     save_store_atomic(&tx_store(), &plain).expect("save plain store");
 
     let spill = dir.join("spill");
-    for (name, store_config) in [
-        ("memory", StoreConfig::InMemory),
-        ("budget", StoreConfig::budget(spill.clone(), 1)),
+    for (name, shards, store_config) in [
+        ("memory", 1, StoreConfig::InMemory),
+        ("budget", 1, StoreConfig::budget(spill.clone(), 1)),
+        ("sharded budget", 2, StoreConfig::budget(spill.clone(), 1)),
     ] {
         let mut config = base_config(ModelClass::Itemsets);
+        config.shards = shards;
         config.store_config = store_config;
         let server = Server::bind(config).expect("bind");
         let addr = server.local_addr();
@@ -303,7 +306,6 @@ fn snapshot_is_the_plain_store_bytes() {
         assert_eq!(client.snapshot(served.to_str().unwrap()).expect("snapshot"), 5);
         assert_eq!(dir_bytes(&served), dir_bytes(&plain), "[{name}]");
 
-        // The budgeted source spilled to scratch, and emptied it.
         let mut scratch = 0;
         for entry in std::fs::read_dir(&spill).into_iter().flatten().flatten() {
             if entry.file_name().to_string_lossy().starts_with("gather-") {
@@ -312,7 +314,7 @@ fn snapshot_is_the_plain_store_bytes() {
                 assert_eq!(left, 0, "[{name}] {:?} not cleaned up", entry.path());
             }
         }
-        assert_eq!(scratch, usize::from(name == "budget"), "[{name}]");
+        assert_eq!(scratch, usize::from(shards > 1), "[{name}] gathered copies");
         client.shutdown().expect("shutdown");
         handle.join().expect("server thread").expect("run ok");
     }

@@ -13,7 +13,11 @@
 //! * after re-streaming the remainder, the recovered model is
 //!   **byte-identical** to an uninterrupted run;
 //! * a torn or bit-flipped final WAL record is salvaged (dropped), not
-//!   fatal.
+//!   fatal;
+//! * a crash inside a rotation — between creating the next generation
+//!   and switching to it, or between moving `CURRENT` and unlinking what
+//!   lies below it — loses nothing, and the next bind sweeps the
+//!   residue.
 
 use demon::itemsets::{FrequentItemsets, TxStore};
 use demon::serve::{Client, RetryPolicy};
@@ -59,9 +63,10 @@ fn golden_blocks() -> Vec<TxBlock> {
         .collect()
 }
 
-/// The uninterrupted reference: a batch mine over the full stream, as
-/// the canonical JSON the server answers with.
-fn reference_model_json() -> String {
+/// The uninterrupted reference: a batch mine over the full stream — or,
+/// for a `--window w` daemon, over its last `w` blocks — as the
+/// canonical JSON the server answers with.
+fn reference_model_json(window: Option<usize>) -> String {
     let mut store = TxStore::new(N_ITEMS);
     let ids: Vec<BlockId> = golden_blocks()
         .into_iter()
@@ -71,8 +76,9 @@ fn reference_model_json() -> String {
             id
         })
         .collect();
+    let span = &ids[ids.len() - window.unwrap_or(ids.len())..];
     let model =
-        FrequentItemsets::mine_from(&store, &ids, MinSupport::new(MINSUP).unwrap()).unwrap();
+        FrequentItemsets::mine_from(&store, span, MinSupport::new(MINSUP).unwrap()).unwrap();
     serde_json::to_string(&model).unwrap()
 }
 
@@ -136,16 +142,25 @@ fn ingest_until_crash(addr: &str) -> usize {
     acked
 }
 
-/// The daemon's recovered block ids, read from the canonical model JSON
-/// (its `included` field lists the applied stream in order).
+/// The block ids the daemon's model covers, read from the canonical
+/// model JSON (its `included` field lists them in order; a windowed
+/// daemon that has seen no block has no model yet).
 fn included_blocks(client: &mut Client) -> Vec<u64> {
-    let json = client.query_model_json().expect("query-model");
+    let Ok(json) = client.query_model_json() else {
+        return Vec::new();
+    };
     let value: serde_json::Value = serde_json::from_str(&json).expect("model JSON parses");
     value
         .get("included")
         .and_then(|v| v.as_array())
         .map(|a| a.iter().map(|v| v.as_u64().unwrap()).collect())
         .unwrap_or_default()
+}
+
+/// The value of `--<name>` among a daemon's extra flags, if any.
+fn flag_of(extra: &[&str], name: &str) -> Option<usize> {
+    let at = extra.iter().position(|&flag| flag == name)?;
+    extra[at + 1].parse().ok()
 }
 
 /// Restarts the daemon over `wal_dir`, checks the recovered prefix
@@ -157,14 +172,18 @@ fn recover_and_check(wal_dir: &Path, acked: usize, label: &str) -> usize {
 }
 
 /// `recover_and_check`, restarting the daemon with extra flags (the
-/// sharded sweep restarts with the same `--shards` it crashed under).
+/// sharded sweep restarts with the same `--shards` it crashed under,
+/// the windowed one with the same `--window`).
 fn recover_and_check_with(wal_dir: &Path, extra: &[&str], acked: usize, label: &str) -> usize {
     let (mut child, addr, _out) = spawn_daemon(wal_dir, extra, None);
     let mut client = Client::connect(&addr).expect("connect after restart");
 
+    // The recovered stream is D1..Dn: the model covers its last `w`
+    // blocks (all of them when unrestricted), ending at n.
     let recovered = included_blocks(&mut client);
-    let n = recovered.len();
-    let expected: Vec<u64> = (1..=n as u64).collect();
+    let n = recovered.last().map_or(0, |&id| id as usize);
+    let oldest = flag_of(extra, "--window").map_or(1, |w| n.saturating_sub(w) + 1);
+    let expected: Vec<u64> = (oldest as u64..=n as u64).collect();
     assert_eq!(
         recovered, expected,
         "[{label}] recovery must yield a clean prefix, got {recovered:?}"
@@ -194,7 +213,7 @@ fn recover_and_check_with(wal_dir: &Path, extra: &[&str], acked: usize, label: &
     }
     assert_eq!(
         client.query_model_json().expect("final model"),
-        reference_model_json(),
+        reference_model_json(flag_of(extra, "--window")),
         "[{label}] recovered model diverged from the uninterrupted run"
     );
     client.shutdown().expect("shutdown");
@@ -241,23 +260,64 @@ fn crash_sweep_around_the_append_ack_protocol_never_loses_an_acked_block() {
     }
 }
 
-#[test]
-fn crash_mid_compaction_recovers_from_either_generation() {
-    // A log cap far below one block's encoded size forces a rotation
-    // (and thus a compaction) after every ack; the armed hook aborts
-    // the daemon between writing the snapshot and flipping CURRENT —
-    // the worst spot, where both generations coexist.
-    let wal_dir = tmp("mid-compaction");
+/// Every `wal-<g>.log` generation under `lane`, ascending.
+fn generations(lane: &Path) -> Vec<u64> {
+    demon::types::wal::list_wal_generations(lane).expect("lane lists")
+}
+
+/// Kills a daemon whose segments hold one block each (a rotation after
+/// every ack) at `crash`, restarts it with the same flags, and holds the
+/// restart to the sweep's contract. At the bind, every lane must be back
+/// on one generation and nothing below `CURRENT` may be left.
+fn crash_mid_rotation(name: &str, flags: &[&str], crash: &str) {
+    let label = format!("{name} {crash}");
+    let wal_dir = tmp(&format!("rotation-{name}-{}", crash.replace(':', "-")));
     std::fs::remove_dir_all(&wal_dir).ok();
-    let (mut child, addr, _out) = spawn_daemon(
-        &wal_dir,
-        &["--wal-max-bytes", "1024"],
-        Some("mid_compaction:1"),
-    );
+    let flags = [flags, &["--wal-max-bytes", "64"]].concat();
+    let (mut child, addr, _out) = spawn_daemon(&wal_dir, &flags, Some(crash));
     let acked = ingest_until_crash(&addr);
-    assert!(!child.wait().expect("reaps").success());
-    recover_and_check(&wal_dir, acked, "mid_compaction");
+    if acked == golden_blocks().len() {
+        child.kill().ok();
+        panic!("[{label}] the crash point was never reached");
+    }
+    assert!(!child.wait().expect("reaps").success(), "[{label}] daemon should have died");
+
+    recover_and_check_with(&wal_dir, &flags, acked, &label);
+
+    let current = demon::types::wal::read_current(&wal_dir).expect("CURRENT");
+    let lanes: Vec<PathBuf> = match flag_of(&flags, "--shards") {
+        Some(n) => (0..n).map(|s| wal_dir.join(format!("shard-{s}"))).collect(),
+        None => vec![wal_dir.clone()],
+    };
+    let newest = generations(&lanes[0]).last().copied();
+    for lane in &lanes {
+        let gens = generations(lane);
+        assert!(gens[0] >= current, "[{label}] stale generations survived the bind: {gens:?}");
+        assert_eq!(gens.last().copied(), newest, "[{label}] lanes on different generations");
+    }
     std::fs::remove_dir_all(&wal_dir).ok();
+}
+
+/// The two instants of a rotation where the directory is between
+/// states: (a) `mid_rotation` — the next generation's files exist on
+/// every lane but the writers have not switched; (b) `after_current` —
+/// `CURRENT` has moved but the generations below it are not unlinked
+/// yet (only a windowed daemon ever gets there: an unrestricted one
+/// never moves the pointer). Every acked block is back after either,
+/// re-streaming yields the uninterrupted model, and the bind sweeps
+/// what the crash left behind.
+#[test]
+fn crash_mid_rotation_loses_nothing_acked_and_the_bind_sweeps_the_residue() {
+    const WINDOWED: &[&str] = &["--window", "2", "--pattern-window", "2"];
+    for crash in ["mid_rotation:1", "mid_rotation:3"] {
+        crash_mid_rotation("unrestricted", &[], crash);
+        crash_mid_rotation("windowed", WINDOWED, crash);
+    }
+    // With one block per generation and w = 2 the pointer first moves
+    // when D3 rotates, then at every block.
+    for crash in ["after_current:1", "after_current:2"] {
+        crash_mid_rotation("windowed", WINDOWED, crash);
+    }
 }
 
 #[test]
@@ -335,7 +395,7 @@ fn torn_or_flipped_wal_tail_is_salvaged_not_fatal() {
         }
         assert_eq!(
             client.query_model_json().expect("model"),
-            reference_model_json(),
+            reference_model_json(None),
             "[{label}] model after salvage + re-stream diverged"
         );
         client.shutdown().expect("shutdown");
@@ -391,22 +451,15 @@ fn sharded_crash_sweep_never_loses_an_acked_block() {
     }
 }
 
-/// Mid-compaction crash on the sharded runtime: the shared generation
-/// flip is the commit point; dying between the merged snapshot write
-/// and the `CURRENT` flip recovers from either generation.
+/// A crash inside a rotation of the sharded runtime: four lanes get
+/// their next generation one after the other, so dying before the
+/// writers switch is where lanes can be apart. (`--shards` requires the
+/// unrestricted window, which never moves `CURRENT`.)
 #[test]
-fn sharded_crash_mid_compaction_recovers_from_either_generation() {
-    let wal_dir = tmp("sharded-mid-compaction");
-    std::fs::remove_dir_all(&wal_dir).ok();
-    let (mut child, addr, _out) = spawn_daemon(
-        &wal_dir,
-        &["--shards", "4", "--wal-max-bytes", "1024"],
-        Some("mid_compaction:1"),
-    );
-    let acked = ingest_until_crash(&addr);
-    assert!(!child.wait().expect("reaps").success());
-    recover_and_check_with(&wal_dir, &["--shards", "4"], acked, "sharded mid_compaction");
-    std::fs::remove_dir_all(&wal_dir).ok();
+fn sharded_crash_mid_rotation_loses_nothing_acked() {
+    for crash in ["mid_rotation:1", "mid_rotation:2", "mid_rotation:4"] {
+        crash_mid_rotation("sharded", &["--shards", "4"], crash);
+    }
 }
 
 /// A real `SIGKILL` against the 4-shard daemon: only fsynced lane bytes
@@ -432,63 +485,75 @@ fn sharded_real_sigkill_mid_stream_loses_nothing_acked() {
     std::fs::remove_dir_all(&wal_dir).ok();
 }
 
-/// `demon-cli verify` understands the WAL layout: clean directories
-/// pass, a truncated tail is reported as recoverable (exit 0), and a
-/// damaged snapshot fails the fsck.
+/// `demon-cli verify` understands the WAL layout — `CURRENT` and the
+/// generations from it, nothing else: a clean directory passes, a
+/// truncated end of the log is reported as recoverable (exit 0), and
+/// damage that acked records follow fails the fsck like it fails the
+/// bind.
 #[test]
 fn cli_verify_fscks_wal_directories() {
     let wal_dir = tmp("fsck");
     std::fs::remove_dir_all(&wal_dir).ok();
-    let (mut child, addr, _out) = spawn_daemon(&wal_dir, &["--wal-max-bytes", "1024"], None);
+    // One block per generation and a 2-block window: the pointer moves.
+    let flags = ["--wal-max-bytes", "64", "--window", "2", "--pattern-window", "2"];
+    let (mut child, addr, _out) = spawn_daemon(&wal_dir, &flags, None);
     let mut client = Client::connect(&addr).expect("connect");
     for block in golden_blocks() {
         client.ingest(N_ITEMS, &block).expect("ingest");
     }
-    // Give the background compactor a moment to finish a generation.
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while !wal_dir.join(demon::types::wal::CURRENT_FILE).exists() {
-        assert!(std::time::Instant::now() < deadline, "no compaction happened");
-        std::thread::sleep(Duration::from_millis(50));
-    }
     client.shutdown().expect("shutdown");
     assert!(child.wait().expect("exits").success());
 
-    let clean = cli().args(["verify", wal_dir.to_str().unwrap()]).output().unwrap();
-    let stdout = String::from_utf8_lossy(&clean.stdout);
-    assert!(clean.status.success(), "clean WAL dir must pass fsck: {stdout}");
+    let verify = || {
+        let out = cli().args(["verify", wal_dir.to_str().unwrap()]).output().unwrap();
+        (out.status.success(), String::from_utf8_lossy(&out.stdout).into_owned())
+    };
+    let current = demon::types::wal::read_current(&wal_dir).unwrap();
+    assert!(current > 0, "a windowed daemon drops what it cannot need");
+    let mut names: Vec<String> = std::fs::read_dir(&wal_dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    let expected: Vec<String> = std::iter::once("CURRENT".to_string())
+        .chain(generations(&wal_dir).iter().map(|g| format!("wal-{g}.log")))
+        .collect();
+    assert_eq!(names, expected, "a WAL root is CURRENT and its logs");
+
+    let (ok, stdout) = verify();
+    assert!(ok, "clean WAL dir must pass fsck: {stdout}");
     assert!(stdout.contains("WAL directory"), "{stdout}");
     assert!(stdout.contains("recoverable"), "{stdout}");
 
-    // A torn tail is recoverable — still exit 0, but reported.
-    let gen = demon::types::wal::read_current(&wal_dir).unwrap();
-    let log = demon::types::wal::wal_file_path(&wal_dir, gen);
-    let bytes = std::fs::read(&log).unwrap();
-    if !bytes.is_empty() {
-        std::fs::write(&log, &bytes[..bytes.len() - 1]).unwrap();
-    } else {
-        // The live log was empty right after compaction; tear CURRENT's
-        // snapshot instead below and skip the torn-log phase.
-    }
-    let torn = cli().args(["verify", wal_dir.to_str().unwrap()]).output().unwrap();
-    assert!(torn.status.success(), "torn tail must stay recoverable");
+    // A torn end of the log is recoverable — still exit 0, but reported.
+    // The newest generation is empty; the one below it holds D5.
+    let gens = generations(&wal_dir);
+    let last = demon::types::wal::wal_file_path(&wal_dir, gens[gens.len() - 2]);
+    let bytes = std::fs::read(&last).unwrap();
+    std::fs::write(&last, &bytes[..bytes.len() - 1]).unwrap();
+    let (ok, stdout) = verify();
+    assert!(ok, "torn tail must stay recoverable: {stdout}");
+    assert!(stdout.contains("torn tail (recoverable)"), "{stdout}");
+    std::fs::write(&last, &bytes).unwrap();
 
-    // Snapshot damage *does* fail the fsck: recovery would lose data.
-    let snap = demon::types::wal::snapshot_dir_path(&wal_dir, gen);
-    let manifest = snap.join("manifest.bin");
-    let target = if manifest.exists() {
-        manifest
-    } else {
-        std::fs::read_dir(&snap).unwrap().next().unwrap().unwrap().path()
-    };
-    let mut snap_bytes = std::fs::read(&target).unwrap();
-    let mid = snap_bytes.len() / 2;
-    snap_bytes[mid] ^= 0xFF;
-    std::fs::write(&target, &snap_bytes).unwrap();
-    let damaged = cli().args(["verify", wal_dir.to_str().unwrap()]).output().unwrap();
-    assert!(
-        !damaged.status.success(),
-        "damaged snapshot must fail fsck: {}",
-        String::from_utf8_lossy(&damaged.stdout)
-    );
+    // Damage with acked records behind it *does* fail the fsck — and the
+    // bind: recovery would lose acked data.
+    let first = demon::types::wal::wal_file_path(&wal_dir, current);
+    let mut bytes = std::fs::read(&first).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0xFF;
+    std::fs::write(&first, &bytes).unwrap();
+    let (ok, stdout) = verify();
+    assert!(!ok, "damage inside the log must fail fsck: {stdout}");
+    assert!(stdout.contains("DAMAGED") && stdout.contains(&format!("wal-{current}.log")), "{stdout}");
+    let refused = cli()
+        .args(["serve", "--listen", "127.0.0.1:0", "--items", &N_ITEMS.to_string()])
+        .args(["--wal-dir", wal_dir.to_str().unwrap()])
+        .args(flags)
+        .output()
+        .unwrap();
+    assert!(!refused.status.success());
+    let stderr = String::from_utf8_lossy(&refused.stderr);
+    assert!(stderr.contains("corrupt file") && stderr.contains(&format!("wal-{current}.log")), "{stderr}");
     std::fs::remove_dir_all(&wal_dir).ok();
 }

@@ -6,7 +6,11 @@
 //! Every stream here is a pure function of the block id, so a daemon
 //! restarted at any prefix is fed exactly what an uninterrupted one was.
 
-use demon::serve::{Client, ServeConfig, Server, ServeSummary};
+use demon::clustering::{DbscanParams, DbscanSummary, WindowedDbscan};
+use demon::serve::{
+    Client, ClusterModel, DbscanModel, ItemsetModel, Request, ServableModel, ServeConfig,
+    ServeSummary, Server, TreeModel,
+};
 use demon::trees::LabeledPoint;
 use demon::types::wal::{self, WalWriter};
 use demon::types::{
@@ -198,4 +202,209 @@ fn damage_in_the_middle_of_the_log_refuses_to_bind() {
         }
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+// ---- the differential suite: every span, every prefix ----
+
+/// Blocks per stream: a 2-block segment rotates eight times, the last
+/// time at the final block, and every window below slides past several
+/// generations.
+const STREAM: u64 = 16;
+
+/// Bytes block `id` of `class`'s stream occupies in the log: one `WL`
+/// record around the request body a client sends.
+fn record_len(class: ModelClass, id: u64) -> u64 {
+    fn len<S: ServableModel>(block: &Block<S::Record>, meta: u32) -> u64 {
+        let body = Request::IngestBlock {
+            class: S::CLASS.tag(),
+            id: block.id(),
+            interval: block.interval(),
+            meta,
+            payload: S::encode_records(block).expect("encode"),
+        }
+        .encode();
+        wal::encode_wal_record(0, S::CLASS.tag(), &body).len() as u64
+    }
+    let dim = DIM as u32;
+    match class {
+        ModelClass::Itemsets => len::<ItemsetModel>(&tx_block(id), N_ITEMS),
+        ModelClass::Clusters => len::<ClusterModel>(&point_block(id), dim),
+        ModelClass::Density => len::<DbscanModel>(&point_block(id), dim),
+        ModelClass::Trees => len::<TreeModel>(&labeled_block(id), dim),
+    }
+}
+
+/// Every file under a WAL root as `(path relative to it, bytes)`.
+fn root_files(root: &Path) -> Vec<(String, u64)> {
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(root).expect("WAL root").flatten() {
+        let name = entry.file_name().to_string_lossy().into_owned();
+        if entry.path().is_dir() {
+            files.extend(root_files(&entry.path()).into_iter().map(|(f, n)| (format!("{name}/{f}"), n)));
+        } else {
+            files.push((name, entry.metadata().expect("metadata").len()));
+        }
+    }
+    files
+}
+
+/// What the uninterrupted daemon's dbscan answer and a restarted one's
+/// must share once generations were dropped: the window and its counts.
+/// (Centroid sums and border attachment depend on insertion history,
+/// which a resumed engine does not repeat.)
+fn dbscan_counts(json: &str) -> (Vec<u64>, usize, usize, usize) {
+    let s: DbscanSummary = serde_json::from_str(json).unwrap_or_else(|e| panic!("{e}: {json}"));
+    (s.blocks, s.n_points, s.n_core, s.n_clusters)
+}
+
+/// The batch side of a dbscan window: the listed blocks absorbed into a
+/// fresh model, which must agree with a from-scratch DBSCAN.
+fn dbscan_batch_counts(config: &ServeConfig, blocks: &[u64]) -> (Vec<u64>, usize, usize, usize) {
+    let mut model = WindowedDbscan::new(DbscanParams::new(config.dim, config.eps, config.min_pts));
+    for &id in blocks {
+        model.absorb_block(BlockId(id), point_block(id).records());
+    }
+    model.structure().verify_against_batch().expect("batch-consistent window");
+    dbscan_counts(&serde_json::to_string(&model.summary()).unwrap())
+}
+
+/// One data span, durable: the daemon is stopped and bound again after
+/// *every* prefix of the stream and must answer as a daemon that was
+/// never stopped does, while its WAL root holds the log and nothing else
+/// — bounded under a window, exactly the logged bytes without one.
+fn restarts_at_every_prefix(name: &str, span: impl Fn(&mut ServeConfig)) {
+    let dir = tmp(name);
+    let mut durable = config(ModelClass::Itemsets, &dir, 0);
+    span(&mut durable);
+    let class = durable.model;
+    // A segment holds two blocks.
+    durable.wal_max_bytes = record_len(class, 1) * 3 / 2;
+    let windowed = durable.shards == 1 && durable.window.is_some() && durable.pattern_window.is_some();
+
+    let mut uninterrupted = durable.clone();
+    uninterrupted.wal_dir = None;
+    let mut reference = Daemon::start(uninterrupted);
+    let mut expected = reference.answers();
+    for id in 1..=STREAM {
+        let mut daemon = Daemon::start(durable.clone());
+        let dropped = wal::read_current(&dir).expect("CURRENT") > 0;
+        let check = |daemon: &mut Daemon, expected: &(String, Vec<Vec<BlockId>>), at: u64| {
+            let label = format!("[{name}] bound after D{}, at D{at}", id - 1);
+            let served = daemon.answers();
+            if class == ModelClass::Density && dropped && at > 0 {
+                let counts = dbscan_counts(&served.0);
+                assert_eq!(counts, dbscan_counts(&expected.0), "{label}");
+                assert_eq!(counts, dbscan_batch_counts(&durable, &counts.0), "{label}");
+                assert_eq!(served.1, expected.1, "{label}");
+            } else {
+                assert_eq!(&served, expected, "{label}");
+            }
+            let stats = daemon.client.stats_json().expect("stats");
+            assert!(stats.starts_with(&format!("{{\"blocks\":{at},")), "{label}: {stats}");
+        };
+        check(&mut daemon, &expected, id - 1);
+        daemon.ingest(id);
+        reference.ingest(id);
+        expected = reference.answers();
+        check(&mut daemon, &expected, id);
+        assert_eq!(daemon.stop().blocks, id);
+
+        let files = root_files(&dir);
+        for (file, _) in &files {
+            let log = file.rsplit('/').next().unwrap();
+            let lane = file.strip_suffix(log).unwrap();
+            assert!(
+                file == "CURRENT" || (wal::parse_wal_file_name(log).is_some()
+                    && (lane.is_empty() || lane.starts_with("shard-"))),
+                "[{name}] {file} in the WAL root after D{id}"
+            );
+        }
+        let generations = wal::list_wal_generations(&dir.join(if durable.shards > 1 { "shard-0" } else { "" }))
+            .expect("generations");
+        if windowed {
+            // The widest window is 4 blocks and a segment 2: the window's
+            // generations and the open one.
+            assert!(generations.len() <= 4, "[{name}] after D{id}: {generations:?}");
+        } else {
+            let logged: u64 = (1..=id).map(|b| record_len(class, b)).sum();
+            let on_disk: u64 = files.iter().filter(|(f, _)| f != "CURRENT").map(|(_, n)| n).sum();
+            assert_eq!(on_disk, logged, "[{name}] after D{id}: one durable copy per block");
+            assert_eq!(generations[0], 0, "[{name}] an unrestricted span drops nothing");
+        }
+    }
+    reference.stop();
+    if windowed {
+        assert!(wal::read_current(&dir).unwrap() > 0, "[{name}] nothing was ever dropped");
+        refuses_a_wider_span_and_a_leftover_snapshot(name, &dir, durable);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Over a log trimmed for `--window 3 --pattern-window 4` (it starts at
+/// D13), a daemon that comes back with `--window 5` needs D12, which is
+/// gone, and one that finds a
+/// `snapshot-<g>/` of an older build cannot read it: both binds are
+/// refused by name, and the same bind without the cause succeeds.
+fn refuses_a_wider_span_and_a_leftover_snapshot(name: &str, dir: &Path, config: ServeConfig) {
+    let mut wider = config.clone();
+    wider.window = Some(5);
+    match Daemon::try_start(wider).err() {
+        Some(DemonError::InvalidParameter(text)) => {
+            assert!(text.contains("--window 5") && text.contains("needs block D12"), "[{name}] {text}")
+        }
+        other => panic!("[{name}] a wider window over a trimmed log: {other:?}"),
+    }
+    std::fs::create_dir(dir.join("snapshot-1")).expect("plant snapshot-1/");
+    match Daemon::try_start(config.clone()).err() {
+        Some(DemonError::InvalidParameter(text)) => assert!(text.contains("snapshot-1"), "[{name}] {text}"),
+        other => panic!("[{name}] a leftover snapshot directory: {other:?}"),
+    }
+    std::fs::remove_dir(dir.join("snapshot-1")).unwrap();
+    Daemon::start(config).stop();
+}
+
+#[test]
+fn unrestricted_itemsets_restart_at_every_prefix() {
+    restarts_at_every_prefix("itemsets", |_| {});
+}
+
+#[test]
+fn windowed_itemsets_restart_at_every_prefix() {
+    restarts_at_every_prefix("itemsets-w3-p4", |config| {
+        config.window = Some(3);
+        config.pattern_window = Some(4);
+    });
+}
+
+#[test]
+fn windowed_itemsets_with_unrestricted_patterns_restart_at_every_prefix() {
+    restarts_at_every_prefix("itemsets-w3", |config| config.window = Some(3));
+}
+
+#[test]
+fn windowed_trees_restart_at_every_prefix() {
+    restarts_at_every_prefix("trees-w3-p4", |config| {
+        config.model = ModelClass::Trees;
+        config.window = Some(3);
+        config.pattern_window = Some(4);
+    });
+}
+
+#[test]
+fn windowed_dbscan_restarts_at_every_prefix() {
+    restarts_at_every_prefix("dbscan-w3-p4", |config| {
+        config.model = ModelClass::Density;
+        config.window = Some(3);
+        config.pattern_window = Some(4);
+    });
+}
+
+#[test]
+fn unrestricted_clusters_restart_at_every_prefix() {
+    restarts_at_every_prefix("clusters", |config| config.model = ModelClass::Clusters);
+}
+
+#[test]
+fn sharded_itemsets_restart_at_every_prefix() {
+    restarts_at_every_prefix("itemsets-s4", |config| config.shards = 4);
 }
