@@ -11,16 +11,19 @@
 //! Methodology: one untimed warm-up pass per backend, then `repeats`
 //! rounds that each visit every (threads, backend) configuration once —
 //! interleaving spreads machine-load drift across configurations. The
-//! JSON carries `serial_baseline_ms` (the 1-thread medians) and a
-//! per-entry `speedup` map (`serial / median`); the CI bench-regression
-//! gate fails any multi-thread entry slower than its serial baseline.
+//! JSON carries `serial_baseline_ms` (the 1-thread medians), a per-entry
+//! `speedup` map (`serial / median`) and the machine it was taken on
+//! (`cores`, `available_parallelism`); the CI bench-regression gate
+//! holds the committed 2-thread speedups to ≥ 1.3 when `cores ≥ 2`, and
+//! a fresh reduced-scale sweep to no multi-thread entry slower than its
+//! serial baseline.
 //!
 //! Knobs: `DEMON_SCALE` (dataset size, default 0.02) and
 //! `DEMON_BENCH_REPEATS` (timed repeats per configuration, default 5).
 //! The JSON is written to `BENCH_counting.json` in the working directory
 //! (the repo root, when run via `cargo run`).
 
-use demon_bench::{bench_repeats, median_ms, quest_block, scale, write_bench_json};
+use demon_bench::{bench_repeats, cores, median_ms, quest_block, scale, write_bench_json};
 use demon_itemsets::{count_supports_with, CounterKind, FrequentItemsets, TxStore};
 use demon_types::{obs, BlockId, ItemSet, MinSupport, Parallelism};
 use serde_json::json;
@@ -130,10 +133,13 @@ fn main() {
         op_counts.insert(kind.name().to_string(), json!(section));
     }
 
+    let (cores, available_parallelism) = cores();
     write_bench_json(
         "BENCH_counting.json",
         json!({
             "bench": "counting",
+            "cores": cores,
+            "available_parallelism": available_parallelism,
             "spec": SPEC,
             "scale": scale(),
             "repeats": repeats,

@@ -7,14 +7,15 @@
 //! `w−1` future-window models, which is the part that parallelizes —
 //! sweeping the thread count 1/2/4/8 and reporting the **median** total
 //! wall time per sweep. The final current model is asserted identical
-//! across thread counts on every run.
+//! across thread counts on every run; the header records the machine
+//! (`cores`, `available_parallelism`).
 //!
 //! Knobs: `DEMON_SCALE` (dataset size, default 0.02) and
 //! `DEMON_BENCH_REPEATS` (timed repeats per configuration, default 5).
 //! The JSON is written to `BENCH_maintenance.json` in the working
 //! directory (the repo root, when run via `cargo run`).
 
-use demon_bench::{bench_repeats, median_ms, quest_block, scale, write_bench_json};
+use demon_bench::{bench_repeats, cores, median_ms, quest_block, scale, write_bench_json};
 use demon_core::{BlockSelector, Gemm, ItemsetMaintainer};
 use demon_itemsets::CounterKind;
 use demon_types::{obs, BlockId, MinSupport, Parallelism, TxBlock};
@@ -82,10 +83,13 @@ fn main() {
         }
     }
 
+    let (cores, available_parallelism) = cores();
     write_bench_json(
         "BENCH_maintenance.json",
         json!({
             "bench": "maintenance",
+            "cores": cores,
+            "available_parallelism": available_parallelism,
             "spec": SPEC,
             "scale": scale(),
             "repeats": repeats,

@@ -29,7 +29,7 @@
 //! The JSON is written to `BENCH_serve.json` in the working directory
 //! (the repo root, when run via `cargo run`).
 
-use demon_bench::{bench_repeats, median_ms, quest_block_sized, scale, write_bench_json};
+use demon_bench::{bench_repeats, cores, median_ms, quest_block_sized, scale, write_bench_json};
 use demon_itemsets::{FrequentItemsets, TxStore};
 use demon_serve::{Client, ServeConfig, Server};
 use demon_types::{BlockId, MinSupport, TxBlock};
@@ -201,17 +201,6 @@ fn parse_depths(stats: &str) -> Vec<u64> {
         .and_then(|tail| tail.split(']').next())
         .map(|list| list.split(',').filter_map(|v| v.trim().parse().ok()).collect())
         .unwrap_or_default()
-}
-
-/// Logical CPUs the kernel lists (`/proc/cpuinfo`), beside what this
-/// process may use (`available_parallelism`, affinity and cgroups
-/// applied) — the two numbers a thread-scaling row must be read with.
-fn cores() -> (usize, usize) {
-    let available = std::thread::available_parallelism().map_or(1, usize::from);
-    let listed = std::fs::read_to_string("/proc/cpuinfo")
-        .map(|s| s.lines().filter(|l| l.starts_with("processor")).count())
-        .unwrap_or(0);
-    (listed.max(available), available)
 }
 
 /// Folds one run's per-shard histograms into the row accumulator.

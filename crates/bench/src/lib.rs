@@ -113,6 +113,19 @@ pub fn median_ms(samples: &mut [Duration]) -> f64 {
     }
 }
 
+/// Logical CPUs the kernel lists (`/proc/cpuinfo`), beside what this
+/// process may use (`available_parallelism`, affinity and cgroups
+/// applied) — the two numbers a thread-scaling row must be read with, and
+/// the `cores` / `available_parallelism` header of every `BENCH_*.json`
+/// that sweeps threads.
+pub fn cores() -> (usize, usize) {
+    let available = std::thread::available_parallelism().map_or(1, usize::from);
+    let listed = std::fs::read_to_string("/proc/cpuinfo")
+        .map(|s| s.lines().filter(|l| l.starts_with("processor")).count())
+        .unwrap_or(0);
+    (listed.max(available), available)
+}
+
 /// Writes one point of the perf trajectory as pretty-printed JSON to
 /// `path` (relative to the working directory — the repo root when run via
 /// `cargo run`), replacing any previous run's file.

@@ -126,10 +126,19 @@ pub fn count_supports_with(
     // happen before the parallel region, so the shards below never
     // touch the engine and results stay thread-count invariant even
     // under a memory budget. Retired blocks are skipped, as before.
-    let pinned = store.pin_entries(ids);
+    count_pinned(kind, &store.pin_entries(ids), candidates, par)
+}
+
+/// One counting pass over blocks that are already pinned.
+fn count_pinned(
+    kind: CounterKind,
+    pinned: &[Pinned<'_, TxEntry>],
+    candidates: &[ItemSet],
+    par: Parallelism,
+) -> CountResult {
     let resolved = match kind {
         CounterKind::Adaptive => {
-            if tid_cost_estimate(&pinned, candidates) <= scan_cost_estimate(&pinned) {
+            if tid_cost_estimate(pinned, candidates) <= scan_cost_estimate(pinned) {
                 CounterKind::EcutPlus
             } else {
                 CounterKind::PtScan
@@ -138,9 +147,9 @@ pub fn count_supports_with(
         fixed => fixed,
     };
     let result = match resolved {
-        CounterKind::PtScan => pt_scan(&pinned, candidates, par),
-        CounterKind::Ecut => tid_count(&pinned, candidates, false, par),
-        CounterKind::EcutPlus => tid_count(&pinned, candidates, true, par),
+        CounterKind::PtScan => pt_scan(pinned, candidates, par),
+        CounterKind::Ecut => tid_count(pinned, candidates, false, par),
+        CounterKind::EcutPlus => tid_count(pinned, candidates, true, par),
         CounterKind::Adaptive => unreachable!("resolved above"),
     };
     obs::add(obs::Counter::CandidatesProbed, candidates.len() as u64);
@@ -152,63 +161,59 @@ pub fn count_supports_with(
     result
 }
 
-/// [`count_supports`] scattered over a *partitioned* dataset: each store
-/// in `stores` holds a disjoint subset of the selected blocks, every
-/// shard counts the same `candidates` over its own store (with
-/// [`count_supports_with`] under [`Parallelism::serial`], so the only
-/// parallelism is the one-shard-per-store fan-out), and the per-shard
-/// results are merged by candidate index **in shard order** — the same
-/// per-shard-merge discipline as [`demon_types::parallel::par_ranges`],
-/// which this reuses.
+/// The shard of `n_shards` that block `id` belongs to: round-robin by
+/// block id, so every stream prefix is balanced to within one block.
+/// A shard is a share of a counting pass ([`count_supports_sharded`]) —
+/// and the `Stats` gauges `demon-serve` keys by the same residue.
+pub fn shard_of(id: BlockId, n_shards: usize) -> usize {
+    ((id.value() - 1) % n_shards as u64) as usize
+}
+
+/// [`count_supports`] with the pass split by **block**: the selected
+/// blocks fall into `n_shards` residue classes ([`shard_of`]), every
+/// class is counted on its own (the serial pass of
+/// [`count_supports_with`], so the only parallelism is the
+/// one-worker-per-shard fan-out), and the per-shard results are merged by
+/// candidate index **in shard order** — the per-shard-merge discipline of
+/// [`demon_types::parallel::par_ranges`], which this reuses.
 ///
 /// Supports are additive over disjoint block sets, so the merged counts
-/// are bit-identical to a single-store [`count_supports`] over the union
-/// at any shard count (blocks missing from a shard contribute nothing,
-/// exactly as retired blocks do). `Adaptive` may resolve to different
-/// backends on different shards; every backend is exact, so the merge is
-/// still bit-identical.
+/// are bit-identical to [`count_supports`] over the whole selection at
+/// any shard count. `Adaptive` may resolve to different backends on
+/// different shards; every backend is exact, so the merge is still
+/// bit-identical. The selection is pinned here, before the fan-out, for
+/// the reason [`count_supports_with`] gives.
 pub fn count_supports_sharded(
     kind: CounterKind,
-    stores: &[&TxStore],
+    store: &TxStore,
+    n_shards: usize,
     ids: &[BlockId],
     candidates: &[ItemSet],
 ) -> CountResult {
-    if candidates.is_empty() || stores.is_empty() {
+    if candidates.is_empty() {
         return CountResult::default();
     }
-    if stores.len() == 1 {
-        return count_supports_with(kind, stores[0], ids, candidates, Parallelism::serial());
+    if n_shards == 1 {
+        return count_supports_with(kind, store, ids, candidates, Parallelism::serial());
     }
-    let shards = parallel::par_ranges(Parallelism::new(stores.len()), stores.len(), |range| {
-        let mut merged = CountResult {
-            counts: vec![0u64; candidates.len()],
-            ..CountResult::default()
-        };
-        for store in &stores[range] {
-            let r = count_supports_with(kind, store, ids, candidates, Parallelism::serial());
-            for (total, c) in merged.counts.iter_mut().zip(r.counts) {
-                *total += c;
-            }
-            merged.units_read += r.units_read;
-            merged.lists_fetched += r.lists_fetched;
-        }
-        merged
-    });
-    let mut counts = vec![0u64; candidates.len()];
-    let mut units = 0u64;
-    let mut fetched = 0u64;
-    for shard in shards {
-        for (total, c) in counts.iter_mut().zip(shard.counts) {
+    let mut shards: Vec<Vec<Pinned<'_, TxEntry>>> = (0..n_shards).map(|_| Vec::new()).collect();
+    for entry in store.pin_entries(ids) {
+        shards[shard_of(entry.id(), n_shards)].push(entry);
+    }
+    let mut merged = CountResult {
+        counts: vec![0u64; candidates.len()],
+        ..CountResult::default()
+    };
+    for shard in parallel::par_map(Parallelism::new(n_shards), &shards, |shard| {
+        count_pinned(kind, shard, candidates, Parallelism::serial())
+    }) {
+        for (total, c) in merged.counts.iter_mut().zip(shard.counts) {
             *total += c;
         }
-        units += shard.units_read;
-        fetched += shard.lists_fetched;
+        merged.units_read += shard.units_read;
+        merged.lists_fetched += shard.lists_fetched;
     }
-    CountResult {
-        counts,
-        units_read: units,
-        lists_fetched: fetched,
-    }
+    merged
 }
 
 /// Units ECUT+ would read: Σ over blocks and candidates of the item-list
@@ -720,18 +725,18 @@ mod tests {
 
     #[test]
     fn sharded_counting_is_byte_identical_to_single_store() {
-        // Partition four blocks across 1, 2 and 3 stores; every layout
-        // must merge to exactly the single-store counts.
+        // Four blocks of one store counted as 1, 2 and 3 residue classes:
+        // every split must merge to exactly the unsplit result.
         let b1 = block(1, 1, &[&[0, 1, 2], &[0, 1], &[1, 2], &[3]]);
         let b2 = block(2, 100, &[&[0, 1, 2], &[0, 2], &[2, 3]]);
         let b3 = block(3, 200, &[&[0, 3], &[1, 2, 3], &[0, 1, 2, 3]]);
         let b4 = block(4, 300, &[&[2], &[0, 1]]);
-        let blocks = [b1, b2, b3, b4];
-        let ids: Vec<BlockId> = blocks.iter().map(|b| b.id()).collect();
-        let mut whole = TxStore::new(4);
-        for b in &blocks {
-            whole.add_block(b.clone());
+        let mut store = TxStore::new(4);
+        for b in [b1, b2, b3, b4] {
+            store.add_block(b);
         }
+        let ids = store.block_ids().to_vec();
+        assert_eq!(ids.iter().map(|&id| shard_of(id, 3)).collect::<Vec<_>>(), [0, 1, 2, 0]);
         for kind in [
             CounterKind::PtScan,
             CounterKind::Ecut,
@@ -739,14 +744,9 @@ mod tests {
             CounterKind::Adaptive,
         ] {
             let reference =
-                count_supports_with(kind, &whole, &ids, &candidates(), Parallelism::serial());
+                count_supports_with(kind, &store, &ids, &candidates(), Parallelism::serial());
             for n_shards in [1usize, 2, 3] {
-                let mut stores: Vec<TxStore> = (0..n_shards).map(|_| TxStore::new(4)).collect();
-                for (i, b) in blocks.iter().enumerate() {
-                    stores[i % n_shards].add_block(b.clone());
-                }
-                let refs: Vec<&TxStore> = stores.iter().collect();
-                let sharded = count_supports_sharded(kind, &refs, &ids, &candidates());
+                let sharded = count_supports_sharded(kind, &store, n_shards, &ids, &candidates());
                 assert_eq!(
                     sharded.counts,
                     reference.counts,

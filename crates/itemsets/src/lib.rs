@@ -91,7 +91,8 @@ pub mod tidlist;
 
 pub use calendric::{calendric_rules, Calendar, CalendricRule};
 pub use counter::{
-    count_supports, count_supports_sharded, count_supports_with, CountResult, CounterKind,
+    count_supports, count_supports_sharded, count_supports_with, shard_of, CountResult,
+    CounterKind,
 };
 pub use model::{FrequentItemsets, MaintenanceStats};
 pub use persist::{

@@ -18,7 +18,7 @@
 use crate::apriori;
 use crate::counter::{count_supports, count_supports_sharded, CountResult, CounterKind};
 use crate::prefix_tree::PrefixTree;
-use crate::store::{BlockRef, TxStore};
+use crate::store::TxStore;
 use demon_types::{
     obs, BlockId, DemonError, FastMap, FastSet, Item, ItemSet, MinSupport, Result, TxBlock,
 };
@@ -335,46 +335,33 @@ impl FrequentItemsets {
         id: BlockId,
         counter: CounterKind,
     ) -> Result<MaintenanceStats> {
-        self.absorb_with(
-            id,
-            || store.try_block(id),
-            |ids, cands| count_supports(counter, store, ids, cands),
-        )
+        self.absorb_with(store, id, |ids, cands| {
+            count_supports(counter, store, ids, cands)
+        })
     }
 
-    /// **BORDERS block addition over a sharded store family.** The state
-    /// machine of [`Self::absorb_block`], except the new block is located
-    /// in whichever shard owns it and update-phase candidates are counted
-    /// with [`count_supports_sharded`] — per-shard exact counts summed
-    /// index-wise, so the resulting model is byte-identical to absorbing
-    /// the same stream into one store.
+    /// [`Self::absorb_block`] with every update-phase count split into
+    /// `n_shards` shares by block id ([`count_supports_sharded`]) —
+    /// per-shard exact counts summed index-wise, so the resulting model
+    /// is byte-identical at any shard count.
     pub fn absorb_block_sharded(
         &mut self,
-        stores: &[&TxStore],
+        store: &TxStore,
+        n_shards: usize,
         id: BlockId,
         counter: CounterKind,
     ) -> Result<MaintenanceStats> {
-        self.absorb_with(
-            id,
-            || {
-                for store in stores {
-                    if let Some(block) = store.try_block(id)? {
-                        return Ok(Some(block));
-                    }
-                }
-                Ok(None)
-            },
-            |ids, cands| count_supports_sharded(counter, stores, ids, cands),
-        )
+        self.absorb_with(store, id, |ids, cands| {
+            count_supports_sharded(counter, store, n_shards, ids, cands)
+        })
     }
 
-    /// The one body of block addition: `locate` finds the block, `count`
-    /// is the update phase's candidate-counting source (see
-    /// [`Self::cascade_counted`]).
-    fn absorb_with<'s>(
+    /// The one body of block addition: `count` is the update phase's
+    /// candidate-counting source (see [`Self::cascade_counted`]).
+    fn absorb_with(
         &mut self,
+        store: &TxStore,
         id: BlockId,
-        locate: impl FnOnce() -> Result<Option<BlockRef<'s>>>,
         count: impl FnMut(&[BlockId], &[ItemSet]) -> CountResult,
     ) -> Result<MaintenanceStats> {
         if self.includes(id) {
@@ -382,7 +369,9 @@ impl FrequentItemsets {
                 "block {id} already absorbed"
             )));
         }
-        let block = locate()?.ok_or(DemonError::UnknownBlock(id.value()))?;
+        let block = store
+            .try_block(id)?
+            .ok_or(DemonError::UnknownBlock(id.value()))?;
 
         let mut stats = MaintenanceStats::default();
 
@@ -511,8 +500,8 @@ impl FrequentItemsets {
     /// The cascade, generic over the candidate-counting source. The closure
     /// receives the model's included block ids and the candidate batch and
     /// must return exact supports over exactly those blocks — this is what
-    /// lets a sharded store family substitute [`count_supports_sharded`]
-    /// without touching the BORDERS state machine.
+    /// lets a sharded daemon substitute [`count_supports_sharded`] without
+    /// touching the BORDERS state machine.
     ///
     /// Its work follows the itemsets that cross the border, not the item
     /// universe or the square of the model's size: every pass below is

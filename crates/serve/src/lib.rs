@@ -26,8 +26,8 @@
 //! | [`protocol`] | frame layout, verbs, request/response codecs, typed wire errors |
 //! | [`model`] | the [`ServableModel`] abstraction: codecs, rendering, snapshots, shard capability per model class |
 //! | [`server`] | [`ServeConfig`], [`Server`]: bind (validation, recovery) and run (thread set-up) |
-//! | [`shard`] | the state the sequencer applies blocks to (the class's monitor, or per-shard stores with an exact merge) and the epoch-swapped replicas readers see |
-//! | [`sequencer`] | bounded queue, WAL lanes + group commit, recovery, rotation and retention, `Stats` |
+//! | [`shard`] | the state the sequencer applies blocks to (the class's monitor, or one maintainer whose counting passes are split per shard and merged exactly) and the epoch-swapped replicas readers see |
+//! | [`sequencer`] | bounded queue, the WAL + group commit, recovery, rotation and retention, `Stats` |
 //! | [`event_loop`] | poll-based (std-only) non-blocking connection loop: framing, verbs, idle policy |
 //! | [`client`] | blocking one-call-per-request client with bounded retry |
 //!
@@ -77,11 +77,13 @@
 //! * `Shutdown` drains the queue before the process exits, and a
 //!   `Snapshot` directory always loads under
 //!   [`RecoveryPolicy::Strict`](demon_itemsets::persist::RecoveryPolicy).
-//! * With `ServeConfig::shards ≥ 2` the serving state is partitioned
-//!   (round-robin by block id) across per-shard stores and WAL lanes,
-//!   and every query response and persisted snapshot stays
-//!   **byte-identical** to the 1-shard daemon's (asserted in
-//!   `tests/serve_sharded.rs`).
+//! * `ServeConfig::shards ≥ 2` splits every update-phase counting pass
+//!   (round-robin by block id) and nothing else — one store, one log,
+//!   one memory budget at any shard count — so every query response,
+//!   persisted snapshot and WAL root stays **byte-identical** to the
+//!   1-shard daemon's (asserted in `tests/serve_sharded.rs`), and a root
+//!   written under one shard count recovers under any other
+//!   (`tests/wal_restart.rs`).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -25,17 +25,17 @@
 //!
 //! ## Sharding is a capability, not a default
 //!
-//! Partitioned state (`--shards ≥ 2`, [`crate::shard::ShardSet`]) needs
-//! an *exact* scatter/gather: the model absorbed from per-shard stores
-//! must be byte-identical to the 1-shard model. Frequent-itemset supports are
-//! additive over disjoint block sets, so [`ItemsetModel`] implements
-//! [`ShardableModel`]. A CF-tree's shape depends on insertion order
-//! across the whole stream and a decision tree refits over every
-//! covered record, so neither clusters nor trees can merge shards
-//! exactly — they deliberately do **not** implement [`ShardableModel`],
-//! and `--shards ≥ 2` with `--model clusters|trees` is refused with the
-//! typed [`DemonError::ShardsUnsupported`] instead of silently serving
-//! approximate answers.
+//! `--shards ≥ 2` ([`crate::shard::ShardSet`]) splits every update-phase
+//! count over the held blocks into per-shard shares and needs the merge
+//! to be *exact*: the model must be byte-identical to the 1-shard model.
+//! Frequent-itemset supports are additive over disjoint block sets, so
+//! [`ItemsetModel`] implements [`ShardableModel`]. A CF-tree's shape
+//! depends on insertion order across the whole stream and a decision
+//! tree refits over every covered record, so neither clusters nor trees
+//! can merge shards exactly — they deliberately do **not** implement
+//! [`ShardableModel`], and `--shards ≥ 2` with `--model clusters|trees`
+//! is refused with the typed [`DemonError::ShardsUnsupported`] instead
+//! of silently serving approximate answers.
 //!
 //! ## Generic snapshots
 //!
@@ -64,7 +64,6 @@ use demon_focus::similarity::{
     TreeSimilarity,
 };
 use demon_itemsets::persist::{decode_block_txs, encode_block_txs, save_store_atomic};
-use demon_itemsets::TxStore;
 use demon_store::{BlockStore, Spillable};
 use demon_trees::{LabeledBlockEntry, LabeledPoint, TreeParams};
 use demon_types::durable::{self, FrameClass, Reader, Row};
@@ -147,24 +146,21 @@ pub trait ServableModel: Send + Sync + 'static {
 /// The optional exact shard-merge capability behind `--shards ≥ 2`.
 ///
 /// Implementing this is a *proof obligation*: the model absorbed via
-/// [`ShardableModel::absorb_sharded`] over disjoint per-shard stores
-/// must be byte-identical to the model a single maintainer would
-/// produce from the same stream. Classes whose models depend on global
-/// insertion order (CF-trees, refitted decision trees) must not
-/// implement it — the daemon then refuses sharding with the typed
-/// [`DemonError::ShardsUnsupported`].
+/// [`ShardableModel::absorb_sharded`], its counts over the held blocks
+/// taken per shard and merged, must be byte-identical to the model
+/// [`ModelMaintainer::absorb`] produces from the same stream. Classes
+/// whose models depend on global insertion order (CF-trees, refitted
+/// decision trees) must not implement it — the daemon then refuses
+/// sharding with the typed [`DemonError::ShardsUnsupported`].
 pub trait ShardableModel: ServableModel {
-    /// A copy of block `id` as the shard that owns it holds it (the
-    /// sharded `Snapshot` gathers these into the 1-shard layout).
-    fn block(shard: &Self::Maintainer, id: BlockId) -> Result<Block<Self::Record>>;
-
-    /// Absorbs block `id` into `model`, counting across the per-shard
-    /// stores (exact scatter/gather).
+    /// Absorbs block `id`, registered with `maintainer`, into `model`,
+    /// counting over the `n_shards` residue classes of the held block ids
+    /// ([`demon_itemsets::shard_of`]) and merging in shard order.
     fn absorb_sharded(
         model: &mut MaintainedModel<Self>,
-        shards: &[Self::Maintainer],
+        maintainer: &Self::Maintainer,
+        n_shards: usize,
         id: BlockId,
-        config: &ServeConfig,
     ) -> Result<()>;
 }
 
@@ -230,19 +226,13 @@ impl ServableModel for ItemsetModel {
 }
 
 impl ShardableModel for ItemsetModel {
-    fn block(shard: &ItemsetMaintainer, id: BlockId) -> Result<Block<Self::Record>> {
-        let block = shard.store().try_block(id)?;
-        Ok((*block.ok_or(DemonError::UnknownBlock(id.value()))?).clone())
-    }
-
     fn absorb_sharded(
         model: &mut MaintainedModel<Self>,
-        shards: &[ItemsetMaintainer],
+        maintainer: &ItemsetMaintainer,
+        n_shards: usize,
         id: BlockId,
-        config: &ServeConfig,
     ) -> Result<()> {
-        let stores: Vec<&TxStore> = shards.iter().map(ItemsetMaintainer::store).collect();
-        model.absorb_block_sharded(&stores, id, config.counter)?;
+        model.absorb_block_sharded(maintainer.store(), n_shards, id, maintainer.counter())?;
         Ok(())
     }
 }

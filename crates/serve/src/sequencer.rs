@@ -5,60 +5,59 @@
 //!
 //! ```text
 //!  event-loop threads ──try_submit──▶ bounded queue ──▶ sequencer thread
-//!                                                        │ append + fsync (lane of the block's shard)
+//!                                                        │ append + fsync
 //!                                                        │ apply to the AppliedState
 //!                                                        │ publish Arc<Replica>, then ack
 //!                                                        ▼
-//!                           segment full: seal wal-<g>, open wal-<g+1> on every lane,
+//!                           segment full: seal wal-<g>, open wal-<g+1>,
 //!                           move CURRENT past the generations no window still needs,
 //!                           unlink them
 //! ```
 //!
 //! * **Ack contract**: the sequencer appends the request body the block
-//!   arrived in to the WAL lane of its shard and fsyncs it, applies the
-//!   block, publishes the replica, and only then fills the connection's
-//!   completion slot — so an ack means durable (with `wal_dir`),
-//!   applied, *and* visible to every later query. Only the exact
-//!   successor of the last applied id is ever appended: a duplicate or
-//!   a gap skips the log and is rejected by the apply with its typed
-//!   error. An append or fsync failure fails the request without
-//!   applying (an applied-but-not-durable block would turn a later
-//!   `Duplicate` retry into a silent durability lie). A panicking apply
-//!   poisons the state: later ingests and snapshots get a typed error,
-//!   never a hang, and nothing more is logged; queries keep reading the
-//!   last published replica, which is exactly the acked prefix.
+//!   arrived in to the WAL and fsyncs it, applies the block, publishes
+//!   the replica, and only then fills the connection's completion slot —
+//!   so an ack means durable (with `wal_dir`), applied, *and* visible to
+//!   every later query. Only the exact successor of the last applied id
+//!   is ever appended: a duplicate or a gap skips the log and is rejected
+//!   by the apply with its typed error. An append or fsync failure fails
+//!   the request without applying (an applied-but-not-durable block would
+//!   turn a later `Duplicate` retry into a silent durability lie). A
+//!   panicking apply poisons the state: later ingests and snapshots get a
+//!   typed error, never a hang, and nothing more is logged; queries keep
+//!   reading the last published replica, which is exactly the acked
+//!   prefix.
 //! * **Group commit**: every unit of work already queued behind the
-//!   popped one joins its batch — all appends first, one covering fsync
-//!   per touched lane, then apply + publish + ack in arrival order. A
-//!   failed covering fsync fails every block of the batch on that lane.
-//!   With one block queued the batch is that block: append + fsync.
-//! * **WAL lanes**: shard `s` of `N ≥ 2` appends to
-//!   `wal_dir/shard-<s>/wal-<g>.log`; with one shard the lane is
-//!   `wal_dir` itself. The root `CURRENT` pointer is common to all
-//!   lanes; rotation moves every lane to `g+1` at once. Lanes are
-//!   appended in block-id order, so recovery merges lane records by
-//!   block id and replays the contiguous prefix: the first gap ends
-//!   replay, which keeps `acked ≤ recovered` and, for one block in
-//!   flight, `recovered ≤ acked + 1`. Every record carries the
+//!   popped one joins its batch — all appends first, one covering fsync,
+//!   then apply + publish + ack in arrival order. A failed covering
+//!   fsync fails every logged block of the batch. With one block queued
+//!   the batch is that block: append + fsync.
+//! * **One log**: a WAL root is `CURRENT` + one chain `wal-<g>.log`, at
+//!   any `--shards` — the shard count splits a counting pass
+//!   ([`crate::shard`]), never the log, so a root written under one
+//!   shard count recovers under any other. Records are appended in
+//!   block-id order and recovery replays the contiguous prefix: the
+//!   first gap ends replay, which keeps `acked ≤ recovered` and, for one
+//!   block in flight, `recovered ≤ acked + 1`. Every record carries the
 //!   model-class tag; a log written by another class refuses to replay.
 //! * **Rotation and retention**: every acked block has exactly one
-//!   durable copy, its log record. Once the lanes' live bytes reach
+//!   durable copy, its log record. Once the live log reaches
 //!   `wal_max_bytes` (the segment size) the sequencer seals the
-//!   generation and opens the next on every lane — only when nothing is
-//!   appended but not yet applied, after the *last* logged block of a
-//!   batch — and unlinks the sealed generations that end below the
-//!   oldest block the state can still need
-//!   ([`AppliedState::oldest_needed`]): they are in no current or future
-//!   window. `CURRENT` names the oldest retained generation and moves
-//!   *before* anything below it is unlinked. An unrestricted daemon
-//!   needs its first block for ever and never unlinks anything.
+//!   generation and opens the next — only when nothing is appended but
+//!   not yet applied, after the *last* logged block of a batch — and
+//!   unlinks the sealed generations that end below the oldest block the
+//!   state can still need ([`AppliedState::oldest_needed`]): they are in
+//!   no current or future window. `CURRENT` names the oldest retained
+//!   generation and moves *before* anything below it is unlinked. An
+//!   unrestricted daemon needs its first block for ever and never
+//!   unlinks anything.
 
 use crate::model::ServableModel;
 use crate::protocol::{Request, Response, WireError};
 use crate::server::{crash_point, ServeConfig};
 use crate::shard::{shard_of, AppliedState, ReplicaCell};
 use demon_types::obs::{self, Counter};
-use demon_types::wal::{self, LaneChain, WalWriter};
+use demon_types::wal::{self, WalChain, WalWriter};
 use demon_types::{Block, BlockId, BlockInterval, DemonError, ModelClass, Result};
 use std::collections::{BTreeMap, VecDeque};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpStream};
@@ -326,25 +325,13 @@ pub(crate) fn decode_block<S: ServableModel>(
     Ok(Block::from_parts(id, interval, S::decode_records(payload, id, meta)?))
 }
 
-/// The directory lane `shard` of `n_shards` logs to: `shard-<s>/` under
-/// the WAL root, or the root itself when there is one lane — a 1-shard
-/// directory is `wal-<g>.log` + `CURRENT` and nothing else.
-fn lane_dir(root: &Path, shard: usize, n_shards: usize) -> PathBuf {
-    if n_shards == 1 {
-        root.to_path_buf()
-    } else {
-        root.join(format!("shard-{shard}"))
-    }
-}
-
-/// The sequencer's durable state: one WAL lane per shard, all writing
-/// generation `gen`, behind the root `CURRENT` pointer. Owned by the
-/// sequencer thread alone — the single-appender discipline is what makes
-/// rotation sound.
-pub(crate) struct WalLanes {
+/// The sequencer's durable state: the log, writing generation `gen`,
+/// behind the root `CURRENT` pointer. Owned by the sequencer thread alone
+/// — the single-appender discipline is what makes rotation sound.
+pub(crate) struct Wal {
     root: PathBuf,
-    writers: Vec<WalWriter>,
-    /// The segment size: live bytes across the lanes that seal `gen`.
+    writer: WalWriter,
+    /// The segment size: live bytes that seal `gen`.
     max_bytes: u64,
     gen: u64,
     /// The highest block id logged in `gen` (`None`: nothing yet).
@@ -364,33 +351,27 @@ fn cross_class_replay<S: ServableModel>(got: u8) -> DemonError {
 }
 
 /// Recovers `state` (handed in empty) from a WAL root and reopens the
-/// lanes for appending. The log is the whole durable state: read every
-/// lane's chain of generations ≥ `CURRENT` ([`LaneChain`]: a torn end of
-/// chain is dropped and counted under `wal.torn_tails`, damage that
-/// intact records follow is [`DemonError::Corrupt`]), merge the records
-/// by block id, start the state at the first retained id and replay the
-/// contiguous prefix. Of two records with one id the later wins (the
-/// earlier was refused at apply, or it could not have been logged
-/// again); the first gap or failed apply ends replay — nothing past it
-/// was ever acknowledged. Generations below `CURRENT` are stale residue
-/// of a crash between the pointer move and the unlink. Refused, not
-/// guessed at: a record of another model class
+/// log for appending. The log is the whole durable state: read the chain
+/// of generations ≥ `CURRENT` ([`WalChain`]: a torn end of chain is
+/// dropped and counted under `wal.torn_tails`, damage that intact
+/// records follow is [`DemonError::Corrupt`]), start the state at the
+/// first retained id and replay the contiguous prefix. Of two records
+/// with one id the later wins (the earlier was refused at apply, or it
+/// could not have been logged again); the first gap or failed apply ends
+/// replay — nothing past it was ever acknowledged. Generations below
+/// `CURRENT` are stale residue of a crash between the pointer move and
+/// the unlink. Refused, not guessed at: a record of another model class
 /// ([`DemonError::ModelClassMismatch`]); a log that starts above the
 /// oldest block the replayed state needs (trimmed under a narrower data
-/// span than the daemon came back with); and a `snapshot-<g>/`, which
-/// only a build that compacted into snapshots can read.
+/// span than the daemon came back with); and what only an older build
+/// can read — a `snapshot-<g>/` (it compacted into snapshots) or a
+/// `shard-<s>/` (it kept a log lane per shard).
 pub(crate) fn recover<S: ServableModel>(
     root: &Path,
     config: &ServeConfig,
     state: &mut dyn AppliedState<S>,
-) -> Result<WalLanes> {
-    let n_shards = config.shards;
-    let lanes: Vec<PathBuf> = (0..n_shards).map(|s| lane_dir(root, s, n_shards)).collect();
-    let mut listed = Vec::with_capacity(n_shards);
-    for lane in &lanes {
-        std::fs::create_dir_all(lane)?;
-        listed.push(wal::list_wal_generations(lane)?);
-    }
+) -> Result<Wal> {
+    std::fs::create_dir_all(root)?;
     if let Some(left) = std::fs::read_dir(root)?.flatten().find(|e| {
         e.file_name().to_string_lossy().starts_with("snapshot-")
     }) {
@@ -400,62 +381,65 @@ pub(crate) fn recover<S: ServableModel>(
             left.path().display()
         )));
     }
+    if let Some(lane) = wal::leftover_lane(root)? {
+        return Err(DemonError::InvalidParameter(format!(
+            "{} is a per-shard log lane of an older build; this build keeps one log per WAL \
+             root (CURRENT + wal-<g>.log) at any --shards and cannot recover from it",
+            lane.display()
+        )));
+    }
+    let gens = wal::list_wal_generations(root)?;
     let current = wal::read_current(root)?;
-    // Every lane appends to the newest generation any lane reached (a
-    // crash between creating the lanes' next logs leaves them apart).
-    let gen = listed.iter().flatten().copied().fold(current, u64::max);
+    let gen = gens.iter().copied().fold(current, u64::max);
 
     let class = S::CLASS.tag();
     let mut logged: BTreeMap<BlockId, Block<S::Record>> = BTreeMap::new();
-    // Highest block id per generation ≥ CURRENT, over all lanes.
+    // Highest block id per generation ≥ CURRENT.
     let mut generations: BTreeMap<u64, Option<BlockId>> = BTreeMap::new();
-    let mut writers = Vec::with_capacity(n_shards);
-    for (lane, gens) in lanes.iter().zip(listed) {
-        let mut chain = LaneChain::default();
-        let mut live_len = None;
-        for g in gens {
-            let path = wal::wal_file_path(lane, g);
-            if g < current {
-                let _ = std::fs::remove_file(path);
+    let mut chain = WalChain::default();
+    let mut live_len = None;
+    for g in gens {
+        let path = wal::wal_file_path(root, g);
+        if g < current {
+            let _ = std::fs::remove_file(path);
+            continue;
+        }
+        let report = chain.read(&path)?;
+        let highest = generations.entry(g).or_default();
+        for record in &report.records {
+            if record.class != class {
+                return Err(cross_class_replay::<S>(record.class));
+            }
+            let Ok(Request::IngestBlock {
+                class: body_class,
+                id,
+                interval,
+                meta,
+                payload,
+            }) = Request::decode(&record.body)
+            else {
                 continue;
+            };
+            if body_class != class {
+                return Err(cross_class_replay::<S>(body_class));
             }
-            let report = chain.read(&path)?;
-            let highest = generations.entry(g).or_default();
-            for record in &report.records {
-                if record.class != class {
-                    return Err(cross_class_replay::<S>(record.class));
-                }
-                let Ok(Request::IngestBlock {
-                    class: body_class,
-                    id,
-                    interval,
-                    meta,
-                    payload,
-                }) = Request::decode(&record.body)
-                else {
-                    continue;
-                };
-                if body_class != class {
-                    return Err(cross_class_replay::<S>(body_class));
-                }
-                if let Ok(block) = decode_block::<S>(id, interval, meta, &payload) {
-                    *highest = (*highest).max(Some(id));
-                    logged.insert(id, block);
-                }
-            }
-            live_len = (g == gen).then_some(report.valid_len);
-            if report.torn.is_some() {
-                // The end of the chain, sealed log or live: cut it off
-                // before anything is appended behind it.
-                wal::truncate_torn_tail(&path, report.valid_len)?;
+            if let Ok(block) = decode_block::<S>(id, interval, meta, &payload) {
+                *highest = (*highest).max(Some(id));
+                logged.insert(id, block);
             }
         }
-        let path = wal::wal_file_path(lane, gen);
-        writers.push(match live_len {
-            Some(len) => WalWriter::open_after_recovery(&path, len, chain.next_seq(), class)?,
-            None => WalWriter::create(&path, chain.next_seq(), class)?,
-        });
+        live_len = (g == gen).then_some(report.valid_len);
+        if report.torn.is_some() {
+            // The end of the chain, sealed log or live: cut it off
+            // before anything is appended behind it.
+            wal::truncate_torn_tail(&path, report.valid_len)?;
+        }
     }
+    let path = wal::wal_file_path(root, gen);
+    let writer = match live_len {
+        Some(len) => WalWriter::open_after_recovery(&path, len, chain.next_seq(), class)?,
+        None => WalWriter::create(&path, chain.next_seq(), class)?,
+    };
 
     let first = logged.keys().next().copied();
     if let Some(first) = first {
@@ -482,9 +466,9 @@ pub(crate) fn recover<S: ServableModel>(
             )));
         }
     }
-    Ok(WalLanes {
+    Ok(Wal {
         root: root.to_path_buf(),
-        writers,
+        writer,
         max_bytes: config.wal_max_bytes.max(1),
         gen,
         highest: generations.remove(&gen).flatten(),
@@ -492,45 +476,37 @@ pub(crate) fn recover<S: ServableModel>(
     })
 }
 
-impl WalLanes {
-    /// Appends the request body block `id` arrived in to the lane of its
-    /// shard, unsynced; returns the lane for the covering fsync.
-    fn append(&mut self, id: BlockId, body: &[u8]) -> std::result::Result<usize, WireError> {
-        let lane = shard_of(id, self.writers.len());
-        match self.writers[lane].append_unsynced(body) {
-            Ok(_) => {
-                self.highest = Some(id);
-                Ok(lane)
-            }
-            Err(e) => Err(WireError::Io(format!("wal append: {e}"))),
-        }
+impl Wal {
+    /// Appends the request body block `id` arrived in, unsynced: the
+    /// batch's covering fsync makes it durable.
+    fn append(&mut self, id: BlockId, body: &[u8]) -> std::result::Result<(), WireError> {
+        self.writer
+            .append_unsynced(body)
+            .map_err(|e| WireError::Io(format!("wal append: {e}")))?;
+        self.highest = Some(id);
+        Ok(())
     }
 
-    /// Once the lanes' combined live bytes reach the segment size: seals
-    /// generation `gen` — every lane moves to `gen+1` at once — and
-    /// unlinks the sealed generations whose highest block id lies below
-    /// the oldest block `state` still needs. Called only when every
-    /// appended record is applied (or was refused and never acked), so
-    /// `state` speaks for everything the sealed logs hold. Nothing here
-    /// looks at a block: the cost is a file per lane and, when something
-    /// is dropped, one pointer write.
+    /// Once the live log reaches the segment size: seals generation
+    /// `gen`, opens `gen+1`, and unlinks the sealed generations whose
+    /// highest block id lies below the oldest block `state` still needs.
+    /// Called only when every appended record is applied (or was refused
+    /// and never acked), so `state` speaks for everything the sealed logs
+    /// hold. Nothing here looks at a block: the cost is one file and,
+    /// when something is dropped, one pointer write.
     fn maybe_rotate<S: ServableModel>(&mut self, state: &dyn AppliedState<S>) {
-        let total: u64 = self.writers.iter().map(WalWriter::bytes).sum();
-        if total < self.max_bytes {
+        if self.writer.bytes() < self.max_bytes {
             return;
         }
-        let n_shards = self.writers.len();
-        let log = |s, g| wal::wal_file_path(&lane_dir(&self.root, s, n_shards), g);
-        let rotated: Result<Vec<WalWriter>> = (self.writers.iter().enumerate())
-            .map(|(s, w)| WalWriter::create(&log(s, self.gen + 1), w.next_seq(), w.class()))
-            .collect();
-        // Any failure aborts the whole rotation: keep appending to the
-        // old lanes and retry after the next block. An already-created
-        // empty `wal-<gen+1>.log` is harmless — recovery reads it as an
-        // empty generation.
+        let log = |g| wal::wal_file_path(&self.root, g);
+        // A failure aborts the rotation: keep appending to the old log
+        // and retry after the next block. An already-created empty
+        // `wal-<gen+1>.log` is harmless — recovery reads it as an empty
+        // generation.
+        let rotated = WalWriter::create(&log(self.gen + 1), self.writer.next_seq(), self.writer.class());
         let Ok(rotated) = rotated else { return };
         crash_point("mid_rotation");
-        self.writers = rotated;
+        self.writer = rotated;
         self.sealed.push_back((self.gen, self.highest.take()));
         self.gen += 1;
 
@@ -546,9 +522,7 @@ impl WalLanes {
         }
         crash_point("after_current");
         for (g, _) in self.sealed.drain(..droppable) {
-            for s in 0..n_shards {
-                let _ = std::fs::remove_file(log(s, g));
-            }
+            let _ = std::fs::remove_file(log(g));
         }
     }
 }
@@ -567,41 +541,35 @@ fn snapshot_to<S: ServableModel>(state: &dyn AppliedState<S>, dir: &str) -> Resp
 pub(crate) fn sequencer_loop<S: ServableModel>(
     hub: &Hub<S>,
     mut state: Box<dyn AppliedState<S>>,
-    mut lanes: Option<WalLanes>,
+    mut wal: Option<Wal>,
 ) {
     let mut epoch = hub.replica.load().epoch;
     let mut poisoned = false;
     while let Some(batch) = hub.queue.next_batch() {
         // WAL first: a block must be durable before it can be acked.
-        // `appended[i]` is the lane batch[i] went to, or why it failed.
+        // `appended[i]`: whether batch[i] was logged, or why that failed.
         let mut next = state.latest().map_or(BlockId::FIRST, BlockId::next);
-        let mut appended: Vec<std::result::Result<Option<usize>, WireError>> =
+        let mut appended: Vec<std::result::Result<bool, WireError>> =
             Vec::with_capacity(batch.len());
         for task in &batch {
             let Task::Ingest { block, body, .. } = task else {
-                appended.push(Ok(None));
+                appended.push(Ok(false));
                 continue;
             };
             crash_point("before_append");
-            appended.push(match lanes.as_mut() {
-                Some(l) if block.id() == next && !poisoned => {
+            appended.push(match wal.as_mut() {
+                Some(w) if block.id() == next && !poisoned => {
                     next = next.next();
-                    l.append(block.id(), body).map(Some)
+                    w.append(block.id(), body).map(|()| true)
                 }
-                _ => Ok(None),
+                _ => Ok(false),
             });
         }
-        for (lane, writer) in lanes
-            .iter_mut()
-            .flat_map(|l| l.writers.iter_mut().enumerate())
-        {
-            if !appended.contains(&Ok(Some(lane))) {
-                continue;
-            }
-            if let Err(e) = writer.sync() {
+        if let Some(w) = wal.as_mut().filter(|_| appended.contains(&Ok(true))) {
+            if let Err(e) = w.writer.sync() {
                 // Nothing this fsync covered is durable, so none of it
                 // may be applied or acked Ok.
-                for a in appended.iter_mut().filter(|a| **a == Ok(Some(lane))) {
+                for a in appended.iter_mut().filter(|a| **a == Ok(true)) {
                     *a = Err(WireError::Io(format!("wal sync: {e}")));
                 }
             }
@@ -611,7 +579,7 @@ pub(crate) fn sequencer_loop<S: ServableModel>(
         // must speak for every block the sealed logs hold, so within a
         // batch only the last logged block may rotate (`None`: nothing
         // logged).
-        let last_logged = appended.iter().rposition(|a| matches!(a, Ok(Some(_))));
+        let last_logged = appended.iter().rposition(|a| *a == Ok(true));
         for (i, (task, appended)) in batch.into_iter().zip(appended).enumerate() {
             let (block, done) = match task {
                 Task::Ingest { block, done, .. } => (block, done),
@@ -655,8 +623,8 @@ pub(crate) fn sequencer_loop<S: ServableModel>(
                     let min = replica.shard_blocks.iter().copied().min().unwrap_or(0);
                     obs::record_max(Counter::ServeShardImbalance, max - min);
                     hub.replica.store(replica);
-                    if let Some(l) = lanes.as_mut().filter(|_| last_logged <= Some(i)) {
-                        l.maybe_rotate(state.as_ref());
+                    if let Some(w) = wal.as_mut().filter(|_| last_logged <= Some(i)) {
+                        w.maybe_rotate(state.as_ref());
                     }
                     Response::Ok
                 }
@@ -711,22 +679,22 @@ mod tests {
         config
     }
 
-    fn reopen(config: &ServeConfig) -> Result<(State, WalLanes)> {
+    fn reopen(config: &ServeConfig) -> Result<(State, Wal)> {
         let mut state: State = if config.shards == 1 {
             Box::new(MonitorState::<ItemsetModel>::new(config).expect("state"))
         } else {
             Box::new(ShardSet::<ItemsetModel>::new(config).expect("state"))
         };
         let root = config.wal_dir.as_ref().expect("durable config");
-        let lanes = recover::<ItemsetModel>(root, config, state.as_mut())?;
-        Ok((state, lanes))
+        let wal = recover::<ItemsetModel>(root, config, state.as_mut())?;
+        Ok((state, wal))
     }
 
     /// Queues `ids` and runs the sequencer over them as one batch;
     /// returns the answers and the fsyncs the sequencer spent.
     fn run_one_batch(config: &ServeConfig, ids: &[u64]) -> (Hub<ItemsetModel>, Vec<Response>, u64) {
         obs::enable();
-        let (state, lanes) = reopen(config).expect("recover");
+        let (state, wal) = reopen(config).expect("recover");
         let hub = Hub::<ItemsetModel>::new(config, "127.0.0.1:1".parse().unwrap(), state.as_ref());
         let slots: Vec<Arc<Pending>> = ids
             .iter()
@@ -744,22 +712,33 @@ mod tests {
             .collect();
         hub.begin_shutdown();
         let fsyncs = obs::counter_value(Counter::WalFsyncs);
-        sequencer_loop(&hub, state, Some(lanes));
+        sequencer_loop(&hub, state, Some(wal));
         let fsyncs = obs::counter_value(Counter::WalFsyncs) - fsyncs;
         let answers = slots.iter().map(|s| s.take().expect("answered")).collect();
         (hub, answers, fsyncs)
     }
 
+    /// Everything under a WAL root, by name.
+    fn entries(root: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(root)
+            .expect("WAL root")
+            .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
     /// A burst already queued when the sequencer wakes is one batch: six
-    /// blocks over four lanes cost four covering fsyncs, every block is
-    /// acked in arrival order, a queued duplicate is refused without
-    /// touching a log, and the lanes recover to the same six blocks.
+    /// blocks at four shards cost one covering fsync in the one log,
+    /// every block is acked in arrival order, a queued duplicate is
+    /// refused without touching the log, and the log recovers to the same
+    /// six blocks — at any shard count.
     #[test]
-    fn a_queued_burst_is_one_batch_with_one_fsync_per_touched_lane() {
+    fn a_queued_burst_is_one_batch_with_one_fsync() {
         let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-        let config = config("gc", 4);
+        let mut config = config("gc", 4);
         let (hub, answers, fsyncs) = run_one_batch(&config, &[1, 2, 3, 4, 5, 6, 3]);
-        assert_eq!(fsyncs, 4);
+        assert_eq!(fsyncs, 1);
 
         assert!(
             answers[..6].iter().all(|r| *r == Response::Ok),
@@ -774,9 +753,16 @@ mod tests {
         );
         assert_eq!(hub.replica.load().shard_blocks, vec![2, 2, 1, 1]);
 
-        let (state, _) = reopen(&config).expect("recover");
-        assert_eq!(state.latest(), Some(BlockId(6)));
-        let _ = std::fs::remove_dir_all(config.wal_dir.unwrap());
+        let root = config.wal_dir.clone().unwrap();
+        assert_eq!(entries(&root), ["wal-0.log"]);
+        let report = wal::read_wal(&wal::wal_file_path(&root, 0)).expect("wal-0.log");
+        assert_eq!(report.records.len(), 6, "the duplicate was never logged");
+        for shards in [4, 1, 3] {
+            config.shards = shards;
+            let (state, _) = reopen(&config).expect("recover");
+            assert_eq!(state.latest(), Some(BlockId(6)), "back at {shards} shard(s)");
+        }
+        let _ = std::fs::remove_dir_all(root);
     }
 
     /// The log holds what crossed the socket, and for a canonical client
@@ -810,8 +796,7 @@ mod tests {
 
                 let root = config.wal_dir.clone().unwrap();
                 assert_eq!(wal::read_current(&root).unwrap(), 0, "nothing was dropped");
-                let lane = lane_dir(&root, 0, shards);
-                assert_eq!(wal::list_wal_generations(&lane).unwrap(), [0, 1], "rotated once");
+                assert_eq!(entries(&root), ["wal-0.log", "wal-1.log"], "rotated once");
                 let (state, _) = reopen(&config).expect("recover");
                 assert_eq!(
                     state.latest(),
@@ -855,9 +840,16 @@ mod tests {
         assert!(text.contains("starts at block D5") && text.contains("needs block D3"), "{text}");
         assert!(text.contains("--window 4"), "{text}");
 
-        std::fs::create_dir_all(root.join("snapshot-1")).unwrap();
-        let text = reopen(&config).err().expect("leftover snapshot").to_string();
-        assert!(text.contains("snapshot-1"), "{text}");
+        config.window = Some(2);
+        for leftover in ["snapshot-1", "shard-0"] {
+            std::fs::create_dir_all(root.join(leftover)).unwrap();
+            let err = reopen(&config).err().expect("a leftover of an older build");
+            let text = err.to_string();
+            assert!(matches!(err, DemonError::InvalidParameter(_)), "{text}");
+            assert!(text.contains(leftover), "{text}");
+            std::fs::remove_dir(root.join(leftover)).unwrap();
+        }
+        reopen(&config).expect("the same root without the leftover");
         let _ = std::fs::remove_dir_all(root);
     }
 }

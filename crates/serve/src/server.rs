@@ -10,7 +10,7 @@
 //!        └──── sequencer thread ◀───────────┘   (single writer)
 //!              │ owns the AppliedState: the class's monitor (shards = 1)
 //!              │ or a ShardSet (shards ≥ 2)
-//!              │ append + fsync to the WAL lane(s), then apply, publish, ack
+//!              │ append + fsync to the WAL, then apply, publish, ack
 //!              │ segment full: seal the generation, unlink those no window needs
 //! ```
 //!
@@ -31,7 +31,7 @@
 
 use crate::event_loop::{acceptor, event_loop};
 use crate::model::{ClusterModel, DbscanModel, ItemsetModel, ServableModel, TreeModel};
-use crate::sequencer::{self, Hub, WalLanes};
+use crate::sequencer::{self, Hub, Wal};
 use crate::shard::{AppliedState, MonitorState, ShardSet};
 use demon_itemsets::CounterKind;
 use demon_store::StoreConfig;
@@ -78,15 +78,18 @@ pub struct ServeConfig {
     /// deals them (see [`crate::event_loop`]); each serves any number of
     /// clients.
     pub workers: usize,
-    /// Serving-state partitions. `1` (the default): the sequencer
-    /// applies blocks to the class's monitor and logs to one WAL lane,
-    /// `wal_dir` itself. `≥ 2`: per-shard stores and WAL lanes
-    /// (`wal_dir/shard-<s>/`) under one global model (see
-    /// [`crate::shard`]). Query responses and persisted snapshots are
-    /// byte-identical across shard counts. `≥ 2` requires the
-    /// unrestricted window and a model class with an exact shard merge
-    /// ([`crate::model::ShardableModel`] — itemsets only); other classes
-    /// are refused with the typed [`DemonError::ShardsUnsupported`].
+    /// Shares an update-phase counting pass is split into, by block id
+    /// (see [`crate::shard`]). `1` (the default): the sequencer applies
+    /// blocks to the class's monitor. `≥ 2`: a [`crate::shard::ShardSet`]
+    /// counts the shares on up to that many workers and merges them
+    /// exactly. Nothing else depends on it: one store under the one
+    /// memory budget, one log in `wal_dir`, and query responses,
+    /// persisted snapshots and WAL roots byte-identical across shard
+    /// counts — a daemon may come back over its `wal_dir` with any other
+    /// value. `≥ 2` requires the unrestricted window and a model class
+    /// with an exact shard merge ([`crate::model::ShardableModel`] —
+    /// itemsets only); other classes are refused with the typed
+    /// [`DemonError::ShardsUnsupported`].
     pub shards: usize,
     /// Ingest-queue capacity (blocks buffered but not yet applied).
     pub queue_capacity: usize,
@@ -95,7 +98,8 @@ pub struct ServeConfig {
     pub queue_timeout: Duration,
     /// Per-connection read/write timeout.
     pub io_timeout: Duration,
-    /// Storage-engine config of the monitored store (`--memory-budget`).
+    /// Storage-engine config of the monitored store (`--memory-budget`):
+    /// the daemon has one, at any shard count.
     pub store_config: StoreConfig,
     /// Write-ahead-log directory. `Some(dir)` makes every acknowledged
     /// ingest durable (fsynced before the ack) and recovers the monitor
@@ -215,7 +219,7 @@ struct Runtime<S: ServableModel> {
     listener: TcpListener,
     workers: usize,
     state: Box<dyn AppliedState<S>>,
-    lanes: Option<WalLanes>,
+    wal: Option<Wal>,
 }
 
 impl<S: ServableModel> Runtime<S> {
@@ -228,7 +232,7 @@ impl<S: ServableModel> Runtime<S> {
     fn bind(config: &ServeConfig, mut state: Box<dyn AppliedState<S>>) -> Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        let lanes = match &config.wal_dir {
+        let wal = match &config.wal_dir {
             None => None,
             Some(root) => Some(sequencer::recover::<S>(root, config, state.as_mut())?),
         };
@@ -237,7 +241,7 @@ impl<S: ServableModel> Runtime<S> {
             listener,
             workers: config.workers.max(1),
             state,
-            lanes,
+            wal,
         };
         Ok(Server {
             addr,
@@ -251,7 +255,7 @@ impl<S: ServableModel> Runtime<S> {
             listener,
             workers,
             state,
-            lanes,
+            wal,
         } = self;
         let mut handles = Vec::new();
         let named = |name: String| std::thread::Builder::new().name(name);
@@ -259,7 +263,7 @@ impl<S: ServableModel> Runtime<S> {
             let hub = Arc::clone(&hub);
             handles.push(
                 named("serve-sequencer".to_string())
-                    .spawn(move || sequencer::sequencer_loop(&hub, state, lanes))?,
+                    .spawn(move || sequencer::sequencer_loop(&hub, state, wal))?,
             );
         }
         let mut loops = Vec::with_capacity(workers);

@@ -4,19 +4,23 @@
 //! * [`AppliedState`] is the one seam between the runtime and the
 //!   mining state. `shards = 1`: [`MonitorState`], whatever monitor the
 //!   class builds (`--window`/GEMM and the DBSCAN sliding engine
-//!   included). `shards ≥ 2`: [`ShardSet`], per-shard stores under one
-//!   global model, for classes with an exact shard merge
-//!   ([`ShardableModel`]).
-//! * **Partition function**: block `b` belongs to shard
-//!   `(b − 1) mod N` — round-robin by block id, so every prefix of the
-//!   stream is balanced to within one block.
-//! * **Exact scatter/gather**: [`ShardableModel::absorb_sharded`] proves
-//!   the model built from disjoint per-shard stores byte-identical to
-//!   the 1-shard model. Itemsets qualify (supports are additive over
-//!   disjoint block sets; [`demon_itemsets::count_supports_sharded`]
-//!   reuses the `demon_types::parallel` per-shard-merge discipline);
-//!   clusters, trees and density models do not, and are refused at bind
-//!   with the typed `ShardsUnsupported` error.
+//!   included). `shards ≥ 2`: [`ShardSet`], for classes with an exact
+//!   shard merge ([`ShardableModel`]). Either holds **one** maintainer —
+//!   one store under the one `--memory-budget` — one model and one
+//!   pattern miner.
+//! * **A shard is a share of a counting pass.** Block `b` belongs to
+//!   shard `(b − 1) mod N` ([`shard_of`]: round-robin by block id, so
+//!   every prefix of the stream is balanced to within one block), and the
+//!   only thing `N` decides is how an update-phase count over the held
+//!   blocks is split: [`ShardableModel::absorb_sharded`] counts the `N`
+//!   residue classes on up to `N` workers and merges them in shard order.
+//!   Itemsets qualify (supports are additive over disjoint block sets;
+//!   [`demon_itemsets::count_supports_sharded`] reuses the
+//!   `demon_types::parallel` per-shard-merge discipline), so their model
+//!   is byte-identical at any shard count; clusters, trees and density
+//!   models do not, and are refused at bind with the typed
+//!   `ShardsUnsupported` error. `ShardSet` maintains the unrestricted
+//!   model only, which is why `--window` needs `--shards 1`.
 //! * **Replica epochs**: after each applied block the sequencer builds
 //!   an immutable [`Replica`] — model cloned out, sequences
 //!   pre-gathered — and flips the [`ReplicaCell`] pointer
@@ -32,11 +36,9 @@
 //!   block the state can still depend on — what lets the sequencer
 //!   unlink log generations — and [`AppliedState::resume_at`] starts the
 //!   empty state where the retained log begins.
-//! * **Snapshot export**: `MonitorState` saves straight from its live
-//!   maintainer; `ShardSet` first gathers its shards' blocks into one
-//!   fresh maintainer, in block-id order (in memory, or spilling under
-//!   the daemon's own `--memory-budget` policy), because its export must
-//!   be the 1-shard layout — byte-identical at any shard count.
+//! * **Snapshot export**: both states save straight from their live
+//!   maintainer ([`ServableModel::save_snapshot`]) — the same store at
+//!   any shard count, so the same bytes, and no copy of any block.
 
 use crate::model::{MaintainedModel, ServableModel, ShardableModel};
 use crate::server::ServeConfig;
@@ -44,18 +46,11 @@ use demon_core::engine::check_sequential;
 use demon_core::maintainer::ModelMaintainer;
 use demon_core::monitor::DemonMonitor;
 use demon_focus::compact::CompactSequenceMiner;
-use demon_store::StoreConfig;
+pub use demon_itemsets::shard_of;
 use demon_types::obs::{self, Counter};
 use demon_types::{Block, BlockId, DemonError, Result};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-
-/// The shard that owns block `id`: round-robin by block id, so every
-/// stream prefix is balanced to within one block.
-pub fn shard_of(id: BlockId, n_shards: usize) -> usize {
-    ((id.value() - 1) % n_shards as u64) as usize
-}
 
 /// What the sequencer owns and applies blocks to. Implementations
 /// reject a replayed or out-of-order id before any state moves
@@ -91,33 +86,13 @@ pub trait AppliedState<S: ServableModel>: Send {
 /// before and after a restart however much of the log was replayed.
 fn shard_blocks(latest: Option<BlockId>, n_shards: usize) -> Vec<u64> {
     let (t, n) = (latest.map_or(0, BlockId::value), n_shards as u64);
-    (0..n).map(|s| (t + n - 1 - s) / n).collect()
-}
-
-/// Where a gathered snapshot keeps its copy of the blocks: in memory when
-/// the daemon's stores are, else under the same spill policy in a
-/// scratch directory of its own (removed when the copy is dropped), so
-/// a `--memory-budget` daemon stays within its budget while it
-/// snapshots. Only the sequencer gathers, so the sweep of emptied
-/// scratch directories cannot race a new one.
-fn scratch_store_config(store_config: &StoreConfig) -> StoreConfig {
-    static GATHERS: AtomicU64 = AtomicU64::new(0);
-    let StoreConfig::Spill { dir, policy, .. } = store_config else {
-        return StoreConfig::InMemory;
-    };
-    for entry in std::fs::read_dir(dir).into_iter().flatten().flatten() {
-        if entry.file_name().to_string_lossy().starts_with("gather-") {
-            let _ = std::fs::remove_dir(entry.path()); // only if emptied
-        }
+    // Every whole round gives each shard one block; the last, partial
+    // round is dealt by the rule.
+    let mut blocks = vec![t / n; n_shards];
+    for id in (t - t % n + 1..=t).map(BlockId) {
+        blocks[shard_of(id, n_shards)] += 1;
     }
-    StoreConfig::Spill {
-        dir: dir.join(format!(
-            "gather-{}",
-            GATHERS.fetch_add(1, Ordering::Relaxed)
-        )),
-        policy: *policy,
-        cleanup: true,
-    }
+    blocks
 }
 
 /// The `shards = 1` state: the class's own monitor, applied to directly.
@@ -173,48 +148,42 @@ impl<S: ServableModel> AppliedState<S> for MonitorState<S> {
     }
 }
 
-/// The `shards ≥ 2` state: one maintainer per shard (store +
-/// registration work, exactly the 1-shard register path applied to the
-/// owning shard), one global model absorbed with the class's exact
-/// scatter/gather, one global pattern miner.
+/// The `shards ≥ 2` state: the 1-shard register path into one
+/// maintainer, one model absorbed with the class's exact per-shard
+/// counting, one pattern miner.
 pub struct ShardSet<S: ShardableModel> {
-    shards: Vec<S::Maintainer>,
+    maintainer: S::Maintainer,
+    n_shards: usize,
     model: MaintainedModel<S>,
     miner: CompactSequenceMiner<S::Oracle, S::Record>,
     latest: Option<BlockId>,
-    config: ServeConfig,
 }
 
 impl<S: ShardableModel> ShardSet<S> {
     /// Builds the empty sharded state from a validated config
     /// (`shards ≥ 2`, unrestricted window).
     pub fn new(config: &ServeConfig) -> Result<ShardSet<S>> {
-        let n = config.shards;
-        let mut shards = Vec::with_capacity(n);
-        for _ in 0..n {
-            shards.push(S::maintainer(config)?);
-        }
-        let model = shards[0].fresh();
+        let maintainer = S::maintainer(config)?;
+        let model = maintainer.fresh();
         let miner = CompactSequenceMiner::with_window(S::oracle(config), config.pattern_window)?;
         Ok(ShardSet {
-            shards,
+            maintainer,
+            n_shards: config.shards,
             model,
             miner,
             latest: None,
-            config: config.clone(),
         })
     }
 
-    /// Applies the next arriving block: validate the id, register into
-    /// the owning shard (store + pair materialization), absorb into the
-    /// global model with per-shard counting, feed the pattern miner.
-    /// A replayed or out-of-order id is rejected before any state moves.
+    /// Applies the next arriving block: validate the id, register it
+    /// (store + pair materialization), absorb it into the model with
+    /// per-shard counting, feed the pattern miner. A replayed or
+    /// out-of-order id is rejected before any state moves.
     pub fn add_block(&mut self, block: Block<S::Record>) -> Result<()> {
         let id = block.id();
         check_sequential(id, self.latest)?;
-        let s = shard_of(id, self.shards.len());
-        self.shards[s].register_block(block.clone());
-        S::absorb_sharded(&mut self.model, &self.shards, id, &self.config)?;
+        self.maintainer.register_block(block.clone());
+        S::absorb_sharded(&mut self.model, &self.maintainer, self.n_shards, id)?;
         self.miner.add_block(block);
         self.latest = Some(id);
         Ok(())
@@ -226,10 +195,10 @@ impl<S: ShardableModel> ShardSet<S> {
             epoch,
             blocks: self.latest.map_or(0, BlockId::value),
             model: Some(self.model.clone()),
-            render_ctx: S::render_ctx(&self.shards[0]),
+            render_ctx: S::render_ctx(&self.maintainer),
             model_json: OnceLock::new(),
             sequences: self.miner.current_sequences(),
-            shard_blocks: shard_blocks(self.latest, self.shards.len()),
+            shard_blocks: shard_blocks(self.latest, self.n_shards),
         }
     }
 }
@@ -251,23 +220,13 @@ impl<S: ShardableModel> AppliedState<S> for ShardSet<S> {
         self.latest = first.prev();
     }
 
-    /// The global model and the per-shard stores cover the whole stream.
+    /// The model and the store cover the whole stream.
     fn oldest_needed(&self) -> BlockId {
         BlockId::FIRST
     }
 
-    /// Gathers every held block, in block-id order, into one fresh
-    /// maintainer — the plain 1-shard register path — and saves that: a
-    /// sharded daemon exports the bytes a 1-shard daemon does.
     fn save_snapshot(&self, dir: &Path) -> Result<u64> {
-        let mut config = self.config.clone();
-        config.store_config = scratch_store_config(&config.store_config);
-        let mut gathered = S::maintainer(&config)?;
-        for id in (1..=self.latest.map_or(0, BlockId::value)).map(BlockId) {
-            let owner = &self.shards[shard_of(id, self.shards.len())];
-            gathered.register_block(S::block(owner, id)?);
-        }
-        S::save_snapshot(&gathered, dir)
+        S::save_snapshot(&self.maintainer, dir)
     }
 }
 
@@ -349,5 +308,114 @@ impl<S: ServableModel> ReplicaCell<S> {
         let mut cur = self.current.lock().unwrap_or_else(|e| e.into_inner());
         *cur = Arc::new(replica);
         obs::incr(Counter::ServeReplicaSwaps);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::model::ItemsetModel;
+    use demon_datagen::{QuestGen, QuestParams};
+    use demon_store::StoreConfig;
+    use demon_types::{MinSupport, TxBlock};
+
+    const N_ITEMS: u32 = 80;
+
+    /// The state a daemon builds at `config.shards`, with its one store
+    /// in reach.
+    enum State {
+        One(Box<MonitorState<ItemsetModel>>),
+        Many(Box<ShardSet<ItemsetModel>>),
+    }
+
+    impl State {
+        fn new(config: &ServeConfig) -> State {
+            if config.shards == 1 {
+                State::One(Box::new(MonitorState::new(config).expect("monitor state")))
+            } else {
+                State::Many(Box::new(ShardSet::new(config).expect("shard set")))
+            }
+        }
+
+        fn applied(&mut self) -> &mut dyn AppliedState<ItemsetModel> {
+            match self {
+                State::One(state) => state.as_mut(),
+                State::Many(state) => state.as_mut(),
+            }
+        }
+
+        fn resident_bytes(&self) -> u64 {
+            let maintainer = match self {
+                State::One(state) => state.monitor.engine().maintainer(),
+                State::Many(state) => &state.maintainer,
+            };
+            maintainer.store().resident_bytes()
+        }
+    }
+
+    fn quest_stream(n_blocks: u64) -> Vec<TxBlock> {
+        let params = QuestParams {
+            n_transactions: 0,
+            avg_tx_len: 6.0,
+            n_items: N_ITEMS,
+            n_patterns: 25,
+            avg_pattern_len: 3.0,
+            ..QuestParams::default()
+        };
+        let mut gen = QuestGen::new(params, 7);
+        (1..=n_blocks)
+            .map(|id| Block::new(BlockId(id), gen.take_transactions(100)))
+            .collect()
+    }
+
+    /// `--memory-budget` bounds the daemon, not a shard of it: under a
+    /// budget of four blocks the one store is within it whenever
+    /// `add_block` has returned, the same blocks spill at every shard
+    /// count, and the model is the unbudgeted one.
+    #[test]
+    fn the_memory_budget_bounds_the_daemon_at_any_shard_count() {
+        let blocks = quest_stream(32);
+        let mut config = ServeConfig::new("127.0.0.1:0", N_ITEMS, MinSupport::new(0.02).unwrap());
+        config.pattern_window = Some(2); // the miner is not under test
+
+        // Unbudgeted: nothing is evicted, so the store grows by each
+        // block's footprint.
+        let mut unbudgeted = State::new(&config);
+        let mut largest = 0;
+        for block in &blocks {
+            let before = unbudgeted.resident_bytes();
+            unbudgeted.applied().add_block(block.clone()).expect("add_block");
+            largest = largest.max(unbudgeted.resident_bytes() - before);
+        }
+        let budget = 4 * largest;
+        let model = |state: &mut State| state.applied().replica(0).model_json().unwrap().to_string();
+        let reference = model(&mut unbudgeted);
+
+        let spill = std::env::temp_dir().join(format!("demon-shard-budget-{}", std::process::id()));
+        let mut spilled = Vec::new();
+        for shards in [1, 2, 4, 8] {
+            let _ = std::fs::remove_dir_all(&spill);
+            config.shards = shards;
+            config.store_config = StoreConfig::budget(spill.clone(), budget);
+            let mut state = State::new(&config);
+            for block in &blocks {
+                state.applied().add_block(block.clone()).expect("add_block");
+                let resident = state.resident_bytes();
+                assert!(resident <= budget, "{shards} shard(s), {}: {resident} > {budget}", block.id());
+            }
+            assert_eq!(model(&mut state), reference, "{shards} shard(s)");
+            spilled.push(std::fs::read_dir(spill.join("tx")).expect("the one spill directory").count());
+        }
+        assert!(spilled[0] >= 28, "four of 32 blocks fit the budget: {spilled:?}");
+        assert_eq!(spilled, [spilled[0]; 4], "spilled blocks at 1, 2, 4 and 8 shards");
+        let _ = std::fs::remove_dir_all(&spill);
+    }
+
+    #[test]
+    fn shard_blocks_deals_the_stream_round_robin() {
+        assert_eq!(shard_blocks(None, 4), [0, 0, 0, 0]);
+        assert_eq!(shard_blocks(Some(BlockId(6)), 4), [2, 2, 1, 1]);
+        assert_eq!(shard_blocks(Some(BlockId(8)), 4), [2, 2, 2, 2]);
+        assert_eq!(shard_blocks(Some(BlockId(5)), 1), [5]);
     }
 }

@@ -29,15 +29,16 @@
 //! to the clean prefix before appending so a torn tail cannot shadow
 //! later records.
 //!
-//! A tail can only be torn where the log *ends*: a lane's log is a chain
-//! of generations `wal-<gen>.log` whose sequence numbers continue from
-//! one file into the next, and [`LaneChain`] turns a defect that intact
+//! A tail can only be torn where the log *ends*: the log is a chain of
+//! generations `wal-<gen>.log` whose sequence numbers continue from one
+//! file into the next, and [`WalChain`] turns a defect that intact
 //! records follow into [`DemonError::Corrupt`] — acked records lie
 //! behind it. A WAL directory holds those files and a framed `CURRENT`
 //! pointer naming the oldest generation still retained (absent: 0),
 //! written with [`atomic_write`] and moved *before* anything below it is
 //! unlinked: a crash at any instant leaves every generation from the
-//! pointer up in place.
+//! pointer up in place. It holds nothing else, whatever `--shards` the
+//! daemon runs with ([`leftover_lane`] names what an older build left).
 
 use crate::durable::{
     atomic_write, decode_frame_header, encode_frame, put_u64, read_framed, verify_frame_payload,
@@ -84,6 +85,21 @@ pub fn list_wal_generations(dir: &Path) -> Result<Vec<u64>> {
     }
     gens.sort_unstable();
     Ok(gens)
+}
+
+/// The first `shard-<s>` entry of `root`, if it has one: a per-shard log
+/// lane of a build that kept one log per shard. This build keeps one
+/// chain per root and has no reader for lanes, so recovery refuses such
+/// a root and `demon-cli verify` reports it, both by this name.
+pub fn leftover_lane(root: &Path) -> Result<Option<PathBuf>> {
+    let mut lanes = Vec::new();
+    for entry in std::fs::read_dir(root)? {
+        let entry = entry?;
+        if entry.file_name().to_string_lossy().starts_with("shard-") {
+            lanes.push(entry.path());
+        }
+    }
+    Ok(lanes.into_iter().min())
 }
 
 /// Reads the `CURRENT` generation pointer. A missing pointer means
@@ -260,15 +276,15 @@ pub fn read_wal(path: &Path) -> Result<WalReadReport> {
     Ok(report)
 }
 
-/// One lane's log as a chain of generations, read oldest first: each
-/// [`LaneChain::read`] is a [`read_wal`] held to the chain rule. A tear
+/// A log as a chain of generations, read oldest first: each
+/// [`WalChain::read`] is a [`read_wal`] held to the chain rule. A tear
 /// is salvage only where the chain ends; a tear that intact records
 /// follow, in the same file or a later generation, and a generation
 /// that does not open with the sequence number the chain had reached,
 /// are [`DemonError::Corrupt`] naming the file that ends short. Recovery
 /// and `demon-cli verify` both read through this.
 #[derive(Debug, Default)]
-pub struct LaneChain {
+pub struct WalChain {
     /// The file that last held a record, and the sequence number the
     /// chain continues with.
     end: Option<(String, u64)>,
@@ -276,7 +292,7 @@ pub struct LaneChain {
     torn: Option<(String, String)>,
 }
 
-impl LaneChain {
+impl WalChain {
     /// The sequence number the chain's next record carries.
     pub fn next_seq(&self) -> u64 {
         self.end.as_ref().map_or(0, |(_, seq)| *seq)
@@ -569,7 +585,7 @@ mod tests {
         WalWriter::create(&second, 5, CLASS).unwrap(); // an empty generation
         let pristine = std::fs::read(&first).unwrap();
         let read_both = || {
-            let mut chain = LaneChain::default();
+            let mut chain = WalChain::default();
             chain.read(&first).and_then(|a| Ok((a, chain.read(&second)?, chain.next_seq())))
         };
 
@@ -584,7 +600,7 @@ mod tests {
         // further on (recovery cuts a tear off before it appends anything).
         let third = wal_file_path(&dir, 2);
         WalWriter::create(&third, 4, CLASS).unwrap().append_unsynced(b"later").unwrap();
-        let mut chain = LaneChain::default();
+        let mut chain = WalChain::default();
         let read = [&first, &second, &third].map(|path| chain.read(path).map(|_| ()));
         assert!(matches!(&read, [Ok(()), Ok(()), Err(DemonError::Corrupt { file, .. })] if file.ends_with("wal-0.log")));
         std::fs::remove_file(&third).unwrap();
@@ -673,6 +689,11 @@ mod tests {
         }
         std::fs::write(dir.join("notes.txt"), b"ignored").unwrap();
         assert_eq!(list_wal_generations(&dir).unwrap(), vec![1, 2, 3]);
+        assert_eq!(leftover_lane(&dir).unwrap(), None);
+        for lane in ["shard-3", "shard-1"] {
+            std::fs::create_dir(dir.join(lane)).unwrap();
+        }
+        assert_eq!(leftover_lane(&dir).unwrap(), Some(dir.join("shard-1")));
         std::fs::remove_dir_all(&dir).ok();
     }
 

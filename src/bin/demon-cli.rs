@@ -114,19 +114,21 @@ BSS:      a bit string like 1011; window-relative when --window is set,
 WAL:      --wal-dir DIR serves durably: every ingest is appended to a
           write-ahead log and fsynced before the ack, and a restart
           replays the log, its whole durable state (a torn final record
-          is dropped; damage before the end refuses to start).
+          is dropped; damage before the end refuses to start). DIR holds
+          CURRENT + wal-<g>.log and nothing else, at any --shards.
           --wal-max-bytes is the segment size: full segments are sealed
           and unlinked once no --window / --pattern-window reaches their
           blocks (unrestricted: never); restart with the data span the
           log was trimmed under. Blocks queued together share one
-          covering fsync per WAL lane (acks still wait for it). verify
-          also fscks a WAL directory by the rule recovery applies.
-SHARDS:   --shards N (default 1) partitions the serving state into N
-          shards (round-robin by block id) with per-shard WAL lanes and
-          epoch-swapped query replicas; answers are byte-identical at
-          any shard count, and every count runs the same sequencer +
-          event-loop runtime. --window requires --shards 1. Sharding
-          needs an exact shard merge, so --shards ≥ 2 is itemsets-only (a
+          covering fsync (acks still wait for it). verify also fscks a
+          WAL directory by the rule recovery applies.
+SHARDS:   --shards N (default 1) splits every update-phase counting pass
+          over the held blocks into N shares (round-robin by block id)
+          counted on up to N workers and merged exactly; answers,
+          snapshots and the WAL directory are byte-identical at any
+          shard count, so a daemon may restart over its --wal-dir with
+          another N. --window requires --shards 1. Sharding needs an
+          exact shard merge, so --shards ≥ 2 is itemsets-only (a
           clusters, trees or dbscan daemon refuses it with a typed error).
 VERIFY:   re-checks every frame and checksum of a store, a --wal-dir or a
           client snapshot export (any class); exit status 1 on damage.
@@ -135,7 +137,8 @@ SALVAGE:  --salvage loads a damaged store by quarantining corrupt files
 THREADS:  --threads N (any command) sets the thread count of the
           parallel mining paths; 0 = one per core (the default).
           Results are bit-identical at any thread count.
-MEMORY:   --memory-budget BYTES bounds resident block bytes per store;
+MEMORY:   --memory-budget BYTES bounds resident block bytes per store
+          (serve has one store at any --shards: it caps the daemon);
           excess blocks spill to a temp directory and are faulted back
           on demand. Models are identical to an unbounded run.
 STATS:    --stats (any command) prints operation counters to stderr;
@@ -341,9 +344,11 @@ fn load(positional: &[&str], flags: &HashMap<&str, &str>) -> Result<TxStore, Str
 /// recognised by their layout; anything else is an itemset store.
 fn verify(positional: &[&str]) -> Result<ExitCode, String> {
     let dir = store_arg(positional)?;
-    let lanes = wal_lanes(dir)?;
-    if dir.join(wal::CURRENT_FILE).exists() || lanes.iter().any(|(_, gens)| !gens.is_empty()) {
-        return verify_wal_dir(dir, &lanes);
+    let listing = |e| format!("listing {}: {e}", dir.display());
+    let gens = wal::list_wal_generations(dir).map_err(listing)?;
+    let lane = wal::leftover_lane(dir).map_err(listing)?;
+    if dir.join(wal::CURRENT_FILE).exists() || !gens.is_empty() || lane.is_some() {
+        return verify_wal_dir(dir, &gens, lane.as_deref());
     }
     if dir.join("blocks.manifest").exists() {
         return Ok(match verify_export(dir) {
@@ -383,33 +388,13 @@ fn verify(positional: &[&str]) -> Result<ExitCode, String> {
     Ok(ExitCode::FAILURE)
 }
 
-/// The WAL lanes under `root` with the generations each holds: the root
-/// itself (the `--shards 1` layout, named `""`) and every `shard-<s>/`
-/// subdirectory (named `"shard-<s>/"`), in shard order.
-fn wal_lanes(root: &Path) -> Result<Vec<(String, Vec<u64>)>, String> {
-    let mut shards: Vec<usize> = std::fs::read_dir(root)
-        .map_err(|e| format!("listing {}: {e}", root.display()))?
-        .flatten()
-        .filter_map(|entry| entry.file_name().to_str()?.strip_prefix("shard-")?.parse().ok())
-        .collect();
-    shards.sort_unstable();
-    let names = std::iter::once(String::new()).chain(shards.iter().map(|s| format!("shard-{s}/")));
-    names
-        .map(|name| {
-            let lane = root.join(&name);
-            let gens = wal::list_wal_generations(&lane)
-                .map_err(|e| format!("listing {}: {e}", lane.display()))?;
-            Ok((name, gens))
-        })
-        .collect()
-}
-
-/// Fsck for a daemon WAL directory: the `CURRENT` pointer and every
-/// lane's chain of generations from it, held to the rule recovery
-/// applies ([`wal::LaneChain`]): a torn end of chain is *recoverable*,
-/// damage that intact records follow is what recovery refuses to start
-/// over (exit status 1). Generations below the pointer are stale.
-fn verify_wal_dir(dir: &Path, lanes: &[(String, Vec<u64>)]) -> Result<ExitCode, String> {
+/// Fsck for a daemon WAL directory: the `CURRENT` pointer and the chain
+/// of generations from it, held to the rule recovery applies
+/// ([`wal::WalChain`]): a torn end of chain is *recoverable*, damage
+/// that intact records follow is what recovery refuses to start over
+/// (exit status 1) — as it refuses a `shard-<s>/` lane an older build
+/// left. Generations below the pointer are stale.
+fn verify_wal_dir(dir: &Path, gens: &[u64], lane: Option<&Path>) -> Result<ExitCode, String> {
     let mut damaged = 0usize;
     let current = match wal::read_current(dir) {
         Ok(gen) => {
@@ -422,35 +407,40 @@ fn verify_wal_dir(dir: &Path, lanes: &[(String, Vec<u64>)]) -> Result<ExitCode, 
             0
         }
     };
-    for (lane, gens) in lanes {
-        let mut chain = wal::LaneChain::default();
-        for &gen in gens {
-            let path = wal::wal_file_path(&dir.join(lane), gen);
-            // A stale generation is outside the chain: read it alone.
-            let (read, stale) = if gen < current {
-                (wal::read_wal(&path), " (stale)")
-            } else {
-                (chain.read(&path), "")
-            };
-            match read {
-                Ok(report) => match (&report.torn, report.records.last()) {
-                    (Some(torn), last) => println!(
-                        "{lane}wal-{gen}.log: {} record(s){}{stale}, torn tail (recoverable): {torn}",
-                        report.records.len(),
-                        last.map(|r| format!(" through seq {}", r.seq)).unwrap_or_default(),
-                    ),
-                    (None, Some(last)) => println!(
-                        "{lane}wal-{gen}.log: {} record(s) through seq {}, clean{stale}",
-                        report.records.len(),
-                        last.seq
-                    ),
-                    (None, None) => println!("{lane}wal-{gen}.log: empty, clean{stale}"),
-                },
-                Err(e) => {
-                    println!("DAMAGED {}: {e}", path.display());
-                    damaged += 1;
-                    break; // the rest of this lane's chain hangs off the damage
-                }
+    if let Some(lane) = lane {
+        println!(
+            "DAMAGED {}: a per-shard log lane of an older build; this build reads one log per WAL root",
+            lane.display()
+        );
+        damaged += 1;
+    }
+    let mut chain = wal::WalChain::default();
+    for &gen in gens {
+        let path = wal::wal_file_path(dir, gen);
+        // A stale generation is outside the chain: read it alone.
+        let (read, stale) = if gen < current {
+            (wal::read_wal(&path), " (stale)")
+        } else {
+            (chain.read(&path), "")
+        };
+        match read {
+            Ok(report) => match (&report.torn, report.records.last()) {
+                (Some(torn), last) => println!(
+                    "wal-{gen}.log: {} record(s){}{stale}, torn tail (recoverable): {torn}",
+                    report.records.len(),
+                    last.map(|r| format!(" through seq {}", r.seq)).unwrap_or_default(),
+                ),
+                (None, Some(last)) => println!(
+                    "wal-{gen}.log: {} record(s) through seq {}, clean{stale}",
+                    report.records.len(),
+                    last.seq
+                ),
+                (None, None) => println!("wal-{gen}.log: empty, clean{stale}"),
+            },
+            Err(e) => {
+                println!("DAMAGED {}: {e}", path.display());
+                damaged += 1;
+                break; // the rest of the chain hangs off the damage
             }
         }
     }

@@ -531,13 +531,15 @@ fn verify_fscks_a_point_class_snapshot_export() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `verify` walks the per-shard WAL lanes of a `--shards N` directory:
-/// each lane log gets its own report line, a lane log cut mid-record is a
-/// recoverable torn tail *naming the lane*, and the exit status stays 0.
+/// A `--shards 2` daemon's WAL root is the one log of any daemon, and
+/// `verify` reads it as such: one chain, report lines without a lane
+/// prefix, a cut at its end a recoverable torn tail (exit 0) — and a
+/// `shard-<s>/` directory, the log lane of a build that kept one per
+/// shard, named as damage (exit 1), also where it is all the root holds.
 /// The refused flag pins that group commit is no longer an option.
 #[test]
-fn verify_walks_shard_lanes_and_the_group_commit_flag_is_gone() {
-    let (dir, store) = small_store("verify-lanes");
+fn verify_reads_one_chain_at_any_shard_count_and_names_a_leftover_lane() {
+    let (dir, store) = small_store("verify-shards");
     let wal_dir = dir.join("wal");
     let wal = wal_dir.to_str().unwrap();
 
@@ -554,24 +556,28 @@ fn verify_walks_shard_lanes_and_the_group_commit_flag_is_gone() {
     });
 
     // An unrestricted daemon never drops a generation, so there is no
-    // root CURRENT: the lanes alone must identify the directory as a WAL
-    // directory.
-    let clean = stdout(&run_ok(cli().args(["verify", wal])));
-    assert!(clean.contains("shard-0/wal-0.log: 2 record(s)"), "{clean}");
-    assert!(clean.contains("shard-1/wal-0.log: 1 record(s)"), "{clean}");
-    assert!(!clean.contains("torn tail"), "{clean}");
+    // CURRENT: the log alone must identify the directory as a WAL root.
+    let names: Vec<_> = std::fs::read_dir(&wal_dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+    assert_eq!(names, ["wal-0.log"]);
+    let (ok, clean) = verify(&wal_dir);
+    assert!(ok, "{clean}");
+    assert!(clean.lines().any(|l| l == "wal-0.log: 3 record(s) through seq 2, clean"), "{clean}");
 
-    let lane_log = wal_dir.join("shard-1").join("wal-0.log");
-    let bytes = std::fs::read(&lane_log).unwrap();
-    std::fs::write(&lane_log, &bytes[..bytes.len() - 5]).unwrap();
-    let torn = stdout(&run_ok(cli().args(["verify", wal])));
-    let torn_line = torn
-        .lines()
-        .find(|l| l.contains("torn tail (recoverable)"))
-        .unwrap_or_else(|| panic!("no torn-tail line: {torn}"));
-    assert!(torn_line.starts_with("shard-1/wal-0.log: 0 record(s)"), "{torn_line}");
-    assert!(torn.contains("shard-0/wal-0.log: 2 record(s)"), "{torn}");
-    assert!(torn.contains("WAL directory is recoverable"), "{torn}");
+    with_damage(&wal_dir.join("wal-0.log"), |bytes| bytes.truncate(bytes.len() - 5), || {
+        let (ok, torn) = verify(&wal_dir);
+        assert!(ok && torn.contains("WAL directory is recoverable"), "{torn}");
+        assert!(torn.contains("wal-0.log: 2 record(s) through seq 1, torn tail (recoverable)"), "{torn}");
+    });
+
+    let lane = wal_dir.join("shard-1");
+    std::fs::create_dir(&lane).unwrap();
+    let (ok, leftover) = verify(&wal_dir);
+    assert!(!ok, "{leftover}");
+    assert!(leftover.lines().any(|l| l.starts_with("DAMAGED") && l.contains("shard-1")), "{leftover}");
+    assert!(leftover.contains("wal-0.log: 3 record(s)"), "{leftover}");
+    std::fs::remove_file(wal_dir.join("wal-0.log")).unwrap();
+    let (ok, only_lane) = verify(&wal_dir);
+    assert!(!ok && only_lane.contains("shard-1"), "{only_lane}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

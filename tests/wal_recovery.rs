@@ -221,7 +221,7 @@ fn recover_and_check_with(wal_dir: &Path, extra: &[&str], acked: usize, label: &
     n
 }
 
-/// Blocks queued together share one covering fsync per lane, but an ack
+/// Blocks queued together share one covering fsync, but an ack
 /// is only sent after the fsync covering that block — whatever the
 /// batch a crash lands in, no acked block may be lost.
 #[test]
@@ -260,15 +260,25 @@ fn crash_sweep_around_the_append_ack_protocol_never_loses_an_acked_block() {
     }
 }
 
-/// Every `wal-<g>.log` generation under `lane`, ascending.
-fn generations(lane: &Path) -> Vec<u64> {
-    demon::types::wal::list_wal_generations(lane).expect("lane lists")
+/// Every `wal-<g>.log` generation of a WAL root, ascending — after
+/// asserting the root holds `CURRENT`, those logs and nothing else, at
+/// whatever `--shards` the daemon ran.
+fn generations(root: &Path) -> Vec<u64> {
+    for entry in std::fs::read_dir(root).expect("WAL root").flatten() {
+        let name = entry.file_name().to_string_lossy().into_owned();
+        assert!(
+            name == "CURRENT" || demon::types::wal::parse_wal_file_name(&name).is_some(),
+            "{name} in the WAL root {}",
+            root.display()
+        );
+    }
+    demon::types::wal::list_wal_generations(root).expect("root lists")
 }
 
 /// Kills a daemon whose segments hold one block each (a rotation after
 /// every ack) at `crash`, restarts it with the same flags, and holds the
-/// restart to the sweep's contract. At the bind, every lane must be back
-/// on one generation and nothing below `CURRENT` may be left.
+/// restart to the sweep's contract. At the bind, nothing below `CURRENT`
+/// may be left, and the root is the one log.
 fn crash_mid_rotation(name: &str, flags: &[&str], crash: &str) {
     let label = format!("{name} {crash}");
     let wal_dir = tmp(&format!("rotation-{name}-{}", crash.replace(':', "-")));
@@ -285,22 +295,14 @@ fn crash_mid_rotation(name: &str, flags: &[&str], crash: &str) {
     recover_and_check_with(&wal_dir, &flags, acked, &label);
 
     let current = demon::types::wal::read_current(&wal_dir).expect("CURRENT");
-    let lanes: Vec<PathBuf> = match flag_of(&flags, "--shards") {
-        Some(n) => (0..n).map(|s| wal_dir.join(format!("shard-{s}"))).collect(),
-        None => vec![wal_dir.clone()],
-    };
-    let newest = generations(&lanes[0]).last().copied();
-    for lane in &lanes {
-        let gens = generations(lane);
-        assert!(gens[0] >= current, "[{label}] stale generations survived the bind: {gens:?}");
-        assert_eq!(gens.last().copied(), newest, "[{label}] lanes on different generations");
-    }
+    let gens = generations(&wal_dir);
+    assert!(gens[0] >= current, "[{label}] stale generations survived the bind: {gens:?}");
     std::fs::remove_dir_all(&wal_dir).ok();
 }
 
 /// The two instants of a rotation where the directory is between
-/// states: (a) `mid_rotation` — the next generation's files exist on
-/// every lane but the writers have not switched; (b) `after_current` —
+/// states: (a) `mid_rotation` — the next generation's file exists but
+/// the writer has not switched; (b) `after_current` —
 /// `CURRENT` has moved but the generations below it are not unlinked
 /// yet (only a windowed daemon ever gets there: an unrestricted one
 /// never moves the pointer). Every acked block is back after either,
@@ -410,8 +412,8 @@ fn torn_or_flipped_wal_tail_is_salvaged_not_fatal() {
 /// same `--shards 4`, and held to the identical contract — the merged
 /// recovered stream is a clean prefix at most one past the acked count,
 /// and the post-recovery model is byte-identical to an uninterrupted
-/// run. The WAL lives in per-shard lane directories
-/// (`wal_dir/shard-<s>/wal-<g>.log`) under one shared generation.
+/// run. The WAL is the one log of any daemon: `CURRENT` + `wal-<g>.log`
+/// in the root, and nothing else.
 #[test]
 fn sharded_crash_sweep_never_loses_an_acked_block() {
     const SHARDS: &[&str] = &["--shards", "4"];
@@ -440,21 +442,17 @@ fn sharded_crash_sweep_never_loses_an_acked_block() {
             "[{crash}] expected at least {min_acked} acks, saw {acked}"
         );
 
-        // The on-disk layout is per-shard lanes under one root.
-        for s in 0..4 {
-            let lane = wal_dir.join(format!("shard-{s}"));
-            assert!(lane.is_dir(), "[{crash}] missing WAL lane {}", lane.display());
-        }
+        // The on-disk layout is the 1-shard one: one log in the root.
+        assert_eq!(generations(&wal_dir), [0], "[{crash}]");
 
         recover_and_check_with(&wal_dir, SHARDS, acked, crash);
         std::fs::remove_dir_all(&wal_dir).ok();
     }
 }
 
-/// A crash inside a rotation of the sharded runtime: four lanes get
-/// their next generation one after the other, so dying before the
-/// writers switch is where lanes can be apart. (`--shards` requires the
-/// unrestricted window, which never moves `CURRENT`.)
+/// A crash inside a rotation of a 4-shard daemon, which rotates the one
+/// log every daemon has. (`--shards` requires the unrestricted window,
+/// which never moves `CURRENT`.)
 #[test]
 fn sharded_crash_mid_rotation_loses_nothing_acked() {
     for crash in ["mid_rotation:1", "mid_rotation:2", "mid_rotation:4"] {
@@ -462,7 +460,7 @@ fn sharded_crash_mid_rotation_loses_nothing_acked() {
     }
 }
 
-/// A real `SIGKILL` against the 4-shard daemon: only fsynced lane bytes
+/// A real `SIGKILL` against the 4-shard daemon: only fsynced bytes
 /// survive, and everything acked was fsynced before the ack left.
 #[test]
 fn sharded_real_sigkill_mid_stream_loses_nothing_acked() {
@@ -481,6 +479,7 @@ fn sharded_real_sigkill_mid_stream_loses_nothing_acked() {
     child.kill().expect("SIGKILL lands");
     child.wait().expect("reaps");
 
+    assert_eq!(generations(&wal_dir), [0]);
     recover_and_check_with(&wal_dir, &["--shards", "4"], acked, "sharded sigkill");
     std::fs::remove_dir_all(&wal_dir).ok();
 }

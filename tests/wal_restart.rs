@@ -195,13 +195,92 @@ fn damage_in_the_middle_of_the_log_refuses_to_bind() {
         Err(DemonError::Corrupt { file, .. }) => assert!(file.ends_with("wal-0.log"), "{file}"),
         Err(other) => panic!("expected Corrupt, got {other}"),
         Ok(mut daemon) => {
-            let stats = daemon.client.stats_json().expect("stats");
+            let blocks = stats_blocks(&mut daemon);
             daemon.stop();
-            let blocks = stats.split(',').next().unwrap_or_default();
             panic!("bound over a damaged log and serves {blocks} of 12 acked blocks");
         }
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The stream position `Stats` opens with.
+fn stats_blocks(daemon: &mut Daemon) -> String {
+    let stats = daemon.client.stats_json().expect("stats");
+    stats.split(',').next().unwrap_or_default().to_string()
+}
+
+/// `--shards` is no durable commitment: twelve blocks acked at `from`
+/// shards over segments of two or three blocks, the daemon stopped —
+/// cleanly, then by a kill −9 — and bound again over the same root at
+/// `to` shards, for every pair. The second daemon serves what the first
+/// did, stands at D12, refuses D1 as a duplicate and takes D13 next.
+#[test]
+fn a_root_written_at_any_shard_count_recovers_at_any_other() {
+    let body = record_len(ModelClass::Itemsets, 1);
+    for kill in [false, true] {
+        for (from, to) in [1, 2, 4].into_iter().flat_map(|from| [1, 2, 4].map(|to| (from, to))) {
+            let label = format!("--shards {from} -> {to}{}", if kill { ", kill -9" } else { "" });
+            let dir = tmp(&format!("matrix-{from}-{to}-{kill}"));
+            let mut config = config(ModelClass::Itemsets, &dir, body * 5 / 2);
+            config.shards = from;
+            let served = if kill {
+                sigkilled_after_twelve_blocks(&config)
+            } else {
+                let mut first = Daemon::start(config.clone());
+                for id in 1..=12 {
+                    first.ingest(id);
+                }
+                let served = first.answers();
+                assert_eq!(first.stop().blocks, 12, "[{label}]");
+                served
+            };
+            assert!(wal::list_wal_generations(&dir).unwrap().len() >= 4, "[{label}] rotated");
+
+            config.shards = to;
+            let mut second = Daemon::start(config);
+            assert_eq!(second.answers(), served, "[{label}] answers changed across the restart");
+            assert_eq!(stats_blocks(&mut second), "{\"blocks\":12", "[{label}]");
+            match second.client.ingest(N_ITEMS, &tx_block(1)) {
+                Err(DemonError::DuplicateBlock { id: 1, latest: 12 }) => {}
+                other => panic!("[{label}] D1 again: {other:?}"),
+            }
+            second.ingest(13);
+            assert_eq!(second.stop().blocks, 13, "[{label}]");
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+}
+
+/// Twelve blocks into a `demon-cli serve` child over `config`'s root,
+/// its answers, then SIGKILL: no shutdown, no destructor, no flush.
+fn sigkilled_after_twelve_blocks(config: &ServeConfig) -> (String, Vec<Vec<BlockId>>) {
+    use std::io::BufRead;
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_demon-cli"))
+        .args(["serve", "--listen", "127.0.0.1:0", "--workers", "1"])
+        .args(["--items", &N_ITEMS.to_string(), "--minsup", "0.05"])
+        .args(["--shards", &config.shards.to_string()])
+        .args(["--wal-max-bytes", &config.wal_max_bytes.to_string()])
+        .arg("--wal-dir")
+        .arg(config.wal_dir.as_ref().expect("durable config"))
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+        .expect("daemon spawns");
+    let mut line = String::new();
+    std::io::BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut line)
+        .expect("startup line");
+    let addr = line.strip_prefix("demon-serve listening on ").expect("startup line").trim();
+    let mut client = Client::connect(addr).expect("connect");
+    for id in 1..=12 {
+        client.ingest(N_ITEMS, &tx_block(id)).unwrap_or_else(|e| panic!("ingest of D{id}: {e}"));
+    }
+    let served = (
+        client.query_model_json().expect("query-model"),
+        client.query_sequences().expect("query-sequences"),
+    );
+    child.kill().expect("SIGKILL lands");
+    child.wait().expect("reaps");
+    served
 }
 
 // ---- the differential suite: every span, every prefix ----
@@ -234,18 +313,13 @@ fn record_len(class: ModelClass, id: u64) -> u64 {
     }
 }
 
-/// Every file under a WAL root as `(path relative to it, bytes)`.
+/// Every entry of a WAL root as `(name, bytes)`.
 fn root_files(root: &Path) -> Vec<(String, u64)> {
-    let mut files = Vec::new();
-    for entry in std::fs::read_dir(root).expect("WAL root").flatten() {
-        let name = entry.file_name().to_string_lossy().into_owned();
-        if entry.path().is_dir() {
-            files.extend(root_files(&entry.path()).into_iter().map(|(f, n)| (format!("{name}/{f}"), n)));
-        } else {
-            files.push((name, entry.metadata().expect("metadata").len()));
-        }
-    }
-    files
+    std::fs::read_dir(root)
+        .expect("WAL root")
+        .flatten()
+        .map(|e| (e.file_name().to_string_lossy().into_owned(), e.metadata().expect("metadata").len()))
+        .collect()
 }
 
 /// What the uninterrupted daemon's dbscan answer and a restarted one's
@@ -279,7 +353,7 @@ fn restarts_at_every_prefix(name: &str, span: impl Fn(&mut ServeConfig)) {
     let class = durable.model;
     // A segment holds two blocks.
     durable.wal_max_bytes = record_len(class, 1) * 3 / 2;
-    let windowed = durable.shards == 1 && durable.window.is_some() && durable.pattern_window.is_some();
+    let windowed = durable.window.is_some() && durable.pattern_window.is_some();
 
     let mut uninterrupted = durable.clone();
     uninterrupted.wal_dir = None;
@@ -311,16 +385,12 @@ fn restarts_at_every_prefix(name: &str, span: impl Fn(&mut ServeConfig)) {
 
         let files = root_files(&dir);
         for (file, _) in &files {
-            let log = file.rsplit('/').next().unwrap();
-            let lane = file.strip_suffix(log).unwrap();
             assert!(
-                file == "CURRENT" || (wal::parse_wal_file_name(log).is_some()
-                    && (lane.is_empty() || lane.starts_with("shard-"))),
+                file == "CURRENT" || wal::parse_wal_file_name(file).is_some(),
                 "[{name}] {file} in the WAL root after D{id}"
             );
         }
-        let generations = wal::list_wal_generations(&dir.join(if durable.shards > 1 { "shard-0" } else { "" }))
-            .expect("generations");
+        let generations = wal::list_wal_generations(&dir).expect("generations");
         if windowed {
             // The widest window is 4 blocks and a segment 2: the window's
             // generations and the open one.
@@ -336,8 +406,31 @@ fn restarts_at_every_prefix(name: &str, span: impl Fn(&mut ServeConfig)) {
     if windowed {
         assert!(wal::read_current(&dir).unwrap() > 0, "[{name}] nothing was ever dropped");
         refuses_a_wider_span_and_a_leftover_snapshot(name, &dir, durable);
+    } else if durable.shards > 1 {
+        refuses_a_leftover_lane(name, &dir, durable);
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A `shard-<s>/` in an otherwise healthy root is a log lane of a build
+/// that kept one per shard; this build has no reader for it, so the bind
+/// is refused by its name — at the shard count that would have written
+/// it and at one — and the same bind without it succeeds.
+fn refuses_a_leftover_lane(name: &str, dir: &Path, mut config: ServeConfig) {
+    std::fs::create_dir(dir.join("shard-0")).expect("plant shard-0/");
+    for shards in [config.shards, 1] {
+        config.shards = shards;
+        match Daemon::try_start(config.clone()).err() {
+            Some(DemonError::InvalidParameter(text)) => {
+                assert!(text.contains("shard-0") && text.contains("per-shard log lane"), "[{name}] {text}")
+            }
+            other => panic!("[{name}] a leftover lane directory at --shards {shards}: {other:?}"),
+        }
+    }
+    std::fs::remove_dir(dir.join("shard-0")).unwrap();
+    let mut daemon = Daemon::start(config);
+    assert_eq!(stats_blocks(&mut daemon), format!("{{\"blocks\":{STREAM}"), "[{name}]");
+    daemon.stop();
 }
 
 /// Over a log trimmed for `--window 3 --pattern-window 4` (it starts at
