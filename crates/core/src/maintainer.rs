@@ -370,6 +370,11 @@ impl TreeMaintainer {
         })
     }
 
+    /// The dimensionality of the labeled points.
+    pub fn dim(&self) -> usize {
+        self.dim
+    }
+
     /// The block storage engine holding the registered labeled blocks.
     pub fn store(&self) -> &BlockStore<LabeledBlockEntry> {
         &self.blocks

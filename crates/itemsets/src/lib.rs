@@ -14,10 +14,10 @@
 //!   Figures 2–7: [`CounterKind::PtScan`], [`CounterKind::Ecut`] and
 //!   [`CounterKind::EcutPlus`];
 //! * [`store`] — [`TxStore`], the transactional + TID-list representation
-//!   of the evolving database;
-//! * [`persist`] — crash-safe on-disk persistence of the store (atomic
-//!   framed writes, checksummed manifest, [`RecoveryPolicy`] salvage and
-//!   the [`verify_store`] fsck);
+//!   of the evolving database, and the record codec a block's
+//!   transactions travel the wire and the write-ahead log in (the lists
+//!   are derived state, rebuilt on every load; `demon-serve` owns the
+//!   one on-disk form of a stream);
 //! * [`model`] — [`FrequentItemsets`], the maintained model
 //!   (`L ∪ NB⁻` with exact supports), including the BORDERS **detection**
 //!   and **update** phases for block addition and the deletion-capable
@@ -34,7 +34,7 @@
 //! | §3.1.1 | FUP comparator (Cheung et al. '96), AMS+96 hash tree | `demon_bench::baselines` (not linked by the daemon) |
 //! | §5 | calendric association rules | [`calendric`], [`rules`] |
 //! | §6.1 | level-wise mining from scratch | [`apriori`] |
-//! | — (engineering) | crash-safe store persistence | [`persist`] (bytes through `demon_types::durable`) |
+//! | — (engineering) | the transaction record codec | [`store::encode_block_txs`] (bytes through `demon_types::durable`) |
 //!
 //! Support counting shards across threads (candidate ranges for
 //! ECUT/ECUT+, transaction ranges for PT-Scan) via
@@ -83,7 +83,6 @@ pub mod apriori;
 pub mod calendric;
 pub mod counter;
 pub mod model;
-pub mod persist;
 pub mod prefix_tree;
 pub mod rules;
 pub mod store;
@@ -95,10 +94,6 @@ pub use counter::{
     CounterKind,
 };
 pub use model::{FrequentItemsets, MaintenanceStats};
-pub use persist::{
-    load_store, load_store_with, save_store, verify_store, RecoveryPolicy, RecoveryReport,
-    VerifyReport, STORE_FORMAT_VERSION,
-};
 pub use prefix_tree::{FlatPrefixTree, PrefixTree};
 pub use rules::{derive_rules, Rule};
 pub use store::{BlockRef, ListsRef, MaterializeStats, TidListsView, TxStore};

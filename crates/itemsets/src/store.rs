@@ -13,14 +13,137 @@
 //! transparently re-pinned on access; per-block summary statistics
 //! (transaction counts, item/pair space) stay resident so selector and
 //! cost-model queries never touch the disk.
+//!
+//! The record codec lives here too: [`encode_block_txs`] is the bytes a
+//! block's transactions travel the socket and the write-ahead log in, and
+//! the spill frame of an entry embeds them beside its TID-lists. Nothing
+//! else of a block is ever written to disk: the lists are derived on
+//! arrival (the paper's "constructed when D_i is added … used without any
+//! further changes") and rebuilt by [`TxStore::add_block`] on every load.
 
-use crate::persist::{decode_pairs, decode_txs, encode_block_txs, encode_lists};
 use crate::tidlist::{intersect_pair, BlockTidLists};
 use demon_store::{BlockStore, Pinned, Spillable, StoreConfig};
-use demon_types::durable::{put_block_header, put_varint, FrameClass, Reader};
-use demon_types::{Block, BlockId, DemonError, Item, Result, TxBlock};
+use demon_types::durable::{put_block_header, put_tid_list, put_varint, FrameClass, Reader};
+use demon_types::{Block, BlockId, DemonError, Item, Result, Tid, Transaction, TxBlock};
 use std::collections::BTreeMap;
 use std::ops::Deref;
+
+/// Encodes one block's transactions: a count, then per transaction its
+/// TID, its length and its items as delta-1 varints. This is the wire and
+/// log encoding `demon-serve` ships itemset blocks in, and the record
+/// section of a spilled entry.
+pub fn encode_block_txs(block: &TxBlock) -> Vec<u8> {
+    let mut buf = Vec::new();
+    put_varint(&mut buf, block.len() as u64);
+    for tx in block.records() {
+        put_varint(&mut buf, tx.tid().value());
+        put_varint(&mut buf, tx.len() as u64);
+        let mut prev = 0u64;
+        for item in tx.items() {
+            // Items are sorted and unique: delta-1 encoding.
+            let v = u64::from(item.id());
+            put_varint(&mut buf, v - prev);
+            prev = v + 1;
+        }
+    }
+    buf
+}
+
+/// Decodes a [`encode_block_txs`] payload back into a block, validating
+/// every varint and item id against the `n_items` universe. Corruption
+/// is a typed error, never a panic (the caller has already CRC-checked
+/// the enclosing frame).
+pub fn decode_block_txs(bytes: &[u8], id: BlockId, n_items: u32) -> Result<TxBlock> {
+    Ok(Block::new(id, decode_txs(bytes, n_items)?))
+}
+
+/// The transactions of an [`encode_block_txs`] payload.
+pub(crate) fn decode_txs(bytes: &[u8], n_items: u32) -> Result<Vec<Transaction>> {
+    let mut r = Reader::new(bytes);
+    let n = r.varint("transaction count")?;
+    let n = r.count(n, 2, "transaction")?;
+    let mut records = Vec::with_capacity(n);
+    for _ in 0..n {
+        let tid = Tid(r.varint("TID")?);
+        let len = r.varint("item count")?;
+        let len = r.count(len, 1, "item")?;
+        let mut items = Vec::with_capacity(len);
+        let mut prev = 0u64;
+        for _ in 0..len {
+            let at = r.pos();
+            let gap = r.varint("item gap")?;
+            let v = prev.checked_add(gap).ok_or_else(|| {
+                DemonError::Serde(format!("item delta overflow at offset {at}"))
+            })?;
+            if v >= u64::from(n_items) {
+                return Err(DemonError::Serde(format!(
+                    "item id {v} at offset {at} outside the {n_items}-item universe"
+                )));
+            }
+            items.push(Item(v as u32));
+            prev = v + 1;
+        }
+        records.push(Transaction::from_sorted(tid, items));
+    }
+    r.finish("the last transaction")?;
+    Ok(records)
+}
+
+/// Encodes the TID-list section of a spilled entry: the universe size,
+/// one TID-list per item in item order, then the materialized pair lists
+/// as `a | b | list`.
+pub(crate) fn encode_lists(lists: &BlockTidLists, n_items: u32) -> Vec<u8> {
+    let mut buf = Vec::new();
+    put_varint(&mut buf, u64::from(n_items));
+    for i in 0..n_items {
+        put_tid_list(&mut buf, lists.item_list(Item(i)));
+    }
+    let pairs: Vec<(Item, Item)> = lists.materialized_pairs().collect();
+    put_varint(&mut buf, pairs.len() as u64);
+    for (a, b) in pairs {
+        put_varint(&mut buf, u64::from(a.id()));
+        put_varint(&mut buf, u64::from(b.id()));
+        put_tid_list(&mut buf, lists.pair_list(a, b).unwrap_or(&[]));
+    }
+    buf
+}
+
+/// Decodes the pair-list section of an [`encode_lists`] payload (the
+/// item-list section is skipped — item lists are rebuilt from the
+/// transactions). Pure: nothing is applied to any store until the whole
+/// payload validated.
+pub(crate) fn decode_pairs(bytes: &[u8], n_items: u32) -> Result<Vec<(Item, Item, Vec<Tid>)>> {
+    let mut r = Reader::new(bytes);
+    let n = r.varint("item universe")?;
+    if n != u64::from(n_items) {
+        return Err(DemonError::Serde(format!(
+            "tid file item universe {n} ≠ store universe {n_items}"
+        )));
+    }
+    r.count(n, 1, "item list")?;
+    for _ in 0..n_items {
+        let len = r.varint("TID count")?;
+        for _ in 0..r.count(len, 1, "TID")? {
+            r.varint("TID gap")?;
+        }
+    }
+    let n_pairs = r.varint("pair count")?;
+    let n_pairs = r.count(n_pairs, 3, "pair")?;
+    let mut out = Vec::with_capacity(n_pairs);
+    for _ in 0..n_pairs {
+        let at = r.pos();
+        let a = r.varint("pair item")?;
+        let b = r.varint("pair item")?;
+        if a >= b || b >= u64::from(n_items) {
+            return Err(DemonError::Serde(format!(
+                "invalid pair ({a}, {b}) at offset {at} for a {n_items}-item universe"
+            )));
+        }
+        out.push((Item(a as u32), Item(b as u32), r.tid_list("pair TID-list")?));
+    }
+    r.finish("the last pair list")?;
+    Ok(out)
+}
 
 /// Result of an ECUT+ pair-materialization pass over one block.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -72,7 +195,7 @@ impl Spillable for TxEntry {
         let txs_len = r.varint("transaction payload length")?;
         let txs_len = r.count(txs_len, 1, "transaction payload byte")?;
         let txs = r.bytes(txs_len, "transaction payload")?;
-        let block = Block::from_parts(id, interval, decode_txs(txs, id, None, n_items)?);
+        let block = Block::from_parts(id, interval, decode_txs(txs, n_items)?);
         // The pair section validates first: it bounds `n_items` by the
         // bytes present before anything is sized by it.
         let pairs = decode_pairs(r.rest(), n_items)?;
@@ -208,24 +331,6 @@ impl TxStore {
     /// per-item TID-lists in one scan.
     pub fn add_block(&mut self, block: TxBlock) {
         let lists = BlockTidLists::materialize(&block, self.n_items);
-        self.insert_entry(block, lists);
-    }
-
-    /// Adds a reloaded block together with its persisted ECUT+ pair
-    /// lists in one engine insert (the persistence layer's path).
-    pub(crate) fn add_block_with_pairs(
-        &mut self,
-        block: TxBlock,
-        pairs: Vec<(Item, Item, Vec<demon_types::Tid>)>,
-    ) {
-        let mut lists = BlockTidLists::materialize(&block, self.n_items);
-        for (a, b, list) in pairs {
-            lists.insert_pair(a, b, list);
-        }
-        self.insert_entry(block, lists);
-    }
-
-    fn insert_entry(&mut self, block: TxBlock, lists: BlockTidLists) {
         let id = block.id();
         let info = BlockInfo {
             n_transactions: block.len() as u64,

@@ -275,14 +275,7 @@ impl Client {
         meta: u32,
         block: &Block<S::Record>,
     ) -> Result<()> {
-        let request = Request::IngestBlock {
-            class: S::CLASS.tag(),
-            id: block.id(),
-            interval: block.interval(),
-            meta,
-            payload: S::encode_records(block)?,
-        };
-        match self.call_retrying(&request)? {
+        match self.call_retrying(&Request::ingest::<S>(meta, block)?)? {
             (Response::Ok, _) => Ok(()),
             (Response::Err(WireError::Duplicate { .. }), true) => Ok(()),
             (Response::Err(e), _) => Err(e.into_error()),
@@ -336,9 +329,9 @@ impl Client {
         }
     }
 
-    /// Atomically persists the monitored store to `dir` on the server's
-    /// filesystem; returns the persisted block count. A failed snapshot
-    /// leaves no partial directory behind.
+    /// Atomically writes the held blocks as a WAL root to `dir` on the
+    /// server's filesystem; returns the number of blocks written. A
+    /// failed snapshot leaves no partial directory behind.
     pub fn snapshot(&mut self, dir: &str) -> Result<u64> {
         match self.call_retrying(&Request::Snapshot {
             dir: dir.to_string(),

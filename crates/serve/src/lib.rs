@@ -10,8 +10,9 @@
 //! epoch-swapped replica; a few event-loop threads serve any number of
 //! connections and answer queries — the live model, the compact
 //! pattern sequences, the obs counter table — from the current replica
-//! without taking a lock ingest holds; a `Snapshot` verb persists the
-//! monitored store atomically through the durable writer.
+//! without taking a lock ingest holds; a `Snapshot` verb writes the held
+//! blocks atomically as a WAL root — the one on-disk form of a block
+//! stream, which the daemon binds and every batch command reads.
 //!
 //! Std-only by design: the wire protocol reuses the workspace's
 //! framed, CRC32-checksummed durable codec ([`demon_types::durable`])
@@ -27,7 +28,7 @@
 //! | [`model`] | the [`ServableModel`] abstraction: codecs, rendering, snapshots, shard capability per model class |
 //! | [`server`] | [`ServeConfig`], [`Server`]: bind (validation, recovery) and run (thread set-up) |
 //! | [`shard`] | the state the sequencer applies blocks to (the class's monitor, or one maintainer whose counting passes are split per shard and merged exactly) and the epoch-swapped replicas readers see |
-//! | [`sequencer`] | bounded queue, the WAL + group commit, recovery, rotation and retention, `Stats` |
+//! | [`sequencer`] | bounded queue, the WAL + group commit, the one reader and writer of a WAL root, recovery, rotation and retention, `Stats` |
 //! | [`event_loop`] | poll-based (std-only) non-blocking connection loop: framing, verbs, idle policy |
 //! | [`client`] | blocking one-call-per-request client with bounded retry |
 //!
@@ -75,8 +76,8 @@
 //!   `demon-cli mine` over the same stream (asserted in
 //!   `tests/serve.rs`).
 //! * `Shutdown` drains the queue before the process exits, and a
-//!   `Snapshot` directory always loads under
-//!   [`RecoveryPolicy::Strict`](demon_itemsets::persist::RecoveryPolicy).
+//!   `Snapshot` directory is a whole WAL root or does not exist: a daemon
+//!   of its class binds it, and [`sequencer::read_root`] reads it.
 //! * `ServeConfig::shards ≥ 2` splits every update-phase counting pass
 //!   (round-robin by block id) and nothing else — one store, one log,
 //!   one memory budget at any shard count — so every query response,

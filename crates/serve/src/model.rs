@@ -12,7 +12,7 @@
 //! | per-block wire meta (universe / dim) | [`ServableModel::block_meta`], [`ServableModel::meta_mismatch`] |
 //! | block-record wire codec | [`ServableModel::encode_records`], [`ServableModel::decode_records`] |
 //! | model → canonical JSON | [`ServableModel::render_model_json`] |
-//! | `Snapshot` export / its fsck | [`ServableModel::save_snapshot`], [`verify_export`] |
+//! | the held blocks (`Snapshot`) | [`ServableModel::held_meta`], [`ServableModel::visit_held`] |
 //! | exact shard merge (optional) | [`ShardableModel`] |
 //!
 //! Four classes implement it: [`ItemsetModel`] (frequent itemsets over
@@ -37,23 +37,21 @@
 //! is refused with the typed [`DemonError::ShardsUnsupported`] instead
 //! of silently serving approximate answers.
 //!
-//! ## Generic snapshots
+//! ## Snapshots
 //!
 //! A snapshot is what the `Snapshot` verb exports — no part of a
-//! daemon's own durable state, which is its log alone. Itemset snapshots
-//! keep the seed's `save_store_atomic` layout (the
-//! BENCH gates and fsck know those bytes). The point classes persist
-//! through the storage engine's own framed [`Spillable`] encoding
-//! ([`demon_store::BlockEntry`], whose row section is also their wire
-//! payload): one `block_<id>.bin` per block plus a `blocks.manifest`
-//! (frame class `SM`) naming the model class and the id set. Both go
-//! through [`durable::replace_dir_atomic`] — the same all-or-nothing
-//! contract.
+//! daemon's own durable state, which is its log alone — and it is the
+//! same thing: a WAL root, one `IngestBlock` record per held block,
+//! written for every class by the one generic writer
+//! ([`crate::sequencer::write_root`]) from the two hooks that reach the
+//! maintainer's blocks. A daemon binds it like its own `--wal-dir`, and
+//! every batch command reads it.
 
 use std::path::Path;
 
+use crate::sequencer::write_root;
 use crate::server::ServeConfig;
-use demon_clustering::{BirchParams, DbscanParams, PointBlockEntry};
+use demon_clustering::{BirchParams, DbscanParams};
 use demon_core::bss::{BlockSelector, WiBss};
 use demon_core::engine::DataSpan;
 use demon_core::maintainer::ModelMaintainer;
@@ -63,10 +61,10 @@ use demon_focus::similarity::{
     ClusterSimilarity, DbscanSimilarity, ItemsetSimilarity, SimilarityConfig, SimilarityOracle,
     TreeSimilarity,
 };
-use demon_itemsets::persist::{decode_block_txs, encode_block_txs, save_store_atomic};
-use demon_store::{BlockStore, Spillable};
-use demon_trees::{LabeledBlockEntry, LabeledPoint, TreeParams};
-use demon_types::durable::{self, FrameClass, Reader, Row};
+use demon_itemsets::store::{decode_block_txs, encode_block_txs};
+use demon_store::{BlockEntry, BlockStore};
+use demon_trees::{LabeledPoint, TreeParams};
+use demon_types::durable::{self, Reader, Row};
 use demon_types::{Block, BlockId, DemonError, ModelClass, Point, Result};
 
 /// The maintained model type of a servable class.
@@ -75,7 +73,7 @@ pub type MaintainedModel<S> = <<S as ServableModel>::Maintainer as ModelMaintain
 /// Everything the daemon needs from a model class. All hooks are
 /// associated functions — implementors are zero-sized markers, never
 /// instantiated.
-pub trait ServableModel: Send + Sync + 'static {
+pub trait ServableModel: Sized + Send + Sync + 'static {
     /// The record type of the monitored block stream.
     type Record: Clone + Send + Sync + 'static;
     /// The incremental maintainer (paper §3.1).
@@ -138,9 +136,24 @@ pub trait ServableModel: Send + Sync + 'static {
     /// identical to what the batch pipeline prints for the same blocks.
     fn render_model_json(ctx: &Self::RenderCtx, model: &MaintainedModel<Self>) -> Result<String>;
 
-    /// Persists the maintainer's blocks to `dir` all-or-nothing;
-    /// returns the persisted block count.
-    fn save_snapshot(maintainer: &Self::Maintainer, dir: &Path) -> Result<u64>;
+    /// The block meta of the blocks `maintainer` holds — what their log
+    /// records carry.
+    fn held_meta(maintainer: &Self::Maintainer) -> u32;
+
+    /// Hands every block `maintainer` holds to `visit`, ascending by id,
+    /// one at a time.
+    fn visit_held(
+        maintainer: &Self::Maintainer,
+        visit: &mut dyn FnMut(&Block<Self::Record>) -> Result<()>,
+    ) -> Result<()>;
+
+    /// Writes the maintainer's blocks to `dir` as a WAL root,
+    /// all-or-nothing; returns the number of blocks written.
+    fn save_snapshot(maintainer: &Self::Maintainer, dir: &Path) -> Result<u64> {
+        write_root::<Self>(dir, Self::held_meta(maintainer), |put| {
+            Self::visit_held(maintainer, put)
+        })
+    }
 }
 
 /// The optional exact shard-merge capability behind `--shards ≥ 2`.
@@ -219,9 +232,19 @@ impl ServableModel for ItemsetModel {
             .map_err(|e| DemonError::Serde(format!("model serialization: {e}")))
     }
 
-    fn save_snapshot(maintainer: &ItemsetMaintainer, dir: &Path) -> Result<u64> {
-        save_store_atomic(maintainer.store(), dir)?;
-        Ok(maintainer.store().len() as u64)
+    fn held_meta(maintainer: &ItemsetMaintainer) -> u32 {
+        maintainer.store().n_items()
+    }
+
+    fn visit_held(
+        maintainer: &ItemsetMaintainer,
+        visit: &mut dyn FnMut(&Block<Self::Record>) -> Result<()>,
+    ) -> Result<()> {
+        let store = maintainer.store();
+        for &id in store.block_ids() {
+            visit(&*store.try_block(id)?.ok_or(DemonError::UnknownBlock(id.value()))?)?;
+        }
+        Ok(())
     }
 }
 
@@ -287,15 +310,22 @@ impl ServableModel for ClusterModel {
             .map_err(|e| DemonError::Serde(format!("model serialization: {e}")))
     }
 
-    fn save_snapshot(maintainer: &ClusterMaintainer, dir: &Path) -> Result<u64> {
-        save_blocks_atomic(maintainer.store(), Self::CLASS, dir)
+    fn held_meta(maintainer: &ClusterMaintainer) -> u32 {
+        maintainer.params().tree.dim as u32
+    }
+
+    fn visit_held(
+        maintainer: &ClusterMaintainer,
+        visit: &mut dyn FnMut(&Block<Point>) -> Result<()>,
+    ) -> Result<()> {
+        visit_entries(maintainer.store(), visit)
     }
 }
 
 /// Incremental DBSCAN density models over point blocks.
 ///
-/// Shares [`ClusterModel`]'s wire codec and snapshot layout (both
-/// persist raw point blocks through [`PointBlockEntry`]); differs in
+/// Shares [`ClusterModel`]'s wire codec and block storage (raw point
+/// blocks in [`demon_clustering::PointBlockEntry`]); differs in
 /// the maintainer (deletion-capable [`DbscanMaintainer`]), the oracle
 /// (core-reachability deviation), the rendered body (the canonical
 /// [`demon_clustering::DbscanSummary`]) and the window engine — see
@@ -368,8 +398,15 @@ impl ServableModel for DbscanModel {
             .map_err(|e| DemonError::Serde(format!("model serialization: {e}")))
     }
 
-    fn save_snapshot(maintainer: &DbscanMaintainer, dir: &Path) -> Result<u64> {
-        save_blocks_atomic(maintainer.store(), Self::CLASS, dir)
+    fn held_meta(maintainer: &DbscanMaintainer) -> u32 {
+        maintainer.params().dim as u32
+    }
+
+    fn visit_held(
+        maintainer: &DbscanMaintainer,
+        visit: &mut dyn FnMut(&Block<Point>) -> Result<()>,
+    ) -> Result<()> {
+        visit_entries(maintainer.store(), visit)
     }
 }
 
@@ -421,8 +458,15 @@ impl ServableModel for TreeModel {
             .map_err(|e| DemonError::Serde(format!("model serialization: {e}")))
     }
 
-    fn save_snapshot(maintainer: &TreeMaintainer, dir: &Path) -> Result<u64> {
-        save_blocks_atomic(maintainer.store(), Self::CLASS, dir)
+    fn held_meta(maintainer: &TreeMaintainer) -> u32 {
+        maintainer.dim() as u32
+    }
+
+    fn visit_held(
+        maintainer: &TreeMaintainer,
+        visit: &mut dyn FnMut(&Block<LabeledPoint>) -> Result<()>,
+    ) -> Result<()> {
+        visit_entries(maintainer.store(), visit)
     }
 }
 
@@ -453,88 +497,21 @@ fn decode_rows<R: Row>(payload: &[u8], id: BlockId, dim: u32) -> Result<Vec<R>> 
         })
 }
 
-/// Persists a [`BlockStore`] to `dir` all-or-nothing through the
-/// engine's own framed [`Spillable`] encoding: `block_<id>.bin` per
-/// block plus a `blocks.manifest` (class tag u8, id count u64, ids u64;
-/// frame class `SM`) — the same contract as the itemset store's
-/// `save_store_atomic`.
-fn save_blocks_atomic<R: Spillable>(
-    store: &BlockStore<R>,
-    class: ModelClass,
-    dir: &Path,
-) -> Result<u64> {
-    let ids = store.ids();
-    durable::replace_dir_atomic(dir, |tmp| {
-        let mut manifest = vec![class.tag()];
-        durable::put_u64(&mut manifest, ids.len() as u64);
-        for &id in &ids {
-            let entry = store
-                .get(id)?
-                .ok_or(DemonError::UnknownBlock(id.value()))?;
-            durable::write_framed(
-                &tmp.join(R::spill_file_name(id)),
-                R::frame_class(),
-                &entry.encode()?,
-            )?;
-            durable::put_u64(&mut manifest, id.value());
-        }
-        durable::write_framed(
-            &tmp.join("blocks.manifest"),
-            FrameClass::SNAP_MANIFEST,
-            &manifest,
-        )?;
-        Ok(())
-    })?;
-    Ok(ids.len() as u64)
-}
-
-/// Loads a point-class `Snapshot` export (a `save_blocks_atomic`
-/// directory) strictly: every frame CRC must verify, the manifest's
-/// class must match, and every listed block must decode.
-pub fn load_blocks_strict<R: Spillable>(dir: &Path, class: ModelClass) -> Result<Vec<R>> {
-    let (manifest, _) = durable::read_framed(&dir.join("blocks.manifest"), FrameClass::SNAP_MANIFEST)?;
-    let mut r = Reader::new(&manifest);
-    let tag = r.u8("snapshot class tag")?;
-    if tag != class.tag() {
-        return Err(DemonError::ModelClassMismatch {
-            expected: class.name().to_string(),
-            got: ModelClass::describe_tag(tag),
-        });
+/// [`ServableModel::visit_held`] over the block storage engine the
+/// point classes hold their blocks in.
+fn visit_entries<R: Row + Clone + Send + Sync>(
+    store: &BlockStore<BlockEntry<R>>,
+    visit: &mut dyn FnMut(&Block<R>) -> Result<()>,
+) -> Result<()> {
+    for id in store.ids() {
+        visit(&store.get(id)?.ok_or(DemonError::UnknownBlock(id.value()))?.0)?;
     }
-    let count = r.u64("snapshot block count")?;
-    let count = r.count(count, 8, "snapshot block id")?;
-    let mut entries = Vec::with_capacity(count);
-    for _ in 0..count {
-        let id = BlockId(r.u64("snapshot block id")?);
-        let (payload, _) = durable::read_framed(&dir.join(R::spill_file_name(id)), R::frame_class())?;
-        entries.push(R::decode(&payload)?);
-    }
-    r.finish("the last block id")?;
-    Ok(entries)
-}
-
-/// The fsck of a point-class `Snapshot` export: reads the class the
-/// manifest opens with and loads the directory strictly as that class.
-/// Returns the class and the number of blocks that verified.
-pub fn verify_export(dir: &Path) -> Result<(ModelClass, usize)> {
-    let manifest = dir.join("blocks.manifest");
-    let (payload, _) = durable::read_framed(&manifest, FrameClass::SNAP_MANIFEST)?;
-    let tag = Reader::new(&payload).u8("snapshot class tag")?;
-    let class = ModelClass::from_tag(tag).ok_or_else(|| DemonError::Corrupt {
-        file: manifest.display().to_string(),
-        detail: format!("class tag {tag} names no model class"),
-    })?;
-    let blocks = match class {
-        ModelClass::Trees => load_blocks_strict::<LabeledBlockEntry>(dir, class)?.len(),
-        _ => load_blocks_strict::<PointBlockEntry>(dir, class)?.len(),
-    };
-    Ok((class, blocks))
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use demon_store::BlockEntry;
     use demon_types::{BlockInterval, Timestamp};
     use std::path::PathBuf;
 
@@ -585,46 +562,38 @@ mod tests {
         assert!(TreeModel::decode_records(&payload[..7], BlockId(7), 2).is_err());
     }
 
+    /// A snapshot is a WAL root of the held blocks, written for every
+    /// class by the one writer: it reads back record-identical, and a
+    /// root of one class is refused by a reader of another.
     #[test]
-    fn generic_snapshots_roundtrip_and_pin_the_class() {
-        let tmp = scratch("roundtrip");
-        let store: BlockStore<PointBlockEntry> = BlockStore::in_memory();
-        store.insert(BlockId(1), BlockEntry(point_block(1)));
-        store.insert(BlockId(2), BlockEntry(point_block(2)));
+    fn a_snapshot_is_a_root_of_the_held_blocks() {
+        use crate::sequencer::read_root;
+        let tmp = scratch("snapshot");
         let dir = tmp.join("snap");
-        let n = save_blocks_atomic(&store, ModelClass::Clusters, &dir).expect("save");
-        assert_eq!(n, 2);
+        let mut maintainer = ClusterMaintainer::new(BirchParams::new(2, 2));
+        for id in [1, 2] {
+            maintainer.register_block(point_block(id));
+        }
+        assert_eq!(ClusterModel::save_snapshot(&maintainer, &dir).expect("save"), 2);
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .expect("root")
+            .map(|e| e.expect("entry").file_name().into_string().expect("utf-8"))
+            .collect();
+        assert_eq!(names.len(), 2, "{names:?}");
+        assert!(names.contains(&"CURRENT".to_string()) && names.contains(&"wal-0.log".to_string()));
 
-        let entries = load_blocks_strict::<PointBlockEntry>(&dir, ModelClass::Clusters)
-            .expect("load");
-        assert_eq!(entries.len(), 2);
-        assert_eq!(entries[0].0.records(), point_block(1).records());
-        assert_eq!(entries[0].0.interval(), point_block(1).interval());
+        let mut log = read_root(&dir, Some(ModelClass::Clusters)).expect("read");
+        let blocks: Vec<_> = log.blocks::<ClusterModel>(Some(2)).collect::<Result<_>>().expect("decode");
+        assert_eq!(blocks.len(), 2);
+        assert_eq!(blocks[0].records(), point_block(1).records());
+        assert_eq!(blocks[1].interval(), point_block(2).interval());
 
-        // A labeled-tree daemon refuses the cluster snapshot with the
-        // typed class mismatch, not a decode soup.
-        let err = load_blocks_strict::<LabeledBlockEntry>(&dir, ModelClass::Trees)
-            .expect_err("cross-class load");
+        let err = read_root(&dir, Some(ModelClass::Trees)).err().expect("cross-class read");
         assert!(
             matches!(&err, DemonError::ModelClassMismatch { expected, got }
                 if expected == "trees" && got == "clusters"),
             "{err}"
         );
-        let _ = std::fs::remove_dir_all(&tmp);
-    }
-
-    #[test]
-    fn snapshot_overwrite_is_atomic() {
-        let tmp = scratch("overwrite");
-        let dir = tmp.join("snap");
-        let store: BlockStore<PointBlockEntry> = BlockStore::in_memory();
-        store.insert(BlockId(1), BlockEntry(point_block(1)));
-        save_blocks_atomic(&store, ModelClass::Clusters, &dir).expect("first save");
-        store.insert(BlockId(2), BlockEntry(point_block(2)));
-        save_blocks_atomic(&store, ModelClass::Clusters, &dir).expect("overwrite");
-        let entries =
-            load_blocks_strict::<PointBlockEntry>(&dir, ModelClass::Clusters).expect("load");
-        assert_eq!(entries.len(), 2);
         let _ = std::fs::remove_dir_all(&tmp);
     }
 }

@@ -22,8 +22,11 @@
 //! class-specific `meta` word (the item-universe size for itemsets, the
 //! dimensionality for points and labeled points), and the records as
 //! opaque class-codec bytes (for itemsets,
-//! [`demon_itemsets::persist::encode_block_txs`] — a block crosses the
-//! wire in exactly the bytes it persists as). The daemon decodes the
+//! [`demon_itemsets::store::encode_block_txs`]). The request body is
+//! also what the write-ahead log records ([`Request::ingest`]): a block
+//! crosses the wire in exactly the bytes it persists as, and a WAL root —
+//! a daemon's `--wal-dir`, a `Snapshot`, a generated stream — is a
+//! sequence of these bodies. The daemon decodes the
 //! records through its `ServableModel` codec after checking the class
 //! tag, so a foreign-class payload is rejected typed, never
 //! misinterpreted.
@@ -55,7 +58,8 @@
 use demon_types::durable::{
     self, put_block_header, put_str, put_u32, put_u64, FrameClass, Reader, FRAME_HEADER_LEN,
 };
-use demon_types::{BlockId, BlockInterval, DemonError, ModelClass, Result};
+use crate::model::ServableModel;
+use demon_types::{Block, BlockId, BlockInterval, DemonError, ModelClass, Result};
 use std::io::{Read, Write};
 
 /// Upper bound on a single message payload (64 MiB). A header promising
@@ -96,8 +100,8 @@ pub enum Request {
     QuerySequences,
     /// Fetch the daemon's ingest count and obs counter table as JSON.
     Stats,
-    /// Atomically persist the monitored store to a directory on the
-    /// server's filesystem.
+    /// Atomically write the held blocks as a WAL root to a directory on
+    /// the server's filesystem.
     Snapshot {
         /// Target directory (server-side path).
         dir: String,
@@ -227,6 +231,18 @@ impl std::fmt::Display for WireError {
 }
 
 impl Request {
+    /// The `IngestBlock` of `block` as class `S` under block meta `meta`:
+    /// what a canonical client sends, and so what a daemon logs.
+    pub fn ingest<S: ServableModel>(meta: u32, block: &Block<S::Record>) -> Result<Request> {
+        Ok(Request::IngestBlock {
+            class: S::CLASS.tag(),
+            id: block.id(),
+            interval: block.interval(),
+            meta,
+            payload: S::encode_records(block)?,
+        })
+    }
+
     /// Serializes the request into a frame payload (tag + body).
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();

@@ -1,7 +1,7 @@
 //! The single writer: a bounded queue of ingest and snapshot work, the
 //! write-ahead log it appends to before applying — the daemon's only
-//! durable state — its recovery at bind time, and the rotation and
-//! retention that bound it.
+//! durable state — its recovery at bind time, the rotation and retention
+//! that bound it, and the reader and writer of a WAL root.
 //!
 //! ```text
 //!  event-loop threads ──try_submit──▶ bounded queue ──▶ sequencer thread
@@ -51,11 +51,17 @@
 //!   generation and moves *before* anything below it is unlinked. An
 //!   unrestricted daemon needs its first block for ever and never
 //!   unlinks anything.
+//! * **One on-disk form**: a WAL root is also what `demon-cli generate`
+//!   and the `Snapshot` verb write ([`write_root`]) and what every batch
+//!   command reads. [`read_root`] is the one reader of a root's chain of
+//!   records — recovery and the CLI both call it — and
+//!   [`refuse_old_layout`] names what only an older build could read.
 
 use crate::model::ServableModel;
 use crate::protocol::{Request, Response, WireError};
 use crate::server::{crash_point, ServeConfig};
 use crate::shard::{shard_of, AppliedState, ReplicaCell};
+use demon_types::durable;
 use demon_types::obs::{self, Counter};
 use demon_types::wal::{self, WalChain, WalWriter};
 use demon_types::{Block, BlockId, BlockInterval, DemonError, ModelClass, Result};
@@ -341,114 +347,255 @@ pub(crate) struct Wal {
     sealed: VecDeque<(u64, Option<BlockId>)>,
 }
 
-/// The typed refusal when a WAL record (header tag or request body)
-/// carries a different model class than the recovering daemon.
-fn cross_class_replay<S: ServableModel>(got: u8) -> DemonError {
-    DemonError::ModelClassMismatch {
-        expected: S::CLASS.name().to_string(),
-        got: ModelClass::describe_tag(got),
+/// Refuses, by name, what only an older build can read: a
+/// `snapshot-<g>/` (it compacted the log into snapshots), a `shard-<s>/`
+/// (it kept a log lane per shard), and the `meta.json` of an itemset
+/// store directory or the `blocks.manifest` of a point-class export (it
+/// wrote block streams in formats of their own). Every reader of a root
+/// calls this first; there is no compatibility reader.
+pub fn refuse_old_layout(root: &Path) -> Result<()> {
+    let mut found = Vec::new();
+    for entry in std::fs::read_dir(root)? {
+        let name = entry?.file_name().to_string_lossy().into_owned();
+        let what = match name.as_str() {
+            "meta.json" => "the manifest of an itemset store directory",
+            "blocks.manifest" => "the manifest of a point-class snapshot export",
+            n if n.starts_with("snapshot-") => "a compaction snapshot",
+            n if n.starts_with("shard-") => "a per-shard log lane",
+            _ => continue,
+        };
+        found.push((name, what));
+    }
+    match found.into_iter().min() {
+        None => Ok(()),
+        Some((name, what)) => Err(DemonError::InvalidParameter(format!(
+            "{} is {what} of an older build; this build keeps a block stream as a WAL root \
+             (CURRENT + wal-<g>.log) alone and cannot read it",
+            root.join(name).display()
+        ))),
     }
 }
 
+/// What [`read_root`] found in one log file of a root.
+#[derive(Clone, Debug)]
+pub struct LogFile {
+    /// The file's generation.
+    pub gen: u64,
+    /// Its intact records.
+    pub records: usize,
+    /// The sequence number of its last intact record.
+    pub last_seq: Option<u64>,
+    /// The highest block id its intact records log.
+    pub(crate) highest: Option<BlockId>,
+    /// Byte length of its intact prefix.
+    pub(crate) len: u64,
+    /// Why its tail is torn, if it is.
+    pub torn: Option<String>,
+    /// Below `CURRENT`: residue of a crash between the pointer move and
+    /// the unlink, outside the chain.
+    pub stale: bool,
+}
+
+/// A logged block, its records still in their class-codec bytes.
+struct Logged {
+    interval: Option<BlockInterval>,
+    meta: u32,
+    payload: Vec<u8>,
+    gen: u64,
+    seq: u64,
+}
+
+/// The records of a WAL root, read by [`read_root`].
+pub struct RootLog {
+    root: PathBuf,
+    /// The `CURRENT` generation.
+    pub current: u64,
+    /// Every log file of the root, ascending by generation.
+    pub files: Vec<LogFile>,
+    /// The model-class tag of the records (`None`: the root holds none).
+    pub class: Option<u8>,
+    /// The sequence number the chain continues with.
+    pub(crate) next_seq: u64,
+    /// Per block id, the later of its records.
+    logged: BTreeMap<BlockId, Logged>,
+}
+
+/// Reads a WAL root — a daemon's `--wal-dir`, a `Snapshot`, a generated
+/// stream — by the one rule recovery and every batch command share: the
+/// chain of generations ≥ `CURRENT` through [`WalChain`] (a torn end of
+/// chain is dropped and named in [`LogFile::torn`], damage that intact
+/// records follow is [`DemonError::Corrupt`]), every record of `class`
+/// (of the first record's class when `None`; another is
+/// [`DemonError::ModelClassMismatch`]) and an `IngestBlock` (else
+/// `Corrupt`, naming file and sequence number). Of two records with one
+/// id the later wins: the earlier was refused at apply, or it could not
+/// have been logged again. Read-only; the records decode in
+/// [`RootLog::blocks`].
+pub fn read_root(root: &Path, class: Option<ModelClass>) -> Result<RootLog> {
+    let current = wal::read_current(root)?;
+    let mut log = RootLog {
+        root: root.to_path_buf(),
+        current,
+        files: Vec::new(),
+        class: class.map(ModelClass::tag),
+        next_seq: 0,
+        logged: BTreeMap::new(),
+    };
+    let gens = wal::list_wal_generations(root)?;
+    if root.join(wal::CURRENT_FILE).exists() && !gens.contains(&current) {
+        return Err(DemonError::Corrupt {
+            file: wal::wal_file_path(root, current).display().to_string(),
+            detail: "CURRENT names this generation, but its log is missing".to_string(),
+        });
+    }
+    let mut chain = WalChain::default();
+    for gen in gens {
+        let path = wal::wal_file_path(root, gen);
+        let stale = gen < current;
+        let report = if stale {
+            wal::read_wal(&path).unwrap_or_default()
+        } else {
+            chain.read(&path)?
+        };
+        let mut file = LogFile {
+            gen,
+            records: report.records.len(),
+            last_seq: report.records.last().map(|r| r.seq),
+            highest: None,
+            len: report.valid_len,
+            torn: report.torn,
+            stale,
+        };
+        for record in report.records.into_iter().filter(|_| !stale) {
+            let class = *log.class.get_or_insert(record.class);
+            let mismatch = |got| DemonError::ModelClassMismatch {
+                expected: ModelClass::describe_tag(class),
+                got: ModelClass::describe_tag(got),
+            };
+            let corrupt = |detail| DemonError::Corrupt {
+                file: path.display().to_string(),
+                detail: format!("sequence {}: {detail}", record.seq),
+            };
+            if record.class != class {
+                return Err(mismatch(record.class));
+            }
+            match Request::decode(&record.body) {
+                Ok(Request::IngestBlock { class: body, id, interval, meta, payload }) => {
+                    if body != class {
+                        return Err(mismatch(body));
+                    }
+                    file.highest = file.highest.max(Some(id));
+                    let seq = record.seq;
+                    log.logged.insert(id, Logged { interval, meta, payload, gen, seq });
+                }
+                Ok(other) => return Err(corrupt(format!("logs {other:?}, not an IngestBlock"))),
+                Err(e) => return Err(corrupt(e.to_string())),
+            }
+        }
+        log.files.push(file);
+    }
+    log.next_seq = chain.next_seq();
+    Ok(log)
+}
+
+impl RootLog {
+    /// The lowest logged block id: where a replay starts.
+    pub(crate) fn first(&self) -> Option<BlockId> {
+        self.logged.keys().next().copied()
+    }
+
+    /// The block meta of the first logged block (the item universe or
+    /// point dimensionality of the stream).
+    pub fn meta(&self) -> Option<u32> {
+        self.logged.values().next().map(|logged| logged.meta)
+    }
+
+    /// The logged blocks a replay applies, decoded one at a time as class
+    /// `S`: from the first id the contiguous run, in id order — the first
+    /// gap ends it, since nothing past one was ever acknowledged. Every
+    /// record must carry block meta `meta` (the first record's when
+    /// `None`), else the refusal is `S::meta_mismatch`'s text; a record
+    /// whose payload does not decode is [`DemonError::Corrupt`] naming
+    /// file and sequence number. Takes the records out of the log.
+    pub fn blocks<S: ServableModel>(
+        &mut self,
+        mut meta: Option<u32>,
+    ) -> impl Iterator<Item = Result<Block<S::Record>>> {
+        let root = self.root.clone();
+        let mut prev: Option<BlockId> = None;
+        std::mem::take(&mut self.logged)
+            .into_iter()
+            .take_while(move |&(id, _)| {
+                let contiguous = !matches!(prev, Some(p) if p.next() != id);
+                prev = Some(id);
+                contiguous
+            })
+            .map(move |(id, logged)| {
+                let file = wal::wal_file_path(&root, logged.gen).display().to_string();
+                let expected = *meta.get_or_insert(logged.meta);
+                if let Some(refusal) = S::meta_mismatch(expected, logged.meta) {
+                    let at = format!("{file}, sequence {}", logged.seq);
+                    return Err(DemonError::InvalidParameter(format!("{at}: {refusal}")));
+                }
+                decode_block::<S>(id, logged.interval, logged.meta, &logged.payload).map_err(|e| {
+                    DemonError::Corrupt { file, detail: format!("sequence {}: {e}", logged.seq) }
+                })
+            })
+    }
+}
+
+/// Writes a WAL root at `dir`, all-or-nothing: `CURRENT` = 0 and one
+/// `wal-0.log` holding the `IngestBlock` record a daemon logs for each
+/// block `blocks` hands its sink — one block at a time, one covering
+/// fsync, and the root synced before this returns. `demon-cli generate`
+/// and the `Snapshot` verb of every class write through here. Returns
+/// the number of blocks written.
+pub fn write_root<S: ServableModel>(
+    dir: &Path,
+    meta: u32,
+    blocks: impl FnOnce(&mut dyn FnMut(&Block<S::Record>) -> Result<()>) -> Result<()>,
+) -> Result<u64> {
+    let mut written = 0;
+    durable::replace_dir_atomic(dir, |tmp| {
+        let mut log = WalWriter::create(&wal::wal_file_path(tmp, 0), 0, S::CLASS.tag())?;
+        blocks(&mut |block| {
+            log.append_unsynced(&Request::ingest::<S>(meta, block)?.encode())?;
+            written += 1;
+            Ok(())
+        })?;
+        log.sync()?;
+        wal::write_current(tmp, 0)
+    })?;
+    Ok(written)
+}
+
 /// Recovers `state` (handed in empty) from a WAL root and reopens the
-/// log for appending. The log is the whole durable state: read the chain
-/// of generations ≥ `CURRENT` ([`WalChain`]: a torn end of chain is
-/// dropped and counted under `wal.torn_tails`, damage that intact
-/// records follow is [`DemonError::Corrupt`]), start the state at the
-/// first retained id and replay the contiguous prefix. Of two records
-/// with one id the later wins (the earlier was refused at apply, or it
-/// could not have been logged again); the first gap or failed apply ends
-/// replay — nothing past it was ever acknowledged. Generations below
-/// `CURRENT` are stale residue of a crash between the pointer move and
-/// the unlink. Refused, not guessed at: a record of another model class
-/// ([`DemonError::ModelClassMismatch`]); a log that starts above the
-/// oldest block the replayed state needs (trimmed under a narrower data
-/// span than the daemon came back with); and what only an older build
-/// can read — a `snapshot-<g>/` (it compacted into snapshots) or a
-/// `shard-<s>/` (it kept a log lane per shard).
+/// log for appending. The log is the whole durable state: read the root
+/// ([`read_root`]; refused first, by name, what only an older build can
+/// read — [`refuse_old_layout`]), start the state at the first retained
+/// id and replay ([`RootLog::blocks`], each record held to this daemon's
+/// block meta); the first failed apply ends replay — nothing past it was
+/// ever acknowledged. Refused too: a log that starts above the oldest
+/// block the replayed state needs (trimmed under a narrower data span
+/// than the daemon came back with). Only then is the root touched:
+/// generations below `CURRENT` are swept and a torn end of chain is cut
+/// off (counted under `wal.torn_tails`) before anything is appended.
 pub(crate) fn recover<S: ServableModel>(
     root: &Path,
     config: &ServeConfig,
     state: &mut dyn AppliedState<S>,
 ) -> Result<Wal> {
     std::fs::create_dir_all(root)?;
-    if let Some(left) = std::fs::read_dir(root)?.flatten().find(|e| {
-        e.file_name().to_string_lossy().starts_with("snapshot-")
-    }) {
-        return Err(DemonError::InvalidParameter(format!(
-            "{} is a compaction snapshot of an older build; this build keeps a daemon's \
-             durable state in its log alone and cannot recover from it",
-            left.path().display()
-        )));
-    }
-    if let Some(lane) = wal::leftover_lane(root)? {
-        return Err(DemonError::InvalidParameter(format!(
-            "{} is a per-shard log lane of an older build; this build keeps one log per WAL \
-             root (CURRENT + wal-<g>.log) at any --shards and cannot recover from it",
-            lane.display()
-        )));
-    }
-    let gens = wal::list_wal_generations(root)?;
-    let current = wal::read_current(root)?;
-    let gen = gens.iter().copied().fold(current, u64::max);
-
-    let class = S::CLASS.tag();
-    let mut logged: BTreeMap<BlockId, Block<S::Record>> = BTreeMap::new();
-    // Highest block id per generation ≥ CURRENT.
-    let mut generations: BTreeMap<u64, Option<BlockId>> = BTreeMap::new();
-    let mut chain = WalChain::default();
-    let mut live_len = None;
-    for g in gens {
-        let path = wal::wal_file_path(root, g);
-        if g < current {
-            let _ = std::fs::remove_file(path);
-            continue;
-        }
-        let report = chain.read(&path)?;
-        let highest = generations.entry(g).or_default();
-        for record in &report.records {
-            if record.class != class {
-                return Err(cross_class_replay::<S>(record.class));
-            }
-            let Ok(Request::IngestBlock {
-                class: body_class,
-                id,
-                interval,
-                meta,
-                payload,
-            }) = Request::decode(&record.body)
-            else {
-                continue;
-            };
-            if body_class != class {
-                return Err(cross_class_replay::<S>(body_class));
-            }
-            if let Ok(block) = decode_block::<S>(id, interval, meta, &payload) {
-                *highest = (*highest).max(Some(id));
-                logged.insert(id, block);
-            }
-        }
-        live_len = (g == gen).then_some(report.valid_len);
-        if report.torn.is_some() {
-            // The end of the chain, sealed log or live: cut it off
-            // before anything is appended behind it.
-            wal::truncate_torn_tail(&path, report.valid_len)?;
-        }
-    }
-    let path = wal::wal_file_path(root, gen);
-    let writer = match live_len {
-        Some(len) => WalWriter::open_after_recovery(&path, len, chain.next_seq(), class)?,
-        None => WalWriter::create(&path, chain.next_seq(), class)?,
-    };
-
-    let first = logged.keys().next().copied();
+    refuse_old_layout(root)?;
+    let mut log = read_root(root, Some(S::CLASS))?;
+    let first = log.first();
     if let Some(first) = first {
         state.resume_at(first);
     }
-    for block in logged.into_values() {
-        // The state's own sequence check ends replay at the first gap
-        // (never appended), like a block appended but never acked.
-        if state.add_block(block).is_err() {
+    for block in log.blocks::<S>(Some(S::block_meta(config))) {
+        // The state's own sequence check refuses what was logged but
+        // never applied, like a block appended but never acked.
+        if state.add_block(block?).is_err() {
             break;
         }
         obs::incr(Counter::WalReplays);
@@ -466,13 +613,35 @@ pub(crate) fn recover<S: ServableModel>(
             )));
         }
     }
+
+    for file in &log.files {
+        let path = wal::wal_file_path(root, file.gen);
+        if file.stale {
+            let _ = std::fs::remove_file(path);
+        } else if file.torn.is_some() {
+            wal::truncate_torn_tail(&path, file.len)?;
+        }
+    }
+    let class = S::CLASS.tag();
+    let live = log.files.last().filter(|file| !file.stale);
+    let gen = live.map_or(log.current, |file| file.gen);
+    let path = wal::wal_file_path(root, gen);
+    let writer = match live {
+        Some(file) => WalWriter::open_after_recovery(&path, file.len, log.next_seq, class)?,
+        None => WalWriter::create(&path, log.next_seq, class)?,
+    };
     Ok(Wal {
         root: root.to_path_buf(),
         writer,
         max_bytes: config.wal_max_bytes.max(1),
         gen,
-        highest: generations.remove(&gen).flatten(),
-        sealed: generations.into_iter().collect(),
+        highest: live.and_then(|file| file.highest),
+        sealed: log
+            .files
+            .iter()
+            .filter(|file| !file.stale && file.gen != gen)
+            .map(|file| (file.gen, file.highest))
+            .collect(),
     })
 }
 
@@ -658,15 +827,7 @@ mod tests {
 
     /// Block `id` as a canonical client puts it on the wire.
     fn request_body(config: &ServeConfig, id: u64) -> Vec<u8> {
-        let block = block(id);
-        Request::IngestBlock {
-            class: ItemsetModel::CLASS.tag(),
-            id: block.id(),
-            interval: block.interval(),
-            meta: config.n_items,
-            payload: ItemsetModel::encode_records(&block).expect("encode"),
-        }
-        .encode()
+        Request::ingest::<ItemsetModel>(config.n_items, &block(id)).expect("encode").encode()
     }
 
     /// A durable config over a fresh directory.
@@ -808,6 +969,40 @@ mod tests {
         }
     }
 
+    /// A record whose frame is intact but whose body does not decode —
+    /// no request at all, or an `IngestBlock` whose records are garbage —
+    /// is corruption naming the file and the sequence number, never a
+    /// block silently skipped; the root is left as it was.
+    #[test]
+    fn an_intact_record_that_does_not_decode_is_corrupt() {
+        let config = config("undecodable", 1);
+        let root = config.wal_dir.clone().unwrap();
+        let garbage = Request::IngestBlock {
+            class: ItemsetModel::CLASS.tag(),
+            id: BlockId(2),
+            interval: None,
+            meta: config.n_items,
+            payload: vec![0xFF],
+        };
+        for (body, why) in [(vec![9u8, 9, 9], "request tag"), (garbage.encode(), "transaction count")] {
+            std::fs::create_dir_all(&root).unwrap();
+            let class = ItemsetModel::CLASS.tag();
+            let mut log = WalWriter::create(&wal::wal_file_path(&root, 0), 0, class).unwrap();
+            log.append_unsynced(&request_body(&config, 1)).unwrap();
+            log.append_unsynced(&body).unwrap();
+            let before = std::fs::read(wal::wal_file_path(&root, 0)).unwrap();
+            match reopen(&config).err() {
+                Some(DemonError::Corrupt { file, detail }) => {
+                    assert!(file.ends_with("wal-0.log") && detail.contains("sequence 1"), "{file}: {detail}");
+                    assert!(detail.contains(why), "{detail}");
+                }
+                other => panic!("an undecodable record: {:?}", other.map(|e| e.to_string())),
+            }
+            assert_eq!(std::fs::read(wal::wal_file_path(&root, 0)).unwrap(), before);
+            let _ = std::fs::remove_dir_all(&root);
+        }
+    }
+
     /// Under a window the sealed generations behind it are unlinked —
     /// pointer first — and the generation count stays bounded; a restart
     /// resumes at the first retained block, and a restart that asks for
@@ -841,13 +1036,13 @@ mod tests {
         assert!(text.contains("--window 4"), "{text}");
 
         config.window = Some(2);
-        for leftover in ["snapshot-1", "shard-0"] {
-            std::fs::create_dir_all(root.join(leftover)).unwrap();
+        for leftover in ["snapshot-1", "shard-0", "meta.json", "blocks.manifest"] {
+            std::fs::write(root.join(leftover), b"").unwrap();
             let err = reopen(&config).err().expect("a leftover of an older build");
             let text = err.to_string();
             assert!(matches!(err, DemonError::InvalidParameter(_)), "{text}");
             assert!(text.contains(leftover), "{text}");
-            std::fs::remove_dir(root.join(leftover)).unwrap();
+            std::fs::remove_file(root.join(leftover)).unwrap();
         }
         reopen(&config).expect("the same root without the leftover");
         let _ = std::fs::remove_dir_all(root);

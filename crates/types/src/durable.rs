@@ -1,8 +1,9 @@
 //! Crash-safe file primitives shared by every persistence surface.
 //!
 //! DEMON's database is long-lived: blocks arrive forever and the on-disk
-//! store (plus GEMM's model shelf) must survive a process crash at any
-//! point between them. Two primitives make that tractable:
+//! log (plus spilled blocks and GEMM's model shelf) must survive a
+//! process crash at any point between them. Two primitives make that
+//! tractable:
 //!
 //! * [`atomic_write`] — write-to-temp, fsync, rename, fsync-parent. A
 //!   crash leaves either the old file or the new file, never a torn mix;
@@ -20,7 +21,7 @@
 //! offset  size  field
 //! 0       4     magic  "DMON"
 //! 4       2     format version, u16 LE (currently 2)
-//! 6       2     file class tag (e.g. "TX", "TL", "SH")
+//! 6       2     file class tag (e.g. "WL", "TE", "SH")
 //! 8       8     payload length, u64 LE
 //! 16      4     CRC32 (IEEE) of the payload, u32 LE
 //! 20      …     payload
@@ -33,7 +34,7 @@
 //! ## Payload codec
 //!
 //! What goes *inside* a frame — a spilled block, a wire message, a WAL
-//! record, a snapshot manifest, a `.txs`/`.tid` file — is written with
+//! record, a shelved model — is written with
 //! the `put_*` functions and read back through one bounds-checked
 //! cursor, [`Reader`]. Every read names the field it was after, so a
 //! short or malformed payload is a [`DemonError::Serde`] naming field
@@ -68,10 +69,6 @@ pub const FRAME_HEADER_LEN: usize = 20;
 pub struct FrameClass(pub [u8; 2]);
 
 impl FrameClass {
-    /// Raw transactions of one block (`block_<id>.txs`).
-    pub const TRANSACTIONS: FrameClass = FrameClass(*b"TX");
-    /// TID-lists of one block (`block_<id>.tid`).
-    pub const TIDLISTS: FrameClass = FrameClass(*b"TL");
     /// A shelved GEMM model (`slot_<start>.model`).
     pub const SHELF: FrameClass = FrameClass(*b"SH");
     /// A spilled transaction-store entry (block + TID-lists).
@@ -89,10 +86,6 @@ impl FrameClass {
     pub const WAL: FrameClass = FrameClass(*b"WL");
     /// The WAL directory's `CURRENT` pointer naming the live generation.
     pub const WAL_CURRENT: FrameClass = FrameClass(*b"CG");
-
-    /// The block manifest of a generic (non-itemset) serving snapshot
-    /// directory: model-class tag + covered block ids.
-    pub const SNAP_MANIFEST: FrameClass = FrameClass(*b"SM");
 }
 
 impl std::fmt::Display for FrameClass {
@@ -282,37 +275,6 @@ pub fn read_framed(path: &Path, class: FrameClass) -> Result<(Vec<u8>, u32)> {
     let name = path.display().to_string();
     let (payload, crc) = decode_frame(class, &bytes, &name)?;
     Ok((payload.to_vec(), crc))
-}
-
-/// Whether an I/O error is worth retrying (interrupted syscall or a
-/// transiently unavailable resource), as opposed to a persistent failure
-/// like `NotFound` or `PermissionDenied`.
-pub fn is_transient_io(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::Interrupted
-            | std::io::ErrorKind::WouldBlock
-            | std::io::ErrorKind::TimedOut
-    )
-}
-
-/// [`read_framed`] with a bounded retry on transient I/O errors.
-/// Corruption and persistent I/O failures are returned immediately.
-pub fn read_framed_with_retry(
-    path: &Path,
-    class: FrameClass,
-    attempts: u32,
-) -> Result<(Vec<u8>, u32)> {
-    let mut last = None;
-    for _ in 0..attempts.max(1) {
-        match read_framed(path, class) {
-            Err(DemonError::Io(e)) if is_transient_io(&e) => last = Some(e),
-            other => return other,
-        }
-    }
-    Err(DemonError::Io(last.unwrap_or_else(|| {
-        std::io::Error::other("retry loop exhausted without an error")
-    })))
 }
 
 /// Replaces directory `dir` all-or-nothing: `write` fills a fresh
@@ -709,9 +671,9 @@ mod tests {
     #[test]
     fn frame_roundtrips() {
         let payload = b"the quick brown fox";
-        let (bytes, crc) = encode_frame(FrameClass::TRANSACTIONS, payload);
+        let (bytes, crc) = encode_frame(FrameClass::TXENTRY, payload);
         assert_eq!(bytes.len(), FRAME_HEADER_LEN + payload.len());
-        let (back, crc2) = decode_frame(FrameClass::TRANSACTIONS, &bytes, "f").unwrap();
+        let (back, crc2) = decode_frame(FrameClass::TXENTRY, &bytes, "f").unwrap();
         assert_eq!(back, payload);
         assert_eq!(crc, crc2);
         // Empty payloads are legal frames.
@@ -722,9 +684,9 @@ mod tests {
 
     #[test]
     fn every_truncation_is_detected() {
-        let (bytes, _) = encode_frame(FrameClass::TIDLISTS, b"payload bytes");
+        let (bytes, _) = encode_frame(FrameClass::TXENTRY, b"payload bytes");
         for cut in 0..bytes.len() {
-            let err = decode_frame(FrameClass::TIDLISTS, &bytes[..cut], "f").unwrap_err();
+            let err = decode_frame(FrameClass::TXENTRY, &bytes[..cut], "f").unwrap_err();
             assert!(
                 matches!(
                     err,
@@ -737,12 +699,12 @@ mod tests {
 
     #[test]
     fn every_bit_flip_is_detected() {
-        let (bytes, _) = encode_frame(FrameClass::TRANSACTIONS, b"payload bytes");
+        let (bytes, _) = encode_frame(FrameClass::TXENTRY, b"payload bytes");
         for i in 0..bytes.len() {
             for mask in [0x01u8, 0xFF] {
                 let mut bad = bytes.clone();
                 bad[i] ^= mask;
-                let err = decode_frame(FrameClass::TRANSACTIONS, &bad, "f").unwrap_err();
+                let err = decode_frame(FrameClass::TXENTRY, &bad, "f").unwrap_err();
                 assert!(
                     matches!(
                         err,
@@ -793,7 +755,7 @@ mod tests {
 
     #[test]
     fn wrong_class_is_rejected() {
-        let (bytes, _) = encode_frame(FrameClass::TRANSACTIONS, b"x");
+        let (bytes, _) = encode_frame(FrameClass::TXENTRY, b"x");
         let err = decode_frame(FrameClass::SHELF, &bytes, "f").unwrap_err();
         assert!(err.to_string().contains("file class"), "{err}");
     }
@@ -1004,14 +966,5 @@ mod tests {
         // Mixed dimensions cannot be written.
         let mixed = vec![Point::new(vec![1.0]), Point::new(vec![1.0, 2.0])];
         assert!(put_rows(&mut Vec::new(), BlockId(1), &mixed).is_err());
-    }
-
-    #[test]
-    fn transient_errors_are_classified() {
-        use std::io::{Error, ErrorKind};
-        assert!(is_transient_io(&Error::from(ErrorKind::Interrupted)));
-        assert!(is_transient_io(&Error::from(ErrorKind::TimedOut)));
-        assert!(!is_transient_io(&Error::from(ErrorKind::NotFound)));
-        assert!(!is_transient_io(&Error::from(ErrorKind::PermissionDenied)));
     }
 }

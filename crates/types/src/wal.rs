@@ -38,7 +38,10 @@
 //! written with [`atomic_write`] and moved *before* anything below it is
 //! unlinked: a crash at any instant leaves every generation from the
 //! pointer up in place. It holds nothing else, whatever `--shards` the
-//! daemon runs with ([`leftover_lane`] names what an older build left).
+//! daemon runs with. Such a directory — a WAL root — is the one on-disk
+//! form of a block stream: `demon-serve` writes and reads it
+//! (`sequencer::write_root` / `read_root`), the daemon and every batch
+//! command alike.
 
 use crate::durable::{
     atomic_write, decode_frame_header, encode_frame, put_u64, read_framed, verify_frame_payload,
@@ -85,21 +88,6 @@ pub fn list_wal_generations(dir: &Path) -> Result<Vec<u64>> {
     }
     gens.sort_unstable();
     Ok(gens)
-}
-
-/// The first `shard-<s>` entry of `root`, if it has one: a per-shard log
-/// lane of a build that kept one log per shard. This build keeps one
-/// chain per root and has no reader for lanes, so recovery refuses such
-/// a root and `demon-cli verify` reports it, both by this name.
-pub fn leftover_lane(root: &Path) -> Result<Option<PathBuf>> {
-    let mut lanes = Vec::new();
-    for entry in std::fs::read_dir(root)? {
-        let entry = entry?;
-        if entry.file_name().to_string_lossy().starts_with("shard-") {
-            lanes.push(entry.path());
-        }
-    }
-    Ok(lanes.into_iter().min())
 }
 
 /// Reads the `CURRENT` generation pointer. A missing pointer means
@@ -689,11 +677,6 @@ mod tests {
         }
         std::fs::write(dir.join("notes.txt"), b"ignored").unwrap();
         assert_eq!(list_wal_generations(&dir).unwrap(), vec![1, 2, 3]);
-        assert_eq!(leftover_lane(&dir).unwrap(), None);
-        for lane in ["shard-3", "shard-1"] {
-            std::fs::create_dir(dir.join(lane)).unwrap();
-        }
-        assert_eq!(leftover_lane(&dir).unwrap(), Some(dir.join("shard-1")));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -4,20 +4,20 @@
 //! demon-cli generate quest    --spec 2M.20L.1I.4pats.4plen --scale 0.01 --blocks 4 --out store/
 //! demon-cli generate webtrace --days 21 --rate 300 --granularity 6 --out trace/
 //! demon-cli inspect  <store>
-//! demon-cli verify   <store | wal-dir | snapshot-export>
-//! demon-cli mine     <store> --minsup 0.01 [--rules 0.8 --top 20] [--salvage]
-//! demon-cli monitor  <store> --minsup 0.01 [--window 4] [--bss 1011] [--counter ecut+] [--salvage]
+//! demon-cli verify   <store>
+//! demon-cli mine     <store> --minsup 0.01 [--rules 0.8 --top 20]
+//! demon-cli monitor  <store> --minsup 0.01 [--window 4] [--bss 1011] [--counter ecut+]
 //! demon-cli patterns <store> [--alpha 0.12] [--min-len 4] [--window N]
 //! demon-cli serve    --listen 127.0.0.1:7677 --model itemsets --items 1000 --minsup 0.01 [--workers 4]
 //! demon-cli client   <addr> ingest <store> | ingest-points | ingest-labeled | query-model | sequences | stats | snapshot <dir> | shutdown
 //! ```
 //!
-//! Stores are directories in the `demon_itemsets::persist` layout;
-//! `generate` creates them, every other command replays them. `verify`
-//! is the read-only fsck (exit status 1 on damage) of a store, of a
-//! daemon's `--wal-dir` or of a `client snapshot` export, and
-//! `--salvage` loads a damaged store by quarantining the broken tail
-//! instead of aborting.
+//! A store is a WAL root (`CURRENT` + `wal-<g>.log`, one `IngestBlock`
+//! record per block), the one on-disk form of a block stream: `generate`
+//! writes one, a daemon's `--wal-dir` and a `client snapshot` are one,
+//! and every other command reads one by the rule a daemon's bind applies
+//! ([`demon::serve::sequencer::read_root`]). `verify` is the read-only
+//! fsck of a root: exit status 1 where a bind would refuse it.
 //!
 //! `serve` runs the long-lived monitoring daemon (`demon_serve`): blocks
 //! stream in over TCP through a bounded ingest queue while concurrent
@@ -42,6 +42,9 @@
 //! after the command runs; `--trace-out FILE` writes the structured JSONL
 //! event log (span timings plus a final `counters` event). Counter totals
 //! are identical at any `--threads` setting.
+//!
+//! Output goes through one writer: a reader that goes away (`| head`)
+//! ends a command as a success.
 
 use demon::core::bss::{BlockSelector, WiBss, WrBss};
 use demon::core::engine::UwEngine;
@@ -50,20 +53,43 @@ use demon::core::{Gemm, ItemsetMaintainer};
 use demon::datagen::webtrace::{self, WebTraceConfig, WebTraceGen};
 use demon::datagen::{ClusterDataGen, ClusterParams, QuestGen, QuestParams};
 use demon::focus::{CompactSequenceMiner, ItemsetSimilarity, SimilarityConfig};
-use demon::itemsets::persist::{
-    load_store_configured, save_store, verify_store, RecoveryPolicy,
-};
 use demon::itemsets::{derive_rules, BlockRef, CounterKind, FrequentItemsets, TxStore};
-use demon::serve::model::verify_export;
-use demon::serve::{Client, ServeConfig, Server};
+use demon::serve::sequencer::{self, RootLog};
+use demon::serve::{
+    Client, ClusterModel, DbscanModel, ItemsetModel, ServableModel, ServeConfig, Server, TreeModel,
+};
 use demon::store::StoreConfig;
 use demon::trees::LabeledPoint;
-use demon::types::{obs, wal, DemonError};
+use demon::types::{obs, DemonError};
 use demon::types::{Block, BlockId, MinSupport, ModelClass, Timestamp, TxBlock};
 use std::collections::HashMap;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
+
+/// Every line a command prints goes through [`emit`]: `println!` is
+/// shadowed in this file.
+macro_rules! println {
+    ($($arg:tt)*) => {
+        emit(format_args!($($arg)*))
+    };
+}
+
+/// The unwind payload of a write to a stdout nobody reads any more.
+struct ClosedStdout;
+
+/// Writes one line to stdout. A reader that went away ends the command:
+/// the write unwinds with [`ClosedStdout`], which `run` turns into a
+/// success once destructors and the `--stats` / `--trace-out` flush ran.
+fn emit(line: std::fmt::Arguments<'_>) {
+    if let Err(e) = writeln!(std::io::stdout().lock(), "{line}") {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::panic::panic_any(ClosedStdout);
+        }
+        panic!("failed printing to stdout: {e}");
+    }
+}
 
 const USAGE: &str = "\
 demon-cli — mining and monitoring evolving data (DEMON, ICDE 2000)
@@ -73,29 +99,35 @@ USAGE:
   demon-cli generate webtrace --out DIR [--days N] [--rate F] [--granularity H] [--seed N]
   demon-cli inspect  STORE
   demon-cli verify   STORE
-  demon-cli mine     STORE --minsup F [--rules F] [--top N] [--salvage]
-  demon-cli monitor  STORE --minsup F [--window N] [--bss BITS] [--counter KIND] [--salvage]
-  demon-cli patterns STORE [--alpha F] [--min-len N] [--window N] [--salvage]
+  demon-cli mine     STORE --minsup F [--rules F] [--top N]
+  demon-cli monitor  STORE --minsup F [--window N] [--bss BITS] [--counter KIND]
+  demon-cli patterns STORE [--alpha F] [--min-len N] [--window N]
   demon-cli serve    [--listen ADDR] [--model CLASS] [--items N] [--minsup F]
                      [--counter KIND] [--dim N] [--k N] [--classes N]
                      [--eps F] [--min-pts N]
                      [--window N] [--pattern-window N] [--alpha F] [--workers N]
                      [--shards N] [--queue N] [--queue-timeout-ms N] [--timeout-ms N]
                      [--wal-dir DIR] [--wal-max-bytes N]
-  demon-cli client   ADDR ingest STORE [--salvage]
+  demon-cli client   ADDR ingest STORE
   demon-cli client   ADDR ingest-points  [--spec S] [--blocks N] [--seed N] [--model CLASS]
   demon-cli client   ADDR ingest-labeled [--spec S] [--blocks N] [--seed N]
   demon-cli client   ADDR query-model [--top N] [--json] [--model CLASS]
   demon-cli client   ADDR sequences | stats | shutdown
   demon-cli client   ADDR snapshot DIR
 
+STORE:    a WAL root, the one on-disk form of a block stream: CURRENT +
+          wal-<g>.log, one record per block. generate writes one; a
+          daemon's --wal-dir and a client snapshot are one; every other
+          command reads one as a daemon's bind does (a torn final record
+          is dropped with a note on stderr; anything a bind refuses is an
+          error).
 COUNTERS: ptscan | ecut | ecut+ | adaptive
 SERVE:    serve runs the TCP monitoring daemon (default 127.0.0.1:7677;
           port 0 picks an ephemeral port, printed on startup). client
           sends one verb: ingest streams a store's blocks, query-model
           prints what mine prints (--json for the raw model), snapshot
-          persists the monitored store server-side, shutdown drains the
-          ingest queue and exits the daemon cleanly.
+          writes the held blocks as a store server-side (any class),
+          shutdown drains the ingest queue and exits the daemon cleanly.
 MODEL:    --model itemsets|clusters|trees|dbscan picks the served model
           class (default itemsets). clusters maintains BIRCH+ over
           point blocks (--dim, --k centroids);
@@ -120,8 +152,9 @@ WAL:      --wal-dir DIR serves durably: every ingest is appended to a
           and unlinked once no --window / --pattern-window reaches their
           blocks (unrestricted: never); restart with the data span the
           log was trimmed under. Blocks queued together share one
-          covering fsync (acks still wait for it). verify also fscks a
-          WAL directory by the rule recovery applies.
+          covering fsync (acks still wait for it). A generated store or
+          a snapshot is a --wal-dir too: the daemon binds it and serves
+          its stream with no ingest.
 SHARDS:   --shards N (default 1) splits every update-phase counting pass
           over the held blocks into N shares (round-robin by block id)
           counted on up to N workers and merged exactly; answers,
@@ -130,10 +163,8 @@ SHARDS:   --shards N (default 1) splits every update-phase counting pass
           another N. --window requires --shards 1. Sharding needs an
           exact shard merge, so --shards ≥ 2 is itemsets-only (a
           clusters, trees or dbscan daemon refuses it with a typed error).
-VERIFY:   re-checks every frame and checksum of a store, a --wal-dir or a
-          client snapshot export (any class); exit status 1 on damage.
-SALVAGE:  --salvage loads a damaged store by quarantining corrupt files
-          and keeping the longest consistent block prefix.
+VERIFY:   reads a store (any class) by the rule a bind applies and
+          reports each log file; exit status 1 where a bind would refuse.
 THREADS:  --threads N (any command) sets the thread count of the
           parallel mining paths; 0 = one per core (the default).
           Results are bit-identical at any thread count.
@@ -147,6 +178,12 @@ STATS:    --stats (any command) prints operation counters to stderr;
 ";
 
 fn main() -> ExitCode {
+    let report = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        if !info.payload().is::<ClosedStdout>() {
+            report(info);
+        }
+    }));
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
         Ok(code) => code,
@@ -159,7 +196,7 @@ fn main() -> ExitCode {
 }
 
 /// Flags that take no value.
-const BOOL_FLAGS: &[&str] = &["salvage", "stats", "json"];
+const BOOL_FLAGS: &[&str] = &["stats", "json"];
 
 /// Flags that take a value — every other `--name` is refused by name.
 const VALUE_FLAGS: &[&str] = &[
@@ -171,7 +208,7 @@ const VALUE_FLAGS: &[&str] = &[
 ];
 
 /// Splits arguments into positionals and `--flag value` pairs
-/// (boolean flags like `--salvage` take no value).
+/// (boolean flags like `--stats` take no value).
 fn parse(args: &[String]) -> Result<(Vec<&str>, HashMap<&str, &str>), String> {
     let mut positional = Vec::new();
     let mut flags = HashMap::new();
@@ -222,7 +259,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         obs::enable();
     }
     let ok = |()| ExitCode::SUCCESS;
-    let result = match positional.first().copied() {
+    let command = || match positional.first().copied() {
         Some("generate") => generate(&positional, &flags).map(ok),
         Some("inspect") => inspect(&positional, &flags).map(ok),
         Some("verify") => verify(&positional),
@@ -236,6 +273,11 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             Ok(ExitCode::SUCCESS)
         }
         Some(other) => Err(format!("unknown command {other:?}")),
+    };
+    let result = match std::panic::catch_unwind(command) {
+        Ok(result) => result,
+        Err(payload) if payload.is::<ClosedStdout>() => Ok(ExitCode::SUCCESS),
+        Err(payload) => std::panic::resume_unwind(payload),
     };
     // Flush observability output even when the command failed: a partial
     // trace of the work done before the error is still useful.
@@ -306,150 +348,114 @@ fn block_ref<'s>(store: &'s TxStore, id: BlockId) -> Result<BlockRef<'s>, String
     }
 }
 
-/// Loads the store named on the command line. With `--salvage`, a damaged
-/// store is recovered to its longest consistent prefix (what was dropped
-/// goes to stderr) instead of failing the command.
-fn load(positional: &[&str], flags: &HashMap<&str, &str>) -> Result<TxStore, String> {
+/// Reads the store named on the command line as an itemset stream, by
+/// the rule a daemon's bind applies: its item universe — the records'
+/// own, which every record must share — and its blocks in id order. A
+/// torn end of the log is dropped and named on stderr.
+fn read_stream<'a>(
+    positional: &[&'a str],
+) -> Result<(u32, impl Iterator<Item = Result<TxBlock, String>> + 'a), String> {
     let dir = store_arg(positional)?;
-    let config = store_config(flags, "replay")?;
-    if !flags.contains_key("salvage") {
-        return load_store_configured(dir, RecoveryPolicy::Strict, &config)
-            .map(|(store, _)| store)
-            .map_err(|e| format!("loading {}: {e}", dir.display()));
+    let reading = move |e: DemonError| format!("reading {}: {e}", dir.display());
+    sequencer::refuse_old_layout(dir).map_err(reading)?;
+    let mut log = sequencer::read_root(dir, Some(ModelClass::Itemsets)).map_err(reading)?;
+    for file in log.files.iter().filter(|file| !file.stale) {
+        if let Some(tear) = &file.torn {
+            eprintln!("note: dropped the torn tail of wal-{}.log: {tear}", file.gen);
+        }
     }
-    let (store, report) = load_store_configured(dir, RecoveryPolicy::SalvagePrefix, &config)
-        .map_err(|e| format!("salvaging {}: {e}", dir.display()))?;
-    if !report.is_clean() {
-        if let Some(cause) = &report.first_error {
-            eprintln!("salvage: {cause}");
-        }
-        if !report.dropped_blocks.is_empty() {
-            eprintln!(
-                "salvage: kept blocks {:?}, dropped {:?}",
-                report.loaded_blocks, report.dropped_blocks
-            );
-        }
-        for q in &report.quarantined {
-            eprintln!("salvage: quarantined {}", q.display());
-        }
-        if report.intervals_lost {
-            eprintln!("salvage: manifest reconstructed from block files; intervals lost");
-        }
+    let n_items = log.meta().ok_or_else(|| format!("{} holds no blocks", dir.display()))?;
+    let blocks = log.blocks::<ItemsetModel>(Some(n_items));
+    Ok((n_items, blocks.map(move |block| block.map_err(reading))))
+}
+
+/// Loads the store named on the command line into a [`TxStore`], which
+/// rebuilds each block's TID-lists on arrival.
+fn load(positional: &[&str], flags: &HashMap<&str, &str>) -> Result<TxStore, String> {
+    let (n_items, blocks) = read_stream(positional)?;
+    let config = store_config(flags, "replay")?;
+    let mut store = TxStore::with_config(n_items, &config).map_err(|e| e.to_string())?;
+    for block in blocks {
+        store.add_block(block?);
     }
     Ok(store)
 }
 
-/// The read-only fsck behind `demon-cli verify`. A WAL directory (the
-/// daemon's `--wal-dir`) and a point-class `Snapshot` export are
-/// recognised by their layout; anything else is an itemset store.
+/// The read-only fsck behind `demon-cli verify`: reads a store of any
+/// class by the rule a bind applies ([`sequencer::read_root`], every
+/// record decoded) and reports each log file — a torn end of the chain
+/// is recoverable, generations below `CURRENT` are stale residue — and,
+/// with exit status 1, whatever a bind would refuse.
 fn verify(positional: &[&str]) -> Result<ExitCode, String> {
     let dir = store_arg(positional)?;
-    let listing = |e| format!("listing {}: {e}", dir.display());
-    let gens = wal::list_wal_generations(dir).map_err(listing)?;
-    let lane = wal::leftover_lane(dir).map_err(listing)?;
-    if dir.join(wal::CURRENT_FILE).exists() || !gens.is_empty() || lane.is_some() {
-        return verify_wal_dir(dir, &gens, lane.as_deref());
-    }
-    if dir.join("blocks.manifest").exists() {
-        return Ok(match verify_export(dir) {
-            Ok((class, blocks)) => {
-                println!("{} snapshot: {blocks} block(s), clean", class.name());
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                println!("DAMAGED {}: {e}", dir.display());
-                ExitCode::FAILURE
-            }
-        });
-    }
-    let report =
-        verify_store(dir).map_err(|e| format!("verifying {}: {e}", dir.display()))?;
-    println!("checked {} file(s)", report.checked.len());
-    if !report.stray_tmp.is_empty() {
-        println!(
-            "{} stray tmp file(s) (benign crash residue)",
-            report.stray_tmp.len()
-        );
-    }
-    if report.quarantined_files > 0 {
-        println!("{} file(s) in quarantine/", report.quarantined_files);
-    }
-    if report.is_clean() {
-        println!("store is clean");
-        return Ok(ExitCode::SUCCESS);
-    }
-    for (file, detail) in &report.damaged {
-        println!("DAMAGED {}: {detail}", file.display());
-    }
-    println!(
-        "{} damaged file(s) — run a command with --salvage to recover",
-        report.damaged.len()
-    );
-    Ok(ExitCode::FAILURE)
-}
-
-/// Fsck for a daemon WAL directory: the `CURRENT` pointer and the chain
-/// of generations from it, held to the rule recovery applies
-/// ([`wal::WalChain`]): a torn end of chain is *recoverable*, damage
-/// that intact records follow is what recovery refuses to start over
-/// (exit status 1) — as it refuses a `shard-<s>/` lane an older build
-/// left. Generations below the pointer are stale.
-fn verify_wal_dir(dir: &Path, gens: &[u64], lane: Option<&Path>) -> Result<ExitCode, String> {
-    let mut damaged = 0usize;
-    let current = match wal::read_current(dir) {
-        Ok(gen) => {
-            println!("WAL directory (oldest retained generation {gen})");
-            gen
-        }
-        Err(e) => {
-            println!("DAMAGED {}: {e}", dir.join(wal::CURRENT_FILE).display());
-            damaged += 1;
-            0
-        }
-    };
-    if let Some(lane) = lane {
-        println!(
-            "DAMAGED {}: a per-shard log lane of an older build; this build reads one log per WAL root",
-            lane.display()
-        );
-        damaged += 1;
-    }
-    let mut chain = wal::WalChain::default();
-    for &gen in gens {
-        let path = wal::wal_file_path(dir, gen);
-        // A stale generation is outside the chain: read it alone.
-        let (read, stale) = if gen < current {
-            (wal::read_wal(&path), " (stale)")
-        } else {
-            (chain.read(&path), "")
+    let damaged = |e: &DemonError| {
+        let file = match e {
+            DemonError::Corrupt { file, .. } | DemonError::ChecksumMismatch { file, .. } => file.clone(),
+            _ => dir.display().to_string(),
         };
-        match read {
-            Ok(report) => match (&report.torn, report.records.last()) {
-                (Some(torn), last) => println!(
-                    "wal-{gen}.log: {} record(s){}{stale}, torn tail (recoverable): {torn}",
-                    report.records.len(),
-                    last.map(|r| format!(" through seq {}", r.seq)).unwrap_or_default(),
+        println!("DAMAGED {file}: {e}");
+    };
+    let mut damage = 0usize;
+    match sequencer::refuse_old_layout(dir) {
+        Err(DemonError::Io(e)) => return Err(format!("reading {}: {e}", dir.display())),
+        Err(e) => {
+            damaged(&e);
+            damage += 1;
+        }
+        Ok(()) => {}
+    }
+    match sequencer::read_root(dir, None).and_then(|log| {
+        println!("WAL directory (oldest retained generation {})", log.current);
+        for file in &log.files {
+            let stale = if file.stale { " (stale)" } else { "" };
+            let through = file.last_seq.map(|seq| format!(" through seq {seq}"));
+            match (&file.torn, through) {
+                (Some(tear), through) => println!(
+                    "wal-{}.log: {} record(s){}{stale}, torn tail (recoverable): {tear}",
+                    file.gen,
+                    file.records,
+                    through.unwrap_or_default()
                 ),
-                (None, Some(last)) => println!(
-                    "wal-{gen}.log: {} record(s) through seq {}, clean{stale}",
-                    report.records.len(),
-                    last.seq
-                ),
-                (None, None) => println!("wal-{gen}.log: empty, clean{stale}"),
-            },
-            Err(e) => {
-                println!("DAMAGED {}: {e}", path.display());
-                damaged += 1;
-                break; // the rest of the chain hangs off the damage
+                (None, Some(through)) => {
+                    println!("wal-{}.log: {} record(s){through}, clean{stale}", file.gen, file.records)
+                }
+                (None, None) => println!("wal-{}.log: empty, clean{stale}", file.gen),
             }
         }
+        replayable(log)
+    }) {
+        Ok(Some((class, blocks))) => println!("{} stream: {blocks} block(s)", class.name()),
+        Ok(None) => println!("no blocks"),
+        Err(e) => {
+            damaged(&e);
+            damage += 1;
+        }
     }
-    if damaged == 0 {
+    if damage == 0 {
         println!("WAL directory is recoverable");
         return Ok(ExitCode::SUCCESS);
     }
-    println!("{damaged} damaged file(s) — recovery would lose acked data");
+    println!("{damage} defect(s) — a daemon refuses to bind this directory");
     Ok(ExitCode::FAILURE)
+}
+
+/// The class of a root's records and how many blocks a replay of them
+/// decodes (`None`: no records).
+fn replayable(mut log: RootLog) -> demon::types::Result<Option<(ModelClass, usize)>> {
+    fn count<S: ServableModel>(log: &mut RootLog) -> demon::types::Result<usize> {
+        log.blocks::<S>(None).try_fold(0, |n, block| block.map(|_| n + 1))
+    }
+    let Some(tag) = log.class else { return Ok(None) };
+    let class = ModelClass::from_tag(tag).ok_or_else(|| {
+        DemonError::InvalidParameter(format!("records of an unknown {}", ModelClass::describe_tag(tag)))
+    })?;
+    let blocks = match class {
+        ModelClass::Itemsets => count::<ItemsetModel>(&mut log),
+        ModelClass::Clusters => count::<ClusterModel>(&mut log),
+        ModelClass::Trees => count::<TreeModel>(&mut log),
+        ModelClass::Density => count::<DbscanModel>(&mut log),
+    }?;
+    Ok(Some((class, blocks)))
 }
 
 fn generate(positional: &[&str], flags: &HashMap<&str, &str>) -> Result<(), String> {
@@ -468,12 +474,11 @@ fn generate(positional: &[&str], flags: &HashMap<&str, &str>) -> Result<(), Stri
             let per_block = (params.n_transactions / n_blocks as usize).max(1);
             let n_items = params.n_items;
             let mut gen = QuestGen::new(params, seed);
-            let mut store = TxStore::with_config(n_items, &store_config(flags, "generate")?)
-                .map_err(|e| e.to_string())?;
-            for id in 1..=n_blocks {
-                store.add_block(Block::new(BlockId(id), gen.take_transactions(per_block)));
-            }
-            save_store(&store, &out).map_err(|e| e.to_string())?;
+            sequencer::write_root::<ItemsetModel>(&out, n_items, |put| {
+                (1..=n_blocks)
+                    .try_for_each(|id| put(&Block::new(BlockId(id), gen.take_transactions(per_block))))
+            })
+            .map_err(|e| e.to_string())?;
             println!(
                 "wrote {} blocks × {} transactions ({} items) to {}",
                 n_blocks,
@@ -500,14 +505,10 @@ fn generate(positional: &[&str], flags: &HashMap<&str, &str>) -> Result<(), Stri
                 granularity,
                 Timestamp::from_day_hour(0, 12),
             );
-            let mut store =
-                TxStore::with_config(webtrace::N_ITEMS, &store_config(flags, "generate")?)
-                    .map_err(|e| e.to_string())?;
-            let n_blocks = blocks.len();
-            for b in blocks {
-                store.add_block(b);
-            }
-            save_store(&store, &out).map_err(|e| e.to_string())?;
+            let n_blocks = sequencer::write_root::<ItemsetModel>(&out, webtrace::N_ITEMS, |put| {
+                blocks.iter().try_for_each(put)
+            })
+            .map_err(|e| e.to_string())?;
             println!(
                 "wrote {} requests as {} blocks of {}h to {}",
                 requests.len(),
@@ -828,15 +829,14 @@ fn client(positional: &[&str], flags: &HashMap<&str, &str>) -> Result<(), String
         .map_err(|e| format!("connecting to {addr}: {e}"))?;
     match verb {
         "ingest" => {
-            // `load` reads STORE from its own positional[1], so hand it
-            // the slice starting at the verb.
-            let store = load(&positional[2..], flags)?;
-            let n_items = store.n_items();
+            // `read_stream` reads STORE from its own positional[1], so
+            // hand it the slice starting at the verb.
+            let (n_items, blocks) = read_stream(&positional[2..])?;
             let mut sent = 0u64;
             let mut skipped = 0u64;
-            for &id in store.block_ids() {
-                let block = (*block_ref(&store, id)?).clone();
-                let n = block.len();
+            for block in blocks {
+                let block = block?;
+                let (id, n) = (block.id(), block.len());
                 // A duplicate means the daemon already holds this block
                 // (e.g. it recovered it from its WAL); re-streaming the
                 // same store is idempotent, not an error.

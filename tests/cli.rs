@@ -1,5 +1,6 @@
 //! Integration tests of the `demon-cli` binary: generate → inspect →
-//! mine → monitor → patterns, end to end through the on-disk store.
+//! mine → monitor → patterns, end to end through the on-disk store — a
+//! WAL root, the one form a block stream takes on disk.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -186,66 +187,42 @@ fn help_prints_usage() {
     assert!(stdout(&out).contains("demon-cli"));
 }
 
+/// A store is a root, held to the rule a bind applies: `verify` passes a
+/// generated one; a cut at the end of its log is a torn tail that
+/// `verify` calls recoverable and `mine` salvages — the blocks before it,
+/// with the tail named on stderr; a flipped byte that intact records
+/// follow is damage `verify` names (exit 1) and `mine` refuses (exit 2).
 #[test]
 fn verify_and_salvage_through_cli() {
-    let dir = tmp("verify");
-    let store = dir.join("store");
-    run_ok(cli().args([
-        "generate",
-        "quest",
-        "--out",
-        store.to_str().unwrap(),
-        "--spec",
-        "40K.8L.1I.1pats.3plen",
-        "--scale",
-        "0.05",
-        "--blocks",
-        "3",
-    ]));
-
-    // A freshly written store passes fsck with exit code 0.
-    let out = run_ok(cli().args(["verify", store.to_str().unwrap()]));
-    assert!(stdout(&out).contains("store is clean"), "{}", stdout(&out));
-
-    // Flip one byte in a block frame: verify must exit nonzero and name
-    // the damaged file.
-    let victim = store.join("block_2.tid");
-    let mut bytes = std::fs::read(&victim).unwrap();
-    let last = bytes.len() - 1;
-    bytes[last] ^= 0xFF;
-    std::fs::write(&victim, &bytes).unwrap();
-    let out = cli()
-        .args(["verify", store.to_str().unwrap()])
-        .output()
-        .expect("binary runs");
-    assert!(!out.status.success(), "verify must fail on a damaged store");
+    let (dir, store) = small_store("verify");
+    let store_arg = store.to_str().unwrap();
+    let out = run_ok(cli().args(["verify", store_arg]));
     let text = stdout(&out);
-    assert!(text.contains("DAMAGED"), "{text}");
-    assert!(text.contains("block_2.tid"), "{text}");
-    assert!(text.contains("--salvage"), "{text}");
+    assert!(text.contains("itemsets stream: 3 block(s)"), "{text}");
+    assert!(text.contains("WAL directory is recoverable"), "{text}");
+    let names: Vec<_> = std::fs::read_dir(&store).unwrap().map(|e| e.unwrap().file_name()).collect();
+    assert_eq!(names.len(), 2, "a root is CURRENT + wal-0.log: {names:?}");
 
-    // Strict commands refuse the damaged store…
-    let out = cli()
-        .args(["mine", store.to_str().unwrap(), "--minsup", "0.02"])
-        .output()
-        .expect("binary runs");
-    assert!(!out.status.success(), "strict mine must refuse damage");
-
-    // …but --salvage recovers the intact prefix and reports what it did.
-    let out = run_ok(cli().args([
-        "mine",
-        store.to_str().unwrap(),
-        "--minsup",
-        "0.02",
-        "--salvage",
-    ]));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("salvage"), "{err}");
-    assert!(stdout(&out).contains("frequent itemsets over"), "{}", stdout(&out));
-
-    // After salvage the store is clean again: verify exits 0.
-    let out = run_ok(cli().args(["verify", store.to_str().unwrap()]));
-    assert!(stdout(&out).contains("store is clean"), "{}", stdout(&out));
+    let log = store.join("wal-0.log");
+    with_damage(&log, |bytes| bytes.truncate(bytes.len() - 5), || {
+        let (ok, text) = verify(&store);
+        assert!(ok && text.contains("torn tail (recoverable)"), "{text}");
+        assert!(text.contains("itemsets stream: 2 block(s)"), "{text}");
+        let out = run_ok(cli().args(["mine", store_arg, "--minsup", "0.02"]));
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("torn tail") && err.contains("wal-0.log"), "{err}");
+        assert!(stdout(&out).contains("frequent itemsets over 1332 transactions"), "{}", stdout(&out));
+    });
+    with_damage(&log, |bytes| { let mid = bytes.len() / 2; bytes[mid] ^= 0x01 }, || {
+        let (ok, text) = verify(&store);
+        assert!(!ok, "verify must fail on a damaged root: {text}");
+        assert!(text.contains("DAMAGED") && text.contains("wal-0.log"), "{text}");
+        let out = cli().args(["mine", store_arg, "--minsup", "0.02"]).output().expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "mine must refuse the damage");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("wal-0.log") && !err.contains("panicked"), "{err}");
+    });
+    assert!(verify(&store).0, "the undamaged root verifies again");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -373,25 +350,77 @@ fn trace_out_on_monitor_records_per_block_spans() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `verify` is read-only, and the salvage policy of the old store
+/// directory is gone: `--salvage` is an unknown flag, and a root a bind
+/// would refuse is refused by every command the same way. A store
+/// directory of an older build is refused by the name of its manifest.
 #[test]
-fn verify_salvage_exits_zero_on_clean_store() {
+fn verify_is_read_only_and_salvage_is_an_unknown_flag() {
     let (dir, store) = small_store("verify-clean");
-    // `verify` is read-only; combining it with --salvage on a clean store
-    // must stay exit 0 and report cleanliness, not mutate anything.
-    let before: Vec<String> = std::fs::read_dir(&store)
-        .unwrap()
-        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-        .collect();
-    let out = run_ok(cli().args(["verify", store.to_str().unwrap(), "--salvage"]));
-    assert!(stdout(&out).contains("store is clean"), "{}", stdout(&out));
-    let after: Vec<String> = std::fs::read_dir(&store)
-        .unwrap()
-        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-        .collect();
-    let (mut b, mut a) = (before, after);
-    b.sort();
-    a.sort();
-    assert_eq!(b, a, "verify --salvage must not touch a clean store");
+    let store_arg = store.to_str().unwrap();
+    let listing = || {
+        let mut names: Vec<String> = std::fs::read_dir(&store)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    };
+    let before = (listing(), std::fs::read(store.join("wal-0.log")).unwrap());
+    assert!(verify(&store).0);
+    assert_eq!((listing(), std::fs::read(store.join("wal-0.log")).unwrap()), before, "verify wrote");
+
+    for args in [&["verify", store_arg, "--salvage"][..], &["mine", store_arg, "--salvage"]] {
+        let out = cli().args(args).output().expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag --salvage"), "{args:?}");
+    }
+
+    std::fs::write(store.join("meta.json"), b"{}").unwrap();
+    let (ok, text) = verify(&store);
+    assert!(!ok && text.contains("DAMAGED") && text.contains("meta.json"), "{text}");
+    let out = cli().args(["inspect", store_arg]).output().expect("binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("meta.json"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A reader that goes away is a clean end for every printing command:
+/// `mine … | head -1` and friends exit 0, with no panic on stderr —
+/// whether the pipe closes after the first line or before any.
+#[test]
+fn a_closed_stdout_is_a_clean_exit() {
+    use std::io::BufRead;
+    let (dir, store) = small_store("epipe");
+    let store_arg = store.to_str().unwrap();
+    let commands: [&[&str]; 4] = [
+        &["mine", store_arg, "--minsup", "0.02", "--top", "400"],
+        &["inspect", store_arg],
+        &["verify", store_arg],
+        &["monitor", store_arg, "--minsup", "0.02", "--window", "2"],
+    ];
+    for args in commands {
+        for read_first_line in [true, false] {
+            let mut child = cli()
+                .args(args)
+                .stdout(std::process::Stdio::piped())
+                .stderr(std::process::Stdio::piped())
+                .spawn()
+                .expect("binary runs");
+            let pipe = child.stdout.take().expect("piped stdout");
+            if read_first_line {
+                let mut line = String::new();
+                std::io::BufReader::new(pipe).read_line(&mut line).expect("a first line");
+                assert!(!line.is_empty(), "{args:?}");
+            } else {
+                drop(pipe);
+            }
+            let out = child.wait_with_output().expect("exits");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(out.status.success(), "{args:?}: {:?} {err}", out.status);
+            assert!(!err.contains("panicked"), "{args:?}: {err}");
+        }
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -503,10 +532,10 @@ fn verify_holds_a_wal_root_to_the_chain_rule_of_recovery() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `verify` recognises what `client snapshot` exports from a point-class
-/// daemon — `blocks.manifest` + `block_<id>.bin` — by its manifest and
-/// loads it strictly: clean, a flipped byte in a block file, and a block
-/// the manifest lists but the directory lacks.
+/// What `client snapshot` exports from a point-class daemon is a root
+/// like any other, and `verify` reads it as that class: clean, a flipped
+/// byte that intact records follow, and a root missing the log its
+/// `CURRENT` names.
 #[test]
 fn verify_fscks_a_point_class_snapshot_export() {
     let dir = tmp("verify-export");
@@ -518,16 +547,17 @@ fn verify_fscks_a_point_class_snapshot_export() {
         run_ok(cli().args(["client", addr, "snapshot", snap.to_str().unwrap()]));
     });
     let (ok, clean) = verify(&snap);
-    assert!(ok && clean.contains("clusters snapshot: 3 block(s), clean"), "{clean}");
+    assert!(ok && clean.contains("clusters stream: 3 block(s)"), "{clean}");
+    assert!(clean.contains("wal-0.log: 3 record(s) through seq 2, clean"), "{clean}");
 
-    let block = snap.join("block_2.bin");
-    with_damage(&block, |bytes| *bytes.last_mut().unwrap() ^= 0x01, || {
+    let log = snap.join("wal-0.log");
+    with_damage(&log, |bytes| { let mid = bytes.len() / 2; bytes[mid] ^= 0x01 }, || {
         let (ok, damaged) = verify(&snap);
-        assert!(!ok && damaged.contains("DAMAGED") && damaged.contains("block_2.bin"), "{damaged}");
+        assert!(!ok && damaged.contains("DAMAGED") && damaged.contains("wal-0.log"), "{damaged}");
     });
-    std::fs::remove_file(&block).unwrap();
+    std::fs::remove_file(&log).unwrap();
     let (ok, missing) = verify(&snap);
-    assert!(!ok && missing.contains("DAMAGED"), "{missing}");
+    assert!(!ok && missing.contains("DAMAGED") && missing.contains("is missing"), "{missing}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

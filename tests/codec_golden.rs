@@ -1,7 +1,7 @@
 //! Byte-level pins of every format a block crosses a boundary in: the
-//! three spill frames, the `IngestBlock` request of every model class,
-//! the generic snapshot manifest, and the itemset store's
-//! `.txs`/`.tid`/`meta.json` triple.
+//! three spill frames and the `IngestBlock` request of every model class
+//! — which is also the body of every record of a WAL root, the one
+//! on-disk form of a block stream.
 //!
 //! Each case asserts both directions against a checked-in fixture under
 //! `tests/golden/codec/`: what the encoder writes today is the fixture,
@@ -14,21 +14,18 @@
 //! format-version bump may do that.)
 //!
 //! Only long-stable public entry points are used (maintainers over a
-//! write-through spill config, `ServableModel` hooks, `save_store`), so
-//! the file compiles unchanged on either side of such a refactor.
+//! write-through spill config, `ServableModel` hooks, the WAL reader),
+//! so the file compiles unchanged on either side of such a refactor.
 
+use demon::clustering::BirchParams;
 use demon::core::{ClusterMaintainer, ModelMaintainer, TreeMaintainer};
-use demon::clustering::{BirchParams, PointBlockEntry};
-use demon::itemsets::{load_store, save_store, TxStore};
-use demon::serve::model::{
-    load_blocks_strict, ClusterModel, DbscanModel, ItemsetModel, ServableModel, TreeModel,
-};
+use demon::itemsets::TxStore;
+use demon::serve::model::{ClusterModel, DbscanModel, ItemsetModel, ServableModel, TreeModel};
 use demon::serve::Request;
 use demon::store::{SpillPolicy, StoreConfig};
 use demon::trees::{LabeledPoint, TreeParams};
-use demon::types::{
-    Block, BlockId, BlockInterval, Item, ModelClass, Point, Tid, Timestamp, Transaction,
-};
+use demon::types::wal;
+use demon::types::{Block, BlockId, BlockInterval, Item, Point, Tid, Timestamp, Transaction};
 use std::path::{Path, PathBuf};
 
 fn fixture_path(name: &str) -> PathBuf {
@@ -227,63 +224,19 @@ fn ingest_requests_of_all_four_classes_are_pinned() {
     ingest_request_case::<TreeModel>("ingest_trees.bin", &labeled_block(), 2);
 }
 
+/// A root's records are those requests: a snapshot of a block holds,
+/// as the body of its one record, the pinned bytes of its `IngestBlock`.
 #[test]
-fn snapshot_manifest_is_pinned() {
-    let dir = scratch("manifest");
+fn a_snapshot_root_logs_the_pinned_ingest_request() {
+    let dir = scratch("root");
     let mut m = ClusterMaintainer::new(BirchParams::new(2, 2));
-    let blocks = [point_block(), Block::new(BlockId(5), vec![Point::new(vec![9.0, 9.5])])];
-    for block in &blocks {
-        m.register_block(block.clone());
-    }
+    m.register_block(point_block());
     let snap = dir.join("snap");
-    assert_eq!(ClusterModel::save_snapshot(&m, &snap).expect("save"), 2);
-    let manifest = snap.join("blocks.manifest");
-    let fixture = pinned("blocks.manifest", &std::fs::read(&manifest).expect("manifest"));
-
-    std::fs::write(&manifest, fixture).expect("plant fixture");
-    let back = load_blocks_strict::<PointBlockEntry>(&snap, ModelClass::Clusters).expect("load");
-    assert_eq!(back.len(), 2);
-    for (got, want) in back.iter().zip(&blocks) {
-        assert_eq!(got.0.id(), want.id());
-        assert_eq!(got.0.interval(), want.interval());
-        assert_eq!(got.0.records(), want.records());
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn itemset_store_files_are_pinned() {
-    let dir = scratch("store");
-    let mut store = TxStore::new(N_ITEMS);
-    let block = tx_block();
-    store.add_block(block.clone());
-    store.materialize_pairs(BlockId(7), &[(Item(0), Item(1))], None);
-    let saved = dir.join("saved");
-    save_store(&store, &saved).expect("save");
-
-    let planted = dir.join("planted");
-    std::fs::create_dir_all(&planted).expect("planted dir");
-    for (file, fixture) in [
-        ("block_7.txs", "store_block_7.txs"),
-        ("block_7.tid", "store_block_7.tid"),
-        ("meta.json", "store_meta.json"),
-    ] {
-        let bytes = pinned(fixture, &std::fs::read(saved.join(file)).expect("store file"));
-        std::fs::write(planted.join(file), bytes).expect("plant fixture");
-    }
-
-    let back = load_store(&planted).expect("fixture store loads strictly");
-    assert_eq!(back.n_items(), N_ITEMS);
-    assert_eq!(back.block_ids(), &[BlockId(7)]);
-    let got = back.block(BlockId(7)).expect("present");
-    assert_eq!(got.interval(), block.interval());
-    assert_eq!(got.records(), block.records());
-    drop(got);
-    let lists = back.tidlists().block(BlockId(7)).expect("present");
-    assert_eq!(
-        lists.pair_list(Item(0), Item(1)),
-        Some(&[Tid(100), Tid(101)][..])
-    );
-    drop(lists);
+    assert_eq!(ClusterModel::save_snapshot(&m, &snap).expect("save"), 1);
+    let log = wal::read_wal(&wal::wal_file_path(&snap, 0)).expect("wal-0.log");
+    assert!(log.torn.is_none(), "{:?}", log.torn);
+    let fixture = std::fs::read(fixture_path("ingest_clusters.bin")).expect("fixture");
+    let bodies: Vec<&[u8]> = log.records.iter().map(|r| r.body.as_slice()).collect();
+    assert_eq!(bodies, [&fixture[..]]);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -13,12 +13,15 @@
 
 use demon::itemsets::TxStore;
 use demon::serve::model::{ClusterModel, DbscanModel, ItemsetModel, ServableModel, TreeModel};
+use demon::serve::sequencer::read_root;
 use demon::serve::{Request, Response, WireError};
 use demon::store::{BlockEntry, SpillPolicy, Spillable, StoreConfig};
 use demon::trees::LabeledPoint;
 use demon::types::durable::{encode_frame, FrameClass};
 use demon::types::wal::{decode_wal_records, encode_wal_record};
-use demon::types::{Block, BlockId, BlockInterval, Item, Point, Tid, Timestamp, Transaction};
+use demon::types::{
+    Block, BlockId, BlockInterval, Item, ModelClass, Point, Tid, Timestamp, Transaction,
+};
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -161,6 +164,37 @@ impl TxEntryProbe {
     }
 }
 
+/// A WAL root whose one log file the tests overwrite: reading it is the
+/// reader a daemon's bind and every batch command share, records decoded
+/// and all.
+struct RootProbe {
+    dir: PathBuf,
+}
+
+impl RootProbe {
+    fn new(name: &str) -> RootProbe {
+        let dir = std::env::temp_dir().join(format!("demon-fuzz-root-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("root dir");
+        RootProbe { dir }
+    }
+
+    fn replay<S: ServableModel>(&self, class: ModelClass) {
+        if let Ok(mut log) = read_root(&self.dir, Some(class)) {
+            log.blocks::<S>(None).for_each(drop);
+        }
+    }
+
+    fn decode(&self, bytes: &[u8]) {
+        std::fs::write(self.dir.join("wal-0.log"), bytes).expect("plant log");
+        // The file's read buffer and the paths are input-sized too.
+        bounded("read_root", bytes.len() + 256, || {
+            self.replay::<ItemsetModel>(ModelClass::Itemsets);
+            self.replay::<ClusterModel>(ModelClass::Clusters);
+        });
+    }
+}
+
 /// Valid encodings of every frame class, as mutation seeds.
 fn seeds(probe: &TxEntryProbe) -> Vec<Vec<u8>> {
     let wal: Vec<u8> = (0..3u64)
@@ -186,7 +220,7 @@ fn seeds(probe: &TxEntryProbe) -> Vec<Vec<u8>> {
 
 /// Hands `bytes` to every decoder. Results are ignored — garbage may
 /// happen to decode — panics and oversized allocations are not.
-fn decode_everything(probe: &TxEntryProbe, bytes: &[u8]) {
+fn decode_everything(probe: &TxEntryProbe, root: &RootProbe, bytes: &[u8]) {
     let n = bytes.len();
     bounded("Request::decode", n, || drop(Request::decode(bytes)));
     bounded("Response::decode", n, || drop(Response::decode(bytes)));
@@ -203,6 +237,7 @@ fn decode_everything(probe: &TxEntryProbe, bytes: &[u8]) {
     });
     bounded("decode_wal_records", n, || drop(decode_wal_records(bytes, "fuzz")));
     probe.decode(bytes);
+    root.decode(bytes);
 }
 
 proptest! {
@@ -213,7 +248,7 @@ proptest! {
         bytes in prop::collection::vec(0u8..=255, 0..200),
     ) {
         let probe = TxEntryProbe::new("arbitrary");
-        decode_everything(&probe, &bytes);
+        decode_everything(&probe, &RootProbe::new("arbitrary"), &bytes);
     }
 
     /// Valid encodings with up to four bytes overwritten and the tail
@@ -232,7 +267,7 @@ proptest! {
             bytes[at] = value;
         }
         bytes.truncate((bytes.len() as f64 * keep) as usize);
-        decode_everything(&probe, &bytes);
+        decode_everything(&probe, &RootProbe::new("damaged"), &bytes);
     }
 }
 

@@ -1,16 +1,16 @@
 //! End-to-end tests of the `demon-serve` daemon: a golden block stream
 //! over a real TCP socket must produce exactly the model the batch path
-//! produces, snapshots must be loadable, and shutdown must be clean.
+//! produces — the batch path reading the very root the daemon wrote —
+//! snapshots must be roots a daemon binds, and shutdown must be clean.
 
-use demon::clustering::{phase2_model, BirchParams};
-use demon::clustering::{DbscanParams, PointBlockEntry};
+use demon::clustering::{phase2_model, BirchParams, DbscanParams};
 use demon::core::{ClusterMaintainer, DbscanMaintainer, ModelMaintainer, TreeMaintainer};
-use demon::itemsets::persist::{
-    load_store_configured, save_store, verify_store, RecoveryPolicy,
-};
+use demon::focus::{CompactSequenceMiner, ItemsetSimilarity, SimilarityConfig};
 use demon::itemsets::{FrequentItemsets, TxStore};
-use demon::serve::model::load_blocks_strict;
-use demon::serve::{Client, ServeConfig, Server};
+use demon::serve::sequencer::{read_root, write_root};
+use demon::serve::{
+    Client, ClusterModel, DbscanModel, ItemsetModel, ServableModel, ServeConfig, Server,
+};
 use demon::store::StoreConfig;
 use demon::trees::{LabeledPoint, TreeParams};
 use demon::types::{
@@ -74,6 +74,12 @@ fn batch_model_json() -> String {
     serde_json::to_string(&model).unwrap()
 }
 
+/// The blocks a root replays, read by the reader a bind uses.
+fn read_blocks<S: ServableModel>(root: &std::path::Path, class: ModelClass) -> Vec<Block<S::Record>> {
+    let mut log = read_root(root, Some(class)).expect("the root reads");
+    log.blocks::<S>(None).collect::<Result<_, _>>().expect("its blocks decode")
+}
+
 /// Spawns `demon-cli serve` on an ephemeral port and parses the resolved
 /// address from its startup line. The returned reader holds the stdout
 /// pipe open — dropping it early would break the daemon's final print.
@@ -121,16 +127,13 @@ fn daemon_stream_matches_batch_mine_snapshot_loads_and_shutdown_is_clean() {
     let served = client.query_model_json().expect("query-model");
     assert_eq!(served, batch_model_json(), "served model diverged from batch");
 
-    // `client query-model` prints exactly what `mine` prints. Persist
-    // the stream as a store so `mine` can replay it.
+    // `client query-model` prints exactly what `mine` prints. Write the
+    // stream as a root so `mine` can replay it.
     let store_dir = dir.join("store");
-    {
-        let mut store = TxStore::new(N_ITEMS);
-        for b in golden_blocks() {
-            store.add_block(b);
-        }
-        save_store(&store, &store_dir).unwrap();
-    }
+    write_root::<ItemsetModel>(&store_dir, N_ITEMS, |put| {
+        golden_blocks().iter().try_for_each(put)
+    })
+    .unwrap();
     let mine_out = cli()
         .args(["mine", store_dir.to_str().unwrap(), "--minsup", &MINSUP.to_string()])
         .output()
@@ -152,17 +155,19 @@ fn daemon_stream_matches_batch_mine_snapshot_loads_and_shutdown_is_clean() {
     assert!(stats.contains("\"blocks\":5"), "{stats}");
     assert!(stats.contains("\"serve.requests\":"), "{stats}");
 
-    // A snapshot lands on disk as a clean, strictly-loadable store.
+    // A snapshot lands on disk as a root that reads back whole, through
+    // the reader a bind uses, and remines to the served model.
     let snap = dir.join("snap");
     let blocks = client.snapshot(snap.to_str().unwrap()).expect("snapshot");
     assert_eq!(blocks, 5);
-    let report = verify_store(&snap).expect("verify runs");
-    assert!(report.is_clean(), "snapshot store damaged: {report:?}");
-    let (loaded, _) =
-        load_store_configured(&snap, RecoveryPolicy::Strict, &StoreConfig::InMemory)
-            .expect("snapshot loads under Strict");
+    let loaded = read_blocks::<ItemsetModel>(&snap, ModelClass::Itemsets);
     assert_eq!(loaded.len(), 5);
-    let ids = loaded.block_ids().to_vec();
+    let ids: Vec<BlockId> = loaded.iter().map(|b| b.id()).collect();
+    let loaded = {
+        let mut store = TxStore::new(N_ITEMS);
+        loaded.into_iter().for_each(|b| store.add_block(b));
+        store
+    };
     let remined =
         FrequentItemsets::mine_from(&loaded, &ids, MinSupport::new(MINSUP).unwrap()).unwrap();
     assert_eq!(serde_json::to_string(&remined).unwrap(), served);
@@ -329,17 +334,16 @@ fn birch_daemon_matches_batch_and_snapshot_loads_strict() {
     let msg = err.to_string();
     assert!(msg.contains("clusters") && msg.contains("itemsets"), "{msg}");
 
-    // A snapshot lands in the generic framed layout and loads strictly,
-    // record-identical to the stream.
+    // A snapshot is a root that reads back record-identical to the
+    // stream, through the reader a bind uses.
     let snap = dir.join("snap");
     let n = client.snapshot(snap.to_str().unwrap()).expect("snapshot");
     assert_eq!(n, 4);
-    let loaded = load_blocks_strict::<PointBlockEntry>(&snap, ModelClass::Clusters)
-        .expect("snapshot loads under Strict");
+    let loaded = read_blocks::<ClusterModel>(&snap, ModelClass::Clusters);
     assert_eq!(loaded.len(), 4);
     for (got, want) in loaded.iter().zip(golden_point_blocks()) {
-        assert_eq!(got.0.id(), want.id());
-        assert_eq!(got.0.records(), want.records());
+        assert_eq!(got.id(), want.id());
+        assert_eq!(got.records(), want.records());
     }
 
     client.shutdown().expect("shutdown");
@@ -406,17 +410,16 @@ fn dbscan_daemon_matches_batch_and_snapshot_loads_strict() {
     let msg = err.to_string();
     assert!(msg.contains("dbscan") && msg.contains("itemsets"), "{msg}");
 
-    // A snapshot lands in the generic framed layout and loads strictly,
-    // record-identical to the stream.
+    // A snapshot is a root that reads back record-identical to the
+    // stream, through the reader a bind uses.
     let snap = dir.join("snap");
     let n = client.snapshot(snap.to_str().unwrap()).expect("snapshot");
     assert_eq!(n, 4);
-    let loaded = load_blocks_strict::<PointBlockEntry>(&snap, ModelClass::Density)
-        .expect("snapshot loads under Strict");
+    let loaded = read_blocks::<DbscanModel>(&snap, ModelClass::Density);
     assert_eq!(loaded.len(), 4);
     for (got, want) in loaded.iter().zip(golden_point_blocks()) {
-        assert_eq!(got.0.id(), want.id());
-        assert_eq!(got.0.records(), want.records());
+        assert_eq!(got.id(), want.id());
+        assert_eq!(got.records(), want.records());
     }
 
     client.shutdown().expect("shutdown");
@@ -544,4 +547,172 @@ fn cross_class_wal_replay_is_refused() {
     client.shutdown().expect("shutdown");
     handle.join().expect("server thread").expect("run ok");
     std::fs::remove_dir_all(&wal_dir).ok();
+}
+
+// ---- a block stream has one on-disk form: the daemon's root is the batch input ----
+
+/// What `demon-cli ARGS` printed, asserting it exited 0.
+fn cli_stdout(args: &[&str]) -> String {
+    let out = cli().args(args).output().expect("demon-cli runs");
+    assert!(
+        out.status.success(),
+        "{args:?}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).expect("utf-8")
+}
+
+/// Served == batch over the daemon's own root: a durable itemset daemon
+/// is fed the golden stream and shut down, and `mine` of its `--wal-dir`
+/// prints exactly what `client query-model` printed before shutdown.
+#[test]
+fn mine_of_a_durable_daemons_root_prints_what_it_served() {
+    let wal_dir = tmp("served-root");
+    std::fs::remove_dir_all(&wal_dir).ok();
+    let (mut child, addr, _daemon_out) =
+        spawn_daemon(&["--wal-dir", wal_dir.to_str().unwrap()]);
+    let mut client = Client::connect(&addr).expect("connect");
+    for block in golden_blocks() {
+        client.ingest(N_ITEMS, &block).expect("ingest acked");
+    }
+    let served = cli_stdout(&["client", &addr, "query-model", "--top", "400"]);
+    client.shutdown().expect("shutdown");
+    assert!(child.wait().expect("daemon exits").success());
+
+    let minsup = MINSUP.to_string();
+    let root = wal_dir.to_str().unwrap();
+    assert_eq!(cli_stdout(&["mine", root, "--minsup", &minsup, "--top", "400"]), served);
+    std::fs::remove_dir_all(&wal_dir).ok();
+}
+
+/// `patterns --min-len 2` of a stream without intervals, rebuilt from a
+/// `QuerySequences` answer: the rows `patterns` prints, in its order.
+fn patterns_output(sequences: &[Vec<BlockId>], alpha: f64) -> String {
+    let mut rows: Vec<(usize, String)> = sequences
+        .iter()
+        .filter(|seq| seq.len() >= 2)
+        .map(|seq| (seq.len(), format!("{seq:?}")))
+        .collect();
+    rows.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+    rows.dedup_by(|a, b| a.1 == b.1);
+    let mut out = format!("compact sequences (≥ 2 blocks, α={alpha}):\n");
+    for (len, desc) in rows.iter().take(20) {
+        out.push_str(&format!("  {len:>3} blocks  {desc}\n"));
+    }
+    if rows.is_empty() {
+        out.push_str("  (none)\n");
+    }
+    out
+}
+
+/// A generated root binds: `serve --wal-dir` over what `generate` wrote
+/// serves the stream with no ingest at all — `QueryModel` prints what
+/// `mine` of the root prints, `QuerySequences` is what `patterns` of the
+/// root finds (and what the library miner finds over the root's blocks),
+/// and a following `client ingest` of the root finds every block
+/// already applied.
+#[test]
+fn a_generated_root_binds_and_serves_its_stream_with_no_ingest() {
+    let dir = tmp("generated");
+    std::fs::remove_dir_all(&dir).ok();
+    let root = dir.join("g");
+    let root = root.to_str().unwrap();
+    cli_stdout(&["generate", "quest", "--out", root, "--spec", "40K.8L.1I.1pats.3plen", "--scale", "0.05", "--blocks", "5"]);
+
+    let minsup = "0.02";
+    let mut daemon = cli()
+        .args(["serve", "--listen", "127.0.0.1:0", "--items", "1000", "--minsup", minsup])
+        .args(["--wal-dir", root])
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("daemon spawns");
+    let mut out = std::io::BufReader::new(daemon.stdout.take().expect("piped stdout"));
+    let mut line = String::new();
+    out.read_line(&mut line).expect("startup line");
+    let addr = line.strip_prefix("demon-serve listening on ").expect("startup line").trim();
+
+    let mined = cli_stdout(&["mine", root, "--minsup", minsup, "--top", "400"]);
+    assert_eq!(cli_stdout(&["client", addr, "query-model", "--top", "400"]), mined);
+
+    let mut client = Client::connect(addr).expect("connect");
+    let sequences = client.query_sequences().expect("query-sequences");
+    let blocks = read_blocks::<ItemsetModel>(std::path::Path::new(root), ModelClass::Itemsets);
+    assert_eq!(blocks.len(), 5);
+    let oracle = ItemsetSimilarity::new(
+        1000,
+        MinSupport::new(0.02).unwrap(),
+        SimilarityConfig::Threshold { alpha: 0.12 },
+    );
+    let mut miner = CompactSequenceMiner::with_window(oracle, None).unwrap();
+    for block in blocks {
+        miner.add_block(block);
+    }
+    assert_eq!(sequences, miner.current_sequences());
+    assert_eq!(
+        cli_stdout(&["patterns", root, "--minsup", minsup, "--min-len", "2"]),
+        patterns_output(&sequences, 0.12)
+    );
+
+    let ingest = cli_stdout(&["client", addr, "ingest", root]);
+    assert!(ingest.contains("streamed 0 blocks") && ingest.contains("(5 already applied)"), "{ingest}");
+    client.shutdown().expect("shutdown");
+    assert!(daemon.wait().expect("daemon exits").success());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A `Snapshot` of every class is a root a daemon of that class binds:
+/// bound over the snapshot, it answers `QueryModel` and `QuerySequences`
+/// exactly as the daemon the snapshot came from did.
+#[test]
+fn a_snapshot_of_every_class_binds_and_answers_like_its_daemon() {
+    let dir = tmp("snapshot-binds");
+    std::fs::remove_dir_all(&dir).ok();
+    let mut trees = cluster_config();
+    trees.model = ModelClass::Trees;
+    trees.classes = CLASSES;
+    let itemsets = ServeConfig::new("127.0.0.1:0", N_ITEMS, MinSupport::new(MINSUP).unwrap());
+    for config in [itemsets, cluster_config(), dbscan_config(), trees] {
+        let class = config.model;
+        let ingest = |client: &mut Client| match class {
+            ModelClass::Itemsets => golden_blocks()
+                .iter()
+                .try_for_each(|b| client.ingest(N_ITEMS, b)),
+            ModelClass::Clusters => golden_point_blocks()
+                .iter()
+                .try_for_each(|b| client.ingest_points(DIM as u32, b)),
+            ModelClass::Density => golden_point_blocks()
+                .iter()
+                .try_for_each(|b| client.ingest_density(DIM as u32, b)),
+            ModelClass::Trees => golden_labeled_blocks()
+                .iter()
+                .try_for_each(|b| client.ingest_labeled(DIM as u32, b)),
+        };
+        let answers = |client: &mut Client| {
+            (
+                client.query_model_json_for(class).expect("query-model"),
+                client.query_sequences().expect("query-sequences"),
+            )
+        };
+        let snap = dir.join(class.name());
+        let serve = |config: ServeConfig| {
+            let server = Server::bind(config).expect("bind");
+            let addr = server.local_addr();
+            (Client::connect(addr).expect("connect"), std::thread::spawn(move || server.run()))
+        };
+
+        let (mut client, handle) = serve(config.clone());
+        ingest(&mut client).expect("ingest acked");
+        let served = answers(&mut client);
+        assert!(client.snapshot(snap.to_str().unwrap()).expect("snapshot") > 0);
+        client.shutdown().expect("shutdown");
+        handle.join().expect("server thread").expect("run ok");
+
+        let mut bound = config;
+        bound.wal_dir = Some(snap.clone());
+        let (mut client, handle) = serve(bound);
+        assert_eq!(answers(&mut client), served, "[{}]", class.name());
+        client.shutdown().expect("shutdown");
+        handle.join().expect("server thread").expect("run ok");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -7,12 +7,10 @@
 //! the same mix and additionally pins the mid-soak snapshot to be
 //! byte-identical to a 1-shard daemon's snapshot of the same prefix.
 
-use demon::itemsets::persist::load_store_configured;
-use demon::itemsets::persist::RecoveryPolicy;
-use demon::serve::{Client, ServeConfig, Server};
-use demon::store::StoreConfig;
-use demon::types::{Block, BlockId, Item, MinSupport, Tid, Transaction, TxBlock};
-use std::path::PathBuf;
+use demon::serve::sequencer::read_root;
+use demon::serve::{Client, ItemsetModel, ServeConfig, Server};
+use demon::types::{Block, BlockId, Item, MinSupport, ModelClass, Tid, Transaction, TxBlock};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
@@ -37,6 +35,14 @@ fn make_block(id: u64, tid0: u64) -> TxBlock {
         })
         .collect();
     Block::new(BlockId(id), txs)
+}
+
+/// The block ids a snapshot root replays, read by the reader a bind uses.
+fn snapshot_ids(dir: &Path) -> Vec<BlockId> {
+    let mut log = read_root(dir, Some(ModelClass::Itemsets)).expect("the snapshot root reads");
+    log.blocks::<ItemsetModel>(Some(N_ITEMS))
+        .map(|block| block.expect("a snapshot block decodes").id())
+        .collect()
 }
 
 /// Pulls the daemon's own `"blocks":N` gauge out of a stats body.
@@ -182,17 +188,14 @@ fn run_soak() {
         "protocol errors during the soak"
     );
 
-    // The mid-soak snapshot is a consistent prefix: strictly loadable,
-    // no salvage needed, at least the blocks that had been applied.
-    let (snapshot, _) =
-        load_store_configured(&snap_dir, RecoveryPolicy::Strict, &StoreConfig::InMemory)
-            .expect("mid-soak snapshot loads under Strict");
-    let n = snapshot.len() as u64;
+    // The mid-soak snapshot is a consistent prefix: a root that reads
+    // whole, at least the blocks that had been applied.
+    let ids = snapshot_ids(&snap_dir);
+    let n = ids.len() as u64;
     assert!(
         (SNAPSHOT_AFTER..=N_BLOCKS).contains(&n),
         "snapshot holds {n} blocks"
     );
-    let ids = snapshot.block_ids();
     assert_eq!(ids.first(), Some(&BlockId(1)));
     assert_eq!(ids.last(), Some(&BlockId(n)), "snapshot is not a prefix");
 
@@ -372,16 +375,13 @@ fn run_sharded_soak() {
         "protocol errors during the sharded soak"
     );
 
-    // The mid-soak snapshot is a consistent prefix under Strict.
-    let (snapshot, _) =
-        load_store_configured(&snap_dir, RecoveryPolicy::Strict, &StoreConfig::InMemory)
-            .expect("mid-soak sharded snapshot loads under Strict");
-    let n = snapshot.len() as u64;
+    // The mid-soak snapshot is a consistent prefix that reads whole.
+    let ids = snapshot_ids(&snap_dir);
+    let n = ids.len() as u64;
     assert!(
         (SNAPSHOT_AFTER..=N_BLOCKS).contains(&n),
         "snapshot holds {n} blocks"
     );
-    let ids = snapshot.block_ids();
     assert_eq!(ids.first(), Some(&BlockId(1)));
     assert_eq!(ids.last(), Some(&BlockId(n)), "snapshot is not a prefix");
 

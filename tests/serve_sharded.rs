@@ -6,12 +6,11 @@
 //! a sharded daemon must likewise be byte-identical on disk to the
 //! 1-shard snapshot of the same stream.
 
-use demon::itemsets::persist::{load_store_configured, verify_store, RecoveryPolicy};
 use demon::itemsets::{CounterKind, FrequentItemsets, TxStore};
-use demon::serve::{Client, ServeConfig, Server, ServeSummary};
-use demon::store::StoreConfig;
+use demon::serve::sequencer::read_root;
+use demon::serve::{Client, ItemsetModel, ServeConfig, Server, ServeSummary};
 use demon::types::{
-    Block, BlockId, DemonError, Item, MinSupport, Tid, Transaction, TxBlock,
+    Block, BlockId, DemonError, Item, MinSupport, ModelClass, Tid, Transaction, TxBlock,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -169,8 +168,8 @@ proptest! {
 }
 
 /// A deterministic five-block stream over a larger universe exercises
-/// the snapshot path: every shard count persists a byte-identical
-/// store directory, and the store loads under `Strict`.
+/// the snapshot path: every shard count writes a byte-identical root,
+/// and the root reads back the stream through the reader a bind uses.
 #[test]
 fn sharded_snapshots_are_byte_identical_across_shard_counts() {
     let n_items = 64u32;
@@ -206,12 +205,15 @@ fn sharded_snapshots_are_byte_identical_across_shard_counts() {
         let persisted = d.client.snapshot(snap.to_str().unwrap()).expect("snapshot");
         assert_eq!(persisted, blocks.len() as u64);
 
-        let report = verify_store(&snap).expect("verify runs");
-        assert!(report.is_clean(), "snapshot damaged at shards={shards}: {report:?}");
-        let (loaded, _) =
-            load_store_configured(&snap, RecoveryPolicy::Strict, &StoreConfig::InMemory)
-                .expect("snapshot loads under Strict");
+        let mut log = read_root(&snap, Some(ModelClass::Itemsets)).expect("snapshot reads");
+        let loaded: Vec<TxBlock> = log
+            .blocks::<ItemsetModel>(Some(n_items))
+            .collect::<Result<_, _>>()
+            .expect("snapshot blocks decode");
         assert_eq!(loaded.len(), blocks.len());
+        for (got, want) in loaded.iter().zip(&blocks) {
+            assert_eq!(got.records(), want.records(), "shards={shards}");
+        }
 
         let bytes = dir_bytes(&snap);
         match &reference {

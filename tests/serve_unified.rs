@@ -9,9 +9,9 @@
 
 use demon::clustering::{phase2_model, BirchParams, DbscanParams};
 use demon::core::{ClusterMaintainer, DbscanMaintainer, ModelMaintainer, TreeMaintainer};
-use demon::itemsets::persist::save_store_atomic;
 use demon::itemsets::{FrequentItemsets, TxStore};
-use demon::serve::{Client, ServeConfig, Server};
+use demon::serve::sequencer::write_root;
+use demon::serve::{Client, ItemsetModel, ServeConfig, Server};
 use demon::store::StoreConfig;
 use demon::trees::{LabeledPoint, TreeParams};
 use demon::types::obs::{self, Counter};
@@ -227,7 +227,7 @@ fn cases() -> Vec<Case> {
 #[test]
 fn one_shard_runs_the_replica_runtime_for_every_class() {
     every_class_is_served_from_replicas();
-    snapshot_is_the_plain_store_bytes();
+    snapshot_is_the_plain_root_bytes();
 }
 
 fn every_class_is_served_from_replicas() {
@@ -273,17 +273,18 @@ fn every_class_is_served_from_replicas() {
 }
 
 /// The `Snapshot` verb saves straight from the live maintainer, at any
-/// shard count, and must persist the bytes a plain store of the same
-/// stream persists — from memory, and from daemons whose
-/// `--memory-budget` keeps (next to) nothing resident — without a second
-/// copy of the blocks: the spill directory never holds anything but the
-/// one store's own `tx/`.
-fn snapshot_is_the_plain_store_bytes() {
+/// shard count, and must write the bytes the root writer writes for the
+/// same stream (what `demon-cli generate` writes) — from memory, and from
+/// daemons whose `--memory-budget` keeps (next to) nothing resident —
+/// without a second copy of the blocks: the spill directory never holds
+/// anything but the one store's own `tx/`.
+fn snapshot_is_the_plain_root_bytes() {
     let dir = tmp("snapshot");
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
     let plain = dir.join("plain");
-    save_store_atomic(&tx_store(), &plain).expect("save plain store");
+    write_root::<ItemsetModel>(&plain, N_ITEMS, |put| tx_blocks().iter().try_for_each(put))
+        .expect("write the plain root");
 
     let spill = dir.join("spill");
     for (name, shards, store_config) in [

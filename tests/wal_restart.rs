@@ -501,3 +501,81 @@ fn unrestricted_clusters_restart_at_every_prefix() {
 fn sharded_itemsets_restart_at_every_prefix() {
     restarts_at_every_prefix("itemsets-s4", |config| config.shards = 4);
 }
+
+/// What `demon-cli serve ARGS` did within half a minute: its exit status
+/// and stderr (a daemon that bound is killed — a refusal was due).
+fn serve_refusal(args: &[String]) -> (Option<i32>, String) {
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_demon-cli"))
+        .args(["serve", "--listen", "127.0.0.1:0", "--minsup", "0.05"])
+        .args(args)
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("daemon spawns");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while child.try_wait().expect("poll").is_none() {
+        if std::time::Instant::now() > deadline {
+            child.kill().expect("SIGKILL lands");
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    let out = child.wait_with_output().expect("reaps");
+    (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
+}
+
+/// Recovery holds every record to the daemon's block meta. A root of
+/// 64-item blocks bound at `--items 16` (whose TID-lists could not hold
+/// them) or `--items 100` (a universe a live ingest would refuse), and a
+/// 2-d clusters root bound at `--dim 3`, are refused with the class's
+/// own mismatch text — in process, and by `demon-cli serve` with exit 2
+/// and no panic — while the right meta binds the whole stream.
+#[test]
+fn a_root_bound_with_another_block_meta_is_refused() {
+    for class in [ModelClass::Itemsets, ModelClass::Clusters] {
+        let dir = tmp(&format!("meta-{}", class.name()));
+        let right = config(class, &dir, 8 << 20);
+        let mut daemon = Daemon::start(right.clone());
+        for id in 1..=4 {
+            daemon.ingest(id);
+        }
+        daemon.stop();
+
+        let wrong: Vec<(ServeConfig, String)> = match class {
+            ModelClass::Itemsets => [16u32, 100]
+                .into_iter()
+                .map(|n| {
+                    let mut c = right.clone();
+                    c.n_items = n;
+                    (c, ItemsetModel::meta_mismatch(n, N_ITEMS).expect("a mismatch"))
+                })
+                .collect(),
+            _ => {
+                let mut c = right.clone();
+                c.dim = 3;
+                vec![(c, ClusterModel::meta_mismatch(3, DIM as u32).expect("a mismatch"))]
+            }
+        };
+        for (config, refusal) in wrong {
+            let label = format!("{} --items {} --dim {}", class.name(), config.n_items, config.dim);
+            match Daemon::try_start(config.clone()).err() {
+                Some(DemonError::InvalidParameter(text)) => {
+                    assert!(text.contains(&refusal) && text.contains("wal-0.log"), "[{label}] {text}")
+                }
+                other => panic!("[{label}] a root of another block meta: {other:?}"),
+            }
+            let args = [
+                "--model", class.name(), "--items", &config.n_items.to_string(),
+                "--dim", &config.dim.to_string(), "--wal-dir", dir.to_str().unwrap(),
+            ]
+            .map(String::from);
+            let (code, stderr) = serve_refusal(&args);
+            assert_eq!(code, Some(2), "[{label}] {stderr}");
+            assert!(stderr.contains(&refusal) && !stderr.contains("panicked"), "[{label}] {stderr}");
+        }
+        let mut daemon = Daemon::start(right);
+        assert_eq!(stats_blocks(&mut daemon), "{\"blocks\":4", "[{}]", class.name());
+        daemon.stop();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
