@@ -1,14 +1,16 @@
 //! Criterion benchmarks of the FOCUS deviation (the machinery behind
 //! Figures 9–10): deviation between similar blocks (cheap — supports come
 //! from the models) vs. dissimilar blocks (expensive — both blocks are
-//! scanned), and one compact-sequence update step.
+//! scanned), one compact-sequence update step, and the per-block model
+//! fit every itemset monitor runs on an arriving block.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use demon_datagen::webtrace::{self, WebTraceConfig, WebTraceGen};
+use demon_datagen::{QuestGen, QuestParams};
 use demon_focus::deviation::itemset_deviation;
 use demon_focus::{CompactSequenceMiner, ItemsetSimilarity, SimilarityConfig};
 use demon_itemsets::FrequentItemsets;
-use demon_types::{MinSupport, Timestamp, TxBlock};
+use demon_types::{BlockId, MinSupport, Timestamp, TxBlock};
 use std::hint::black_box;
 
 fn trace_blocks() -> Vec<TxBlock> {
@@ -59,5 +61,20 @@ fn bench_compact_step(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_deviation, bench_compact_step);
+/// The FOCUS fit of one arriving block at demonbench's block shape: a
+/// Quest `2M.10L.1I.2pats.4plen` block of 500 transactions over 1000
+/// items, mined at κ = 0.02.
+fn bench_fit(c: &mut Criterion) {
+    let params = QuestParams::parse("2M.10L.1I.2pats.4plen", 1.0).unwrap();
+    let block = TxBlock::new(
+        BlockId(1),
+        QuestGen::new(params, 2000).take_transactions(500),
+    );
+    let minsup = MinSupport::new(0.02).unwrap();
+    c.bench_function("fit/quest_500tx", |bench| {
+        bench.iter(|| FrequentItemsets::mine_blocks(&[black_box(&block)], 1000, minsup))
+    });
+}
+
+criterion_group!(benches, bench_deviation, bench_compact_step, bench_fit);
 criterion_main!(benches);

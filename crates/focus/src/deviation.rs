@@ -56,67 +56,53 @@ pub fn itemset_deviation(
         }
     }
 
-    // Find regions whose support is unknown on the opposite dataset.
-    let unknown_a: Vec<ItemSet> = regions
-        .iter()
-        .filter(|s| ma.support(s).is_none())
-        .map(|s| (*s).clone())
-        .collect();
-    let unknown_b: Vec<ItemSet> = regions
-        .iter()
-        .filter(|s| mb.support(s).is_none())
-        .map(|s| (*s).clone())
-        .collect();
-    let extra_a = scan_counts(&unknown_a, a);
-    let extra_b = scan_counts(&unknown_b, b);
-
-    let frac = |model: &FrequentItemsets,
-                extra: &[(ItemSet, u64)],
-                n: u64,
-                set: &ItemSet|
-     -> f64 {
-        let count = model.support(set).unwrap_or_else(|| {
-            extra
-                .iter()
-                .find(|(s, _)| s == set)
-                .map(|&(_, c)| c)
-                .unwrap_or(0)
-        });
-        if n == 0 {
-            0.0
-        } else {
-            count as f64 / n as f64
-        }
-    };
-
     let (na, nb) = (a.len() as u64, b.len() as u64);
+    let (counts_a, counted_on_a) = region_counts(&regions, ma, a);
+    let (counts_b, counted_on_b) = region_counts(&regions, mb, b);
+    let frac = |count: u64, n: u64| if n == 0 { 0.0 } else { count as f64 / n as f64 };
     let mut diff = 0.0;
     let mut total = 0.0;
-    for set in &regions {
-        let sa = frac(ma, &extra_a, na, set);
-        let sb = frac(mb, &extra_b, nb, set);
+    for (&ca, &cb) in counts_a.iter().zip(&counts_b) {
+        let sa = frac(ca, na);
+        let sb = frac(cb, nb);
         diff += (sa - sb).abs();
         total += sa + sb;
     }
     DeviationResult {
         deviation: if total > 0.0 { diff / total } else { 0.0 },
         regions: regions.len(),
-        counted_on_a: unknown_a.len(),
-        counted_on_b: unknown_b.len(),
+        counted_on_a,
+        counted_on_b,
     }
 }
 
-fn scan_counts(unknown: &[ItemSet], block: &TxBlock) -> Vec<(ItemSet, u64)> {
-    if unknown.is_empty() {
-        return Vec::new();
+/// The support on `block` of every region, in region order: the model's
+/// where it tracks the set, otherwise counted by one prefix-tree scan over
+/// the untracked regions. Also returns how many regions were scanned.
+fn region_counts(
+    regions: &[&ItemSet],
+    model: &FrequentItemsets,
+    block: &TxBlock,
+) -> (Vec<u64>, usize) {
+    let mut counts = Vec::with_capacity(regions.len());
+    let mut unknown = Vec::new();
+    for (i, set) in regions.iter().enumerate() {
+        counts.push(model.support(set).unwrap_or_else(|| {
+            unknown.push(i);
+            0
+        }));
     }
-    let mut tree = PrefixTree::build(unknown);
-    tree.count_block(block);
-    unknown
-        .iter()
-        .cloned()
-        .zip(tree.into_counts())
-        .collect()
+    if !unknown.is_empty() {
+        let mut tree = PrefixTree::build(&[]);
+        for &i in &unknown {
+            tree.insert_candidate(regions[i]);
+        }
+        tree.count_block(block);
+        for (&i, c) in unknown.iter().zip(tree.into_counts()) {
+            counts[i] = c;
+        }
+    }
+    (counts, unknown.len())
 }
 
 /// Deviation between two point blocks through their cluster models.
@@ -368,6 +354,84 @@ mod tests {
         let far = block(2, &[&[4, 5], &[4, 5], &[5]]);
         let r = itemset_deviation(&a, &model(&a), &far, &model(&far));
         assert!(r.counted_on_a > 0);
+    }
+
+    /// The formula with a linear search of the scanned counts per region.
+    fn linear_search_deviation(
+        a: &TxBlock,
+        ma: &FrequentItemsets,
+        b: &TxBlock,
+        mb: &FrequentItemsets,
+    ) -> DeviationResult {
+        let mut regions: Vec<&ItemSet> = ma.frequent().keys().collect();
+        for set in mb.frequent().keys() {
+            if !ma.frequent().contains_key(set) {
+                regions.push(set);
+            }
+        }
+        let unknown = |m: &FrequentItemsets| -> Vec<ItemSet> {
+            let sets = regions.iter().filter(|s| m.support(s).is_none());
+            sets.map(|s| (*s).clone()).collect()
+        };
+        let scan = |sets: &[ItemSet], block: &TxBlock| -> Vec<(ItemSet, u64)> {
+            let mut tree = PrefixTree::build(sets);
+            tree.count_block(block);
+            sets.iter().cloned().zip(tree.into_counts()).collect()
+        };
+        let (unknown_a, unknown_b) = (unknown(ma), unknown(mb));
+        let (extra_a, extra_b) = (scan(&unknown_a, a), scan(&unknown_b, b));
+        let frac = |m: &FrequentItemsets, extra: &[(ItemSet, u64)], n: u64, set: &ItemSet| {
+            let count = m
+                .support(set)
+                .unwrap_or_else(|| extra.iter().find(|(s, _)| s == set).map_or(0, |&(_, c)| c));
+            if n == 0 {
+                0.0
+            } else {
+                count as f64 / n as f64
+            }
+        };
+        let (na, nb) = (a.len() as u64, b.len() as u64);
+        let (mut diff, mut total) = (0.0, 0.0);
+        for set in &regions {
+            let sa = frac(ma, &extra_a, na, set);
+            let sb = frac(mb, &extra_b, nb, set);
+            diff += (sa - sb).abs();
+            total += sa + sb;
+        }
+        DeviationResult {
+            deviation: if total > 0.0 { diff / total } else { 0.0 },
+            regions: regions.len(),
+            counted_on_a: unknown_a.len(),
+            counted_on_b: unknown_b.len(),
+        }
+    }
+
+    #[test]
+    fn positional_counts_match_the_linear_search_bit_for_bit() {
+        // Two overlapping item ranges at a low κ: most frequent sets of
+        // either block are untracked by the other's model.
+        use rand::prelude::*;
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut raw = |lo: u32| -> Vec<Vec<u32>> {
+            (0..300)
+                .map(|_| (0..6).map(|_| lo + rng.gen_range(0..16u32)).collect())
+                .collect()
+        };
+        fn slices(r: &[Vec<u32>]) -> Vec<&[u32]> {
+            r.iter().map(|v| v.as_slice()).collect()
+        }
+        let (ra, rb) = (raw(0), raw(10));
+        let (a, b) = (block(1, &slices(&ra)), block(2, &slices(&rb)));
+        let minsup = MinSupport::new(0.03).unwrap();
+        let ma = FrequentItemsets::mine_blocks(&[&a], 26, minsup);
+        let mb = FrequentItemsets::mine_blocks(&[&b], 26, minsup);
+        for (x, mx, y, my) in [(&a, &ma, &b, &mb), (&b, &mb, &a, &ma)] {
+            let got = itemset_deviation(x, mx, y, my);
+            let want = linear_search_deviation(x, mx, y, my);
+            assert!(got.counted_on_a > 50 && got.counted_on_b > 50, "{got:?}");
+            assert_eq!(got.deviation.to_bits(), want.deviation.to_bits());
+            assert_eq!(got, want);
+        }
     }
 
     #[test]

@@ -6,6 +6,12 @@
 //! of Apriori are exactly `L ∪ NB⁻` (candidates are generated with the
 //! prefix join and pruned so all their maximal subsets are frequent), so a
 //! single mining pass yields both with exact supports.
+//!
+//! Level 1 is a dense count per item. Level 2 is a dense triangular count
+//! over the pairs of frequent singletons: every 1-subset of such a pair is
+//! frequent, so the Apriori prune removes nothing there and the candidates
+//! are exactly those pairs. Levels ≥ 3 join, prune and count with one
+//! PT-Scan per level ([`generate_candidates`], [`count_with_prefix_tree`]).
 
 use crate::prefix_tree::PrefixTree;
 use demon_types::{obs, Item, ItemSet, MinSupport, TxBlock};
@@ -74,7 +80,18 @@ pub fn mine(blocks: &[&TxBlock], n_items: u32, minsup: MinSupport) -> MineResult
         }
     }
 
-    // Levels k ≥ 2.
+    // Level 2: every pair of frequent singletons, counted densely.
+    let pairs = count_pairs(&current_level, blocks, n_items);
+    result.frequent.append(&mut current_level);
+    for (pair, count) in pairs {
+        if count >= thresh {
+            current_level.push((pair, count));
+        } else {
+            result.border.push((pair, count));
+        }
+    }
+
+    // Levels k ≥ 3.
     while !current_level.is_empty() {
         let frequent_here: HashSet<ItemSet> =
             current_level.iter().map(|(s, _)| s.clone()).collect();
@@ -97,6 +114,58 @@ pub fn mine(blocks: &[&TxBlock], n_items: u32, minsup: MinSupport) -> MineResult
     }
     result.frequent.append(&mut current_level);
     result
+}
+
+/// Counts every pair of the frequent singletons `level` (ascending) by one
+/// scan, in a triangular array indexed by the singletons' ranks.
+///
+/// Returns the pairs in the order [`generate_candidates`] would produce
+/// them over `level` — first item outer, second inner — so the frequent
+/// and border lists, and every map built from them, are the ones the
+/// prefix join yields. Adds the same op counters as
+/// [`count_with_prefix_tree`] over those candidates.
+fn count_pairs(level: &[(ItemSet, u64)], blocks: &[&TxBlock], n_items: u32) -> Vec<(ItemSet, u64)> {
+    let f = level.len();
+    if f < 2 {
+        return Vec::new();
+    }
+    let items: Vec<Item> = level.iter().map(|(s, _)| s.items()[0]).collect();
+    let mut rank = vec![u32::MAX; n_items as usize];
+    for (r, item) in items.iter().enumerate() {
+        rank[item.index()] = r as u32;
+    }
+    // Row `a` holds the cells (a, a+1) … (a, f−1).
+    let row = |a: usize| a * (2 * f - a - 1) / 2;
+    let mut counts = vec![0u64; f * (f - 1) / 2];
+    obs::add(obs::Counter::CandidatesProbed, counts.len() as u64);
+    let mut ranks: Vec<usize> = Vec::new();
+    for block in blocks {
+        obs::add(obs::Counter::TxScanned, block.len() as u64);
+        for tx in block.records() {
+            // Items are sorted, so the ranks come out ascending.
+            ranks.clear();
+            ranks.extend(
+                tx.items()
+                    .iter()
+                    .map(|item| rank[item.index()])
+                    .filter(|&r| r != u32::MAX)
+                    .map(|r| r as usize),
+            );
+            for (i, &a) in ranks.iter().enumerate() {
+                let cells = &mut counts[row(a)..];
+                for &b in &ranks[i + 1..] {
+                    cells[b - a - 1] += 1;
+                }
+            }
+        }
+    }
+    let pairs = items
+        .iter()
+        .enumerate()
+        .flat_map(|(a, &x)| items[a + 1..].iter().map(move |&y| ItemSet::pair(x, y)));
+    let mut out = Vec::with_capacity(counts.len());
+    out.extend(pairs.zip(counts));
+    out
 }
 
 /// Generates level-(k+1) candidates from the level-k frequent itemsets via

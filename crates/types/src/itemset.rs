@@ -32,6 +32,12 @@ impl ItemSet {
         ItemSet(Box::new([item]))
     }
 
+    /// The 2-itemset `{a, b}`; `a < b` is the caller's invariant.
+    pub fn pair(a: Item, b: Item) -> Self {
+        debug_assert!(a < b, "pair items out of order: {a} !< {b}");
+        ItemSet(Box::new([a, b]))
+    }
+
     /// Builds from a slice of raw ids (test/bench convenience).
     pub fn from_ids(ids: &[u32]) -> Self {
         ItemSet::new(ids.iter().copied().map(Item).collect())
@@ -322,6 +328,7 @@ mod tests {
         let a = ItemSet::singleton(Item(4));
         let b = ItemSet::singleton(Item(2));
         assert_eq!(a.prefix_join(&b), Some(ItemSet::from_ids(&[2, 4])));
+        assert_eq!(ItemSet::pair(Item(2), Item(4)), ItemSet::from_ids(&[2, 4]));
     }
 
     #[test]
