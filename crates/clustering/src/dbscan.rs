@@ -25,7 +25,9 @@ pub enum Label {
     Cluster(usize),
 }
 
-/// What an insertion did (Ester et al.'s case analysis).
+/// What an insertion did (Ester et al.'s case analysis). When the cores
+/// an insertion promotes are not all density-connected, the group of
+/// them that touches the most existing clusters decides.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum InsertEffect {
     /// The point is noise.
@@ -263,46 +265,70 @@ impl IncrementalDbscan {
             return (idx, InsertEffect::Noise);
         }
 
-        // Each promoted core claims its neighborhood; collect the cluster
-        // ids it touches.
-        let mut touched: Vec<usize> = Vec::new();
-        for &q in &promoted {
+        // The promoted cores all neighbor idx, but unless idx is itself a
+        // core they are density-connected only through their *own* core
+        // neighbors. Group them: two promoted cores within ε of each other
+        // share a group (union-find over positions in `promoted`), and
+        // each group collects the existing clusters its cores touch.
+        let mut group: Vec<usize> = (0..promoted.len()).collect();
+        let group_of = |group: &[usize], mut g: usize| {
+            while group[g] != g {
+                g = group[g];
+            }
+            g
+        };
+        let mut touched: Vec<(usize, usize)> = Vec::new(); // (position, root)
+        for (pos, &q) in promoted.iter().enumerate() {
             for r in self.neighbors(&self.points[q].clone()) {
-                if self.core[r] {
-                    if let Some(id) = self.raw[r] {
-                        let root = self.find(id);
-                        if !touched.contains(&root) {
-                            touched.push(root);
-                        }
-                    }
+                if !self.core[r] {
+                    continue;
+                }
+                if let Some(other) = promoted.iter().position(|&x| x == r) {
+                    let (a, b) = (group_of(&group, pos), group_of(&group, other));
+                    group[a.max(b)] = a.min(b);
+                }
+                if let Some(id) = self.raw[r] {
+                    touched.push((pos, self.find(id)));
                 }
             }
         }
 
-        let effect;
-        let target = match touched.len() {
-            0 => {
-                // Creation: a fresh cluster id.
+        // One target cluster per group, in order of the group's first
+        // promoted core: a fresh id, or the union of every cluster it
+        // touches.
+        let mut most_touched = 0;
+        let mut targets: Vec<Option<usize>> = vec![None; promoted.len()];
+        for pos in 0..promoted.len() {
+            let g = group_of(&group, pos);
+            if targets[g].is_some() {
+                continue;
+            }
+            let mut roots: Vec<usize> = Vec::new();
+            for &(at, root) in &touched {
+                // An earlier group may have merged this root away.
+                let root = self.find(root);
+                if group_of(&group, at) == g && !roots.contains(&root) {
+                    roots.push(root);
+                }
+            }
+            most_touched = most_touched.max(roots.len());
+            let target = if roots.is_empty() {
                 let id = self.parent.len();
                 self.parent.push(id);
-                effect = InsertEffect::Creation;
                 id
-            }
-            1 => {
-                effect = InsertEffect::Absorption;
-                touched[0]
-            }
-            n => {
-                let mut t = touched[0];
-                for &other in &touched[1..] {
-                    t = self.union(t, other);
-                }
-                effect = InsertEffect::Merge { merged: n };
-                t
-            }
+            } else {
+                roots[1..].iter().fold(roots[0], |t, &other| self.union(t, other))
+            };
+            targets[g] = Some(target);
+        }
+        let effect = match most_touched {
+            0 => InsertEffect::Creation,
+            1 => InsertEffect::Absorption,
+            merged => InsertEffect::Merge { merged },
         };
-        // Promoted cores and their neighborhoods join the target cluster.
-        for &q in &promoted {
+        // Promoted cores and their neighborhoods join their group's target.
+        for (pos, &q) in promoted.iter().enumerate() {
+            let target = targets[group_of(&group, pos)].expect("every group has a target");
             self.raw[q] = Some(target);
             for r in self.neighbors(&self.points[q].clone()) {
                 if self.raw[r].is_none() || !self.core[r] {
@@ -679,6 +705,29 @@ mod tests {
         let (_, e) = d.insert(p(&[0.95, 0.0]));
         assert_eq!(e, InsertEffect::Merge { merged: 2 });
         assert_eq!(d.n_clusters(), 1);
+        d.check_against_batch();
+    }
+
+    #[test]
+    fn non_core_point_does_not_merge_the_cores_it_promotes() {
+        // Two 3-point arcs, each one neighbor short of a core, on either
+        // side of the origin. A point at the origin raises the inner end
+        // of both arcs to core without being a core itself (its own
+        // neighborhood holds 3 < 4 points): the two new cores are 1.8
+        // apart, so they stay two clusters and the new point is a border
+        // of both.
+        let mut d = IncrementalDbscan::new(2, 1.0, 4);
+        for side in [-1.0, 1.0] {
+            d.insert(p(&[side * 0.9, 0.0]));
+            d.insert(p(&[side * 1.5, 0.3]));
+            d.insert(p(&[side * 1.5, -0.3]));
+        }
+        assert_eq!(d.n_core(), 0);
+        let (mid, e) = d.insert(p(&[0.0, 0.0]));
+        assert!(!d.is_core(mid));
+        assert_eq!(d.n_core(), 2);
+        assert_eq!(e, InsertEffect::Creation);
+        assert_eq!(d.n_clusters(), 2);
         d.check_against_batch();
     }
 
