@@ -7,14 +7,26 @@
 //! is inserted". This module reproduces that asymmetry:
 //!
 //! * **insertion** is local — only the new point's ε-neighborhood can
-//!   gain core status, and cluster merges are union-find operations;
+//!   gain core status, and cluster merges are union-find operations.
+//!   Clusters merge only through cores: the cores an insertion promotes
+//!   join the clusters of their own core neighbors, so a new border
+//!   point never fuses the clusters on either side of it;
 //! * **deletion** can split a cluster, and detecting a split requires
 //!   re-examining the connectivity of the whole affected cluster.
 //!
-//! Neighborhood queries run against a uniform grid with ε-sized cells.
+//! Neighborhood queries run against a uniform grid with ε-sized cells,
+//! all through one allocation-free visitor,
+//! [`IncrementalDbscan::for_each_neighbor`], whose fixed order is part
+//! of the output. Points live in a slot table; a removed point leaves a
+//! dead slot until [`IncrementalDbscan::compact`] renumbers the live
+//! ones in order, which changes no output.
 
 use demon_types::Point;
 use std::collections::HashMap;
+
+/// Dimensions up to which a neighborhood query keeps its cell keys on
+/// the stack.
+const INLINE_DIM: usize = 8;
 
 /// Cluster assignment of one point.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -147,38 +159,56 @@ impl IncrementalDbscan {
             .collect()
     }
 
-    /// Live indices within `eps` of `p` (including `p` itself when live).
-    fn neighbors(&self, p: &Point) -> Vec<usize> {
-        let cell = self.cell_of(p);
-        let mut out = Vec::new();
-        let mut offsets = vec![0i64; self.dim];
-        self.scan_cells(&cell, 0, &mut offsets, p, &mut out);
-        out
-    }
-
-    fn scan_cells(
-        &self,
-        cell: &[i64],
-        d: usize,
-        offsets: &mut Vec<i64>,
-        p: &Point,
-        out: &mut Vec<usize>,
-    ) {
-        if d == self.dim {
-            let key: Vec<i64> = cell.iter().zip(offsets.iter()).map(|(c, o)| c + o).collect();
-            if let Some(members) = self.grid.get(&key) {
+    /// Visits every live slot within ε of `p`, `p`'s own slot included
+    /// when it is live. Allocation-free up to eight dimensions.
+    ///
+    /// The order is part of the clustering's output (a border point
+    /// attaches to its *first* core neighbor): the 3^dim cells around
+    /// `p`'s cell odometer-style, dim 0 outermost and offsets −1, 0, +1,
+    /// then each cell's members in ascending slot order.
+    pub fn for_each_neighbor(&self, p: &Point, mut f: impl FnMut(usize)) {
+        let dim = self.dim;
+        let (mut lo_inline, mut key_inline) = ([0i64; INLINE_DIM], [0i64; INLINE_DIM]);
+        let (mut lo_heap, mut key_heap);
+        let (lo, key): (&mut [i64], &mut [i64]) = if dim <= INLINE_DIM {
+            (&mut lo_inline[..dim], &mut key_inline[..dim])
+        } else {
+            (lo_heap, key_heap) = (vec![0; dim], vec![0; dim]);
+            (&mut lo_heap, &mut key_heap)
+        };
+        for ((l, k), &c) in lo.iter_mut().zip(key.iter_mut()).zip(p.coords()) {
+            *l = (c / self.eps).floor() as i64 - 1;
+            *k = *l;
+        }
+        loop {
+            if let Some(members) = self.grid.get(&key[..]) {
                 for &i in members {
                     if self.alive[i] && self.points[i].dist2(p) <= self.eps2 {
-                        out.push(i);
+                        f(i);
                     }
                 }
             }
-            return;
+            // Next cell: the last dimension turns fastest.
+            let mut d = dim;
+            loop {
+                if d == 0 {
+                    return;
+                }
+                d -= 1;
+                if key[d] < lo[d] + 2 {
+                    key[d] += 1;
+                    break;
+                }
+                key[d] = lo[d];
+            }
         }
-        for o in -1..=1 {
-            offsets[d] = o;
-            self.scan_cells(cell, d + 1, offsets, p, out);
-        }
+    }
+
+    /// The size of `p`'s ε-neighborhood.
+    fn degree(&self, p: &Point) -> usize {
+        let mut n = 0;
+        self.for_each_neighbor(p, |_| n += 1);
+        n
     }
 
     fn find(&self, mut id: usize) -> usize {
@@ -244,16 +274,13 @@ impl IncrementalDbscan {
         self.grid.entry(cell).or_default().push(idx);
         self.n_alive += 1;
 
-        let nbrs = self.neighbors(&self.points[idx]); // includes idx
+        let nbrs = self.neighbors_of(&self.points[idx]); // includes idx
         // Only points in N_ε(idx) can change core status, all upward.
         let mut promoted: Vec<usize> = Vec::new();
         for &q in &nbrs {
-            if !self.core[q] {
-                let deg = self.neighbors(&self.points[q].clone()).len();
-                if deg >= self.min_pts {
-                    self.core[q] = true;
-                    promoted.push(q);
-                }
+            if !self.core[q] && self.degree(&self.points[q]) >= self.min_pts {
+                self.core[q] = true;
+                promoted.push(q);
             }
         }
         if promoted.is_empty() {
@@ -279,9 +306,9 @@ impl IncrementalDbscan {
         };
         let mut touched: Vec<(usize, usize)> = Vec::new(); // (position, root)
         for (pos, &q) in promoted.iter().enumerate() {
-            for r in self.neighbors(&self.points[q].clone()) {
+            self.for_each_neighbor(&self.points[q], |r| {
                 if !self.core[r] {
-                    continue;
+                    return;
                 }
                 if let Some(other) = promoted.iter().position(|&x| x == r) {
                     let (a, b) = (group_of(&group, pos), group_of(&group, other));
@@ -290,7 +317,7 @@ impl IncrementalDbscan {
                 if let Some(id) = self.raw[r] {
                     touched.push((pos, self.find(id)));
                 }
-            }
+            });
         }
 
         // One target cluster per group, in order of the group's first
@@ -327,10 +354,13 @@ impl IncrementalDbscan {
             merged => InsertEffect::Merge { merged },
         };
         // Promoted cores and their neighborhoods join their group's target.
+        let mut nb = Vec::new();
         for (pos, &q) in promoted.iter().enumerate() {
             let target = targets[group_of(&group, pos)].expect("every group has a target");
             self.raw[q] = Some(target);
-            for r in self.neighbors(&self.points[q].clone()) {
+            nb.clear();
+            self.for_each_neighbor(&self.points[q], |r| nb.push(r));
+            for &r in &nb {
                 if self.raw[r].is_none() || !self.core[r] {
                     self.raw[r] = Some(target);
                 }
@@ -350,7 +380,6 @@ impl IncrementalDbscan {
         };
         self.alive[idx] = false;
         self.n_alive -= 1;
-        let p = self.points[idx].clone();
         self.raw[idx] = None;
         let was_core = self.core[idx];
         self.core[idx] = false;
@@ -358,7 +387,7 @@ impl IncrementalDbscan {
         // keeps a stale entry forever (and the key survives even when the
         // removed point was its last member): invisible to queries, which
         // filter on `alive`, but a leak that grows with every deletion.
-        let cell = self.cell_of(&p);
+        let cell = self.cell_of(&self.points[idx]);
         if let std::collections::hash_map::Entry::Occupied(mut e) = self.grid.entry(cell) {
             e.get_mut().retain(|&m| m != idx);
             if e.get().is_empty() {
@@ -367,15 +396,12 @@ impl IncrementalDbscan {
         }
 
         // Neighbors may lose core status.
-        let nbrs = self.neighbors(&p);
+        let nbrs = self.neighbors_of(&self.points[idx]);
         let mut demoted = Vec::new();
         for &q in &nbrs {
-            if self.core[q] {
-                let deg = self.neighbors(&self.points[q].clone()).len();
-                if deg < self.min_pts {
-                    self.core[q] = false;
-                    demoted.push(q);
-                }
+            if self.core[q] && self.degree(&self.points[q]) < self.min_pts {
+                self.core[q] = false;
+                demoted.push(q);
             }
         }
         if !was_core && demoted.is_empty() {
@@ -411,6 +437,7 @@ impl IncrementalDbscan {
             self.raw[m] = None;
         }
         let mut pieces = 0usize;
+        let mut nb = Vec::new();
         for &m in &members {
             if self.raw[m].is_some() || !self.core[m] {
                 continue;
@@ -422,7 +449,9 @@ impl IncrementalDbscan {
             let mut stack = vec![m];
             self.raw[m] = Some(id);
             while let Some(q) = stack.pop() {
-                for r in self.neighbors(&self.points[q].clone()) {
+                nb.clear();
+                self.for_each_neighbor(&self.points[q], |r| nb.push(r));
+                for &r in &nb {
                     if self.raw[r].map(|x| self.find(x)) == Some(id) {
                         continue;
                     }
@@ -436,17 +465,13 @@ impl IncrementalDbscan {
         // A cleared border point may be density-reachable only from a
         // cluster that was *not* affected (its own core neighbors all sat
         // in another cluster). Region growing never visits it, so
-        // re-attach it to any live core neighbor instead of dropping it
-        // to noise.
+        // re-attach it to its first live core neighbor instead of dropping
+        // it to noise.
         for &m in &members {
             if self.raw[m].is_some() {
                 continue;
             }
-            if let Some(c) = self
-                .neighbors(&self.points[m].clone())
-                .into_iter()
-                .find(|&r| self.core[r])
-            {
+            if let Some(c) = self.first_core_neighbor(&self.points[m]) {
                 self.raw[m] = self.raw[c];
             }
         }
@@ -457,14 +482,85 @@ impl IncrementalDbscan {
         }
     }
 
+    /// The first core point, in neighbor order, within ε of `p`.
+    fn first_core_neighbor(&self, p: &Point) -> Option<usize> {
+        let mut first = None;
+        self.for_each_neighbor(p, |r| {
+            if first.is_none() && self.core[r] {
+                first = Some(r);
+            }
+        });
+        first
+    }
+
+    /// Renumbers the live points `0..len()` in their current order and
+    /// drops the removed slots, renumbers the live clusters `0..k` in the
+    /// order of their ids, and returns the old → new slot map (`None` for
+    /// a removed slot).
+    ///
+    /// Both renumberings are monotone, so every comparison of two slots
+    /// or of two cluster ids — and with it every ascending scan, the
+    /// union-find's choice of root and the order of each grid cell —
+    /// comes out as before: the structure behaves exactly as the
+    /// uncompacted one would, and only the numbers change.
+    pub fn compact(&mut self) -> Vec<Option<usize>> {
+        let n = self.points.len();
+        let mut roots: Vec<usize> = (0..n)
+            .filter(|&i| self.alive[i])
+            .filter_map(|i| self.raw[i].map(|id| self.find(id)))
+            .collect();
+        roots.sort_unstable();
+        roots.dedup();
+        let raw: Vec<Option<usize>> = (0..n)
+            .filter(|&i| self.alive[i])
+            .map(|i| {
+                let root = self.raw[i].map(|id| self.find(id));
+                root.map(|r| roots.binary_search(&r).expect("live cluster root"))
+            })
+            .collect();
+
+        let mut slots = vec![None; n];
+        let mut next = 0;
+        for (old, slot) in slots.iter_mut().enumerate() {
+            if self.alive[old] {
+                *slot = Some(next);
+                next += 1;
+            }
+        }
+        let alive = std::mem::replace(&mut self.alive, vec![true; next]);
+        let mut keep = alive.iter();
+        self.points.retain(|_| *keep.next().expect("one flag per slot"));
+        let mut keep = alive.iter();
+        self.core.retain(|_| *keep.next().expect("one flag per slot"));
+        self.raw = raw;
+        self.parent = (0..roots.len()).collect();
+        for members in self.grid.values_mut() {
+            for m in members {
+                *m = slots[*m].expect("the grid holds only live slots");
+            }
+        }
+        slots
+    }
+
     /// Reference batch DBSCAN over the live points — the test oracle and
     /// the from-scratch baseline.
-    #[allow(clippy::needless_range_loop)]
     pub fn batch_labels(&self) -> Vec<Option<usize>> {
+        self.batch_labels_with(&self.batch_core_flags())
+    }
+
+    /// Per slot, whether the point is a live core by a fresh count of its
+    /// neighborhood.
+    fn batch_core_flags(&self) -> Vec<bool> {
+        (0..self.points.len())
+            .map(|i| self.alive[i] && self.degree(&self.points[i]) >= self.min_pts)
+            .collect()
+    }
+
+    fn batch_labels_with(&self, is_core: &[bool]) -> Vec<Option<usize>> {
         let mut labels: Vec<Option<usize>> = vec![None; self.points.len()];
         let mut next = 0usize;
-        for i in 0..self.points.len() {
-            if !self.alive[i] || labels[i].is_some() || !self.batch_is_core(i) {
+        for (i, &core) in is_core.iter().enumerate() {
+            if !core || labels[i].is_some() {
                 continue;
             }
             let id = next;
@@ -472,29 +568,20 @@ impl IncrementalDbscan {
             let mut stack = vec![i];
             labels[i] = Some(id);
             while let Some(q) = stack.pop() {
-                for r in self.neighbors(&self.points[q].clone()) {
-                    if labels[r] == Some(id) {
-                        continue;
-                    }
+                // A point already labeled keeps its label: a core cannot
+                // be reached from two seeds, and a border reached from two
+                // clusters may sit in either (DBSCAN's inherent ambiguity).
+                self.for_each_neighbor(&self.points[q], |r| {
                     if labels[r].is_none() {
                         labels[r] = Some(id);
-                        if self.batch_is_core(r) {
+                        if is_core[r] {
                             stack.push(r);
                         }
-                    } else if self.batch_is_core(r) {
-                        // A core reached from two seeds belongs to one
-                        // cluster; seeds are processed in order so this
-                        // cannot happen for cores. Borders may flip —
-                        // that ambiguity is inherent to DBSCAN.
                     }
-                }
+                });
             }
         }
         labels
-    }
-
-    fn batch_is_core(&self, i: usize) -> bool {
-        self.neighbors(&self.points[i].clone()).len() >= self.min_pts
     }
 
     /// Verifies the incremental state against batch DBSCAN: identical
@@ -503,25 +590,22 @@ impl IncrementalDbscan {
     /// border point must sit within ε of a core of its cluster). Returns
     /// the first divergence as an error message — the differential test
     /// oracle.
-    #[allow(clippy::needless_range_loop)]
     pub fn verify_against_batch(&self) -> Result<(), String> {
-        let batch = self.batch_labels();
+        let batch_core = self.batch_core_flags();
+        let batch = self.batch_labels_with(&batch_core);
+        let live = || (0..self.points.len()).filter(|&i| self.alive[i]);
         // Core flags.
-        for i in 0..self.points.len() {
-            if self.alive[i] && self.core[i] != self.batch_is_core(i) {
+        for i in live() {
+            if self.core[i] != batch_core[i] {
                 return Err(format!(
                     "core flag of {i} diverged: incremental {}, batch {}",
-                    self.core[i],
-                    self.batch_is_core(i)
+                    self.core[i], batch_core[i]
                 ));
             }
         }
         // Cluster count.
         let batch_count = {
-            let mut ids: Vec<usize> = (0..self.points.len())
-                .filter(|&i| self.alive[i])
-                .filter_map(|i| batch[i])
-                .collect();
+            let mut ids: Vec<usize> = live().filter_map(|i| batch[i]).collect();
             ids.sort_unstable();
             ids.dedup();
             ids.len()
@@ -534,9 +618,7 @@ impl IncrementalDbscan {
         }
         // Core partition: two live cores share an incremental cluster iff
         // they share a batch cluster.
-        let cores: Vec<usize> = (0..self.points.len())
-            .filter(|&i| self.alive[i] && self.core[i])
-            .collect();
+        let cores: Vec<usize> = live().filter(|&i| self.core[i]).collect();
         for (ai, &a) in cores.iter().enumerate() {
             for &b in &cores[ai + 1..] {
                 let inc_same = self.label(a) == self.label(b);
@@ -546,10 +628,7 @@ impl IncrementalDbscan {
                 }
             }
         }
-        for i in 0..self.points.len() {
-            if !self.alive[i] {
-                continue;
-            }
+        for i in live() {
             match self.label(i) {
                 Label::Noise => {
                     if batch[i].is_some() {
@@ -562,10 +641,10 @@ impl IncrementalDbscan {
                     }
                     if !self.core[i] {
                         // Border: must be within ε of some core of its cluster.
-                        let ok = self
-                            .neighbors(&self.points[i].clone())
-                            .into_iter()
-                            .any(|r| self.core[r] && self.label(r) == Label::Cluster(id));
+                        let mut ok = false;
+                        self.for_each_neighbor(&self.points[i], |r| {
+                            ok |= self.core[r] && self.label(r) == Label::Cluster(id);
+                        });
                         if !ok {
                             return Err(format!("border {i} not attached to its cluster"));
                         }
@@ -602,7 +681,8 @@ impl IncrementalDbscan {
         self.dim
     }
 
-    /// The point at slot `idx` (slots of removed points stay readable).
+    /// The point at slot `idx` (slots of removed points stay readable
+    /// until the next [`IncrementalDbscan::compact`]).
     pub fn point(&self, idx: usize) -> &Point {
         &self.points[idx]
     }
@@ -612,7 +692,8 @@ impl IncrementalDbscan {
         self.alive[idx]
     }
 
-    /// Total slots ever allocated (live + removed).
+    /// Slots held: the live points plus those removed since the last
+    /// [`IncrementalDbscan::compact`].
     pub fn n_slots(&self) -> usize {
         self.points.len()
     }
@@ -624,10 +705,12 @@ impl IncrementalDbscan {
             .count()
     }
 
-    /// Live indices within ε of `p` — the public neighborhood query the
-    /// FOCUS oracle measures regions with.
+    /// Live indices within ε of `p`, in
+    /// [`IncrementalDbscan::for_each_neighbor`]'s order.
     pub fn neighbors_of(&self, p: &Point) -> Vec<usize> {
-        self.neighbors(p)
+        let mut out = Vec::new();
+        self.for_each_neighbor(p, |i| out.push(i));
+        out
     }
 
     /// Number of occupied cells in the neighbor index (leak diagnostics:
@@ -839,6 +922,67 @@ mod tests {
             matches!(d.label(border), Label::Cluster(_)),
             "border reachable from the surviving cluster was dropped to noise"
         );
+    }
+
+    #[test]
+    fn neighbors_come_in_cell_order_then_slot_order() {
+        // ε = 2: the query (1, 1) sits in cell (0, 0). Slots are filled
+        // out of cell order; the visit goes cell by cell, dim 0
+        // outermost, offsets −1, 0, +1, and by slot inside a cell.
+        let mut d = IncrementalDbscan::new(2, 2.0, 10);
+        for c in [[1.0, 2.5], [2.2, -0.2], [1.5, 1.5], [-0.2, 1.0], [0.5, 0.5], [-0.2, -0.2]] {
+            d.insert(p(&c));
+        }
+        assert_eq!(d.neighbors_of(&p(&[1.0, 1.0])), vec![5, 3, 2, 4, 0, 1]);
+    }
+
+    #[test]
+    fn compaction_renumbers_without_reordering() {
+        use rand::prelude::*;
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut d = IncrementalDbscan::new(2, 0.8, 4);
+        let mut live: Vec<usize> = Vec::new();
+        for _ in 0..400 {
+            if !live.is_empty() && rng.gen_bool(0.4) {
+                d.remove(live.swap_remove(rng.gen_range(0..live.len())));
+            } else {
+                let c = [(0.0, 0.0), (5.0, 0.0), (0.0, 5.0), (5.0, 5.0)][rng.gen_range(0..4)];
+                let pt = p(&[c.0 + rng.gen_range(-1.2..1.2), c.1 + rng.gen_range(-1.2..1.2)]);
+                live.push(d.insert(pt).0);
+            }
+        }
+        let before = d.clone();
+        assert!(before.n_clusters() >= 3, "{} clusters", before.n_clusters());
+        let slots = d.compact();
+        assert_eq!((d.n_slots(), d.len()), (before.len(), before.len()));
+        assert_eq!(d.index_entries(), d.len());
+        let moved = |old: &[usize]| -> Vec<usize> {
+            old.iter().map(|&i| slots[i].expect("live slot")).collect()
+        };
+        // Same clusters, same members in the same order.
+        let clusters: Vec<Vec<usize>> = before.clusters().iter().map(|c| moved(c)).collect();
+        assert_eq!(d.clusters(), clusters);
+        // Same label partition, same core flags, same cluster-id order.
+        for old in (0..before.n_slots()).filter(|&i| before.is_alive(i)) {
+            let new = slots[old].expect("live slot");
+            assert_eq!(d.point(new), before.point(old));
+            assert_eq!(d.is_core(new), before.is_core(old));
+            for other in (0..old).filter(|&i| before.is_alive(i)) {
+                let o = slots[other].expect("live slot");
+                let rank = |l: Label| match l {
+                    Label::Noise => None,
+                    Label::Cluster(id) => Some(id),
+                };
+                let (a, b) = (rank(before.label(old)), rank(before.label(other)));
+                let (x, y) = (rank(d.label(new)), rank(d.label(o)));
+                assert_eq!(a.cmp(&b), x.cmp(&y), "cluster ids reordered");
+            }
+        }
+        // Every neighborhood lists the same points in the same order.
+        for q in (0..before.n_slots()).map(|i| before.point(i).clone()) {
+            assert_eq!(d.neighbors_of(&q), moved(&before.neighbors_of(&q)));
+        }
+        d.check_against_batch();
     }
 
     #[test]

@@ -10,9 +10,20 @@
 //! that possible: the live structure plus a per-block registry of the
 //! point slots each block contributed, so retiring block `D_i` deletes
 //! exactly its points and nothing else.
+//!
+//! A shed leaves dead slots behind. Once they outnumber the live points
+//! by more than 64, the shed compacts the structure and renumbers the
+//! registry, so memory and the removal path's member scan stay
+//! proportional to the window, not to the stream. The renumbering keeps
+//! the slots' order, and the served summary does not change.
 
 use crate::dbscan::{DbscanParams, IncrementalDbscan, Label};
 use demon_types::{BlockId, Point};
+
+/// Removed slots a shed tolerates beyond the live count before it
+/// compacts the structure: a shed compacts once `n_slots() > 2·len() +
+/// COMPACT_SLACK`.
+const COMPACT_SLACK: usize = 64;
 
 /// The point slots one absorbed block contributed to the structure.
 #[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
@@ -74,8 +85,9 @@ impl WindowedDbscan {
 
     /// Slides the window past block `id`: deletes each point the block
     /// contributed through the incremental removal path (splits and
-    /// demotions included). Returns how many points were removed; unknown
-    /// ids are a no-op returning 0.
+    /// demotions included), then compacts the structure if it holds more
+    /// than `2·len() + 64` slots. Returns how many points were removed;
+    /// unknown ids are a no-op returning 0.
     pub fn shed_block(&mut self, id: BlockId) -> usize {
         let Some(pos) = self.blocks.iter().position(|b| b.id == id) else {
             return 0;
@@ -84,7 +96,21 @@ impl WindowedDbscan {
         for &slot in &entry.slots {
             self.state.remove(slot);
         }
+        if self.state.n_slots() > 2 * self.state.len() + COMPACT_SLACK {
+            self.compact();
+        }
         entry.slots.len()
+    }
+
+    /// Compacts the structure to its live points and renumbers the slots
+    /// every block in the window holds.
+    fn compact(&mut self) {
+        let slots = self.state.compact();
+        for block in &mut self.blocks {
+            for slot in &mut block.slots {
+                *slot = slots[*slot].expect("a block in the window holds live slots");
+            }
+        }
     }
 
     /// The canonical served form: cluster sizes, core counts and
@@ -210,6 +236,34 @@ mod tests {
     fn shed_unknown_block_is_a_noop() {
         let mut m = WindowedDbscan::new(params());
         assert_eq!(m.shed_block(BlockId(9)), 0);
+    }
+
+    #[test]
+    fn forced_compaction_changes_no_output() {
+        // Overlapping blobs, so sheds split and regrow clusters and the
+        // union-find holds merged ids when the compaction runs.
+        let mut plain = WindowedDbscan::new(params());
+        for id in 1..=6u64 {
+            let (id, pts) = blob_block(id, 0.7 * id as f64, 0.2 * (id % 2) as f64);
+            plain.absorb_block(id, &pts);
+            if plain.covered_blocks().len() > 3 {
+                plain.shed_block(plain.covered_blocks()[0]);
+            }
+        }
+        let mut compacted = plain.clone();
+        compacted.compact();
+        assert_eq!(compacted.structure().n_slots(), compacted.structure().len());
+        assert!(plain.structure().n_slots() > plain.structure().len());
+        for id in 7..=12u64 {
+            assert_eq!(compacted.summary(), plain.summary());
+            compacted.structure().check_against_batch();
+            let (id, pts) = blob_block(id, 0.7 * id as f64, 0.0);
+            for m in [&mut plain, &mut compacted] {
+                m.absorb_block(id, &pts);
+                m.shed_block(m.covered_blocks()[0]);
+            }
+        }
+        assert_eq!(compacted.summary(), plain.summary());
     }
 
     #[test]

@@ -163,57 +163,42 @@ pub fn cluster_deviation(
 /// **core-reachable region**: the union of ε-balls around the cluster's
 /// core points. The measure of a dataset over a region is the fraction of
 /// its points within ε of some core point of that cluster — exactly the
-/// set of points DBSCAN would place in (or on the border of) the cluster,
-/// answered with the model's own grid index in one scan per block.
+/// set of points DBSCAN would place in (or on the border of) the cluster.
+///
+/// Each point of each block is one neighborhood query against each
+/// model's grid index, which counts the point into every region it
+/// reaches. Regions are summed model by model, each model's in the order
+/// of its cluster ids.
 pub fn dbscan_deviation(
     a: &PointBlock,
     da: &IncrementalDbscan,
     b: &PointBlock,
     db: &IncrementalDbscan,
 ) -> DeviationResult {
-    // A cluster is identified by its resolved union-find root; collect the
-    // live cluster roots of one model, sorted for determinism.
-    let roots = |m: &IncrementalDbscan| -> Vec<usize> {
-        let mut out: Vec<usize> = (0..m.n_slots())
-            .filter(|&i| m.is_alive(i) && m.is_core(i))
-            .filter_map(|i| match m.label(i) {
-                Label::Cluster(root) => Some(root),
-                Label::Noise => None,
-            })
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
-    };
-    // For each point, the set of clusters of `m` whose core-reachable
-    // region contains it — one grid-index neighborhood query per point.
-    let measure = |block: &PointBlock, m: &IncrementalDbscan, root: usize| -> f64 {
+    let frac = |count: usize, block: &PointBlock| {
         if block.is_empty() {
-            return 0.0;
+            0.0
+        } else {
+            count as f64 / block.len() as f64
         }
-        let inside = block
-            .records()
-            .iter()
-            .filter(|p| {
-                m.neighbors_of(p)
-                    .into_iter()
-                    .any(|i| m.is_core(i) && m.label(i) == Label::Cluster(root))
-            })
-            .count();
-        inside as f64 / block.len() as f64
     };
-
     let mut diff = 0.0;
     let mut total = 0.0;
     let mut regions = 0;
-    for (m, rs) in [(da, roots(da)), (db, roots(db))] {
-        for root in rs {
-            let sa = measure(a, m, root);
-            let sb = measure(b, m, root);
+    for m in [da, db] {
+        let (region_of, n_regions) = core_regions(m);
+        if n_regions == 0 {
+            continue;
+        }
+        let counts_a = core_region_counts(m, &region_of, n_regions, a);
+        let counts_b = core_region_counts(m, &region_of, n_regions, b);
+        for (&ca, &cb) in counts_a.iter().zip(&counts_b) {
+            let sa = frac(ca, a);
+            let sb = frac(cb, b);
             diff += (sa - sb).abs();
             total += sa + sb;
-            regions += 1;
         }
+        regions += n_regions;
     }
     DeviationResult {
         deviation: if total > 0.0 { diff / total } else { 0.0 },
@@ -221,6 +206,53 @@ pub fn dbscan_deviation(
         counted_on_a: regions,
         counted_on_b: regions,
     }
+}
+
+/// The core-reachable regions of `m`: per slot, the rank of the point's
+/// cluster among the clusters that hold a live core (ranked by cluster
+/// id), or `None` for a slot that is not a live core; and the number of
+/// regions.
+fn core_regions(m: &IncrementalDbscan) -> (Vec<Option<usize>>, usize) {
+    let core_roots: Vec<(usize, usize)> = (0..m.n_slots())
+        .filter(|&i| m.is_alive(i) && m.is_core(i))
+        .filter_map(|i| match m.label(i) {
+            Label::Cluster(root) => Some((i, root)),
+            Label::Noise => None,
+        })
+        .collect();
+    let mut roots: Vec<usize> = core_roots.iter().map(|&(_, root)| root).collect();
+    roots.sort_unstable();
+    roots.dedup();
+    let mut region_of = vec![None; m.n_slots()];
+    for (i, root) in core_roots {
+        region_of[i] = roots.binary_search(&root).ok();
+    }
+    (region_of, roots.len())
+}
+
+/// How many points of `block` fall in each of `m`'s regions: one
+/// neighborhood query per point, counting the point once per region any
+/// of its core neighbors belongs to.
+fn core_region_counts(
+    m: &IncrementalDbscan,
+    region_of: &[Option<usize>],
+    n_regions: usize,
+    block: &PointBlock,
+) -> Vec<usize> {
+    let mut counts = vec![0; n_regions];
+    // The last point counted into each region.
+    let mut last = vec![usize::MAX; n_regions];
+    for (pi, p) in block.records().iter().enumerate() {
+        m.for_each_neighbor(p, |i| {
+            if let Some(r) = region_of[i] {
+                if last[r] != pi {
+                    last[r] = pi;
+                    counts[r] += 1;
+                }
+            }
+        });
+    }
+    counts
 }
 
 /// Deviation between two labeled-point blocks through their decision-tree
@@ -536,6 +568,107 @@ mod tests {
                 Point::new(vec![cx + rr * t.cos(), cy + rr * t.sin()])
             })
             .collect()
+    }
+
+    /// The density deviation as one region at a time: a neighborhood
+    /// query per point per cluster, clusters in id order, `da`'s first.
+    fn per_region_dbscan_deviation(
+        a: &PointBlock,
+        da: &IncrementalDbscan,
+        b: &PointBlock,
+        db: &IncrementalDbscan,
+    ) -> DeviationResult {
+        let roots = |m: &IncrementalDbscan| -> Vec<usize> {
+            let mut out: Vec<usize> = (0..m.n_slots())
+                .filter(|&i| m.is_alive(i) && m.is_core(i))
+                .filter_map(|i| match m.label(i) {
+                    Label::Cluster(root) => Some(root),
+                    Label::Noise => None,
+                })
+                .collect();
+            out.sort_unstable();
+            out.dedup();
+            out
+        };
+        let measure = |block: &PointBlock, m: &IncrementalDbscan, root: usize| -> f64 {
+            if block.is_empty() {
+                return 0.0;
+            }
+            let inside = block
+                .records()
+                .iter()
+                .filter(|p| {
+                    m.neighbors_of(p)
+                        .into_iter()
+                        .any(|i| m.is_core(i) && m.label(i) == Label::Cluster(root))
+                })
+                .count();
+            inside as f64 / block.len() as f64
+        };
+        let (mut diff, mut total, mut regions) = (0.0, 0.0, 0);
+        for (m, rs) in [(da, roots(da)), (db, roots(db))] {
+            for root in rs {
+                let sa = measure(a, m, root);
+                let sb = measure(b, m, root);
+                diff += (sa - sb).abs();
+                total += sa + sb;
+                regions += 1;
+            }
+        }
+        DeviationResult {
+            deviation: if total > 0.0 { diff / total } else { 0.0 },
+            regions,
+            counted_on_a: regions,
+            counted_on_b: regions,
+        }
+    }
+
+    #[test]
+    fn dbscan_deviation_matches_the_per_region_formula_bit_for_bit() {
+        use demon_clustering::DbscanParams;
+        use demon_datagen::{shape_points, Shape, ShapeParams};
+        use rand::prelude::*;
+        let mut rng = StdRng::seed_from_u64(34);
+        let block = |rng: &mut StdRng, id: u64| -> PointBlock {
+            let n = [0, 1, 5, 32, 32, 64, 200][rng.gen_range(0..7)];
+            let pts = match rng.gen_range(0..3) {
+                0 => shape_points(Shape::Moons, ShapeParams::new(4.0, 0.1), n, rng),
+                1 => shape_points(Shape::Rings, ShapeParams::new(4.0, 0.1), n, rng),
+                _ => points_around(&[0.0, 0.0], n, 6.0, rng.gen()),
+            };
+            PointBlock::new(BlockId(id), pts)
+        };
+        // A model of `pts`; some lose a share of their points again, so
+        // removed slots (and, compacted or not, renumbered ones) occur.
+        let fit = |rng: &mut StdRng, pts: &PointBlock| -> IncrementalDbscan {
+            let eps = [0.35, 0.8, 1.1][rng.gen_range(0..3)];
+            let mut m = IncrementalDbscan::with_params(DbscanParams::new(2, eps, rng.gen_range(2..=6)));
+            let slots: Vec<usize> = pts.records().iter().map(|p| m.insert(p.clone()).0).collect();
+            if rng.gen_bool(0.3) {
+                for slot in slots {
+                    if rng.gen_bool(0.3) {
+                        m.remove(slot);
+                    }
+                }
+                if rng.gen_bool(0.5) {
+                    m.compact();
+                }
+            }
+            m
+        };
+        let (mut empty, mut no_cluster, mut large) = (0, 0, 0);
+        for pair in 0..1000u64 {
+            let (a, b) = (block(&mut rng, 2 * pair), block(&mut rng, 2 * pair + 1));
+            let (da, db) = (fit(&mut rng, &a), fit(&mut rng, &b));
+            let got = dbscan_deviation(&a, &da, &b, &db);
+            let want = per_region_dbscan_deviation(&a, &da, &b, &db);
+            assert_eq!(got.deviation.to_bits(), want.deviation.to_bits(), "pair {pair}");
+            assert_eq!(got, want, "pair {pair}");
+            empty += usize::from(a.is_empty() || b.is_empty());
+            no_cluster += usize::from(da.n_clusters() == 0 || db.n_clusters() == 0);
+            large += usize::from(a.len() == 200 || b.len() == 200);
+        }
+        assert!(empty > 50 && no_cluster > 50 && large > 50, "{empty} {no_cluster} {large}");
     }
 
     #[test]

@@ -122,6 +122,69 @@ fn sweep_stream_seed_7_matches_batch_through_block_120() {
     }
 }
 
+/// A long-running window holds memory for its live points only: 600
+/// ticks of the class-sweep stream (w = 4, 32 points a block) at the
+/// sparse and the dense ε, checked against batch DBSCAN after every
+/// absorb and every shed. After every shed the slot table holds at most
+/// `2·len() + 64` slots, so compactions happen. At the first compaction
+/// the model is serialized and revived, and the revived copy must stay
+/// byte-identical to the original through the next 64 ticks.
+fn long_stream_stays_exact_and_bounded(seed: u64) {
+    for eps in [0.35, 0.8] {
+        let mut gen = sweep_gen(seed);
+        let mut w = WindowedDbscan::new(DbscanParams::new(2, eps, 4));
+        let mut revived: Option<(u64, WindowedDbscan)> = None;
+        let mut compactions = 0;
+        for tick in 1..=600u64 {
+            if revived.as_ref().is_some_and(|&(at, _)| tick > at + 64) {
+                revived = None;
+            }
+            let block = gen.next_block(32);
+            let slots_before = w.structure().n_slots();
+            for m in std::iter::once(&mut w).chain(revived.as_mut().map(|(_, r)| r)) {
+                m.absorb_block(block.id(), block.records());
+            }
+            let at = |step: &str| format!("seed {seed}, eps {eps}, tick {tick}, {step}");
+            if let Err(e) = w.structure().verify_against_batch() {
+                panic!("{}: {e}", at("absorb"));
+            }
+            let oldest = w.covered_blocks()[0];
+            if w.covered_blocks().len() > 4 {
+                for m in std::iter::once(&mut w).chain(revived.as_mut().map(|(_, r)| r)) {
+                    m.shed_block(oldest);
+                }
+                if let Err(e) = w.structure().verify_against_batch() {
+                    panic!("{}: {e}", at("shed"));
+                }
+                let s = w.structure();
+                assert!(s.n_slots() <= 2 * s.len() + 64, "{}: {} slots", at("shed"), s.n_slots());
+                if s.n_slots() < slots_before {
+                    if compactions == 0 {
+                        let bytes = serde_json::to_string(&w).unwrap();
+                        revived = Some((tick, serde_json::from_str(&bytes).unwrap()));
+                    }
+                    compactions += 1;
+                }
+            }
+            if let Some((_, r)) = &revived {
+                let (got, want) = (serde_json::to_string(r), serde_json::to_string(&w));
+                assert_eq!(got.unwrap(), want.unwrap(), "{}: revived model diverged", at("end"));
+            }
+        }
+        assert!(compactions >= 10, "seed {seed}, eps {eps}: {compactions} compactions");
+    }
+}
+
+#[test]
+fn long_stream_seed_7_stays_exact_and_bounded() {
+    long_stream_stays_exact_and_bounded(7);
+}
+
+#[test]
+fn long_stream_seed_100_stays_exact_and_bounded() {
+    long_stream_stays_exact_and_bounded(100);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
