@@ -254,15 +254,6 @@ impl BirchPlus {
         t0.elapsed()
     }
 
-    /// Absorbs a plain point slice.
-    pub fn absorb_points(&mut self, points: &[Point]) -> Duration {
-        let t0 = Instant::now();
-        for p in points {
-            self.tree.insert_point(p);
-        }
-        t0.elapsed()
-    }
-
     /// Runs phase 2 on the maintained sub-clusters, yielding the current
     /// cluster model and the phase-2 time.
     pub fn model(&self) -> (BirchModel, Duration) {
@@ -377,7 +368,7 @@ mod tests {
     #[test]
     fn birch_plus_serde_roundtrip() {
         let mut plus = BirchPlus::new(params());
-        plus.absorb_points(&blob_points(5, 40));
+        plus.absorb_block(&PointBlock::new(BlockId(1), blob_points(5, 40)));
         let json = serde_json::to_string(&plus).unwrap();
         let back: BirchPlus = serde_json::from_str(&json).unwrap();
         assert_eq!(back.n_points(), plus.n_points());

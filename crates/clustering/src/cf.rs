@@ -60,22 +60,6 @@ impl ClusterFeature {
         &self.ls
     }
 
-    /// The square sum `Σ ‖xᵢ‖²`.
-    #[inline]
-    pub fn square_sum(&self) -> f64 {
-        self.ss
-    }
-
-    /// Absorbs a point (CF additivity with a singleton).
-    pub fn add_point(&mut self, p: &Point) {
-        debug_assert_eq!(self.dim(), p.dim());
-        self.n += 1;
-        for (l, c) in self.ls.iter_mut().zip(p.coords()) {
-            *l += c;
-        }
-        self.ss += p.norm2();
-    }
-
     /// Merges another feature (the additivity theorem).
     pub fn merge(&mut self, other: &ClusterFeature) {
         debug_assert_eq!(self.dim(), other.dim());
@@ -188,7 +172,7 @@ mod tests {
         let cf = ClusterFeature::from_point(&p(&[1.0, 2.0]));
         assert_eq!(cf.n(), 1);
         assert_eq!(cf.centroid().coords(), &[1.0, 2.0]);
-        assert_eq!(cf.square_sum(), 5.0);
+        assert_eq!(cf.ss, 5.0);
         assert_eq!(cf.radius2(), 0.0);
         assert_eq!(cf.diameter2(), 0.0);
     }
@@ -198,10 +182,10 @@ mod tests {
         let pts = [p(&[0.0, 0.0]), p(&[2.0, 0.0]), p(&[1.0, 3.0])];
         let mut whole = ClusterFeature::empty(2);
         for x in &pts {
-            whole.add_point(x);
+            whole.merge(&ClusterFeature::from_point(x));
         }
         let mut a = ClusterFeature::from_point(&pts[0]);
-        a.add_point(&pts[1]);
+        a.merge(&ClusterFeature::from_point(&pts[1]));
         let b = ClusterFeature::from_point(&pts[2]);
         assert_eq!(a.merged(&b), whole);
     }
@@ -209,7 +193,7 @@ mod tests {
     #[test]
     fn centroid_of_merged_points() {
         let mut cf = ClusterFeature::from_point(&p(&[0.0, 0.0]));
-        cf.add_point(&p(&[2.0, 4.0]));
+        cf.merge(&ClusterFeature::from_point(&p(&[2.0, 4.0])));
         assert_eq!(cf.centroid().coords(), &[1.0, 2.0]);
     }
 
@@ -217,7 +201,7 @@ mod tests {
     fn radius_matches_hand_computation() {
         // Points 0 and 2 on a line: centroid 1, radius² = 1.
         let mut cf = ClusterFeature::from_point(&p(&[0.0]));
-        cf.add_point(&p(&[2.0]));
+        cf.merge(&ClusterFeature::from_point(&p(&[2.0])));
         assert!((cf.radius2() - 1.0).abs() < 1e-12);
         // Diameter² = average pairwise squared distance = 4.
         assert!((cf.diameter2() - 4.0).abs() < 1e-12);
@@ -226,9 +210,9 @@ mod tests {
     #[test]
     fn merged_diameter_equals_diameter_of_merge() {
         let mut a = ClusterFeature::from_point(&p(&[0.0, 1.0]));
-        a.add_point(&p(&[1.0, 0.0]));
+        a.merge(&ClusterFeature::from_point(&p(&[1.0, 0.0])));
         let mut b = ClusterFeature::from_point(&p(&[4.0, 4.0]));
-        b.add_point(&p(&[5.0, 5.0]));
+        b.merge(&ClusterFeature::from_point(&p(&[5.0, 5.0])));
         let direct = a.merged(&b).diameter2();
         assert!((a.merged_diameter2(&b) - direct).abs() < 1e-9);
     }
@@ -244,8 +228,8 @@ mod tests {
     #[test]
     fn scatter_is_n_times_radius2() {
         let mut cf = ClusterFeature::from_point(&p(&[0.0]));
-        cf.add_point(&p(&[2.0]));
-        cf.add_point(&p(&[4.0]));
+        cf.merge(&ClusterFeature::from_point(&p(&[2.0])));
+        cf.merge(&ClusterFeature::from_point(&p(&[4.0])));
         assert!((cf.scatter() - 3.0 * cf.radius2()).abs() < 1e-12);
         // Scatter = Σ (x - mean)² = (4 + 0 + 4) = 8.
         assert!((cf.scatter() - 8.0).abs() < 1e-9);
@@ -257,7 +241,7 @@ mod tests {
         // point; the accessors clamp at zero.
         let mut cf = ClusterFeature::empty(1);
         for _ in 0..1000 {
-            cf.add_point(&p(&[0.1000000000000001]));
+            cf.merge(&ClusterFeature::from_point(&p(&[0.1000000000000001])));
         }
         assert!(cf.radius2() >= 0.0);
         assert!(cf.diameter2() >= 0.0);

@@ -273,21 +273,6 @@ impl CfTree {
         }
     }
 
-    /// Height of the tree (a single leaf has height 1).
-    pub fn height(&self) -> usize {
-        let mut h = 1;
-        let mut node = self.root;
-        loop {
-            match &self.nodes[node] {
-                Node::Leaf { .. } => return h,
-                Node::Internal { children } => {
-                    node = children[0].1;
-                    h += 1;
-                }
-            }
-        }
-    }
-
     /// Rebuilds the tree with a larger threshold, reinserting the leaf
     /// entries as units. Repeats (doubling the threshold) until the
     /// capacity constraint holds — guaranteed to terminate because a large
@@ -484,7 +469,7 @@ mod tests {
         }
         assert_eq!(t.n_subclusters(), 100);
         assert_eq!(t.n_points(), 100);
-        assert!(t.height() > 1);
+        assert!(matches!(t.nodes[t.root], Node::Internal { .. }), "the root split");
         t.check_invariants();
     }
 
@@ -524,7 +509,7 @@ mod tests {
     fn insert_cf_preserves_mass() {
         let mut t = CfTree::new(small_params());
         let mut cf = ClusterFeature::from_point(&p(&[1.0, 2.0]));
-        cf.add_point(&p(&[1.1, 2.1]));
+        cf.merge(&ClusterFeature::from_point(&p(&[1.1, 2.1])));
         t.insert_cf(cf);
         t.insert_cf(ClusterFeature::empty(2)); // no-op
         assert_eq!(t.n_points(), 2);

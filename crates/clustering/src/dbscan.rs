@@ -713,12 +713,6 @@ impl IncrementalDbscan {
         out
     }
 
-    /// Number of occupied cells in the neighbor index (leak diagnostics:
-    /// must shrink back as points are removed).
-    pub fn index_cells(&self) -> usize {
-        self.grid.len()
-    }
-
     /// Number of entries across all cells of the neighbor index; equals
     /// the live-point count when the removal path keeps the index clean.
     pub fn index_entries(&self) -> usize {
@@ -886,14 +880,14 @@ mod tests {
         // A point alone in a far-away cell: removing it must drop the
         // emptied cell key, not just mask the entry behind `alive`.
         let (lone, _) = d.insert(p(&[50.0, 50.0]));
-        let cells_before = d.index_cells();
+        let cells_before = d.grid.len();
         d.remove(lone);
-        assert_eq!(d.index_cells(), cells_before - 1, "emptied cell key leaked");
+        assert_eq!(d.grid.len(), cells_before - 1, "emptied cell key leaked");
         assert_eq!(d.index_entries(), d.len(), "stale index entry leaked");
         for id in ids {
             d.remove(id);
         }
-        assert_eq!(d.index_cells(), 0);
+        assert_eq!(d.grid.len(), 0);
         assert_eq!(d.index_entries(), 0);
     }
 

@@ -275,7 +275,7 @@ mod tests {
     fn cf_at(coords: &[f64], n: u64) -> ClusterFeature {
         let mut cf = ClusterFeature::from_point(&Point::new(coords.to_vec()));
         for _ in 1..n {
-            cf.add_point(&Point::new(coords.to_vec()));
+            cf.merge(&ClusterFeature::from_point(&Point::new(coords.to_vec())));
         }
         cf
     }

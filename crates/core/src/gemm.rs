@@ -12,47 +12,20 @@
 //!   is 1) and *becomes the new current model* — the cost of exactly this
 //!   one update is the **response time**;
 //! * every other future-window model absorbs the block off-line (these
-//!   updates may run in parallel and the models may live on disk — "main
-//!   memory is not a limitation as long as a single model fits");
+//!   updates may run in parallel);
 //! * a fresh model is started for the newest future window.
 //!
-//! ## Shelf durability
-//!
-//! Shelved models (`slot_<start>.model`) are written atomically as framed
-//! checksummed files ([`demon_types::durable`]), so a crash mid-shelving
-//! never leaves a torn model. Reads retry transient I/O errors a bounded
-//! number of times. A shelf file that is missing or fails its checksum is
-//! not fatal: GEMM **rebuilds** the model by replaying the window's block
-//! stream through the maintainer (every block a maintained window can
-//! reach is still registered), counts the event in
-//! [`GemmStats::models_rebuilt`] / [`Gemm::shelf_rebuilds`], and carries
-//! on.
+//! All `w` models are plain memory: one `Vec` of slots, ascending by
+//! window start. The paper's disk shelf (§3.2, "main memory is a
+//! premium") is not implemented; every binary keeps its models resident.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::bss::BlockSelector;
 use crate::maintainer::ModelMaintainer;
-use demon_store::{BlockStore, Spillable, SpillPolicy};
-use demon_types::durable::FrameClass;
 use demon_types::parallel::{self, par_for_each_mut};
 use demon_types::{obs, Block, BlockId, DemonError, Parallelism, Result};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
-
-/// How many times a shelf read retries a transient I/O error before the
-/// error is surfaced.
-const SHELF_READ_ATTEMPTS: u32 = 3;
-
-/// Where the off-line (non-current) models live between blocks.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ShelfMode {
-    /// Keep every model in memory.
-    Memory,
-    /// Serialize off-line models to JSON files under this directory,
-    /// loading each only for its update — the paper's disk shelf.
-    Disk(PathBuf),
-}
 
 /// Timing of one GEMM step.
 #[derive(Clone, Copy, Debug, Default)]
@@ -66,67 +39,6 @@ pub struct GemmStats {
     pub absorbed_into_current: bool,
     /// Number of off-line models that absorbed the block.
     pub offline_absorbed: usize,
-    /// Shelved models that were rebuilt from the block stream during this
-    /// step because their shelf file was missing or corrupt.
-    pub models_rebuilt: usize,
-}
-
-/// One off-line model as held by the shelf's storage engine, keyed by
-/// its future window's start block. On disk it is the same framed JSON
-/// `slot_<start>.model` file the shelf has always written — the engine
-/// supplies the atomic writes, checksums and residency tracking.
-struct ShelfModel<T>(T);
-
-impl<T: Clone + Send + Sync + serde::Serialize + serde::de::DeserializeOwned> Spillable
-    for ShelfModel<T>
-{
-    fn frame_class() -> FrameClass {
-        FrameClass::SHELF
-    }
-
-    fn spill_file_name(id: BlockId) -> String {
-        format!("slot_{}.model", id.value())
-    }
-
-    fn encode(&self) -> Result<Vec<u8>> {
-        let bytes = serde_json::to_vec(&self.0).map_err(|e| DemonError::Serde(e.to_string()))?;
-        obs::add(obs::Counter::ShelfBytesWritten, bytes.len() as u64);
-        Ok(bytes)
-    }
-
-    fn decode(bytes: &[u8]) -> Result<Self> {
-        obs::incr(obs::Counter::ShelfHits);
-        obs::add(obs::Counter::ShelfBytesRead, bytes.len() as u64);
-        serde_json::from_slice(bytes)
-            .map(ShelfModel)
-            .map_err(|e| DemonError::Serde(format!("shelved model does not parse: {e}")))
-    }
-
-    fn resident_bytes(&self) -> u64 {
-        // Shelved models are not block data; the disk shelf evicts them
-        // unconditionally (SpillPolicy::Always), so they contribute
-        // nothing to the block-residency gauge.
-        0
-    }
-}
-
-/// Whether a shelf-load failure can be healed by replaying the block
-/// stream: corruption in any form, or the file simply being gone.
-/// Persistent I/O failures (permissions, exhausted retries) cannot.
-fn shelf_loss_is_recoverable(e: &DemonError) -> bool {
-    match e {
-        DemonError::Corrupt { .. } | DemonError::ChecksumMismatch { .. } | DemonError::Serde(_) => {
-            true
-        }
-        DemonError::Io(io) => io.kind() == std::io::ErrorKind::NotFound,
-        _ => false,
-    }
-}
-
-/// An I/O failure worth retrying a bounded number of times (anything
-/// but a plainly-missing file, which the rebuild path handles instead).
-fn shelf_loss_is_transient(e: &DemonError) -> bool {
-    matches!(e, DemonError::Io(io) if io.kind() != std::io::ErrorKind::NotFound)
 }
 
 /// The generic most-recent-window maintainer.
@@ -134,30 +46,19 @@ pub struct Gemm<M: ModelMaintainer> {
     maintainer: M,
     selector: BlockSelector,
     w: usize,
-    shelf: ShelfMode,
-    /// The off-line models (every slot but the current one), held in a
-    /// block storage engine: in-memory for [`ShelfMode::Memory`], spill
-    /// with [`SpillPolicy::Always`] for [`ShelfMode::Disk`].
-    store: BlockStore<ShelfModel<M::Model>>,
     par: Parallelism,
-    retire: bool,
-    /// Starts of the maintained future windows, ascending; the first is
-    /// the current window.
-    starts: Vec<BlockId>,
-    /// The current window's model — always pinned in memory.
-    current: Option<M::Model>,
+    /// One model per maintained window, keyed by the window's start
+    /// block, ascending; slot 0 is the current window.
+    slots: Vec<(BlockId, M::Model)>,
     /// The latest consumed block; [`crate::engine::DemonEngine::resume_at`]
     /// sets it on an empty instance.
     pub(crate) latest: Option<BlockId>,
-    /// Lifetime count of shelved models rebuilt from the block stream
-    /// (atomic because [`Gemm::future_model`] rebuilds through `&self`).
-    rebuilds: AtomicU64,
 }
 
 impl<M: ModelMaintainer + Sync> Gemm<M> {
     /// A GEMM instance over `maintainer` with window size `w` and the
-    /// given BSS. Off-line models stay in memory and update sequentially;
-    /// see [`Gemm::with_shelf`] and [`Gemm::with_parallel_offline`].
+    /// given BSS. Off-line models update sequentially; see
+    /// [`Gemm::with_parallelism`].
     pub fn new(maintainer: M, w: usize, selector: BlockSelector) -> Result<Self> {
         if w == 0 {
             return Err(DemonError::InvalidParameter(
@@ -176,28 +77,10 @@ impl<M: ModelMaintainer + Sync> Gemm<M> {
             maintainer,
             selector,
             w,
-            shelf: ShelfMode::Memory,
-            store: BlockStore::in_memory(),
             par: Parallelism::serial(),
-            retire: true,
-            starts: Vec::new(),
-            current: None,
+            slots: Vec::with_capacity(w),
             latest: None,
-            rebuilds: AtomicU64::new(0),
         })
-    }
-
-    /// Moves the off-line models to a disk shelf (call before the first
-    /// block; switching modes discards any off-line models held so far).
-    pub fn with_shelf(mut self, shelf: ShelfMode) -> Result<Self> {
-        self.store = match &shelf {
-            ShelfMode::Memory => BlockStore::in_memory(),
-            ShelfMode::Disk(dir) => {
-                BlockStore::spill(dir.clone(), SpillPolicy::Always, false)?
-            }
-        };
-        self.shelf = shelf;
-        Ok(self)
     }
 
     /// Updates the off-line models in parallel (they are independent; the
@@ -215,17 +98,10 @@ impl<M: ModelMaintainer + Sync> Gemm<M> {
 
     /// Sets the exact [`Parallelism`] of the off-line fan-out over the
     /// `w−1` future-window models. Each model is absorbed by exactly one
-    /// worker and models are re-shelved in slot order afterwards, so the
-    /// maintained models are bit-identical at any thread count.
+    /// worker, so the maintained models are bit-identical at any thread
+    /// count.
     pub fn with_parallelism(mut self, par: Parallelism) -> Self {
         self.par = par;
-        self
-    }
-
-    /// Keeps retired blocks' data instead of dropping it (for experiments
-    /// that re-read history).
-    pub fn with_retirement(mut self, retire: bool) -> Self {
-        self.retire = retire;
         self
     }
 
@@ -239,113 +115,31 @@ impl<M: ModelMaintainer + Sync> Gemm<M> {
         &self.maintainer
     }
 
-    /// Lifetime count of shelved models that had to be rebuilt from the
-    /// block stream because their shelf file was missing or corrupt.
-    pub fn shelf_rebuilds(&self) -> u64 {
-        self.rebuilds.load(Ordering::Relaxed)
-    }
-
     /// Start of the current most-recent window.
     pub fn window_start(&self) -> Option<BlockId> {
-        self.starts.first().copied()
+        self.slots.first().map(|(start, _)| *start)
     }
 
-    /// The model on the current window w.r.t. the BSS — always held in
-    /// memory. `None` before the first block.
+    /// The model on the current window w.r.t. the BSS. `None` before the
+    /// first block.
     pub fn current_model(&self) -> Option<&M::Model> {
-        self.current.as_ref()
+        self.slots.first().map(|(_, model)| model)
     }
 
-    /// Loads (a clone of) the prefix model of the future window starting
-    /// at `start` — test/diagnostic access to the whole collection. A
-    /// shelf entry whose bytes are lost or damaged is rebuilt from the
-    /// block stream (the entry itself is left for the next slide to
-    /// repair in place).
-    pub fn future_model(&self, start: BlockId) -> Result<M::Model>
-    where
-        M::Model: Clone,
-    {
-        if !self.starts.contains(&start) {
-            return Err(DemonError::UnknownBlock(start.value()));
-        }
-        if self.starts.first() == Some(&start) {
-            return match &self.current {
-                Some(m) => Ok(m.clone()),
-                None => unreachable!("current model exists while windows do"),
-            };
-        }
-        match self.shelf_get(start) {
-            Ok(Some(m)) => Ok(m),
-            Ok(None) => Ok(self.rebuild_model(start, self.latest)),
-            Err(e) if shelf_loss_is_recoverable(&e) => Ok(self.rebuild_model(start, self.latest)),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Reads an off-line model through the storage engine with a bounded
-    /// retry on transient I/O errors, leaving the entry in place.
-    fn shelf_get(&self, start: BlockId) -> Result<Option<M::Model>> {
-        let mut attempt = 1;
-        loop {
-            match self.store.get(start) {
-                Ok(opt) => return Ok(opt.map(|p| p.0.clone())),
-                Err(e) if shelf_loss_is_transient(&e) && attempt < SHELF_READ_ATTEMPTS => {
-                    attempt += 1;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Takes an off-line model out of the shelf store (dropping its slot
-    /// file), rebuilding it from the block stream when its shelved bytes
-    /// are lost or damaged. `upto` is the last block the shelved state
-    /// covered — the replay bound for a rebuild.
-    fn take_or_rebuild(&self, start: BlockId, upto: BlockId) -> Result<M::Model> {
-        let mut attempt = 1;
-        loop {
-            match self.store.take(start) {
-                Ok(Some(m)) => return Ok(m.0),
-                Ok(None) => return Ok(self.rebuild_model(start, Some(upto))),
-                Err(e) if shelf_loss_is_transient(&e) && attempt < SHELF_READ_ATTEMPTS => {
-                    attempt += 1;
-                }
-                Err(e) if shelf_loss_is_recoverable(&e) => {
-                    // Drop the damaged entry (and its file) so the rebuilt
-                    // model re-shelves cleanly.
-                    self.store.remove(start);
-                    return Ok(self.rebuild_model(start, Some(upto)));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Recomputes a slot's model by replaying the registered block stream
-    /// through the maintainer: absorb every block in `start..=upto` whose
-    /// BSS bit is set. Valid because retirement only drops blocks below
-    /// the oldest maintained window start.
-    fn rebuild_model(&self, start: BlockId, upto: Option<BlockId>) -> M::Model {
-        let mut model = self.maintainer.fresh();
-        if let Some(upto) = upto {
-            let mut id = start;
-            while id <= upto {
-                if self.bit_for(start, id) {
-                    self.maintainer.absorb(&mut model, id);
-                }
-                id = id.next();
-            }
-        }
-        self.rebuilds.fetch_add(1, Ordering::Relaxed);
-        // A rebuild happens exactly when a shelf read could not be served.
-        obs::incr(obs::Counter::ShelfMisses);
-        model
+    /// The prefix model of the maintained window starting at `start`
+    /// (the current window's included), or `None` if no maintained window
+    /// starts there.
+    pub fn future_model(&self, start: BlockId) -> Option<&M::Model> {
+        self.slots
+            .iter()
+            .find(|(s, _)| *s == start)
+            .map(|(_, model)| model)
     }
 
     /// Starts of all maintained future windows (ascending; the first is
     /// the current window).
     pub fn slot_starts(&self) -> Vec<BlockId> {
-        self.starts.clone()
+        self.slots.iter().map(|(start, _)| *start).collect()
     }
 
     /// Processes the next arriving block (ids must be contiguous). A
@@ -357,57 +151,33 @@ impl<M: ModelMaintainer + Sync> Gemm<M> {
         self.maintainer.register_block(block);
         self.latest = Some(id);
         let mut stats = GemmStats::default();
-        let rebuilds_before = self.rebuilds.load(Ordering::Relaxed);
 
-        // Slide: drop the outgoing current slot once the window is full.
-        // Its model lives in `current`, never in the shelf store, so
-        // there is no entry or file to clean up.
-        if self.starts.len() == self.w {
-            self.starts.remove(0);
-            self.current = None;
+        // Slide: drop the outgoing current slot once the window is full,
+        // and start the newest future window at the arriving block.
+        if self.slots.len() == self.w {
+            self.slots.remove(0);
         }
-        // New future window starting at the arriving block.
-        self.starts.push(id);
-        let mut fresh = Some(self.maintainer.fresh());
-
-        // The new current model must be in memory before its timed
-        // update. Its shelved state covers blocks up to the previous
-        // arrival — the replay bound if the shelf turns out damaged.
-        if self.current.is_none() {
-            let front = self.starts[0];
-            self.current = Some(if front == id {
-                match fresh.take() {
-                    Some(m) => m,
-                    None => unreachable!("fresh model created this call"),
-                }
-            } else {
-                self.take_or_rebuild(front, BlockId(id.value() - 1))?
-            });
-        }
+        self.slots.push((id, self.maintainer.fresh()));
 
         // Time-critical update: the new current model.
-        let current_bit = self.bit_for(self.starts[0], id);
+        let current_bit = self.bit_for(self.slots[0].0, id);
         let t0 = Instant::now();
         if current_bit {
-            if let Some(model) = self.current.as_mut() {
-                self.maintainer.absorb(model, id);
-            }
+            self.maintainer.absorb(&mut self.slots[0].1, id);
         }
         stats.response_time = t0.elapsed();
         stats.absorbed_into_current = current_bit;
 
         // Off-line updates of the remaining slots.
         let t1 = Instant::now();
-        stats.offline_absorbed = self.update_offline(id, fresh)?;
+        stats.offline_absorbed = self.update_offline(id);
         stats.offline_time = t1.elapsed();
 
         // Retire data no maintained window can reach.
-        if self.retire && self.starts[0].value() > 1 {
-            self.maintainer
-                .retire_block(BlockId(self.starts[0].value() - 1));
+        let start = self.slots[0].0.value();
+        if start > 1 {
+            self.maintainer.retire_block(BlockId(start - 1));
         }
-        stats.models_rebuilt =
-            (self.rebuilds.load(Ordering::Relaxed) - rebuilds_before) as usize;
         Ok(stats)
     }
 
@@ -416,63 +186,32 @@ impl<M: ModelMaintainer + Sync> Gemm<M> {
             .selects_arriving(arriving, slot_start, self.w)
     }
 
-    /// Updates every off-line model for arriving block `id`. `fresh` is
-    /// the brand-new model of the window starting at `id`, unless the
-    /// timed current-slot path already consumed it (w = 1).
-    fn update_offline(&mut self, id: BlockId, mut fresh: Option<M::Model>) -> Result<usize> {
-        let w = self.w;
-        let selector = self.selector.clone();
-        // Collect the work: (window start, absorb?).
-        let work: Vec<(BlockId, bool)> = self
-            .starts
+    /// Updates every off-line model (slots 1..) for arriving block `id`;
+    /// returns how many absorbed it.
+    fn update_offline(&mut self, id: BlockId) -> usize {
+        let (w, selector) = (self.w, &self.selector);
+        let absorbed = self.slots[1..]
             .iter()
-            .skip(1)
-            .map(|&s| (s, selector.selects_arriving(id, s, w)))
-            .collect();
-        let absorbed = work.iter().filter(|&&(_, b)| b).count();
+            .filter(|(start, _)| selector.selects_arriving(id, *start, w))
+            .count();
         // Off-line absorbs follow the BSS projected onto each future
         // window (window-independent) or right-shifted (window-relative).
-        let op = match &self.selector {
+        let op = match selector {
             BlockSelector::WindowIndependent(_) => obs::Counter::GemmProjections,
             BlockSelector::WindowRelative(_) => obs::Counter::GemmShifts,
         };
         obs::add(op, absorbed as u64);
 
-        // Take every off-line model out of the store serially (loads,
-        // counters and rebuilds happen outside the parallel region). A
-        // damaged shelf entry is rebuilt from the block stream (state as
-        // of the previous arrival; this very loop then absorbs the new
-        // block where selected).
-        let mut loaded: Vec<(BlockId, M::Model, bool)> = Vec::with_capacity(work.len());
-        for &(start, bit) in &work {
-            let model = if start == id {
-                match fresh.take() {
-                    Some(m) => m,
-                    None => unreachable!("new slot model created once per arrival"),
-                }
-            } else {
-                self.take_or_rebuild(start, BlockId(id.value() - 1))?
-            };
-            loaded.push((start, model, bit));
-        }
-
         // Each selected model is absorbed by exactly one worker and the
         // models are independent, so the result is bit-identical to the
         // sequential loop at any thread count.
         let maintainer = &self.maintainer;
-        par_for_each_mut(self.par, &mut loaded, |_, (_, model, bit)| {
-            if *bit {
+        par_for_each_mut(self.par, &mut self.slots[1..], |_, (start, model)| {
+            if selector.selects_arriving(id, *start, w) {
                 maintainer.absorb(model, id);
             }
         });
-
-        // Put the models back in slot order; a disk shelf spills each one
-        // to its `slot_<start>.model` file as it is inserted
-        // ([`SpillPolicy::Always`]).
-        for (start, model, _) in loaded {
-            self.store.insert(start, ShelfModel(model));
-        }
-        Ok(absorbed)
+        absorbed
     }
 }
 
@@ -613,7 +352,7 @@ mod tests {
         // Cross-check GEMM's incremental state against batch mining of the
         // same selection, for a nontrivial window-relative BSS.
         let wr = BlockSelector::WindowRelative(WrBss::new(vec![true, true, false, true]));
-        let mut g = gemm_with(4, wr).with_retirement(false);
+        let mut g = gemm_with(4, wr);
         for id in 1..=7u64 {
             g.add_block(marker_block(id, 4)).unwrap();
         }
@@ -632,119 +371,6 @@ mod tests {
         let batch = FrequentItemsets::mine_from(&store, &selected, k(0.05)).unwrap();
         let model = g.current_model().unwrap();
         assert_eq!(model.frequent(), batch.frequent());
-    }
-
-    #[test]
-    fn disk_shelf_roundtrips_models() {
-        let dir = std::env::temp_dir().join(format!("demon-gemm-test-{}", std::process::id()));
-        let maintainer = ItemsetMaintainer::new(16, k(0.05), CounterKind::Ecut);
-        let mut g = Gemm::new(maintainer, 3, BlockSelector::all())
-            .unwrap()
-            .with_shelf(ShelfMode::Disk(dir.clone()))
-            .unwrap();
-        for id in 1..=5u64 {
-            g.add_block(marker_block(id, 4)).unwrap();
-        }
-        assert_eq!(covered_blocks(g.current_model().unwrap()), vec![3, 4, 5]);
-        // Future-window models are loadable from the shelf.
-        let f = g.future_model(BlockId(5)).unwrap();
-        assert_eq!(covered_blocks(&f), vec![5]);
-        // Shelf files exist for the off-line slots only.
-        let files = std::fs::read_dir(&dir).unwrap().count();
-        assert_eq!(files, 2);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn shelf_files_are_framed_with_no_tmp_residue() {
-        let dir = std::env::temp_dir().join(format!("demon-gemm-frame-{}", std::process::id()));
-        let maintainer = ItemsetMaintainer::new(16, k(0.05), CounterKind::Ecut);
-        let mut g = Gemm::new(maintainer, 3, BlockSelector::all())
-            .unwrap()
-            .with_shelf(ShelfMode::Disk(dir.clone()))
-            .unwrap();
-        for id in 1..=5u64 {
-            g.add_block(marker_block(id, 4)).unwrap();
-        }
-        for entry in std::fs::read_dir(&dir).unwrap() {
-            let path = entry.unwrap().path();
-            let name = path.file_name().unwrap().to_string_lossy().into_owned();
-            assert!(!name.ends_with(".tmp"), "stray tmp file {name}");
-            let bytes = std::fs::read(&path).unwrap();
-            assert_eq!(&bytes[0..4], b"DMON", "{name} is not framed");
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// A memory-shelf twin fed the same blocks — the oracle for what a
-    /// rebuilt model must look like.
-    fn twin(upto: u64) -> Gemm<ItemsetMaintainer> {
-        let mut g = gemm_with(3, BlockSelector::all());
-        for id in 1..=upto {
-            g.add_block(marker_block(id, 4)).unwrap();
-        }
-        g
-    }
-
-    #[test]
-    fn corrupt_shelf_model_is_rebuilt_not_fatal() {
-        let dir = std::env::temp_dir().join(format!("demon-gemm-corrupt-{}", std::process::id()));
-        let maintainer = ItemsetMaintainer::new(16, k(0.05), CounterKind::Ecut);
-        let mut g = Gemm::new(maintainer, 3, BlockSelector::all())
-            .unwrap()
-            .with_shelf(ShelfMode::Disk(dir.clone()))
-            .unwrap();
-        for id in 1..=5u64 {
-            g.add_block(marker_block(id, 4)).unwrap();
-        }
-        // Flip a payload byte of the shelved slot-4 model.
-        let path = dir.join("slot_4.model");
-        let mut bytes = std::fs::read(&path).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xFF;
-        std::fs::write(&path, &bytes).unwrap();
-
-        // Reading it back degrades gracefully into a rebuild…
-        let rebuilt = g.future_model(BlockId(4)).unwrap();
-        let expected = twin(5).future_model(BlockId(4)).unwrap();
-        assert_eq!(rebuilt.frequent(), expected.frequent());
-        assert_eq!(g.shelf_rebuilds(), 1);
-
-        // …and GEMM keeps running: block 6 slides the window, so slot 4
-        // must be unshelved from the still-corrupt file — rebuilt once
-        // more and pinned in memory as the new current model.
-        let stats = g.add_block(marker_block(6, 4)).unwrap();
-        assert_eq!(stats.models_rebuilt, 1);
-        let healed = g.future_model(BlockId(4)).unwrap();
-        let expected = twin(6).future_model(BlockId(4)).unwrap();
-        assert_eq!(healed.frequent(), expected.frequent());
-        assert_eq!(g.shelf_rebuilds(), 2, "in-memory model needs no rebuild");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn missing_shelf_model_is_rebuilt_not_fatal() {
-        let dir = std::env::temp_dir().join(format!("demon-gemm-missing-{}", std::process::id()));
-        let maintainer = ItemsetMaintainer::new(16, k(0.05), CounterKind::Ecut);
-        let mut g = Gemm::new(maintainer, 3, BlockSelector::all())
-            .unwrap()
-            .with_shelf(ShelfMode::Disk(dir.clone()))
-            .unwrap();
-        for id in 1..=5u64 {
-            g.add_block(marker_block(id, 4)).unwrap();
-        }
-        std::fs::remove_file(dir.join("slot_4.model")).unwrap();
-        // Block 6 slides the window; slot 4 becomes current and must be
-        // unshelved — from a file that no longer exists.
-        let stats = g.add_block(marker_block(6, 4)).unwrap();
-        assert_eq!(stats.models_rebuilt, 1);
-        assert_eq!(g.window_start(), Some(BlockId(4)));
-        let expected = twin(6);
-        assert_eq!(
-            g.current_model().unwrap().frequent(),
-            expected.current_model().unwrap().frequent()
-        );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

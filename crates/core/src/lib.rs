@@ -20,7 +20,7 @@
 //! * [`gemm`] — the generic most-recent-window algorithm: maintain one
 //!   model per future window overlapping the current one, updating the
 //!   time-critical model first (its cost is the *response time*) and the
-//!   rest off-line, optionally parallel and optionally shelved to disk;
+//!   rest off-line, optionally in parallel;
 //! * [`engine`] — a small facade selecting the data span option;
 //! * [`report`] — calendar-style reporting of block sequences for the
 //!   web-trace experiments;
@@ -34,7 +34,6 @@
 //! | §2 | block selection sequences, projection, right-shift | [`bss`] |
 //! | §3.1 | model maintenance substrate | [`maintainer`] |
 //! | §3.2 | GEMM, future-window models, off-line updates | [`gemm`] |
-//! | §3.2 ("main memory is a premium") | disk shelf | [`gemm::ShelfMode`] |
 //! | §3.2 ("may run in parallel") | parallel off-line fan-out | [`Gemm::with_parallelism`] |
 //! | §3.2.4 | AuM add/delete ablation baseline | `demon_bench::baselines::aum` (not linked by the daemon) |
 //! | §3.2.4 | deletion-based MRW engine (incremental DBSCAN) | [`engine::SlidingEngine`] |
@@ -80,7 +79,7 @@ pub mod report;
 
 pub use bss::{BlockSelector, WiBss};
 pub use engine::{DataSpan, DemonEngine, SlidingEngine};
-pub use gemm::{Gemm, GemmStats, ShelfMode};
+pub use gemm::{Gemm, GemmStats};
 pub use maintainer::{
     ClusterMaintainer, DbscanMaintainer, DecrementalMaintainer, ItemsetMaintainer,
     ModelMaintainer, TreeMaintainer,

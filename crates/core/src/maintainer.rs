@@ -12,15 +12,11 @@
 //! * `retire_block` — drop the stored data of blocks no maintained window
 //!   can ever need again.
 
-use demon_clustering::{
-    BirchModel, BirchParams, CfTree, DbscanParams, PointBlockEntry, WindowedDbscan,
-};
+use demon_clustering::{BirchParams, CfTree, DbscanParams, PointBlockEntry, WindowedDbscan};
 use demon_itemsets::{CounterKind, FrequentItemsets, TxStore};
 use demon_store::{BlockEntry, BlockStore, StoreConfig};
 use demon_trees::LabeledBlockEntry;
 use demon_types::{BlockId, MinSupport, PointBlock, Result, TxBlock};
-use serde::de::DeserializeOwned;
-use serde::Serialize;
 
 /// An incremental model maintenance algorithm for the unrestricted window
 /// option, as consumed by GEMM.
@@ -28,9 +24,8 @@ pub trait ModelMaintainer {
     /// The record type of the blocks this maintainer consumes.
     type Record;
     /// The maintained model. `Clone` for the collection bookkeeping,
-    /// serde for GEMM's on-disk model shelf, `Send + Sync` for parallel
-    /// off-line updates and the shelf's storage-engine entries.
-    type Model: Clone + Send + Sync + Serialize + DeserializeOwned;
+    /// `Send + Sync` for GEMM's parallel off-line updates.
+    type Model: Clone + Send + Sync;
 
     /// A model of the empty dataset.
     fn fresh(&self) -> Self::Model;
@@ -103,11 +98,6 @@ impl ItemsetMaintainer {
         &self.store
     }
 
-    /// Mutable access to the store.
-    pub fn store_mut(&mut self) -> &mut TxStore {
-        &mut self.store
-    }
-
     /// The configured counter.
     pub fn counter(&self) -> CounterKind {
         self.counter
@@ -116,18 +106,6 @@ impl ItemsetMaintainer {
     /// The mining threshold.
     pub fn min_support(&self) -> MinSupport {
         self.minsup
-    }
-
-    /// Explicitly materializes pair lists for a registered block — used
-    /// when the caller has a better 2-itemset hint than the block-local
-    /// one (e.g. the current model's `frequent_pairs_by_support`).
-    pub fn materialize_pairs_for(
-        &mut self,
-        id: BlockId,
-        pairs: &[(demon_types::Item, demon_types::Item)],
-        budget: Option<u64>,
-    ) -> demon_itemsets::store::MaterializeStats {
-        self.store.materialize_pairs(id, pairs, budget)
     }
 }
 
@@ -204,11 +182,6 @@ impl ClusterMaintainer {
     /// The block storage engine holding the registered point blocks.
     pub fn store(&self) -> &BlockStore<PointBlockEntry> {
         &self.blocks
-    }
-
-    /// Runs phase 2 on a maintained tree, yielding the cluster model.
-    pub fn cluster_model(&self, tree: &CfTree) -> BirchModel {
-        demon_clustering::phase2_model(tree, &self.params)
     }
 }
 
@@ -495,7 +468,7 @@ mod tests {
         assert_eq!(tree.n_points(), 50);
         m.absorb(&mut tree, BlockId(2));
         assert_eq!(tree.n_points(), 100);
-        let model = m.cluster_model(&tree);
+        let model = demon_clustering::phase2_model(&tree, m.params());
         assert_eq!(model.k(), 2);
         assert_eq!(model.n_points(), 100);
         m.retire_block(BlockId(1));

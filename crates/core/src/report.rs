@@ -3,7 +3,7 @@
 //! ("12 Noon - 4 PM on all working days except 9-9-96").
 
 use demon_types::calendar::{self, Weekday};
-use demon_types::{BlockInterval, Timestamp};
+use demon_types::BlockInterval;
 use std::collections::BTreeSet;
 
 /// A calendar summary of a sequence of block intervals.
@@ -139,18 +139,10 @@ fn describe_days(days: &[u64]) -> String {
     dates.join(", ")
 }
 
-/// Convenience: describe from `(start, end)` timestamps.
-pub fn describe_spans(spans: &[(Timestamp, Timestamp)]) -> CalendarPattern {
-    let intervals: Vec<BlockInterval> = spans
-        .iter()
-        .map(|&(s, e)| BlockInterval::new(s, e))
-        .collect();
-    describe(&intervals)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use demon_types::Timestamp;
 
     fn iv(day: u64, start_h: u64, hours: u64) -> BlockInterval {
         BlockInterval::new(

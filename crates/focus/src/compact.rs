@@ -262,11 +262,6 @@ where
         &self.oracle
     }
 
-    /// Consumes the miner, handing the oracle back.
-    pub fn into_oracle(self) -> O {
-        self.oracle
-    }
-
     /// Checks Definition 4.1 against the verdict matrix for every
     /// maintained sequence, and that the per-block collections stay
     /// aligned and within the window. Test support.

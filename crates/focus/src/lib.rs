@@ -31,8 +31,6 @@
 //! | Def. 4.1 | binary block-similarity predicate | [`similarity`] |
 //! | §4 | compact sequences `G₁ … G_t` | [`compact`] |
 //! | footnote 9 | the same over the most recent window | [`CompactSequenceMiner::with_window`] |
-//! | §5 | block-granularity selection | [`granularity`] |
-//! | §5 | cyclic sub-sequence reporting | [`postprocess`] |
 //!
 //! Bootstrap resamples and, for every model class, the miner's
 //! per-arrival model fit and pairwise deviations shard across threads
@@ -73,8 +71,6 @@
 
 pub mod compact;
 pub mod deviation;
-pub mod granularity;
-pub mod postprocess;
 pub mod significance;
 pub mod similarity;
 
@@ -82,8 +78,6 @@ pub use compact::{CompactSequenceMiner, CompactStats};
 pub use deviation::{
     cluster_deviation, dbscan_deviation, itemset_deviation, tree_deviation, DeviationResult,
 };
-pub use granularity::{evaluate_granularities, select_granularity, GranularityReport};
-pub use postprocess::{cyclic_subsequences, CyclicSequence};
 pub use significance::{bootstrap_significance, bootstrap_significance_with};
 pub use similarity::{
     CachedSimilarity, ClusterSimilarity, DbscanSimilarity, ItemsetSimilarity, SimilarityConfig,

@@ -297,14 +297,6 @@ impl FrequentItemsets {
             .copied()
     }
 
-    /// Support as a fraction of the selected transactions.
-    pub fn support_fraction(&self, itemset: &ItemSet) -> Option<f64> {
-        if self.n == 0 {
-            return None;
-        }
-        self.support(itemset).map(|c| c as f64 / self.n as f64)
-    }
-
     /// Frequent itemsets sorted for deterministic output.
     pub fn frequent_sorted(&self) -> Vec<(ItemSet, u64)> {
         let mut v: Vec<(ItemSet, u64)> =
@@ -423,23 +415,6 @@ impl FrequentItemsets {
         self.cascade(store, counter, &mut stats);
         stats.update_time = t1.elapsed();
         Ok(stats)
-    }
-
-    /// Changes the minimum support threshold. Raising κ only re-thresholds
-    /// (L(D, κ') ⊆ L(D, κ)); lowering κ runs the full BORDERS cascade with
-    /// the chosen counter (paper §3.1.1).
-    pub fn set_min_support(
-        &mut self,
-        store: &TxStore,
-        minsup: MinSupport,
-        counter: CounterKind,
-    ) -> MaintenanceStats {
-        let mut stats = MaintenanceStats::default();
-        self.minsup = minsup;
-        let t = Instant::now();
-        self.cascade(store, counter, &mut stats);
-        stats.update_time = t.elapsed();
-        stats
     }
 
     /// Counts every tracked itemset on one block with the cached prefix
@@ -769,46 +744,11 @@ mod tests {
     }
 
     #[test]
-    fn raising_min_support_shrinks_l() {
-        let b1 = block(
-            1,
-            1,
-            &[&[0, 1], &[0, 1], &[0, 2], &[0], &[1], &[2], &[0, 1, 2]],
-        );
-        let mut store = TxStore::new(3);
-        store.add_block(b1);
-        let mut m = FrequentItemsets::empty(k(0.2), 3);
-        m.absorb_block(&store, BlockId(1), CounterKind::Ecut).unwrap();
-        let before = m.n_frequent();
-        m.set_min_support(&store, k(0.5), CounterKind::Ecut);
-        m.check_invariants(&store);
-        assert!(m.n_frequent() < before);
-        let batch = FrequentItemsets::mine_from(&store, &[BlockId(1)], k(0.5)).unwrap();
-        assert_same_model(&m, &batch);
-    }
-
-    #[test]
-    fn lowering_min_support_grows_l() {
-        let b1 = block(
-            1,
-            1,
-            &[&[0, 1], &[0, 1], &[0, 2], &[0], &[1], &[2], &[0, 1, 2]],
-        );
-        let mut store = TxStore::new(3);
-        store.add_block(b1);
-        let mut m = FrequentItemsets::empty(k(0.5), 3);
-        m.absorb_block(&store, BlockId(1), CounterKind::Ecut).unwrap();
-        m.set_min_support(&store, k(0.15), CounterKind::Ecut);
-        m.check_invariants(&store);
-        let batch = FrequentItemsets::mine_from(&store, &[BlockId(1)], k(0.15)).unwrap();
-        assert_same_model(&m, &batch);
-    }
-
-    #[test]
     fn detector_rebuild_after_massive_border_shrink() {
-        // Build a model with a wide border, then raise κ so the border
-        // collapses: the cached detector becomes mostly stale and must be
-        // rebuilt on the next absorb without corrupting counts.
+        // Build a model with a wide border, then absorb a block that
+        // demotes almost everything: the cached detector becomes mostly
+        // stale and must be rebuilt on the next absorb without corrupting
+        // counts.
         use rand::prelude::*;
         let mut rng = StdRng::seed_from_u64(3);
         let raw: Vec<Vec<u32>> = (0..300)
@@ -816,18 +756,26 @@ mod tests {
             .collect();
         let slices: Vec<&[u32]> = raw.iter().map(|v| v.as_slice()).collect();
         let b1 = block(1, 1, &slices);
-        let b2 = block(2, 1000, &[&[0, 1], &[0, 1], &[2, 3]]);
+        // Ten times b1's size over two pairs: b1's pairs all fall below κ.
+        let heavy: Vec<&[u32]> = (0..3000)
+            .map(|i| if i % 2 == 0 { &[0u32, 1][..] } else { &[2u32, 3][..] })
+            .collect();
+        let b2 = block(2, 1000, &heavy);
+        let b3 = block(3, 10_000, &[&[0, 1], &[0, 1], &[2, 3]]);
         let mut store = TxStore::new(16);
-        store.add_block(b1);
-        store.add_block(b2);
+        for b in [b1, b2, b3] {
+            store.add_block(b);
+        }
+        let ids = [BlockId(1), BlockId(2), BlockId(3)];
         let mut m = FrequentItemsets::empty(k(0.02), 16);
-        m.absorb_block(&store, BlockId(1), CounterKind::Ecut).unwrap();
-        // Raising κ demotes almost everything, leaving stale detector slots.
-        m.set_min_support(&store, k(0.45), CounterKind::Ecut);
-        m.absorb_block(&store, BlockId(2), CounterKind::Ecut).unwrap();
+        m.absorb_block(&store, ids[0], CounterKind::Ecut).unwrap();
+        let before = m.n_frequent();
+        // b2 demotes almost everything, leaving stale detector slots.
+        m.absorb_block(&store, ids[1], CounterKind::Ecut).unwrap();
+        assert!(m.n_frequent() * 4 < before, "{} of {before} stay frequent", m.n_frequent());
+        m.absorb_block(&store, ids[2], CounterKind::Ecut).unwrap();
         m.check_invariants(&store);
-        let batch =
-            FrequentItemsets::mine_from(&store, &[BlockId(1), BlockId(2)], k(0.45)).unwrap();
+        let batch = FrequentItemsets::mine_from(&store, &ids, k(0.02)).unwrap();
         assert_same_model(&m, &batch);
     }
 
@@ -872,22 +820,6 @@ mod tests {
     }
 
     #[test]
-    fn merged_blocks_mine_like_their_parts() {
-        // §2.1 time hierarchy: coarsening blocks must not change the model.
-        let b1 = block(1, 1, &[&[0, 1], &[2]]);
-        let b2 = block(2, 100, &[&[0, 1], &[0]]);
-        let mut fine = TxStore::new(3);
-        fine.add_block(b1.clone());
-        fine.add_block(b2.clone());
-        let merged = demon_types::Block::merge(BlockId(1), vec![b1, b2]);
-        let mut coarse = TxStore::new(3);
-        coarse.add_block(merged);
-        let a = FrequentItemsets::mine_from(&fine, &[BlockId(1), BlockId(2)], k(0.3)).unwrap();
-        let b = FrequentItemsets::mine_from(&coarse, &[BlockId(1)], k(0.3)).unwrap();
-        assert_eq!(a.frequent(), b.frequent());
-    }
-
-    #[test]
     fn model_roundtrips_through_serde() {
         let b1 = block(1, 1, &[&[0, 1], &[0, 1], &[2]]);
         let mut store = TxStore::new(3);
@@ -915,18 +847,5 @@ mod tests {
         let pairs = m.frequent_pairs_by_support();
         assert_eq!(pairs[0], (Item(0), Item(1)));
         assert!(pairs.contains(&(Item(1), Item(2))));
-    }
-
-    #[test]
-    fn support_fraction_matches_counts() {
-        let b1 = block(1, 1, &[&[0], &[0], &[1]]);
-        let mut store = TxStore::new(2);
-        store.add_block(b1);
-        let m = FrequentItemsets::mine_from(&store, &[BlockId(1)], k(0.3)).unwrap();
-        assert!(
-            (m.support_fraction(&ItemSet::from_ids(&[0])).unwrap() - 2.0 / 3.0).abs() < 1e-12
-        );
-        let empty = FrequentItemsets::empty(k(0.3), 2);
-        assert_eq!(empty.support_fraction(&ItemSet::from_ids(&[0])), None);
     }
 }

@@ -126,14 +126,6 @@ pub fn derive_rules(model: &FrequentItemsets, min_confidence: f64) -> Vec<Rule> 
     rules
 }
 
-/// The top-`k` rules by `(confidence, support)`, a convenience for the
-/// monitoring loop.
-pub fn top_rules(model: &FrequentItemsets, min_confidence: f64, k: usize) -> Vec<Rule> {
-    let mut rules = derive_rules(model, min_confidence);
-    rules.truncate(k);
-    rules
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,9 +211,6 @@ mod tests {
                     || (w[0].confidence == w[1].confidence && w[0].support >= w[1].support)
             );
         }
-        let top = top_rules(&m, 0.0, 2);
-        assert_eq!(top.len(), 2);
-        assert_eq!(top[0], rules[0]);
     }
 
     #[test]

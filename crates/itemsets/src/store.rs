@@ -591,13 +591,8 @@ mod tests {
 
     #[test]
     fn spilled_blocks_reload_identically() {
-        use demon_store::SpillPolicy;
         let dir = std::env::temp_dir().join(format!("demon-txstore-{}", std::process::id()));
-        let config = StoreConfig::Spill {
-            dir: dir.clone(),
-            policy: SpillPolicy::Always,
-            cleanup: true,
-        };
+        let config = StoreConfig::budget(dir.clone(), 0);
         let mut spilled = TxStore::with_config(4, &config).unwrap();
         let mut reference = TxStore::new(4);
         for s in [&mut spilled, &mut reference] {

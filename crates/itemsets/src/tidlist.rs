@@ -69,19 +69,6 @@ impl BlockTidLists {
         self.pair_lists.get(&(a, b)).map(|v| v.as_slice())
     }
 
-    /// Materializes the pair `(a, b)` by intersecting the two item lists.
-    /// Returns the length of the new list. Idempotent.
-    pub fn materialize_pair(&mut self, a: Item, b: Item) -> usize {
-        debug_assert!(a < b);
-        if let Some(l) = self.pair_lists.get(&(a, b)) {
-            return l.len();
-        }
-        let list = intersect_pair(self.item_list(a), self.item_list(b));
-        let len = list.len();
-        self.pair_lists.insert((a, b), list);
-        len
-    }
-
     /// Stores a pre-computed pair list (ECUT+ budgeted materialization
     /// intersects first to learn the cost, then decides whether to keep).
     pub fn insert_pair(&mut self, a: Item, b: Item, list: Vec<Tid>) {
@@ -145,11 +132,6 @@ impl TidListStore {
     /// The lists of one block.
     pub fn block(&self, id: BlockId) -> Option<&BlockTidLists> {
         self.blocks.get(&id)
-    }
-
-    /// Mutable access (ECUT+ pair materialization).
-    pub fn block_mut(&mut self, id: BlockId) -> Option<&mut BlockTidLists> {
-        self.blocks.get_mut(&id)
     }
 
     /// Iterates over stored blocks in id order.
@@ -801,13 +783,13 @@ mod tests {
     }
 
     #[test]
-    fn pair_materialization_is_idempotent_intersection() {
+    fn inserted_pair_list_is_the_item_lists_intersection() {
         let b = block(1, &[(1, &[0, 2]), (2, &[1, 2]), (3, &[0, 1, 2])]);
         let mut lists = BlockTidLists::materialize(&b, 4);
-        let len = lists.materialize_pair(Item(1), Item(2));
-        assert_eq!(len, 2); // TIDs 2 and 3 contain both.
+        let list = intersect_pair(lists.item_list(Item(1)), lists.item_list(Item(2)));
+        lists.insert_pair(Item(1), Item(2), list);
+        // TIDs 2 and 3 contain both.
         assert_eq!(lists.pair_list(Item(1), Item(2)).unwrap(), &tids(&[2, 3])[..]);
-        assert_eq!(lists.materialize_pair(Item(1), Item(2)), 2);
         assert_eq!(lists.pair_space(), 2);
         assert_eq!(
             lists.materialized_pairs().collect::<Vec<_>>(),

@@ -14,8 +14,9 @@
 //! | Backend | Residency | Used for |
 //! |---|---|---|
 //! | in-memory | everything stays resident, nothing is ever evicted | the historical default; small stores |
-//! | spill + [`SpillPolicy::Budget`] | LRU set bounded by a byte budget | `--memory-budget` replay of every maintainer |
-//! | spill + [`SpillPolicy::Always`] | nothing unpinned stays resident | GEMM's disk model shelf (write-through) |
+//! | spill | LRU set bounded by a byte budget | `--memory-budget` replay of every maintainer |
+//!
+//! A spill store's directory is removed when the store is dropped.
 //!
 //! # Pinning
 //!
@@ -124,16 +125,6 @@ impl<R: Row + Send + Sync> Spillable for BlockEntry<R> {
     }
 }
 
-/// When a spill-backed store evicts.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SpillPolicy {
-    /// Keep the least-recently-used residency set under this many bytes.
-    Budget(u64),
-    /// Evict every unpinned value after each operation (write-through;
-    /// GEMM's disk shelf).
-    Always,
-}
-
 /// How a component should build its [`BlockStore`]s. Threaded from
 /// `demon-cli --memory-budget` down into every maintainer.
 #[derive(Clone, Debug, Default)]
@@ -141,32 +132,23 @@ pub enum StoreConfig {
     /// Keep everything in memory (the historical behavior).
     #[default]
     InMemory,
-    /// Spill to disk under `dir`.
+    /// Spill to disk under `dir`, keeping each store's least-recently-used
+    /// residency set under `budget` bytes.
     Spill {
         /// Base directory; each store built from this config gets its
         /// own labelled subdirectory.
         dir: PathBuf,
-        /// Eviction policy shared by every store built from this config.
-        policy: SpillPolicy,
-        /// Remove each store's spill directory when the store is dropped.
-        cleanup: bool,
+        /// Resident-byte budget of each store built from this config. A
+        /// budget of 0 writes every unpinned block through to disk.
+        budget: u64,
     },
 }
 
 impl StoreConfig {
-    /// A spill config with an LRU byte budget under `dir`, cleaned up on
-    /// drop — what `--memory-budget` builds.
+    /// A spill config with an LRU byte budget under `dir` — what
+    /// `--memory-budget` builds.
     pub fn budget(dir: PathBuf, bytes: u64) -> Self {
-        StoreConfig::Spill {
-            dir,
-            policy: SpillPolicy::Budget(bytes),
-            cleanup: true,
-        }
-    }
-
-    /// Whether this config keeps everything in memory.
-    pub fn is_in_memory(&self) -> bool {
-        matches!(self, StoreConfig::InMemory)
+        StoreConfig::Spill { dir, budget: bytes }
     }
 
     /// Builds a store for record type `R`. Spill-backed stores get their
@@ -175,11 +157,7 @@ impl StoreConfig {
     pub fn build<R: Spillable>(&self, label: &str) -> Result<BlockStore<R>> {
         match self {
             StoreConfig::InMemory => Ok(BlockStore::in_memory()),
-            StoreConfig::Spill {
-                dir,
-                policy,
-                cleanup,
-            } => BlockStore::spill(dir.join(label), *policy, *cleanup),
+            StoreConfig::Spill { dir, budget } => BlockStore::spill(dir.join(label), *budget),
         }
     }
 }
@@ -187,11 +165,7 @@ impl StoreConfig {
 #[derive(Debug)]
 enum Backend {
     InMemory,
-    Spill {
-        dir: PathBuf,
-        policy: SpillPolicy,
-        cleanup: bool,
-    },
+    Spill { dir: PathBuf, budget: u64 },
 }
 
 struct Entry<R> {
@@ -279,9 +253,10 @@ impl<R: Spillable> BlockStore<R> {
         }
     }
 
-    /// A spill-backed store under `dir` (created if missing). With
-    /// `cleanup`, the directory is removed when the store is dropped.
-    pub fn spill(dir: PathBuf, policy: SpillPolicy, cleanup: bool) -> Result<Self> {
+    /// A spill-backed store under `dir` (created if missing, removed when
+    /// the store is dropped) that keeps at most `budget` bytes resident,
+    /// pinned blocks aside.
+    pub fn spill(dir: PathBuf, budget: u64) -> Result<Self> {
         std::fs::create_dir_all(&dir)?;
         Ok(BlockStore {
             inner: Mutex::new(Inner {
@@ -289,11 +264,7 @@ impl<R: Spillable> BlockStore<R> {
                 tick: 0,
                 resident: 0,
             }),
-            backend: Backend::Spill {
-                dir,
-                policy,
-                cleanup,
-            },
+            backend: Backend::Spill { dir, budget },
         })
     }
 
@@ -396,55 +367,6 @@ impl<R: Spillable> BlockStore<R> {
             id,
             value,
         }))
-    }
-
-    /// Removes a block from the store and returns its value, deleting
-    /// any spill file. `Err(InvalidParameter)` if the block is pinned;
-    /// on a load error the entry and its file are left untouched.
-    pub fn take(&self, id: BlockId) -> Result<Option<R>> {
-        let frozen = parallel::in_parallel_region();
-        let mut inner = self.lock();
-        match inner.entries.get(&id) {
-            None => return Ok(None),
-            Some(e) if e.doomed => return Ok(None),
-            Some(e) if e.pins > 0 => {
-                return Err(DemonError::InvalidParameter(format!(
-                    "take of pinned block {id}"
-                )))
-            }
-            Some(_) => {}
-        }
-        let has_value = inner
-            .entries
-            .get(&id)
-            .is_some_and(|e| e.value.is_some());
-        if !has_value {
-            // Load before removing anything, so an error is retryable.
-            let value = self.load(id)?;
-            inner.entries.remove(&id);
-            self.delete_spill_file(id);
-            if !frozen {
-                obs::incr(Counter::StoreMisses);
-            }
-            return Ok(Some(value));
-        }
-        let entry = match inner.entries.remove(&id) {
-            Some(e) => e,
-            None => return Ok(None),
-        };
-        inner.resident = inner.resident.saturating_sub(entry.bytes);
-        self.delete_spill_file(id);
-        if !frozen {
-            obs::incr(Counter::StoreHits);
-            obs::record_max(Counter::StoreBytesResident, inner.resident);
-        }
-        match entry.value.map(Arc::try_unwrap) {
-            Some(Ok(value)) => Ok(Some(value)),
-            // pins == 0 was checked above, so the entry held the only Arc.
-            _ => Err(DemonError::InvalidParameter(format!(
-                "block {id} still referenced during take"
-            ))),
-        }
     }
 
     /// Mutates a block in place (loading it first if spilled). The value
@@ -571,11 +493,6 @@ impl<R: Spillable> BlockStore<R> {
         self.lock().resident
     }
 
-    /// Whether a block currently has live pins (test support).
-    pub fn is_pinned(&self, id: BlockId) -> bool {
-        self.lock().entries.get(&id).is_some_and(|e| e.pins > 0)
-    }
-
     fn load(&self, id: BlockId) -> Result<R> {
         let Some(path) = self.spill_path(id) else {
             // An in-memory store never evicts, so a non-resident entry
@@ -617,23 +534,16 @@ impl<R: Spillable> BlockStore<R> {
         }
     }
 
-    /// Evicts least-recently-used unpinned blocks until the policy is
-    /// satisfied. Best-effort: a spill-write failure keeps the value
+    /// Evicts least-recently-used unpinned blocks until the budget is
+    /// met. Best-effort: a spill-write failure keeps the value
     /// resident (over budget beats data loss) and stops the pass.
     /// Callers only invoke this outside parallel regions, so counter
     /// updates here are deterministic.
     fn enforce(&self, inner: &mut Inner<R>) {
-        let Backend::Spill { dir, policy, .. } = &self.backend else {
+        let Backend::Spill { dir, budget } = &self.backend else {
             return;
         };
-        loop {
-            let over = match policy {
-                SpillPolicy::Budget(b) => inner.resident > *b,
-                SpillPolicy::Always => true,
-            };
-            if !over {
-                return;
-            }
+        while inner.resident > *budget {
             let victim = inner
                 .entries
                 .iter()
@@ -675,12 +585,7 @@ impl<R: Spillable> BlockStore<R> {
 
 impl<R: Spillable> Drop for BlockStore<R> {
     fn drop(&mut self) {
-        if let Backend::Spill {
-            dir,
-            cleanup: true,
-            ..
-        } = &self.backend
-        {
+        if let Backend::Spill { dir, .. } = &self.backend {
             let _ = std::fs::remove_dir_all(dir);
         }
     }
@@ -759,7 +664,7 @@ mod tests {
     fn budget_evicts_lru_and_reloads() {
         let dir = tmp("budget");
         let s: BlockStore<Rec> =
-            BlockStore::spill(dir.clone(), SpillPolicy::Budget(250), true).unwrap();
+            BlockStore::spill(dir.clone(), 250).unwrap();
         for i in 1..=4u64 {
             s.insert(BlockId(i), rec(i as u8, 100));
         }
@@ -776,13 +681,12 @@ mod tests {
     #[test]
     fn pinned_blocks_survive_eviction_pressure() {
         let dir = tmp("pinned");
-        let s: BlockStore<Rec> =
-            BlockStore::spill(dir, SpillPolicy::Budget(150), true).unwrap();
+        let s: BlockStore<Rec> = BlockStore::spill(dir, 150).unwrap();
         s.insert(BlockId(1), rec(1, 100));
         let g = s.get(BlockId(1)).unwrap().unwrap();
         // Budget pressure from a second block cannot evict the pinned one.
         s.insert(BlockId(2), rec(2, 100));
-        assert!(s.is_pinned(BlockId(1)));
+        assert_eq!(s.lock().entries[&BlockId(1)].pins, 1);
         assert_eq!(*g, rec(1, 100));
         drop(g);
         // After unpinning, the store settles back under budget.
@@ -793,7 +697,7 @@ mod tests {
     fn remove_of_pinned_block_is_deferred() {
         let dir = tmp("deferred");
         let s: BlockStore<Rec> =
-            BlockStore::spill(dir.clone(), SpillPolicy::Budget(1000), true).unwrap();
+            BlockStore::spill(dir.clone(), 1000).unwrap();
         s.insert(BlockId(1), rec(1, 10));
         let g = s.get(BlockId(1)).unwrap().unwrap();
         assert!(s.remove(BlockId(1)));
@@ -810,44 +714,40 @@ mod tests {
     }
 
     #[test]
-    fn always_policy_keeps_nothing_unpinned_resident() {
-        let dir = tmp("always");
-        let s: BlockStore<Rec> =
-            BlockStore::spill(dir.clone(), SpillPolicy::Always, false).unwrap();
+    fn zero_budget_keeps_nothing_unpinned_resident() {
+        let dir = tmp("zero");
+        let s: BlockStore<Rec> = BlockStore::spill(dir.clone(), 0).unwrap();
         s.insert(BlockId(1), rec(1, 64));
         s.insert(BlockId(2), rec(2, 64));
         assert_eq!(s.resident_bytes(), 0);
         assert!(dir.join("block_1.bin").exists());
         assert!(dir.join("block_2.bin").exists());
-        let v = s.take(BlockId(1)).unwrap().unwrap();
-        assert_eq!(v, rec(1, 64));
+        assert_eq!(*s.get(BlockId(1)).unwrap().unwrap(), rec(1, 64));
+        assert!(s.remove(BlockId(1)));
         assert!(!dir.join("block_1.bin").exists());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn take_of_pinned_block_errors_and_corrupt_spill_is_retryable() {
+    fn corrupt_spill_fails_the_read_and_leaves_entry_and_file() {
         let dir = tmp("corrupt");
-        let s: BlockStore<Rec> =
-            BlockStore::spill(dir.clone(), SpillPolicy::Always, true).unwrap();
+        let s: BlockStore<Rec> = BlockStore::spill(dir.clone(), 0).unwrap();
         s.insert(BlockId(1), rec(1, 64));
-        {
-            let _g = s.get(BlockId(1)).unwrap().unwrap();
-            assert!(s.take(BlockId(1)).is_err());
-        }
-        // Corrupt the spill file: take fails but leaves the entry.
         let path = dir.join("block_1.bin");
         std::fs::write(&path, b"garbage").unwrap();
-        assert!(s.take(BlockId(1)).is_err());
+        assert!(s.get(BlockId(1)).is_err());
         assert!(s.contains(BlockId(1)));
         assert!(path.exists());
+        // Mutation refuses a pinned block.
+        std::fs::write(&path, durable::encode_frame(Rec::frame_class(), &[1; 64]).0).unwrap();
+        let g = s.get(BlockId(1)).unwrap().unwrap();
+        assert!(s.with_mut(BlockId(1), |_| ()).is_err());
+        drop(g);
     }
 
     #[test]
     fn mutation_marks_dirty_and_respills() {
         let dir = tmp("mutate");
-        let s: BlockStore<Rec> =
-            BlockStore::spill(dir.clone(), SpillPolicy::Always, true).unwrap();
+        let s: BlockStore<Rec> = BlockStore::spill(dir.clone(), 0).unwrap();
         s.insert(BlockId(1), rec(1, 8));
         // Spilled; mutate reloads, changes, and the next eviction rewrites.
         let out = s
@@ -866,8 +766,7 @@ mod tests {
     fn cleanup_removes_spill_dir_on_drop() {
         let dir = tmp("cleanup");
         {
-            let s: BlockStore<Rec> =
-                BlockStore::spill(dir.clone(), SpillPolicy::Always, true).unwrap();
+            let s: BlockStore<Rec> = BlockStore::spill(dir.clone(), 0).unwrap();
             s.insert(BlockId(1), rec(1, 8));
             assert!(dir.exists());
         }

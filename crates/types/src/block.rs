@@ -157,32 +157,6 @@ impl<T> Block<T> {
         self.records
     }
 
-    /// Merges several blocks into one coarser block — the paper's time
-    /// hierarchy (§2.1: "we just merge all blocks that fall under the
-    /// same parent"). Records concatenate in block order; the interval
-    /// spans from the earliest start to the latest end when every input
-    /// carries one.
-    pub fn merge(id: BlockId, blocks: Vec<Block<T>>) -> Block<T> {
-        assert!(!blocks.is_empty(), "cannot merge zero blocks");
-        let interval = blocks
-            .iter()
-            .map(|b| b.interval())
-            .collect::<Option<Vec<_>>>()
-            .map(|ivs| {
-                let start = ivs.iter().map(|iv| iv.start).min().expect("non-empty");
-                let end = ivs.iter().map(|iv| iv.end).max().expect("non-empty");
-                BlockInterval::new(start, end)
-            });
-        let mut records = Vec::with_capacity(blocks.iter().map(Block::len).sum());
-        for b in blocks {
-            records.extend(b.records);
-        }
-        Block {
-            id,
-            interval,
-            records,
-        }
-    }
 }
 
 impl<'a, T> IntoIterator for &'a Block<T> {
@@ -234,33 +208,6 @@ mod tests {
     fn into_records_consumes() {
         let b: Block<u32> = Block::new(BlockId(1), vec![1, 2]);
         assert_eq!(b.into_records(), vec![1, 2]);
-    }
-
-    #[test]
-    fn merge_concatenates_and_spans_intervals() {
-        let iv = |a: u64, b: u64| BlockInterval::new(Timestamp(a), Timestamp(b));
-        let b1: Block<u32> = Block::with_interval(BlockId(1), iv(0, 100), vec![1, 2]);
-        let b2: Block<u32> = Block::with_interval(BlockId(2), iv(100, 200), vec![3]);
-        let merged = Block::merge(BlockId(10), vec![b1, b2]);
-        assert_eq!(merged.id(), BlockId(10));
-        assert_eq!(merged.records(), &[1, 2, 3]);
-        assert_eq!(merged.interval(), Some(iv(0, 200)));
-    }
-
-    #[test]
-    fn merge_without_intervals_yields_none() {
-        let b1: Block<u32> = Block::new(BlockId(1), vec![1]);
-        let b2: Block<u32> =
-            Block::with_interval(BlockId(2), BlockInterval::new(Timestamp(0), Timestamp(1)), vec![2]);
-        let merged = Block::merge(BlockId(3), vec![b1, b2]);
-        assert_eq!(merged.interval(), None);
-        assert_eq!(merged.len(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "zero blocks")]
-    fn merge_rejects_empty_input() {
-        let _: Block<u32> = Block::merge(BlockId(1), vec![]);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Crash-safe file primitives shared by every persistence surface.
 //!
 //! DEMON's database is long-lived: blocks arrive forever and the on-disk
-//! log (plus spilled blocks and GEMM's model shelf) must survive a
+//! log (plus spilled blocks) must survive a
 //! process crash at any point between them. Two primitives make that
 //! tractable:
 //!
@@ -63,14 +63,12 @@ pub const FRAME_VERSION: u16 = 2;
 pub const FRAME_HEADER_LEN: usize = 20;
 
 /// A two-byte tag identifying what kind of payload a frame carries, so a
-/// file cannot be mistaken for one of a different class (e.g. a shelf
-/// model copied over a block file).
+/// file cannot be mistaken for one of a different class (e.g. a point
+/// block copied over a transaction block file).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FrameClass(pub [u8; 2]);
 
 impl FrameClass {
-    /// A shelved GEMM model (`slot_<start>.model`).
-    pub const SHELF: FrameClass = FrameClass(*b"SH");
     /// A spilled transaction-store entry (block + TID-lists).
     pub const TXENTRY: FrameClass = FrameClass(*b"TE");
     /// A spilled block of numeric points.
@@ -677,8 +675,8 @@ mod tests {
         assert_eq!(back, payload);
         assert_eq!(crc, crc2);
         // Empty payloads are legal frames.
-        let (bytes, _) = encode_frame(FrameClass::SHELF, b"");
-        let (back, _) = decode_frame(FrameClass::SHELF, &bytes, "f").unwrap();
+        let (bytes, _) = encode_frame(FrameClass::POINTS, b"");
+        let (back, _) = decode_frame(FrameClass::POINTS, &bytes, "f").unwrap();
         assert!(back.is_empty());
     }
 
@@ -756,14 +754,14 @@ mod tests {
     #[test]
     fn wrong_class_is_rejected() {
         let (bytes, _) = encode_frame(FrameClass::TXENTRY, b"x");
-        let err = decode_frame(FrameClass::SHELF, &bytes, "f").unwrap_err();
+        let err = decode_frame(FrameClass::POINTS, &bytes, "f").unwrap_err();
         assert!(err.to_string().contains("file class"), "{err}");
     }
 
     #[test]
     fn errors_name_the_file() {
-        let err = decode_frame(FrameClass::SHELF, b"", "store/slot_3.model").unwrap_err();
-        assert!(err.to_string().contains("slot_3.model"), "{err}");
+        let err = decode_frame(FrameClass::POINTS, b"", "points/block_3.bin").unwrap_err();
+        assert!(err.to_string().contains("block_3.bin"), "{err}");
     }
 
     #[test]
@@ -783,13 +781,13 @@ mod tests {
     fn framed_file_roundtrip_on_disk() {
         let dir = std::env::temp_dir().join(format!("demon-durable-f-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("model.bin");
-        let crc = write_framed(&path, FrameClass::SHELF, b"model state").unwrap();
-        let (payload, crc2) = read_framed(&path, FrameClass::SHELF).unwrap();
-        assert_eq!(payload, b"model state");
+        let path = dir.join("block.bin");
+        let crc = write_framed(&path, FrameClass::LABELED, b"block state").unwrap();
+        let (payload, crc2) = read_framed(&path, FrameClass::LABELED).unwrap();
+        assert_eq!(payload, b"block state");
         assert_eq!(crc, crc2);
-        // Missing file is an Io error (so shelf loaders can rebuild).
-        let missing = read_framed(&dir.join("gone.bin"), FrameClass::SHELF).unwrap_err();
+        // A missing file is an Io error, not corruption.
+        let missing = read_framed(&dir.join("gone.bin"), FrameClass::LABELED).unwrap_err();
         assert!(matches!(missing, DemonError::Io(_)));
         std::fs::remove_dir_all(&dir).ok();
     }

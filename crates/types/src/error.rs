@@ -33,7 +33,7 @@ pub enum DemonError {
         /// Expected length (the window size).
         expected: usize,
     },
-    /// An I/O failure (GEMM's on-disk model shelf).
+    /// An I/O failure (spill files, the WAL, sockets).
     Io(std::io::Error),
     /// A (de)serialization failure.
     Serde(String),

@@ -67,16 +67,6 @@ impl ItemSet {
         self.0.binary_search(&item).is_ok()
     }
 
-    /// Whether `self ⊆ other` (linear merge over two sorted slices).
-    pub fn is_subset_of(&self, other: &ItemSet) -> bool {
-        sorted_subset(&self.0, &other.0)
-    }
-
-    /// Whether `self ⊂ other` (proper subset).
-    pub fn is_proper_subset_of(&self, other: &ItemSet) -> bool {
-        self.len() < other.len() && self.is_subset_of(other)
-    }
-
     /// Set union, preserving sortedness.
     pub fn union(&self, other: &ItemSet) -> ItemSet {
         let mut out = Vec::with_capacity(self.len() + other.len());
@@ -212,25 +202,6 @@ impl ItemSet {
     }
 }
 
-/// Linear-merge subset test over two sorted slices.
-pub(crate) fn sorted_subset(needle: &[Item], hay: &[Item]) -> bool {
-    if needle.len() > hay.len() {
-        return false;
-    }
-    let mut h = hay.iter();
-    'outer: for want in needle {
-        for have in h.by_ref() {
-            match have.cmp(want) {
-                std::cmp::Ordering::Less => continue,
-                std::cmp::Ordering::Equal => continue 'outer,
-                std::cmp::Ordering::Greater => return false,
-            }
-        }
-        return false;
-    }
-    true
-}
-
 /// An itemset hashes, compares and orders exactly as its sorted item slice
 /// (the derives above forward to the one boxed-slice field), so a map keyed
 /// by `ItemSet` can be probed with a `&[Item]` built in a scratch buffer.
@@ -281,18 +252,6 @@ mod tests {
         let s = ItemSet::from_ids(&[3, 1, 3, 2]);
         assert_eq!(s.items(), ItemSet::from_ids(&[1, 2, 3]).items());
         assert_eq!(s.len(), 3);
-    }
-
-    #[test]
-    fn subset_relations() {
-        let a = ItemSet::from_ids(&[1, 3]);
-        let b = ItemSet::from_ids(&[1, 2, 3]);
-        assert!(a.is_subset_of(&b));
-        assert!(a.is_proper_subset_of(&b));
-        assert!(b.is_subset_of(&b));
-        assert!(!b.is_proper_subset_of(&b));
-        assert!(!b.is_subset_of(&a));
-        assert!(ItemSet::empty().is_subset_of(&a));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! * [`MinSupport`] — a validated minimum-support threshold `0 < κ < 1`;
 //! * [`DemonError`] — the shared error type;
 //! * [`durable`] — crash-safe file primitives (atomic writes, framed
-//!   checksummed files) shared by the store and GEMM's model shelf;
+//!   checksummed files) shared by the store and the WAL;
 //! * [`parallel`] — the deterministic parallel-execution layer
 //!   ([`Parallelism`] plus order-preserving sharding primitives) used by
 //!   every hot mining path;

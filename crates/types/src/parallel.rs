@@ -109,11 +109,6 @@ impl Parallelism {
         self.threads
     }
 
-    /// Whether this configuration never spawns worker threads.
-    pub fn is_serial(&self) -> bool {
-        self.threads == 1
-    }
-
     /// Threads actually worth spawning for `n` work items: capped by the
     /// item count, and forced to 1 inside an enclosing parallel region
     /// (see the module docs on nesting).
@@ -577,7 +572,6 @@ mod tests {
 
     #[test]
     fn parallelism_constructors() {
-        assert!(Parallelism::serial().is_serial());
         assert_eq!(Parallelism::serial().threads(), 1);
         assert!(Parallelism::new(4).threads() == 4);
         assert!(Parallelism::new(0).threads() >= 1); // auto

@@ -16,11 +16,6 @@ impl Point {
         Point(coords.into_boxed_slice())
     }
 
-    /// The origin in `d` dimensions.
-    pub fn origin(d: usize) -> Self {
-        Point(vec![0.0; d].into_boxed_slice())
-    }
-
     /// Coordinates as a slice.
     #[inline]
     pub fn coords(&self) -> &[f64] {
@@ -93,14 +88,6 @@ mod tests {
         assert_eq!(a.dist2(&b), 25.0);
         assert_eq!(a.dist(&b), 5.0);
         assert_eq!(b.norm2(), 25.0);
-    }
-
-    #[test]
-    fn origin_is_zero_vector() {
-        let o = Point::origin(3);
-        assert_eq!(o.coords(), &[0.0, 0.0, 0.0]);
-        assert_eq!(o.dim(), 3);
-        assert_eq!(o.norm2(), 0.0);
     }
 
     #[test]

@@ -24,12 +24,6 @@ impl MinSupport {
         }
     }
 
-    /// The threshold as a fraction.
-    #[inline]
-    pub fn fraction(self) -> f64 {
-        self.0
-    }
-
     /// Smallest absolute count that is frequent in a dataset of `n` records:
     /// `⌈κ·n⌉` (with a floor of 1 so the empty dataset stays degenerate-free).
     #[inline]
@@ -83,9 +77,9 @@ mod tests {
         let k = MinSupport::new(0.013).unwrap();
         for n in [1u64, 7, 100, 12345] {
             let c = k.count_for(n);
-            assert!(c as f64 / n as f64 >= k.fraction() || n == 0);
+            assert!(c as f64 / n as f64 >= k.0 || n == 0);
             if c > 1 {
-                assert!(((c - 1) as f64) < k.fraction() * n as f64);
+                assert!(((c - 1) as f64) < k.0 * n as f64);
             }
         }
     }

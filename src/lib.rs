@@ -115,7 +115,7 @@ pub mod prelude {
         ClusterSimilarity, CompactSequenceMiner, ItemsetSimilarity, SimilarityConfig,
     };
     pub use demon_itemsets::{derive_rules, CounterKind, FrequentItemsets, Rule, TxStore};
-    pub use demon_store::{BlockStore, SpillPolicy, StoreConfig};
+    pub use demon_store::{BlockStore, StoreConfig};
     pub use demon_trees::{DecisionTree, LabeledPoint, TreeParams};
     pub use demon_types::{
         Block, BlockId, DemonError, Item, ItemSet, MinSupport, Point, PointBlock, Tid,

@@ -160,6 +160,18 @@ fn windowed_patterns_through_cli() {
         assert!(err.contains("pattern window below 2 blocks"), "{args:?}: {err}");
         assert!(!err.contains("panicked"), "{args:?}: {err}");
     }
+    // An empty BSS is a usage error too, periodic or window-relative.
+    let empty_bss: [&[&str]; 2] = [
+        &["monitor", store, "--minsup", "0.05", "--bss", ""],
+        &["monitor", store, "--minsup", "0.05", "--window", "0", "--bss", ""],
+    ];
+    for args in empty_bss {
+        let out = cli().args(args).output().expect("binary runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.contains("--bss: empty bit string"), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

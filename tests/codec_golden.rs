@@ -22,7 +22,7 @@ use demon::core::{ClusterMaintainer, ModelMaintainer, TreeMaintainer};
 use demon::itemsets::TxStore;
 use demon::serve::model::{ClusterModel, DbscanModel, ItemsetModel, ServableModel, TreeModel};
 use demon::serve::Request;
-use demon::store::{SpillPolicy, StoreConfig};
+use demon::store::StoreConfig;
 use demon::trees::{LabeledPoint, TreeParams};
 use demon::types::wal;
 use demon::types::{Block, BlockId, BlockInterval, Item, Point, Tid, Timestamp, Transaction};
@@ -59,14 +59,10 @@ fn scratch(name: &str) -> PathBuf {
     dir
 }
 
-/// A write-through spill config: every registered block is on disk, in
-/// its spill frame, as soon as the call returns.
+/// A write-through spill config: with a budget of 0 every registered
+/// block is on disk, in its spill frame, as soon as the call returns.
 fn write_through(dir: &Path) -> StoreConfig {
-    StoreConfig::Spill {
-        dir: dir.to_path_buf(),
-        policy: SpillPolicy::Always,
-        cleanup: false,
-    }
+    StoreConfig::budget(dir.to_path_buf(), 0)
 }
 
 fn interval() -> BlockInterval {

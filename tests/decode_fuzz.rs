@@ -15,7 +15,7 @@ use demon::itemsets::TxStore;
 use demon::serve::model::{ClusterModel, DbscanModel, ItemsetModel, ServableModel, TreeModel};
 use demon::serve::sequencer::read_root;
 use demon::serve::{Request, Response, WireError};
-use demon::store::{BlockEntry, SpillPolicy, Spillable, StoreConfig};
+use demon::store::{BlockEntry, Spillable, StoreConfig};
 use demon::trees::LabeledPoint;
 use demon::types::durable::{encode_frame, FrameClass};
 use demon::types::wal::{decode_wal_records, encode_wal_record};
@@ -134,11 +134,7 @@ impl TxEntryProbe {
     fn new(name: &str) -> TxEntryProbe {
         let dir = std::env::temp_dir().join(format!("demon-fuzz-{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let config = StoreConfig::Spill {
-            dir: dir.clone(),
-            policy: SpillPolicy::Always,
-            cleanup: true,
-        };
+        let config = StoreConfig::budget(dir.clone(), 0);
         let mut store = TxStore::with_config(N_ITEMS, &config).expect("spill store");
         store.add_block(tx_block());
         store.materialize_pairs(BlockId(1), &[(Item(0), Item(3))], None);

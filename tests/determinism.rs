@@ -1,6 +1,6 @@
 //! Determinism under parallelism: the same block stream, processed at 1,
 //! 2 and 8 threads, must produce **byte-identical** results everywhere —
-//! support counts, maintained itemset models, GEMM's disk shelf, FOCUS
+//! support counts, maintained itemset models, GEMM's future-window models, FOCUS
 //! deviation/significance scores and cluster labelings.
 //!
 //! Everything lives in one `#[test]` because some paths read the
@@ -9,7 +9,7 @@
 //! simplest way to keep `set_global` sweeps race-free.
 
 use demon::core::bss::BlockSelector;
-use demon::core::{Gemm, ItemsetMaintainer, ShelfMode};
+use demon::core::{Gemm, ItemsetMaintainer};
 use demon::datagen::{QuestGen, QuestParams};
 use demon::focus::{
     bootstrap_significance_with, CompactSequenceMiner, ItemsetSimilarity, SimilarityConfig,
@@ -58,7 +58,7 @@ fn pipeline_is_bit_identical_at_any_thread_count() {
     let blocks = quest_stream(4, 300, 23);
     counting_is_invariant(&blocks);
     skewed_payload_counting_is_invariant();
-    gemm_shelf_is_invariant(&blocks);
+    gemm_models_are_invariant(&blocks);
     focus_scores_are_invariant(&blocks);
     patterns_are_invariant(&blocks);
     clustering_is_invariant();
@@ -290,21 +290,15 @@ fn counting_is_invariant(blocks: &[TxBlock]) {
     }
 }
 
-/// GEMM's maintained models — current, every future-window slot, and the
-/// bytes shelved to disk — are identical at every thread count.
-fn gemm_shelf_is_invariant(blocks: &[TxBlock]) {
-    type ShelfRun = (String, Vec<String>, Vec<(String, Vec<u8>)>);
-    let run = |threads: usize| -> ShelfRun {
+/// GEMM's maintained models — current and every future-window slot —
+/// are identical at every thread count.
+fn gemm_models_are_invariant(blocks: &[TxBlock]) {
+    let run = |threads: usize| -> (String, Vec<String>) {
         set_global(Parallelism::new(threads));
-        let dir = std::env::temp_dir().join(format!("demon_determinism_shelf_{threads}"));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
         let maintainer = ItemsetMaintainer::new(N_ITEMS, k(0.02), CounterKind::Ecut);
         let mut gemm = Gemm::new(maintainer, 3, BlockSelector::all())
             .unwrap()
-            .with_parallelism(Parallelism::new(threads))
-            .with_shelf(ShelfMode::Disk(dir.clone()))
-            .unwrap();
+            .with_parallelism(Parallelism::new(threads));
         for b in blocks {
             gemm.add_block(b.clone()).unwrap();
         }
@@ -312,21 +306,9 @@ fn gemm_shelf_is_invariant(blocks: &[TxBlock]) {
         let futures: Vec<String> = gemm
             .slot_starts()
             .into_iter()
-            .map(|s| serde_json::to_string(&gemm.future_model(s).unwrap()).unwrap())
+            .map(|s| serde_json::to_string(gemm.future_model(s).unwrap()).unwrap())
             .collect();
-        let mut shelf: Vec<(String, Vec<u8>)> = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| {
-                let e = e.unwrap();
-                (
-                    e.file_name().to_string_lossy().into_owned(),
-                    std::fs::read(e.path()).unwrap(),
-                )
-            })
-            .collect();
-        shelf.sort();
-        let _ = std::fs::remove_dir_all(&dir);
-        (current, futures, shelf)
+        (current, futures)
     };
 
     let reference = run(THREADS[0]);
@@ -334,10 +316,6 @@ fn gemm_shelf_is_invariant(blocks: &[TxBlock]) {
         let got = run(t);
         assert_eq!(reference.0, got.0, "current model diverged at {t} threads");
         assert_eq!(reference.1, got.1, "future models diverged at {t} threads");
-        assert_eq!(
-            reference.2, got.2,
-            "shelf file contents diverged at {t} threads"
-        );
     }
 }
 

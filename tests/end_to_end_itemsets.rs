@@ -3,7 +3,7 @@
 
 use demon::core::bss::{BlockSelector, WiBss, WrBss};
 use demon::core::engine::{DataSpan, DemonEngine};
-use demon::core::{Gemm, ItemsetMaintainer, ShelfMode};
+use demon::core::{Gemm, ItemsetMaintainer};
 use demon::datagen::{QuestGen, QuestParams};
 use demon::itemsets::{CounterKind, FrequentItemsets, TxStore};
 use demon::types::{Block, BlockId, MinSupport, Tid, Transaction, TxBlock};
@@ -112,19 +112,15 @@ fn gemm_sliding_window_equals_batch_mining_at_every_step() {
 }
 
 #[test]
-fn gemm_with_window_relative_bss_and_disk_shelf() {
+fn gemm_with_window_relative_bss_equals_batch_mining() {
     let blocks = quest_stream(7, 200, 19);
-    let dir = std::env::temp_dir().join(format!("demon-e2e-shelf-{}", std::process::id()));
     let bss = WrBss::new(vec![true, false, true, true]);
     let mut gemm = Gemm::new(
         ItemsetMaintainer::new(N_ITEMS, k(0.03), CounterKind::EcutPlus),
         4,
         BlockSelector::WindowRelative(bss.clone()),
     )
-    .unwrap()
-    .with_shelf(ShelfMode::Disk(dir.clone()))
-    .unwrap()
-    .with_retirement(false);
+    .unwrap();
 
     let mut store = TxStore::new(N_ITEMS);
     for b in blocks {
@@ -136,8 +132,7 @@ fn gemm_with_window_relative_bss_and_disk_shelf() {
         .selected_in_window(BlockId(4), 4, BlockId(7));
     assert_eq!(selected, vec![BlockId(4), BlockId(6), BlockId(7)]);
     let batch = FrequentItemsets::mine_from(&store, &selected, k(0.03)).unwrap();
-    assert_models_equal(gemm.current_model().unwrap(), &batch, "WR BSS + shelf");
-    std::fs::remove_dir_all(&dir).ok();
+    assert_models_equal(gemm.current_model().unwrap(), &batch, "WR BSS");
 }
 
 #[test]
@@ -165,24 +160,3 @@ fn model_survives_serde_roundtrip_mid_stream() {
     assert_models_equal(&revived, &batch, "post-serde maintenance");
 }
 
-#[test]
-fn min_support_change_mid_stream_stays_consistent() {
-    let blocks = quest_stream(4, 300, 29);
-    let maintainer = ItemsetMaintainer::new(N_ITEMS, k(0.05), CounterKind::Ecut);
-    let mut store = TxStore::new(N_ITEMS);
-    let mut model = FrequentItemsets::empty(k(0.05), N_ITEMS);
-    for (i, b) in blocks.iter().enumerate() {
-        store.add_block(b.clone());
-        model
-            .absorb_block(&store, b.id(), CounterKind::Ecut)
-            .unwrap();
-        if i == 1 {
-            // The analyst lowers κ mid-stream (paper §3.1.1).
-            model.set_min_support(&store, k(0.02), CounterKind::Ecut);
-        }
-    }
-    drop(maintainer);
-    model.check_invariants(&store);
-    let batch = FrequentItemsets::mine_from(&store, store.block_ids(), k(0.02)).unwrap();
-    assert_models_equal(&model, &batch, "κ change mid-stream");
-}

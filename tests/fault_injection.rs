@@ -1,5 +1,5 @@
 //! Fault-injection harness for the one on-disk form of a block stream —
-//! a WAL root — and for the GEMM shelf.
+//! a WAL root.
 //!
 //! Every test here follows the same discipline: take a known-good root,
 //! damage it in a systematic sweep (truncate every file at every length,
@@ -10,18 +10,14 @@
 //! * the root reads as a clean prefix of the stream (a torn end of the
 //!   log is dropped) or as a typed refusal naming the damaged file — never
 //!   a panic, never a block that was not written;
-//! * a daemon's bind and `demon-cli verify` agree with the reader;
-//! * a damaged or missing GEMM shelf model is rebuilt from the block
-//!   stream, bit-for-bit equal to an in-memory twin, never a crash.
+//! * a daemon's bind and `demon-cli verify` agree with the reader.
 
-use demon::core::bss::BlockSelector;
-use demon::core::{Gemm, ItemsetMaintainer, ShelfMode};
-use demon::itemsets::{CounterKind, FrequentItemsets, TxStore};
+use demon::itemsets::{FrequentItemsets, TxStore};
 use demon::serve::sequencer::{read_root, refuse_old_layout, write_root};
 use demon::serve::{ItemsetModel, ServeConfig, Server};
 use demon::types::durable;
 use demon::types::{
-    Block, BlockId, BlockInterval, DemonError, Item, ItemSet, MinSupport, ModelClass, Tid,
+    Block, BlockId, BlockInterval, DemonError, Item, MinSupport, ModelClass, Tid,
     Timestamp, Transaction, TxBlock,
 };
 use std::fs;
@@ -257,101 +253,3 @@ fn salvaged_prefix_mines_identically_to_the_original_prefix() {
     fs::remove_dir_all(&dir).ok();
 }
 
-fn freq(m: &FrequentItemsets) -> Vec<(ItemSet, u64)> {
-    m.frequent_sorted()
-}
-
-fn shelf_start_of(path: &Path) -> BlockId {
-    let name = path.file_name().unwrap().to_string_lossy().into_owned();
-    let digits: String = name.chars().filter(|c| c.is_ascii_digit()).collect();
-    BlockId(digits.parse().unwrap())
-}
-
-/// Damaging a shelved GEMM model in any way — truncation at every length,
-/// bit flips at every offset, or deleting the file — makes the next read
-/// rebuild the model from the block stream, matching an in-memory twin
-/// exactly. The shelf is a cache, never a single point of failure.
-#[test]
-fn gemm_shelf_damage_always_rebuilds_never_aborts() {
-    let dir = fresh_dir("gemm-shelf");
-    let minsup = MinSupport::new(0.2).unwrap();
-    let mk = || {
-        Gemm::new(
-            ItemsetMaintainer::new(UNIVERSE, minsup, CounterKind::Ecut),
-            3,
-            BlockSelector::all(),
-        )
-        .unwrap()
-        .with_retirement(false)
-    };
-    let blocks: Vec<_> = (1..=5u64)
-        .map(|id| {
-            Block::new(
-                BlockId(id),
-                vec![
-                    tx(id * 10, &[0, 1]),
-                    tx(id * 10 + 1, &[(id % u64::from(UNIVERSE)) as u32]),
-                    tx(id * 10 + 2, &[2, 3, 4]),
-                ],
-            )
-        })
-        .collect();
-    let mut disk = mk().with_shelf(ShelfMode::Disk(dir.clone())).unwrap();
-    let mut twin = mk(); // memory-shelf oracle: same stream, no disk
-    for b in &blocks {
-        disk.add_block(b.clone()).unwrap();
-        twin.add_block(b.clone()).unwrap();
-    }
-    let shelf_files = root_files(&dir);
-    assert!(
-        !shelf_files.is_empty(),
-        "the disk shelf should hold shelved future models"
-    );
-    let mut mutations = 0u64;
-    for file in &shelf_files {
-        let start = shelf_start_of(file);
-        let pristine = fs::read(file).unwrap();
-        let expected = freq(&twin.future_model(start).unwrap());
-        for cut in 0..pristine.len() {
-            fs::write(file, &pristine[..cut]).unwrap();
-            let got = disk
-                .future_model(start)
-                .unwrap_or_else(|e| panic!("shelf truncated to {cut} bytes was fatal: {e}"));
-            assert_eq!(freq(&got), expected, "rebuild after truncation to {cut}");
-            mutations += 1;
-        }
-        for offset in 0..pristine.len() {
-            for mask in [0x01u8, 0xFF] {
-                let mut bytes = pristine.clone();
-                bytes[offset] ^= mask;
-                fs::write(file, &bytes).unwrap();
-                let got = disk.future_model(start).unwrap_or_else(|e| {
-                    panic!("shelf byte {offset} xor {mask:#04x} was fatal: {e}")
-                });
-                assert_eq!(
-                    freq(&got),
-                    expected,
-                    "rebuild after flipping byte {offset} with {mask:#04x}"
-                );
-                mutations += 1;
-            }
-        }
-        // A missing shelf file (crashed before rename) rebuilds too.
-        fs::remove_file(file).unwrap();
-        let got = disk
-            .future_model(start)
-            .unwrap_or_else(|e| panic!("missing shelf file was fatal: {e}"));
-        assert_eq!(freq(&got), expected, "rebuild after deleting the shelf file");
-        mutations += 1;
-        fs::write(file, &pristine).unwrap();
-        // With the pristine bytes restored, the load is a plain read again.
-        let reread = disk.future_model(start).unwrap();
-        assert_eq!(freq(&reread), expected);
-    }
-    assert_eq!(
-        disk.shelf_rebuilds(),
-        mutations,
-        "every damaged read rebuilds; intact reads never do"
-    );
-    fs::remove_dir_all(&dir).ok();
-}

@@ -176,9 +176,7 @@ proptest! {
         let w = bits.len();
         let selector = BlockSelector::WindowRelative(WrBss::new(bits));
         let maintainer = ItemsetMaintainer::new(UNIVERSE, minsup, CounterKind::Ecut);
-        let mut gemm = Gemm::new(maintainer, w, selector.clone())
-            .unwrap()
-            .with_retirement(false);
+        let mut gemm = Gemm::new(maintainer, w, selector.clone()).unwrap();
         let store = store_of(&blocks);
         for b in &blocks {
             gemm.add_block(b.clone()).unwrap();
@@ -208,9 +206,7 @@ proptest! {
             pattern: pattern.clone(),
         });
         let maintainer = ItemsetMaintainer::new(UNIVERSE, minsup, CounterKind::Ecut);
-        let mut gemm = Gemm::new(maintainer, w, selector.clone())
-            .unwrap()
-            .with_retirement(false);
+        let mut gemm = Gemm::new(maintainer, w, selector.clone()).unwrap();
         let store = store_of(&blocks);
         for b in &blocks {
             gemm.add_block(b.clone()).unwrap();
@@ -489,24 +485,6 @@ proptest! {
         }
         prop_assert_eq!(read(), first);
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// Cyclic subsequences really are arithmetic and really are subsets.
-    #[test]
-    fn cyclic_subsequences_are_arithmetic_subsets(
-        ids in prop::collection::btree_set(1u64..60, 3..20),
-    ) {
-        use demon::focus::cyclic_subsequences;
-        let seq: Vec<BlockId> = ids.iter().map(|&v| BlockId(v)).collect();
-        for cyc in cyclic_subsequences(&seq, 3) {
-            prop_assert!(cyc.len() >= 3);
-            for w in cyc.blocks.windows(2) {
-                prop_assert_eq!(w[1].value() - w[0].value(), cyc.period);
-            }
-            for b in &cyc.blocks {
-                prop_assert!(seq.contains(b));
-            }
-        }
     }
 
     /// Negative-border definition holds for arbitrary data: every minimal
