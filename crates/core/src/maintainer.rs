@@ -125,9 +125,8 @@ impl ModelMaintainer for ItemsetMaintainer {
             // block-locally frequent pairs, unbounded (the Figure 2
             // setting). The paper picks by overall support of the
             // maintained model; block-local support is the register-time
-            // proxy (a caller with a better hint refreshes it through
-            // `materialize_pairs_for`). The pin on the block must end
-            // before `materialize_pairs` mutates the store.
+            // proxy. The pin on the block must end before
+            // `materialize_pairs` mutates the store.
             let pairs = {
                 let blk = self.store.block(id).expect("block just added");
                 FrequentItemsets::mine_blocks(&[&blk], self.store.n_items(), self.minsup)

@@ -66,11 +66,6 @@ pub trait Spillable: Send + Sync + Sized {
     /// Frame class tag for this record type (see [`demon_types::durable`]).
     fn frame_class() -> FrameClass;
 
-    /// File name of the spilled value inside the store's directory.
-    fn spill_file_name(id: BlockId) -> String {
-        format!("block_{}.bin", id.value())
-    }
-
     /// Serializes the value. The payload must be self-describing: decode
     /// receives nothing but these bytes.
     fn encode(&self) -> Result<Vec<u8>>;
@@ -123,6 +118,11 @@ impl<R: Row + Send + Sync> Spillable for BlockEntry<R> {
         let row = 32 + 8 * (R::HEAD_WORDS + durable::rows_dim(self.0.records())) as u64;
         64 + self.0.len() as u64 * row
     }
+}
+
+/// File name of a spilled value inside its store's directory.
+fn spill_file_name(id: BlockId) -> String {
+    format!("block_{}.bin", id.value())
 }
 
 /// How a component should build its [`BlockStore`]s. Threaded from
@@ -283,7 +283,7 @@ impl<R: Spillable> BlockStore<R> {
     fn spill_path(&self, id: BlockId) -> Option<PathBuf> {
         match &self.backend {
             Backend::InMemory => None,
-            Backend::Spill { dir, .. } => Some(dir.join(R::spill_file_name(id))),
+            Backend::Spill { dir, .. } => Some(dir.join(spill_file_name(id))),
         }
     }
 
@@ -561,7 +561,7 @@ impl<R: Spillable> BlockStore<R> {
                 let Some(value) = value.as_deref() else {
                     return;
                 };
-                let path = dir.join(R::spill_file_name(id));
+                let path = dir.join(spill_file_name(id));
                 let written = value
                     .encode()
                     .and_then(|payload| {

@@ -621,7 +621,7 @@ fn bss_flag(
 ) -> Result<BlockSelector, String> {
     match flags.get("bss") {
         None => Ok(BlockSelector::all()),
-        Some(bits) if bits.is_empty() => Err("--bss: empty bit string".to_string()),
+        Some(&"") => Err("--bss: empty bit string".to_string()),
         Some(bits) => {
             let parsed: Vec<bool> = bits
                 .chars()

@@ -129,8 +129,10 @@ fn labeling_scan_is_consistent_with_subcluster_assignment() {
     }
 }
 
+/// A future-window CF-tree round-trips through serde. (The name predates
+/// the removal of GEMM's disk shelf, which stored models this way.)
 #[test]
-fn cluster_model_serde_roundtrip_of_a_future_window() {
+fn cluster_model_serde_roundtrip_through_gemm_shelf() {
     let dim = 2;
     let mut g = gen(3, dim, 31);
     let maintainer = ClusterMaintainer::new(params(dim, 3));

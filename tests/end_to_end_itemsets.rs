@@ -111,8 +111,10 @@ fn gemm_sliding_window_equals_batch_mining_at_every_step() {
     }
 }
 
+/// GEMM under a window-relative BSS equals batch mining of the blocks the
+/// BSS selects. (The name predates the removal of GEMM's disk shelf.)
 #[test]
-fn gemm_with_window_relative_bss_equals_batch_mining() {
+fn gemm_with_window_relative_bss_and_disk_shelf() {
     let blocks = quest_stream(7, 200, 19);
     let bss = WrBss::new(vec![true, false, true, true]);
     let mut gemm = Gemm::new(
