@@ -160,7 +160,7 @@ impl<M: ModelMaintainer + Sync> Gemm<M> {
         self.slots.push((id, self.maintainer.fresh()));
 
         // Time-critical update: the new current model.
-        let current_bit = self.bit_for(self.slots[0].0, id);
+        let current_bit = self.selector.selects_arriving(id, self.slots[0].0, self.w);
         let t0 = Instant::now();
         if current_bit {
             self.maintainer.absorb(&mut self.slots[0].1, id);
@@ -179,11 +179,6 @@ impl<M: ModelMaintainer + Sync> Gemm<M> {
             self.maintainer.retire_block(BlockId(start - 1));
         }
         Ok(stats)
-    }
-
-    fn bit_for(&self, slot_start: BlockId, arriving: BlockId) -> bool {
-        self.selector
-            .selects_arriving(arriving, slot_start, self.w)
     }
 
     /// Updates every off-line model (slots 1..) for arriving block `id`;
