@@ -65,6 +65,8 @@ fn bench_batch_mine(c: &mut Criterion) {
 fn bench_gemm_step(c: &mut Criterion) {
     use demon_core::bss::BlockSelector;
     use demon_core::{Gemm, ItemsetMaintainer};
+    use demon_types::parallel::global;
+    use demon_types::Parallelism;
     let minsup = MinSupport::new(0.01).unwrap();
     let blocks: Vec<demon_types::TxBlock> = {
         let mut tid = 1u64;
@@ -88,7 +90,7 @@ fn bench_gemm_step(c: &mut Criterion) {
                         let maintainer = ItemsetMaintainer::new(1000, minsup, CounterKind::Ecut);
                         let mut gemm = Gemm::new(maintainer, 4, BlockSelector::all())
                             .unwrap()
-                            .with_parallel_offline(par);
+                            .with_parallelism(if par { global() } else { Parallelism::serial() });
                         for blk in blocks.iter().take(4).cloned() {
                             gemm.add_block(blk).unwrap();
                         }

@@ -12,7 +12,8 @@ use demon_bench::{banner, ms, quest_block_sized, scale, Table};
 use demon_core::bss::BlockSelector;
 use demon_core::{Gemm, ItemsetMaintainer};
 use demon_itemsets::CounterKind;
-use demon_types::{BlockId, MinSupport};
+use demon_types::parallel::global;
+use demon_types::{BlockId, MinSupport, Parallelism};
 
 fn stream(n: u64, size: usize) -> Vec<demon_types::TxBlock> {
     let mut tid = 1u64;
@@ -50,7 +51,11 @@ fn main() {
                 ItemsetMaintainer::new(1000, MinSupport::new(0.05).unwrap(), CounterKind::Ecut);
             let mut gemm = Gemm::new(maintainer, w, BlockSelector::all())
                 .unwrap()
-                .with_parallel_offline(parallel);
+                .with_parallelism(if parallel {
+                    global()
+                } else {
+                    Parallelism::serial()
+                });
             let mut resp = Vec::new();
             let mut off = Vec::new();
             for b in stream(w as u64 + 6, block_size) {

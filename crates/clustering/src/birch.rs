@@ -167,47 +167,34 @@ impl Birch {
 
     /// Runs both phases over `points`.
     pub fn cluster_points(&self, points: &[Point]) -> (BirchModel, BirchStats) {
-        let mut stats = BirchStats::default();
-        let t0 = Instant::now();
-        let mut tree = CfTree::new(self.params.tree);
-        for p in points {
-            tree.insert_point(p);
-        }
-        stats.phase1_time = t0.elapsed();
-        let t1 = Instant::now();
-        let subclusters = tree.leaf_entries();
-        let g = global::kmeans(
-            &subclusters,
-            self.params.k,
-            self.params.seed,
-            self.params.kmeans_iters,
-        );
-        stats.phase2_time = t1.elapsed();
-        (BirchModel::from_clustering(subclusters, g), stats)
+        self.cluster_chunks(std::iter::once(points))
     }
 
     /// Runs both phases over a sequence of blocks (the "re-run everything"
     /// baseline of Figure 8).
     pub fn cluster_blocks(&self, blocks: &[&PointBlock]) -> (BirchModel, BirchStats) {
-        let mut stats = BirchStats::default();
+        self.cluster_chunks(blocks.iter().map(|b| b.records()))
+    }
+
+    /// Phase 1 over the points of `chunks` in order, then
+    /// [`phase2_model`], each phase timed.
+    fn cluster_chunks<'p>(
+        &self,
+        chunks: impl Iterator<Item = &'p [Point]>,
+    ) -> (BirchModel, BirchStats) {
         let t0 = Instant::now();
         let mut tree = CfTree::new(self.params.tree);
-        for block in blocks {
-            for p in block.records() {
-                tree.insert_point(p);
-            }
+        for p in chunks.flatten() {
+            tree.insert_point(p);
         }
-        stats.phase1_time = t0.elapsed();
+        let phase1_time = t0.elapsed();
         let t1 = Instant::now();
-        let subclusters = tree.leaf_entries();
-        let g = global::kmeans(
-            &subclusters,
-            self.params.k,
-            self.params.seed,
-            self.params.kmeans_iters,
-        );
-        stats.phase2_time = t1.elapsed();
-        (BirchModel::from_clustering(subclusters, g), stats)
+        let model = phase2_model(&tree, &self.params);
+        let stats = BirchStats {
+            phase1_time,
+            phase2_time: t1.elapsed(),
+        };
+        (model, stats)
     }
 }
 
@@ -258,15 +245,8 @@ impl BirchPlus {
     /// cluster model and the phase-2 time.
     pub fn model(&self) -> (BirchModel, Duration) {
         let t0 = Instant::now();
-        let subclusters = self.tree.leaf_entries();
-        let g = global::kmeans(
-            &subclusters,
-            self.params.k,
-            self.params.seed,
-            self.params.kmeans_iters,
-        );
-        let elapsed = t0.elapsed();
-        (BirchModel::from_clustering(subclusters, g), elapsed)
+        let model = phase2_model(&self.tree, &self.params);
+        (model, t0.elapsed())
     }
 }
 

@@ -210,53 +210,4 @@ mod tests {
         assert_eq!(wr2.right_shift(1), bits("010"));
         assert_eq!(wr2.right_shift(2), bits("001"));
     }
-
-    #[test]
-    fn selector_arriving_bit_wi_vs_wr() {
-        let wi = BlockSelector::WindowIndependent(WiBss::Periodic { pattern: bits("10") });
-        // Window-independent: only the block id matters.
-        assert!(wi.selects_arriving(BlockId(3), BlockId(1), 3));
-        assert!(!wi.selects_arriving(BlockId(4), BlockId(2), 3));
-
-        let wr = BlockSelector::WindowRelative(WrBss::new(bits("101")));
-        // The newest block of a full window sits at position w.
-        assert!(wr.selects_arriving(BlockId(5), BlockId(3), 3)); // pos 3, bit 1
-        assert!(!wr.selects_arriving(BlockId(4), BlockId(3), 3)); // pos 2, bit 0
-    }
-
-    #[test]
-    fn selected_in_window_lists_selected_blocks() {
-        let wi = BlockSelector::WindowIndependent(WiBss::Explicit {
-            bits: bits("10110"),
-            tail: false,
-        });
-        assert_eq!(
-            wi.selected_in_window(BlockId(1), 3, BlockId(3)),
-            vec![BlockId(1), BlockId(3)]
-        );
-        assert_eq!(
-            wi.selected_in_window(BlockId(2), 3, BlockId(4)),
-            vec![BlockId(3), BlockId(4)]
-        );
-        let wr = BlockSelector::WindowRelative(WrBss::new(bits("101")));
-        assert_eq!(
-            wr.selected_in_window(BlockId(2), 3, BlockId(4)),
-            vec![BlockId(2), BlockId(4)]
-        );
-        // Truncated window (fewer blocks than w so far).
-        assert_eq!(
-            wr.selected_in_window(BlockId(1), 3, BlockId(2)),
-            vec![BlockId(1)]
-        );
-    }
-
-    #[test]
-    fn all_selector_selects_everything() {
-        let s = BlockSelector::all();
-        assert!(s.selects_arriving(BlockId(9), BlockId(7), 3));
-        assert_eq!(
-            s.selected_in_window(BlockId(7), 3, BlockId(9)).len(),
-            3
-        );
-    }
 }

@@ -298,7 +298,7 @@ mod tests {
     use super::*;
     use crate::maintainer::ItemsetMaintainer;
     use demon_itemsets::CounterKind;
-    use demon_types::{Item, ItemSet, MinSupport, Tid, Transaction, TxBlock};
+    use demon_types::{Item, MinSupport, Tid, Transaction, TxBlock};
 
     fn marker_block(id: u64, n_tx: usize) -> TxBlock {
         TxBlock::new(
@@ -314,64 +314,10 @@ mod tests {
     }
 
     #[test]
-    fn uw_engine_accumulates_selected_blocks() {
-        let bss = WiBss::Periodic {
-            pattern: vec![true, false],
-        };
-        let mut e = UwEngine::new(maintainer(), bss);
-        for id in 1..=4u64 {
-            e.add_block(marker_block(id, 4)).unwrap();
-        }
-        // Blocks 1 and 3 selected.
-        assert!(e.model().is_frequent(&ItemSet::from_ids(&[1])));
-        assert!(!e.model().is_frequent(&ItemSet::from_ids(&[2])));
-        assert!(e.model().is_frequent(&ItemSet::from_ids(&[3])));
-        assert!(!e.model().is_frequent(&ItemSet::from_ids(&[4])));
-    }
-
-    #[test]
     fn uw_engine_rejects_gaps() {
         let mut e = UwEngine::new(maintainer(), WiBss::All);
         e.add_block(marker_block(1, 2)).unwrap();
         assert!(e.add_block(marker_block(3, 2)).is_err());
-    }
-
-    #[test]
-    fn sliding_engine_keeps_exactly_the_window() {
-        use crate::maintainer::DbscanMaintainer;
-        use demon_clustering::DbscanParams;
-        use demon_types::{Point, PointBlock};
-        let blob = |id: u64| {
-            PointBlock::new(
-                BlockId(id),
-                [(0.0, 0.0), (0.3, 0.0), (0.0, 0.3)]
-                    .iter()
-                    .map(|(dx, dy)| Point::new(vec![id as f64 * 10.0 + dx, *dy]))
-                    .collect(),
-            )
-        };
-        let maintainer = DbscanMaintainer::new(DbscanParams::new(2, 1.0, 3));
-        let mut e =
-            DemonEngine::new_decremental(maintainer, 2).expect("decremental engine builds");
-        for id in 1..=4u64 {
-            let stats = e.add_block(blob(id)).unwrap();
-            assert!(stats.absorbed);
-        }
-        let model = e.current_model().unwrap();
-        // Only the last two blobs survive the slide; retired blocks are
-        // gone from the store as well.
-        assert_eq!(model.covered_blocks(), vec![BlockId(3), BlockId(4)]);
-        assert_eq!(model.structure().n_clusters(), 2);
-        assert_eq!(model.structure().len(), 6);
-        model.structure().check_against_batch();
-        assert!(e.maintainer().store().get(BlockId(1)).unwrap().is_none());
-        assert!(e.maintainer().store().get(BlockId(4)).unwrap().is_some());
-        // Replays and gaps stay typed errors.
-        assert!(matches!(
-            e.add_block(blob(4)),
-            Err(DemonError::DuplicateBlock { .. })
-        ));
-        assert!(e.add_block(blob(7)).is_err());
     }
 
     /// An engine resumed at `D5` takes `D5` first and nothing else, ends
@@ -414,31 +360,5 @@ mod tests {
         use demon_clustering::DbscanParams;
         let maintainer = DbscanMaintainer::new(DbscanParams::new(2, 1.0, 3));
         assert!(DemonEngine::new_decremental(maintainer, 0).is_err());
-    }
-
-    #[test]
-    fn unified_engine_dispatches_both_spans() {
-        let mut uw =
-            DemonEngine::new(maintainer(), DataSpan::Unrestricted(WiBss::All)).unwrap();
-        let mut mrw = DemonEngine::new(
-            maintainer(),
-            DataSpan::MostRecent {
-                w: 2,
-                selector: BlockSelector::all(),
-            },
-        )
-        .unwrap();
-        for id in 1..=4u64 {
-            let su = uw.add_block(marker_block(id, 4)).unwrap();
-            let sm = mrw.add_block(marker_block(id, 4)).unwrap();
-            assert!(su.absorbed && sm.absorbed);
-        }
-        // UW keeps everything; MRW only the last two blocks.
-        let uw_model = uw.current_model().unwrap();
-        let mrw_model = mrw.current_model().unwrap();
-        assert!(uw_model.is_frequent(&ItemSet::from_ids(&[1])));
-        assert!(!mrw_model.is_frequent(&ItemSet::from_ids(&[1])));
-        assert!(mrw_model.is_frequent(&ItemSet::from_ids(&[3])));
-        assert!(mrw_model.is_frequent(&ItemSet::from_ids(&[4])));
     }
 }

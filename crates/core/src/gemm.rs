@@ -23,7 +23,7 @@
 
 use crate::bss::BlockSelector;
 use crate::maintainer::ModelMaintainer;
-use demon_types::parallel::{self, par_for_each_mut};
+use demon_types::parallel::par_for_each_mut;
 use demon_types::{obs, Block, BlockId, DemonError, Parallelism, Result};
 use std::time::{Duration, Instant};
 
@@ -80,19 +80,6 @@ impl<M: ModelMaintainer + Sync> Gemm<M> {
             par: Parallelism::serial(),
             slots: Vec::with_capacity(w),
             latest: None,
-        })
-    }
-
-    /// Updates the off-line models in parallel (they are independent; the
-    /// paper notes they are not time-critical). `true` uses the
-    /// process-wide default thread count
-    /// ([`demon_types::parallel::global`]); see [`Gemm::with_parallelism`]
-    /// for an explicit count.
-    pub fn with_parallel_offline(self, parallel: bool) -> Self {
-        self.with_parallelism(if parallel {
-            parallel::global()
-        } else {
-            Parallelism::serial()
         })
     }
 
@@ -216,47 +203,19 @@ mod tests {
     use super::*;
     use crate::bss::{BlockSelector, WiBss, WrBss};
     use crate::maintainer::ItemsetMaintainer;
-    use demon_itemsets::{CounterKind, FrequentItemsets, TxStore};
+    use demon_itemsets::CounterKind;
     use demon_types::{Item, MinSupport, Tid, Transaction, TxBlock};
 
     fn k(v: f64) -> MinSupport {
         MinSupport::new(v).unwrap()
     }
 
-    /// Block `id` holds transactions over items that encode the block id,
-    /// so it is easy to verify which blocks a model covers.
-    fn tx_block(id: u64, txs: &[&[u32]]) -> TxBlock {
-        TxBlock::new(
-            BlockId(id),
-            txs.iter()
-                .enumerate()
-                .map(|(i, items)| {
-                    Transaction::new(
-                        Tid(id * 1000 + i as u64),
-                        items.iter().copied().map(Item).collect(),
-                    )
-                })
-                .collect(),
-        )
-    }
-
-    /// A block whose only item is its own id — a model's frequent items
-    /// then spell out exactly which blocks it was extracted from.
+    /// A block whose only item is its own id.
     fn marker_block(id: u64, n_tx: usize) -> TxBlock {
-        let items = [id as u32];
-        let txs: Vec<&[u32]> = (0..n_tx).map(|_| &items[..]).collect();
-        tx_block(id, &txs)
-    }
-
-    fn covered_blocks(model: &FrequentItemsets) -> Vec<u64> {
-        let mut v: Vec<u64> = model
-            .frequent()
-            .keys()
-            .filter(|s| s.len() == 1)
-            .map(|s| s.items()[0].id() as u64)
+        let txs = (0..n_tx as u64)
+            .map(|i| Transaction::new(Tid(id * 1000 + i), vec![Item(id as u32)]))
             .collect();
-        v.sort_unstable();
-        v
+        TxBlock::new(BlockId(id), txs)
     }
 
     fn gemm_with(
@@ -281,131 +240,6 @@ mod tests {
         let mut g = gemm_with(2, BlockSelector::all());
         g.add_block(marker_block(1, 4)).unwrap();
         assert!(g.add_block(marker_block(3, 4)).is_err());
-    }
-
-    #[test]
-    fn all_ones_window_tracks_last_w_blocks() {
-        let mut g = gemm_with(3, BlockSelector::all());
-        for id in 1..=5u64 {
-            g.add_block(marker_block(id, 4)).unwrap();
-        }
-        let model = g.current_model().unwrap();
-        assert_eq!(covered_blocks(model), vec![3, 4, 5]);
-        assert_eq!(g.window_start(), Some(BlockId(3)));
-        assert_eq!(g.slot_starts(), vec![BlockId(3), BlockId(4), BlockId(5)]);
-    }
-
-    #[test]
-    fn warmup_covers_all_blocks_before_window_fills() {
-        let mut g = gemm_with(4, BlockSelector::all());
-        g.add_block(marker_block(1, 4)).unwrap();
-        g.add_block(marker_block(2, 4)).unwrap();
-        let model = g.current_model().unwrap();
-        assert_eq!(covered_blocks(model), vec![1, 2]);
-        assert_eq!(g.window_start(), Some(BlockId(1)));
-    }
-
-    #[test]
-    fn window_independent_bss_selects_by_block_id() {
-        // BSS ⟨10110…⟩ repeated: bits of blocks 1..=5 are 1,0,1,1,0.
-        let wi = BlockSelector::WindowIndependent(WiBss::Explicit {
-            bits: vec![true, false, true, true, false],
-            tail: false,
-        });
-        let mut g = gemm_with(3, wi);
-        for id in 1..=4u64 {
-            g.add_block(marker_block(id, 4)).unwrap();
-        }
-        // Window D[2,4]: selected blocks are 3 and 4 (paper's example).
-        assert_eq!(covered_blocks(g.current_model().unwrap()), vec![3, 4]);
-        let stats = g.add_block(marker_block(5, 4)).unwrap();
-        // Window D[3,5]: block 5 has bit 0 → not absorbed; model covers 3,4.
-        assert!(!stats.absorbed_into_current);
-        assert_eq!(covered_blocks(g.current_model().unwrap()), vec![3, 4]);
-    }
-
-    #[test]
-    fn window_relative_bss_moves_with_window() {
-        // Pattern ⟨101⟩ over a window of 3: select positions 1 and 3.
-        let wr = BlockSelector::WindowRelative(WrBss::new(vec![true, false, true]));
-        let mut g = gemm_with(3, wr);
-        for id in 1..=3u64 {
-            g.add_block(marker_block(id, 4)).unwrap();
-        }
-        // Window D[1,3]: positions 1,3 → blocks 1 and 3.
-        assert_eq!(covered_blocks(g.current_model().unwrap()), vec![1, 3]);
-        g.add_block(marker_block(4, 4)).unwrap();
-        // Window D[2,4]: positions 1,3 → blocks 2 and 4 (paper §3.2.2).
-        assert_eq!(covered_blocks(g.current_model().unwrap()), vec![2, 4]);
-        g.add_block(marker_block(5, 4)).unwrap();
-        // Window D[3,5]: blocks 3 and 5.
-        assert_eq!(covered_blocks(g.current_model().unwrap()), vec![3, 5]);
-    }
-
-    #[test]
-    fn current_model_matches_scratch_mining() {
-        // Cross-check GEMM's incremental state against batch mining of the
-        // same selection, for a nontrivial window-relative BSS.
-        let wr = BlockSelector::WindowRelative(WrBss::new(vec![true, true, false, true]));
-        let mut g = gemm_with(4, wr);
-        for id in 1..=7u64 {
-            g.add_block(marker_block(id, 4)).unwrap();
-        }
-        let selected = BlockSelector::WindowRelative(WrBss::new(vec![true, true, false, true]))
-            .selected_in_window(BlockId(4), 4, BlockId(7));
-        assert_eq!(selected, vec![BlockId(4), BlockId(5), BlockId(7)]);
-        assert_eq!(
-            covered_blocks(g.current_model().unwrap()),
-            vec![4, 5, 7]
-        );
-        // Batch-mine the same blocks on a scratch store.
-        let mut store = TxStore::new(16);
-        for id in 1..=7u64 {
-            store.add_block(marker_block(id, 4));
-        }
-        let batch = FrequentItemsets::mine_from(&store, &selected, k(0.05)).unwrap();
-        let model = g.current_model().unwrap();
-        assert_eq!(model.frequent(), batch.frequent());
-    }
-
-    #[test]
-    fn parallel_offline_matches_sequential() {
-        let mk = || {
-            let maintainer = ItemsetMaintainer::new(16, k(0.05), CounterKind::Ecut);
-            Gemm::new(maintainer, 4, BlockSelector::all()).unwrap()
-        };
-        let mut seq = mk();
-        for id in 1..=6u64 {
-            seq.add_block(marker_block(id, 4)).unwrap();
-        }
-        for threads in [2usize, 3, 8] {
-            let mut par = mk().with_parallelism(Parallelism::new(threads));
-            for id in 1..=6u64 {
-                par.add_block(marker_block(id, 4)).unwrap();
-            }
-            assert_eq!(
-                seq.current_model().unwrap().frequent(),
-                par.current_model().unwrap().frequent(),
-                "current model diverged at {threads} threads"
-            );
-            for start in seq.slot_starts() {
-                let a = seq.future_model(start).unwrap();
-                let b = par.future_model(start).unwrap();
-                assert_eq!(a.frequent(), b.frequent(), "slot {start:?} at {threads} threads");
-            }
-        }
-    }
-
-    #[test]
-    fn retirement_drops_out_of_window_blocks() {
-        let mut g = gemm_with(2, BlockSelector::all());
-        for id in 1..=4u64 {
-            g.add_block(marker_block(id, 4)).unwrap();
-        }
-        // Window is D[3,4]; blocks 1 and 2 must be gone from the store.
-        assert!(g.maintainer().store().block(BlockId(1)).is_none());
-        assert!(g.maintainer().store().block(BlockId(2)).is_none());
-        assert!(g.maintainer().store().block(BlockId(3)).is_some());
     }
 
     #[test]

@@ -392,7 +392,7 @@ impl ModelMaintainer for TreeMaintainer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use demon_types::{Item, Point, Tid, Transaction};
+    use demon_types::{Item, Tid, Transaction};
 
     fn tx_block(id: u64, txs: &[&[u32]]) -> TxBlock {
         TxBlock::new(
@@ -410,19 +410,6 @@ mod tests {
     }
 
     #[test]
-    fn itemset_maintainer_tracks_frequent_sets() {
-        let mut m = ItemsetMaintainer::new(3, MinSupport::new(0.4).unwrap(), CounterKind::Ecut);
-        m.register_block(tx_block(1, &[&[0, 1], &[0, 1], &[2]]));
-        let mut model = m.fresh();
-        m.absorb(&mut model, BlockId(1));
-        assert!(model.is_frequent(&demon_types::ItemSet::from_ids(&[0, 1])));
-        m.register_block(tx_block(2, &[&[2], &[2], &[2], &[2]]));
-        m.absorb(&mut model, BlockId(2));
-        assert!(model.is_frequent(&demon_types::ItemSet::from_ids(&[2])));
-        model.check_invariants(m.store());
-    }
-
-    #[test]
     fn ecut_plus_maintainer_materializes_block_local_pairs() {
         let mut m =
             ItemsetMaintainer::new(3, MinSupport::new(0.4).unwrap(), CounterKind::EcutPlus);
@@ -433,132 +420,6 @@ mod tests {
         let mut m2 = ItemsetMaintainer::new(3, MinSupport::new(0.4).unwrap(), CounterKind::Ecut);
         m2.register_block(tx_block(1, &[&[0, 1], &[0, 1], &[0, 1], &[2]]));
         assert_eq!(m2.store().pair_space(&[BlockId(1)]), 0);
-    }
-
-    #[test]
-    fn retire_drops_block_data() {
-        let mut m = ItemsetMaintainer::new(2, MinSupport::new(0.5).unwrap(), CounterKind::Ecut);
-        m.register_block(tx_block(1, &[&[0]]));
-        assert!(m.store().block(BlockId(1)).is_some());
-        m.retire_block(BlockId(1));
-        assert!(m.store().block(BlockId(1)).is_none());
-    }
-
-    #[test]
-    fn cluster_maintainer_builds_trees_per_model() {
-        let params = BirchParams::new(2, 2);
-        let mut m = ClusterMaintainer::new(params);
-        let b1 = PointBlock::new(
-            BlockId(1),
-            (0..50)
-                .map(|i| Point::new(vec![i as f64 * 0.01, 0.0]))
-                .collect(),
-        );
-        let b2 = PointBlock::new(
-            BlockId(2),
-            (0..50)
-                .map(|i| Point::new(vec![50.0 + i as f64 * 0.01, 0.0]))
-                .collect(),
-        );
-        m.register_block(b1);
-        m.register_block(b2);
-        let mut tree = m.fresh();
-        m.absorb(&mut tree, BlockId(1));
-        assert_eq!(tree.n_points(), 50);
-        m.absorb(&mut tree, BlockId(2));
-        assert_eq!(tree.n_points(), 100);
-        let model = demon_clustering::phase2_model(&tree, m.params());
-        assert_eq!(model.k(), 2);
-        assert_eq!(model.n_points(), 100);
-        m.retire_block(BlockId(1));
-        // A second independent model only sees the remaining block.
-        let mut tree2 = m.fresh();
-        m.absorb(&mut tree2, BlockId(2));
-        assert_eq!(tree2.n_points(), 50);
-    }
-
-    #[test]
-    fn dbscan_maintainer_absorbs_and_sheds_blocks() {
-        let mut m = DbscanMaintainer::new(DbscanParams::new(2, 1.0, 3));
-        let blob = |id: u64, cx: f64| {
-            PointBlock::new(
-                BlockId(id),
-                [(0.0, 0.0), (0.3, 0.0), (0.0, 0.3)]
-                    .iter()
-                    .map(|(dx, dy)| Point::new(vec![cx + dx, *dy]))
-                    .collect(),
-            )
-        };
-        m.register_block(blob(1, 0.0));
-        m.register_block(blob(2, 10.0));
-        let mut model = m.fresh();
-        m.absorb(&mut model, BlockId(1));
-        assert_eq!(model.structure().n_clusters(), 1);
-        m.absorb(&mut model, BlockId(2));
-        assert_eq!(model.structure().n_clusters(), 2);
-        assert_eq!(model.covered_blocks(), vec![BlockId(1), BlockId(2)]);
-        // Deletion-based window maintenance: shed undoes absorb.
-        m.shed(&mut model, BlockId(1));
-        m.retire_block(BlockId(1));
-        assert_eq!(model.structure().n_clusters(), 1);
-        assert_eq!(model.covered_blocks(), vec![BlockId(2)]);
-        model.structure().check_against_batch();
-    }
-
-    #[test]
-    fn tree_maintainer_refits_over_covered_blocks() {
-        use demon_trees::{LabeledPoint, TreeParams};
-        let mut m = TreeMaintainer::new(1, TreeParams::new(2));
-        // Block 1: class 0 on the left; block 2: class 1 on the right.
-        let mk = |id: u64, x0: f64, label: u32| {
-            demon_types::Block::new(
-                BlockId(id),
-                (0..40)
-                    .map(|i| LabeledPoint::new(vec![x0 + i as f64 * 0.01], label))
-                    .collect(),
-            )
-        };
-        m.register_block(mk(1, -5.0, 0));
-        m.register_block(mk(2, 5.0, 1));
-        let mut model = m.fresh();
-        assert!(model.tree.is_none());
-        m.absorb(&mut model, BlockId(1));
-        m.absorb(&mut model, BlockId(2));
-        assert_eq!(model.covers, vec![BlockId(1), BlockId(2)]);
-        let tree = model.tree.as_ref().unwrap();
-        assert_eq!(tree.predict(&Point::new(vec![-4.0])), 0);
-        assert_eq!(tree.predict(&Point::new(vec![6.0])), 1);
-    }
-
-    #[test]
-    fn tree_maintainer_through_gemm_window() {
-        use crate::bss::BlockSelector;
-        use crate::gemm::Gemm;
-        use demon_trees::{LabeledPoint, TreeParams};
-        let maintainer = TreeMaintainer::new(1, TreeParams::new(2));
-        let mut gemm = Gemm::new(maintainer, 2, BlockSelector::all()).unwrap();
-        // Blocks 1-2 teach "x<0 → class 0"; block 3 flips the labels.
-        let mk = |id: u64, flip: bool| {
-            demon_types::Block::new(
-                BlockId(id),
-                (0..60)
-                    .map(|i| {
-                        let left = i % 2 == 0;
-                        let x = if left { -3.0 } else { 3.0 } + (i as f64) * 0.01;
-                        LabeledPoint::new(vec![x], u32::from(left == flip))
-                    })
-                    .collect(),
-            )
-        };
-        gemm.add_block(mk(1, false)).unwrap();
-        gemm.add_block(mk(2, false)).unwrap();
-        let t = gemm.current_model().unwrap().tree.clone().unwrap();
-        assert_eq!(t.predict(&Point::new(vec![-3.0])), 0);
-        // Two flipped blocks slide the old concept out of the window.
-        gemm.add_block(mk(3, true)).unwrap();
-        gemm.add_block(mk(4, true)).unwrap();
-        let t = gemm.current_model().unwrap().tree.clone().unwrap();
-        assert_eq!(t.predict(&Point::new(vec![-3.0])), 1, "concept drift tracked");
     }
 
     #[test]

@@ -37,12 +37,6 @@
 //! work. The weights are functions of the dataset alone — never of the
 //! thread count — so split points depend only on (input, requested
 //! shards) and determinism is preserved.
-//!
-//! On single-worker hardware
-//! ([`demon_types::parallel::single_worker`]) both backends skip the
-//! per-shard accumulators and fill one shared buffer — bit-identical
-//! output (the merges are exact), none of the merge overhead, so
-//! requesting many threads on a small box costs nothing.
 
 use crate::prefix_tree::{FlatPrefixTree, SupportCell};
 use crate::store::{TxEntry, TxStore};
@@ -290,21 +284,6 @@ fn pt_scan_shards<C: SupportCell + Send>(
     weights: &[u64],
     par: Parallelism,
 ) -> (Vec<u64>, u64) {
-    // Single-worker hardware runs shards sequentially anyway; fill one
-    // shared count array instead of allocating and merging one per
-    // shard. Counts are exact integer sums, so this is bit-identical to
-    // the sharded merge below (see `parallel::single_worker`).
-    if parallel::single_worker() {
-        let mut counts = vec![C::default(); tree.len()];
-        let mut units = 0u64;
-        for b in blocks {
-            for tx in b.records() {
-                units += tx.len() as u64;
-                tree.count_transaction(tx.items(), &mut counts);
-            }
-        }
-        return (counts.into_iter().map(SupportCell::widen).collect(), units);
-    }
     let shards = par_weighted_ranges(par, weights, |range| {
         let mut counts = vec![C::default(); tree.len()];
         let mut units = 0u64;
@@ -365,34 +344,6 @@ fn tid_count(
     use_pairs: bool,
     par: Parallelism,
 ) -> CountResult {
-    // Single-worker hardware: one pass with one scratch set, skipping
-    // both the per-candidate weight computation and the per-shard
-    // output segments. Per-candidate counts are independent, so this is
-    // bit-identical to the sharded path (see `parallel::single_worker`).
-    if parallel::single_worker() {
-        let mut counts = vec![0u64; candidates.len()];
-        let mut units = 0u64;
-        let mut fetched = 0u64;
-        let mut scratch = CountScratch::default();
-        for entry in entries {
-            let lists = &entry.lists;
-            for (ci, cand) in candidates.iter().enumerate() {
-                let (support, read, n_lists) = if use_pairs {
-                    count_in_block_with_pairs(lists, cand, &mut scratch)
-                } else {
-                    count_in_block_items(lists, cand, &mut scratch)
-                };
-                counts[ci] += support;
-                units += read;
-                fetched += n_lists;
-            }
-        }
-        return CountResult {
-            counts,
-            units_read: units,
-            lists_fetched: fetched,
-        };
-    }
     let weights: Vec<u64> = candidates
         .iter()
         .map(|cand| {

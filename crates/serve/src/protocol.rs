@@ -5,8 +5,8 @@
 //! (magic, version, class tag, payload length, CRC32) followed by the
 //! payload. Requests carry class `RQ`, responses class `RS` — a response
 //! replayed into a request socket is rejected by the class check before
-//! any payload decoding, exactly like a shelf model copied over a block
-//! file on disk.
+//! any payload decoding, exactly like a WAL segment copied over a spilled
+//! block file on disk.
 //!
 //! ## Payload layout
 //!

@@ -21,7 +21,7 @@
 //! offset  size  field
 //! 0       4     magic  "DMON"
 //! 4       2     format version, u16 LE (currently 2)
-//! 6       2     file class tag (e.g. "WL", "TE", "SH")
+//! 6       2     file class tag (e.g. "WL", "TE", "PB")
 //! 8       8     payload length, u64 LE
 //! 16      4     CRC32 (IEEE) of the payload, u32 LE
 //! 20      …     payload

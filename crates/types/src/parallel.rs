@@ -179,20 +179,6 @@ fn max_workers() -> usize {
     })
 }
 
-/// Whether the hardware can run at most one worker thread
-/// ([`std::thread::available_parallelism`] is 1, so shards always
-/// execute sequentially on the calling thread).
-///
-/// Callers whose shard merge is **exact** (integer sums, per-index
-/// writes) may use this to skip per-shard accumulators entirely:
-/// filling one shared accumulator across the would-be shards is
-/// bit-identical to the per-shard merge — that invariance is precisely
-/// the determinism guarantee — and skips the merge's allocation and
-/// reduction cost. Callers with order-sensitive merges must not.
-pub fn single_worker() -> bool {
-    max_workers() == 1
-}
-
 /// Executes the shards delimited by `bounds` and returns their results
 /// in shard order. Workers claim shard indices from an atomic queue and
 /// write into per-shard slots, so the result order is scheduling
@@ -256,7 +242,7 @@ where
     if n == 0 {
         return Vec::new();
     }
-    let region = RegionStats::open(n);
+    let region = RegionStats::open();
     let threads = par.effective_threads(n);
     let bounds = split_points(n, threads);
     let results = run_shards(&bounds, &f);
@@ -283,7 +269,7 @@ where
     if n == 0 {
         return Vec::new();
     }
-    let region = RegionStats::open(n);
+    let region = RegionStats::open();
     let threads = par.effective_threads(n);
     let bounds = weighted_split_points(weights, threads);
     let results = run_shards(&bounds, &f);
@@ -308,7 +294,7 @@ struct RegionStats {
 }
 
 impl RegionStats {
-    fn open(_n: usize) -> RegionStats {
+    fn open() -> RegionStats {
         let top_level =
             crate::obs::is_enabled() && !IN_PARALLEL_REGION.with(Cell::get);
         if top_level {
@@ -419,7 +405,7 @@ where
     if n == 0 {
         return;
     }
-    let region = RegionStats::open(n);
+    let region = RegionStats::open();
     let threads = par.effective_threads(n);
     let bounds = split_points(n, threads);
     let workers = threads.min(max_workers());

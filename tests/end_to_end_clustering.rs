@@ -54,24 +54,6 @@ fn birch_plus_tracks_growing_database() {
 }
 
 #[test]
-fn birch_plus_equals_full_rerun_up_to_jitter() {
-    let mut g = gen(5, 3, 7);
-    let blocks: Vec<PointBlock> = (1..=3u64)
-        .map(|id| PointBlock::new(BlockId(id), g.take_points(1_500)))
-        .collect();
-    let mut plus = BirchPlus::new(params(3, 5));
-    for b in &blocks {
-        plus.absorb_block(b);
-    }
-    let (inc, _) = plus.model();
-    let refs: Vec<&PointBlock> = blocks.iter().collect();
-    let (full, _) = Birch::new(params(3, 5)).cluster_blocks(&refs);
-    assert_eq!(inc.n_points(), full.n_points());
-    assert_centers_recovered(&full.centroids(), &inc.centroids(), 2.0, "inc vs full");
-    assert_centers_recovered(&inc.centroids(), &full.centroids(), 2.0, "full vs inc");
-}
-
-#[test]
 fn gemm_windows_cluster_models_forget_old_regimes() {
     // The data-generating process changes after block 3: a window of 2
     // must follow the new regime, forgetting the old centers.
@@ -129,10 +111,9 @@ fn labeling_scan_is_consistent_with_subcluster_assignment() {
     }
 }
 
-/// A future-window CF-tree round-trips through serde. (The name predates
-/// the removal of GEMM's disk shelf, which stored models this way.)
+/// A GEMM future-window CF-tree round-trips through serde byte for byte.
 #[test]
-fn cluster_model_serde_roundtrip_through_gemm_shelf() {
+fn future_window_cf_tree_roundtrips_through_serde() {
     let dim = 2;
     let mut g = gen(3, dim, 31);
     let maintainer = ClusterMaintainer::new(params(dim, 3));

@@ -1,9 +1,9 @@
 //! End-to-end integration tests of the frequent-itemset stack: Quest data
 //! flowing through engines, cross-validated against batch mining.
 
-use demon::core::bss::{BlockSelector, WiBss, WrBss};
+use demon::core::bss::WiBss;
 use demon::core::engine::{DataSpan, DemonEngine};
-use demon::core::{Gemm, ItemsetMaintainer};
+use demon::core::ItemsetMaintainer;
 use demon::datagen::{QuestGen, QuestParams};
 use demon::itemsets::{CounterKind, FrequentItemsets, TxStore};
 use demon::types::{Block, BlockId, MinSupport, Tid, Transaction, TxBlock};
@@ -66,75 +66,6 @@ fn every_counter_reaches_the_same_model() {
             Some(r) => assert_models_equal(r, &model, counter.name()),
         }
     }
-}
-
-#[test]
-fn incremental_uw_equals_batch_mining() {
-    let blocks = quest_stream(6, 300, 13);
-    let mut engine = DemonEngine::new(
-        ItemsetMaintainer::new(N_ITEMS, k(0.03), CounterKind::Ecut),
-        DataSpan::Unrestricted(WiBss::All),
-    )
-    .unwrap();
-    let mut store = TxStore::new(N_ITEMS);
-    for b in blocks {
-        store.add_block(b.clone());
-        engine.add_block(b).unwrap();
-    }
-    let batch = FrequentItemsets::mine_from(&store, store.block_ids(), k(0.03)).unwrap();
-    assert_models_equal(engine.current_model().unwrap(), &batch, "UW vs batch");
-}
-
-#[test]
-fn gemm_sliding_window_equals_batch_mining_at_every_step() {
-    let blocks = quest_stream(8, 250, 17);
-    let w = 3;
-    let mut gemm = Gemm::new(
-        ItemsetMaintainer::new(N_ITEMS, k(0.03), CounterKind::Ecut),
-        w,
-        BlockSelector::all(),
-    )
-    .unwrap();
-    let mut store = TxStore::new(N_ITEMS);
-    for (i, b) in blocks.into_iter().enumerate() {
-        store.add_block(b.clone());
-        gemm.add_block(b).unwrap();
-        let t = i as u64 + 1;
-        let start = t.saturating_sub(w as u64 - 1).max(1);
-        let window: Vec<BlockId> = (start..=t).map(BlockId).collect();
-        let batch = FrequentItemsets::mine_from(&store, &window, k(0.03)).unwrap();
-        assert_models_equal(
-            gemm.current_model().unwrap(),
-            &batch,
-            &format!("window ending at D{t}"),
-        );
-    }
-}
-
-/// GEMM under a window-relative BSS equals batch mining of the blocks the
-/// BSS selects. (The name predates the removal of GEMM's disk shelf.)
-#[test]
-fn gemm_with_window_relative_bss_and_disk_shelf() {
-    let blocks = quest_stream(7, 200, 19);
-    let bss = WrBss::new(vec![true, false, true, true]);
-    let mut gemm = Gemm::new(
-        ItemsetMaintainer::new(N_ITEMS, k(0.03), CounterKind::EcutPlus),
-        4,
-        BlockSelector::WindowRelative(bss.clone()),
-    )
-    .unwrap();
-
-    let mut store = TxStore::new(N_ITEMS);
-    for b in blocks {
-        store.add_block(b.clone());
-        gemm.add_block(b).unwrap();
-    }
-    // Window D[4,7]; BSS ⟨1011⟩ selects positions 1,3,4 → blocks 4,6,7.
-    let selected = BlockSelector::WindowRelative(bss)
-        .selected_in_window(BlockId(4), 4, BlockId(7));
-    assert_eq!(selected, vec![BlockId(4), BlockId(6), BlockId(7)]);
-    let batch = FrequentItemsets::mine_from(&store, &selected, k(0.03)).unwrap();
-    assert_models_equal(gemm.current_model().unwrap(), &batch, "WR BSS");
 }
 
 #[test]

@@ -2,8 +2,6 @@
 
 use demon::clustering::cftree::CfTreeParams;
 use demon::clustering::{CfTree, ClusterFeature};
-use demon::core::bss::{BlockSelector, WrBss};
-use demon::core::{Gemm, ItemsetMaintainer};
 use demon::focus::compact::CompactSequenceMiner;
 use demon::focus::similarity::SimilarityOracle;
 use demon::itemsets::apriori;
@@ -162,60 +160,6 @@ proptest! {
             .skip(1)
             .fold(lists[0].clone(), |acc, s| acc.intersection(s).copied().collect());
         prop_assert_eq!(got, expected);
-    }
-
-    /// GEMM's current model matches scratch-mining the selected window,
-    /// for an arbitrary window-relative BSS.
-    #[test]
-    fn gemm_matches_scratch_for_random_wr_bss(
-        blocks in blocks_strategy(6),
-        bits in prop::collection::vec(any::<bool>(), 2..4),
-        minsup in minsup_strategy(),
-    ) {
-        prop_assume!(bits.iter().any(|&b| b));
-        let w = bits.len();
-        let selector = BlockSelector::WindowRelative(WrBss::new(bits));
-        let maintainer = ItemsetMaintainer::new(UNIVERSE, minsup, CounterKind::Ecut);
-        let mut gemm = Gemm::new(maintainer, w, selector.clone()).unwrap();
-        let store = store_of(&blocks);
-        for b in &blocks {
-            gemm.add_block(b.clone()).unwrap();
-        }
-        let t = blocks.len() as u64;
-        let start = BlockId(t.saturating_sub(w as u64 - 1).max(1));
-        let selected = selector.selected_in_window(start, w, BlockId(t));
-        let batch = FrequentItemsets::mine_from(&store, &selected, minsup).unwrap();
-        prop_assert_eq!(
-            freq_of(gemm.current_model().unwrap()),
-            freq_of(&batch)
-        );
-    }
-
-    /// GEMM's current model matches scratch-mining under an arbitrary
-    /// *window-independent* periodic BSS too.
-    #[test]
-    fn gemm_matches_scratch_for_random_wi_bss(
-        blocks in blocks_strategy(6),
-        pattern in prop::collection::vec(any::<bool>(), 1..4),
-        w in 2usize..4,
-        minsup in minsup_strategy(),
-    ) {
-        use demon::core::bss::WiBss;
-        prop_assume!(pattern.iter().any(|&b| b));
-        let selector = BlockSelector::WindowIndependent(WiBss::Periodic {
-            pattern: pattern.clone(),
-        });
-        let maintainer = ItemsetMaintainer::new(UNIVERSE, minsup, CounterKind::Ecut);
-        let mut gemm = Gemm::new(maintainer, w, selector.clone()).unwrap();
-        let store = store_of(&blocks);
-        for b in &blocks {
-            gemm.add_block(b.clone()).unwrap();
-        }
-        let t = blocks.len() as u64;
-        let start = BlockId(t.saturating_sub(w as u64 - 1).max(1));
-        let selected = selector.selected_in_window(start, w, BlockId(t));
-        let batch = FrequentItemsets::mine_from(&store, &selected, minsup).unwrap();
-        prop_assert_eq!(freq_of(gemm.current_model().unwrap()), freq_of(&batch));
     }
 
     /// The CF-tree conserves mass and keeps its summaries consistent under
