@@ -3,7 +3,7 @@
 
 use crate::bss::{BlockSelector, WiBss};
 use crate::gemm::{Gemm, GemmStats};
-use crate::maintainer::{DecrementalMaintainer, ModelMaintainer};
+use crate::maintainer::{Maintenance, ModelMaintainer};
 use demon_types::{Block, BlockId, DemonError, Result};
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
@@ -99,89 +99,91 @@ impl<M: ModelMaintainer> UwEngine<M> {
     }
 }
 
-/// The **sliding** most-recent-window engine for deletion-capable model
-/// classes (paper §3.2.4's alternative to GEMM's per-window future
-/// models): one model, maintained by absorbing the arriving block and
-/// shedding the departing one through
-/// [`DecrementalMaintainer::shed`].
-///
-/// Unlike GEMM this keeps no off-line models at all — the trade the
-/// paper analyzes is exactly this: no off-line cost, but the on-line
-/// response time pays for deletion, which for e.g. incremental DBSCAN
-/// "is higher than that when a tuple is inserted". The window always
-/// selects every block (a window-relative BSS under deletion-based
-/// maintenance would need selective shedding, which no deletion-capable
-/// class provides).
-pub struct SlidingEngine<M: ModelMaintainer> {
+/// The most-recent-window engine of a class that needs none of GEMM's
+/// future models (§3.2.4): one model over the window's blocks, which a
+/// [`Maintenance::Refit`] class fits afresh and a
+/// [`Maintenance::Decremental`] one slides by absorb and shed. No
+/// off-line updates; the on-line response time pays for the refit or
+/// the deletion. Built only by [`DemonEngine::new`].
+pub struct WindowEngine<M: ModelMaintainer> {
     maintainer: M,
     w: usize,
     model: M::Model,
+    /// The registered blocks of the current window, oldest first.
     window: VecDeque<BlockId>,
     latest: Option<BlockId>,
-    /// `DecrementalMaintainer::shed`, captured at construction so the
-    /// struct (and [`DemonEngine`]) stay usable under the plain
-    /// `ModelMaintainer` bound.
-    shed: fn(&M, &mut M::Model, BlockId),
+    step: WindowStep<M>,
 }
 
-impl<M: ModelMaintainer> SlidingEngine<M> {
-    /// A sliding engine over the `w` most recent blocks.
-    pub fn new(maintainer: M, w: usize) -> Result<Self>
-    where
-        M: DecrementalMaintainer,
-    {
-        if w == 0 {
-            return Err(DemonError::InvalidParameter(
-                "window size w must be at least 1".into(),
-            ));
-        }
-        let model = maintainer.fresh();
-        Ok(SlidingEngine {
-            maintainer,
-            w,
-            model,
-            window: VecDeque::new(),
-            latest: None,
-            shed: M::shed,
-        })
-    }
+/// How a [`WindowEngine`] moves its one model to the next window.
+enum WindowStep<M: ModelMaintainer> {
+    /// Fit the window's selected blocks afresh, under any BSS.
+    Refit(fn(&M, Vec<BlockId>) -> M::Model, BlockSelector),
+    /// Absorb the arriving block and shed the departing one, each iff
+    /// its bit is 1: exact, as a window-independent bit does not move.
+    Slide(fn(&M, &mut M::Model, BlockId), WiBss),
+}
 
-    /// The maintained window model.
-    pub fn model(&self) -> &M::Model {
-        &self.model
-    }
-
-    /// The underlying maintainer.
-    pub fn maintainer(&self) -> &M {
-        &self.maintainer
-    }
-
-    /// Blocks currently inside the window, oldest first.
-    pub fn window(&self) -> Vec<BlockId> {
-        self.window.iter().copied().collect()
-    }
-
-    /// Processes the next arriving block: absorb it, then shed and retire
-    /// the block that slid out of the `w`-window (if any). Sequencing
-    /// errors leave the engine untouched.
-    pub fn add_block(&mut self, block: Block<M::Record>) -> Result<EngineStats> {
+impl<M: ModelMaintainer> WindowEngine<M> {
+    /// Processes the next arriving block: step the model to the window
+    /// that ends at it, then retire the block that slid out of the
+    /// `w`-window (if any). Sequencing errors leave the engine untouched.
+    fn add_block(&mut self, block: Block<M::Record>) -> Result<EngineStats> {
         let id = block.id();
         check_sequential(id, self.latest)?;
         self.maintainer.register_block(block);
         self.latest = Some(id);
-        let t0 = Instant::now();
-        self.maintainer.absorb(&mut self.model, id);
         self.window.push_back(id);
-        if self.window.len() > self.w {
-            let departing = self.window.pop_front().expect("window non-empty");
-            (self.shed)(&self.maintainer, &mut self.model, departing);
+        let departing = (self.window.len() > self.w)
+            .then(|| self.window.pop_front())
+            .flatten();
+        let t0 = Instant::now();
+        let absorbed = match &self.step {
+            WindowStep::Refit(fit, selector) => {
+                let start = id.window_start(self.w);
+                let selected: Vec<BlockId> = (self.window.iter().copied())
+                    .filter(|&b| selector.selects_arriving(b, start, self.w))
+                    .collect();
+                let absorbed = selected.last() == Some(&id);
+                self.model = fit(&self.maintainer, selected);
+                absorbed
+            }
+            WindowStep::Slide(shed, bss) => {
+                let absorbed = bss.bit(id);
+                if absorbed {
+                    self.maintainer.absorb(&mut self.model, id);
+                }
+                if let Some(departing) = departing.filter(|&d| bss.bit(d)) {
+                    shed(&self.maintainer, &mut self.model, departing);
+                }
+                absorbed
+            }
+        };
+        if let Some(departing) = departing {
             self.maintainer.retire_block(departing);
         }
         Ok(EngineStats {
             response_time: t0.elapsed(),
             offline_time: Duration::ZERO,
-            absorbed: true,
+            absorbed,
         })
+    }
+}
+
+/// Refuses a most-recent window of no blocks, and a window-relative BSS
+/// whose length is not the window's.
+pub(crate) fn check_window(w: usize, selector: &BlockSelector) -> Result<()> {
+    match selector {
+        _ if w == 0 => Err(DemonError::InvalidParameter(
+            "window size must be positive".into(),
+        )),
+        BlockSelector::WindowRelative(wr) if wr.window_size() != w => {
+            Err(DemonError::BssMismatch {
+                got: wr.window_size(),
+                expected: w,
+            })
+        }
+        _ => Ok(()),
     }
 }
 
@@ -189,9 +191,8 @@ impl<M: ModelMaintainer> SlidingEngine<M> {
 /// be exactly the successor of `latest`. A replay of an id the engine
 /// already consumed is a [`DemonError::DuplicateBlock`] (benign and
 /// retryable for e.g. a recovering ingest pipeline); skipping ahead is
-/// an [`DemonError::InvalidParameter`]. Shared by [`UwEngine`] and
-/// [`crate::Gemm`], so both reject the block *before* touching any
-/// maintainer or store state.
+/// an [`DemonError::InvalidParameter`]. Shared by every engine, so each
+/// rejects the block *before* touching any maintainer or store state.
 pub fn check_sequential(id: BlockId, latest: Option<BlockId>) -> Result<()> {
     let expected = latest.map_or(BlockId::FIRST, BlockId::next);
     if id == expected {
@@ -208,36 +209,46 @@ pub fn check_sequential(id: BlockId, latest: Option<BlockId>) -> Result<()> {
     }
 }
 
-/// The unified engine, dispatching on the data span option.
+/// The unified engine: the data span option and the maintainer's
+/// [`Maintenance`] declaration pick it.
 pub enum DemonEngine<M: ModelMaintainer + Sync> {
     /// Unrestricted window.
     Uw(UwEngine<M>),
-    /// Most recent window (GEMM: per-window future models).
+    /// Most recent window by GEMM's per-window future models.
     Mrw(Gemm<M>),
-    /// Most recent window by absorb/shed (deletion-capable classes).
-    Sliding(SlidingEngine<M>),
+    /// Most recent window by one model: a refit, or absorb and shed.
+    Window(WindowEngine<M>),
 }
 
 impl<M: ModelMaintainer + Sync> DemonEngine<M> {
-    /// Builds the engine for the chosen data span option.
+    /// Builds the engine for the chosen data span option; the one place
+    /// an engine is chosen. UW → [`UwEngine`]. MRW → a [`WindowEngine`]
+    /// for a refit class under any BSS and for a decremental class under
+    /// a window-independent BSS, else [`Gemm`].
     pub fn new(maintainer: M, span: DataSpan) -> Result<Self> {
-        match span {
-            DataSpan::Unrestricted(bss) => Ok(DemonEngine::Uw(UwEngine::new(maintainer, bss))),
-            DataSpan::MostRecent { w, selector } => {
-                Ok(DemonEngine::Mrw(Gemm::new(maintainer, w, selector)?))
+        let (w, selector) = match span {
+            DataSpan::Unrestricted(bss) => {
+                return Ok(DemonEngine::Uw(UwEngine::new(maintainer, bss)))
             }
-        }
-    }
-
-    /// Builds a deletion-based most-recent-window engine: one model that
-    /// absorbs the arriving block and sheds the departing one, instead of
-    /// GEMM's per-window future models. Only deletion-capable maintainers
-    /// qualify.
-    pub fn new_decremental(maintainer: M, w: usize) -> Result<Self>
-    where
-        M: DecrementalMaintainer,
-    {
-        Ok(DemonEngine::Sliding(SlidingEngine::new(maintainer, w)?))
+            DataSpan::MostRecent { w, selector } => (w, selector),
+        };
+        check_window(w, &selector)?;
+        let step = match (M::MAINTENANCE, selector) {
+            (Maintenance::Refit { fit }, selector) => WindowStep::Refit(fit, selector),
+            (Maintenance::Decremental { shed }, BlockSelector::WindowIndependent(bss)) => {
+                WindowStep::Slide(shed, bss)
+            }
+            (_, selector) => return Ok(DemonEngine::Mrw(Gemm::new(maintainer, w, selector)?)),
+        };
+        let model = maintainer.fresh();
+        Ok(DemonEngine::Window(WindowEngine {
+            maintainer,
+            w,
+            model,
+            window: VecDeque::new(),
+            latest: None,
+            step,
+        }))
     }
 
     /// Processes the next arriving block.
@@ -245,7 +256,7 @@ impl<M: ModelMaintainer + Sync> DemonEngine<M> {
         match self {
             DemonEngine::Uw(e) => e.add_block(block),
             DemonEngine::Mrw(g) => Ok(g.add_block(block)?.into()),
-            DemonEngine::Sliding(s) => s.add_block(block),
+            DemonEngine::Window(e) => e.add_block(block),
         }
     }
 
@@ -256,7 +267,7 @@ impl<M: ModelMaintainer + Sync> DemonEngine<M> {
         match self {
             DemonEngine::Uw(e) => e.latest = first.prev(),
             DemonEngine::Mrw(g) => g.latest = first.prev(),
-            DemonEngine::Sliding(s) => s.latest = first.prev(),
+            DemonEngine::Window(e) => e.latest = first.prev(),
         }
     }
 
@@ -268,7 +279,7 @@ impl<M: ModelMaintainer + Sync> DemonEngine<M> {
         let (latest, w) = match self {
             DemonEngine::Uw(_) => return BlockId::FIRST,
             DemonEngine::Mrw(g) => (g.latest, g.window_size()),
-            DemonEngine::Sliding(s) => (s.latest, s.w),
+            DemonEngine::Window(e) => (e.latest, e.w),
         };
         latest.map_or(BlockId::FIRST, |t| t.window_start(w))
     }
@@ -279,7 +290,7 @@ impl<M: ModelMaintainer + Sync> DemonEngine<M> {
         match self {
             DemonEngine::Uw(e) => Some(e.model()),
             DemonEngine::Mrw(g) => g.current_model(),
-            DemonEngine::Sliding(s) => Some(s.model()),
+            DemonEngine::Window(e) => Some(&e.model),
         }
     }
 
@@ -288,7 +299,7 @@ impl<M: ModelMaintainer + Sync> DemonEngine<M> {
         match self {
             DemonEngine::Uw(e) => e.maintainer(),
             DemonEngine::Mrw(g) => g.maintainer(),
-            DemonEngine::Sliding(s) => s.maintainer(),
+            DemonEngine::Window(e) => &e.maintainer,
         }
     }
 }
@@ -355,10 +366,17 @@ mod tests {
     }
 
     #[test]
-    fn sliding_engine_rejects_zero_window() {
-        use crate::maintainer::DbscanMaintainer;
+    fn a_window_of_no_blocks_is_refused_by_every_engine() {
+        use crate::maintainer::{DbscanMaintainer, TreeMaintainer};
         use demon_clustering::DbscanParams;
-        let maintainer = DbscanMaintainer::new(DbscanParams::new(2, 1.0, 3));
-        assert!(DemonEngine::new_decremental(maintainer, 0).is_err());
+        let span = || DataSpan::MostRecent {
+            w: 0,
+            selector: BlockSelector::all(),
+        };
+        assert!(DemonEngine::new(maintainer(), span()).is_err());
+        let dbscan = DbscanMaintainer::new(DbscanParams::new(2, 1.0, 3));
+        assert!(DemonEngine::new(dbscan, span()).is_err());
+        let trees = TreeMaintainer::new(2, demon_trees::TreeParams::new(2));
+        assert!(DemonEngine::new(trees, span()).is_err());
     }
 }

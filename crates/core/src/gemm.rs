@@ -24,7 +24,7 @@
 use crate::bss::BlockSelector;
 use crate::maintainer::ModelMaintainer;
 use demon_types::parallel::par_for_each_mut;
-use demon_types::{obs, Block, BlockId, DemonError, Parallelism, Result};
+use demon_types::{obs, Block, BlockId, Parallelism, Result};
 use std::time::{Duration, Instant};
 
 /// Timing of one GEMM step.
@@ -60,19 +60,7 @@ impl<M: ModelMaintainer + Sync> Gemm<M> {
     /// given BSS. Off-line models update sequentially; see
     /// [`Gemm::with_parallelism`].
     pub fn new(maintainer: M, w: usize, selector: BlockSelector) -> Result<Self> {
-        if w == 0 {
-            return Err(DemonError::InvalidParameter(
-                "window size must be positive".into(),
-            ));
-        }
-        if let BlockSelector::WindowRelative(wr) = &selector {
-            if wr.window_size() != w {
-                return Err(DemonError::BssMismatch {
-                    got: wr.window_size(),
-                    expected: w,
-                });
-            }
-        }
+        crate::engine::check_window(w, &selector)?;
         Ok(Gemm {
             maintainer,
             selector,
@@ -102,11 +90,6 @@ impl<M: ModelMaintainer + Sync> Gemm<M> {
         &self.maintainer
     }
 
-    /// Start of the current most-recent window.
-    pub fn window_start(&self) -> Option<BlockId> {
-        self.slots.first().map(|(start, _)| *start)
-    }
-
     /// The model on the current window w.r.t. the BSS. `None` before the
     /// first block.
     pub fn current_model(&self) -> Option<&M::Model> {
@@ -130,8 +113,9 @@ impl<M: ModelMaintainer + Sync> Gemm<M> {
     }
 
     /// Processes the next arriving block (ids must be contiguous). A
-    /// replayed id is a typed [`DemonError::DuplicateBlock`] and a gap an
-    /// [`DemonError::InvalidParameter`]; both leave the engine untouched.
+    /// replayed id is a typed [`demon_types::DemonError::DuplicateBlock`]
+    /// and a gap an [`demon_types::DemonError::InvalidParameter`]; both
+    /// leave the engine untouched.
     pub fn add_block(&mut self, block: Block<M::Record>) -> Result<GemmStats> {
         let id = block.id();
         crate::engine::check_sequential(id, self.latest)?;

@@ -9,19 +9,20 @@
 //! * [`bss`] — block selection sequences: window-independent and
 //!   window-relative bit sequences, with the **projection** and
 //!   **right-shift** operations of §3.2;
-//! * [`maintainer`] — the [`ModelMaintainer`] abstraction GEMM is generic
-//!   over, with the two instantiations of §3.1:
-//!   [`maintainer::ItemsetMaintainer`] (BORDERS + ECUT/ECUT+),
-//!   [`maintainer::ClusterMaintainer`] (BIRCH+),
-//!   [`maintainer::TreeMaintainer`] (refit decision trees) and
-//!   [`maintainer::DbscanMaintainer`] (incremental DBSCAN — the only
-//!   [`maintainer::DecrementalMaintainer`], whose MRW window slides by
-//!   deletion through [`engine::SlidingEngine`]);
+//! * [`maintainer`] — the [`ModelMaintainer`] abstraction and its
+//!   [`maintainer::Maintenance`]: [`maintainer::ItemsetMaintainer`]
+//!   (BORDERS + ECUT/ECUT+) and [`maintainer::ClusterMaintainer`]
+//!   (BIRCH+) are incremental, [`maintainer::DbscanMaintainer`]
+//!   (incremental DBSCAN) is decremental, [`maintainer::TreeMaintainer`]
+//!   (decision trees) refits;
 //! * [`gemm`] — the generic most-recent-window algorithm: maintain one
 //!   model per future window overlapping the current one, updating the
 //!   time-critical model first (its cost is the *response time*) and the
 //!   rest off-line, optionally in parallel;
-//! * [`engine`] — a small facade selecting the data span option;
+//! * [`engine`] — [`DemonEngine::new`] picks the engine from the data
+//!   span, the BSS kind and the maintainer's declaration: UW, GEMM, or
+//!   one [`engine::WindowEngine`] model that a refit class fits once per
+//!   block and a decremental class slides under a window-independent BSS;
 //! * [`report`] — calendar-style reporting of block sequences for the
 //!   web-trace experiments;
 //! * [`monitor`] — the full Figure-11 composition: model maintenance and
@@ -36,7 +37,7 @@
 //! | §3.2 | GEMM, future-window models, off-line updates | [`gemm`] |
 //! | §3.2 ("may run in parallel") | parallel off-line fan-out | [`Gemm::with_parallelism`] |
 //! | §3.2.4 | AuM add/delete ablation baseline | `demon_bench::baselines::aum` (not linked by the daemon) |
-//! | §3.2.4 | deletion-based MRW engine (incremental DBSCAN) | [`engine::SlidingEngine`] |
+//! | §3.2.4 | MRW without future models: slide by deletion (incremental DBSCAN), refit once per block (trees) | [`engine::WindowEngine`], chosen by [`DemonEngine::new`] |
 //! | §5 | calendar-style reporting | [`report`] |
 //! | Fig. 11 | the full framework composition | [`engine`], [`monitor`] |
 //!
@@ -78,10 +79,10 @@ pub mod monitor;
 pub mod report;
 
 pub use bss::{BlockSelector, WiBss};
-pub use engine::{DataSpan, DemonEngine, SlidingEngine};
+pub use engine::{DataSpan, DemonEngine, WindowEngine};
 pub use gemm::{Gemm, GemmStats};
 pub use maintainer::{
-    ClusterMaintainer, DbscanMaintainer, DecrementalMaintainer, ItemsetMaintainer,
-    ModelMaintainer, TreeMaintainer,
+    ClusterMaintainer, DbscanMaintainer, ItemsetMaintainer, Maintenance, ModelMaintainer,
+    TreeMaintainer,
 };
 pub use monitor::{DemonMonitor, MonitorStats};

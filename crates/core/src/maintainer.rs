@@ -1,4 +1,4 @@
-//! The [`ModelMaintainer`] abstraction and its two instantiations.
+//! The [`ModelMaintainer`] abstraction and its four instantiations.
 //!
 //! GEMM (§3.2) is generic over "any traditional incremental model
 //! maintenance algorithm `A_M` for the unrestricted window option". The
@@ -10,7 +10,9 @@
 //!   `A_M(m, D_j)`); it takes `&self` so GEMM may update the off-line
 //!   models of several future windows in parallel;
 //! * `retire_block` — drop the stored data of blocks no maintained window
-//!   can ever need again.
+//!   can ever need again;
+//! * [`ModelMaintainer::MAINTENANCE`] — how the class keeps a model over
+//!   a moving window; [`crate::DemonEngine::new`] picks the engine by it.
 
 use demon_clustering::{BirchParams, CfTree, DbscanParams, PointBlockEntry, WindowedDbscan};
 use demon_itemsets::{CounterKind, FrequentItemsets, TxStore};
@@ -27,6 +29,9 @@ pub trait ModelMaintainer {
     /// `Send + Sync` for GEMM's parallel off-line updates.
     type Model: Clone + Send + Sync;
 
+    /// How this maintainer keeps a model over a moving window.
+    const MAINTENANCE: Maintenance<Self>;
+
     /// A model of the empty dataset.
     fn fresh(&self) -> Self::Model;
 
@@ -42,20 +47,22 @@ pub trait ModelMaintainer {
     fn retire_block(&mut self, id: BlockId);
 }
 
-/// A maintainer whose models can also **unlearn** a block: the inverse of
-/// [`ModelMaintainer::absorb`].
-///
-/// §3.2.4 contrasts GEMM's per-window future models with direct
-/// add/delete maintenance à la incremental DBSCAN. Model classes that do
-/// support deletion implement this trait, and the engine then maintains a
-/// most-recent window with **one** model — absorb the arriving block,
-/// shed the departing one — instead of one off-line model per overlapping
-/// future window.
-pub trait DecrementalMaintainer: ModelMaintainer {
-    /// Updates `model` to no longer cover block `id` — the deletion-based
-    /// counterpart of `absorb`. Called while the block is still
-    /// registered; the engine retires it afterwards.
-    fn shed(&self, model: &mut Self::Model, id: BlockId);
+/// How a [`ModelMaintainer`] keeps a model over the most recent window;
+/// [`crate::DemonEngine::new`] picks the engine from it and the BSS.
+pub enum Maintenance<M: ModelMaintainer + ?Sized> {
+    /// `absorb` only (BORDERS, BIRCH+): GEMM lifts it (§3.2.3).
+    Incremental,
+    /// `absorb` and its inverse (incremental DBSCAN, §3.2.4).
+    Decremental {
+        /// Updates a model to no longer cover a block it absorbed; called
+        /// while the block is still registered.
+        shed: fn(&M, &mut M::Model, BlockId),
+    },
+    /// `absorb` is a fit over what the model covers (decision trees).
+    Refit {
+        /// The model of exactly the given registered blocks, ascending.
+        fit: fn(&M, Vec<BlockId>) -> M::Model,
+    },
 }
 
 /// The frequent-itemset maintainer: BORDERS with a pluggable counter,
@@ -112,6 +119,8 @@ impl ItemsetMaintainer {
 impl ModelMaintainer for ItemsetMaintainer {
     type Record = demon_types::Transaction;
     type Model = FrequentItemsets;
+
+    const MAINTENANCE: Maintenance<Self> = Maintenance::Incremental;
 
     fn fresh(&self) -> FrequentItemsets {
         FrequentItemsets::empty(self.minsup, self.store.n_items())
@@ -188,6 +197,8 @@ impl ModelMaintainer for ClusterMaintainer {
     type Record = demon_types::Point;
     type Model = CfTree;
 
+    const MAINTENANCE: Maintenance<Self> = Maintenance::Incremental;
+
     fn fresh(&self) -> CfTree {
         CfTree::new(self.params.tree)
     }
@@ -218,11 +229,12 @@ impl ModelMaintainer for ClusterMaintainer {
 ///
 /// `absorb` inserts the block's points into the maintained
 /// [`WindowedDbscan`] through the incremental insertion path (core
-/// promotion, cluster creation/absorption/merge); [`DecrementalMaintainer::shed`]
-/// deletes them again through the incremental removal path (core
-/// demotion, cluster shrink/split) — the direction §3.2.4 calls out as
-/// the expensive one. Registered blocks live in the block storage engine
-/// so snapshots and replays see the raw points.
+/// promotion, cluster creation/absorption/merge); its
+/// [`Maintenance::Decremental`] `shed` deletes them again through the
+/// incremental removal path (core demotion, cluster shrink/split) — the
+/// direction §3.2.4 calls out as the expensive one. Registered blocks
+/// live in the block storage engine so snapshots and replays see the
+/// raw points.
 pub struct DbscanMaintainer {
     params: DbscanParams,
     blocks: BlockStore<PointBlockEntry>,
@@ -262,6 +274,12 @@ impl ModelMaintainer for DbscanMaintainer {
     type Record = demon_types::Point;
     type Model = WindowedDbscan;
 
+    const MAINTENANCE: Maintenance<Self> = Maintenance::Decremental {
+        shed: |_, model, id| {
+            model.shed_block(id);
+        },
+    };
+
     fn fresh(&self) -> WindowedDbscan {
         WindowedDbscan::new(self.params)
     }
@@ -284,34 +302,26 @@ impl ModelMaintainer for DbscanMaintainer {
     }
 }
 
-impl DecrementalMaintainer for DbscanMaintainer {
-    fn shed(&self, model: &mut WindowedDbscan, id: BlockId) {
-        model.shed_block(id);
-    }
-}
-
-/// The decision-tree maintainer — the third model class, demonstrating
-/// that GEMM "can be instantiated for any class of data mining models".
+/// The decision-tree maintainer — the third model class.
 ///
 /// Decision trees are not maintainable under insertion the way CF-trees
 /// or borders are (the authors' BOAT line of work addresses that and is
-/// explicitly out of the paper's scope), so this maintainer *refits* over
-/// the model's covered blocks on each absorb. The model therefore tracks
-/// which blocks it covers; the maintainer stores the labeled blocks.
-/// GEMM semantics — one model per overlapping future window, correct
-/// windowed models under any BSS — hold regardless of how `A_M`
-/// internally achieves its update.
+/// explicitly out of the paper's scope), so a tree is a
+/// [`Maintenance::Refit`] class: `absorb` adds the block to the model's
+/// `covers` and fits again, and a most-recent window is one fit per
+/// block over the blocks the BSS selects in it, not GEMM's w refits.
+/// The maintainer stores the labeled blocks.
 pub struct TreeMaintainer {
     params: demon_trees::TreeParams,
     dim: usize,
     blocks: BlockStore<LabeledBlockEntry>,
 }
 
-/// The tree model GEMM maintains: the fitted tree plus the ids of the
+/// The maintained tree model: the fitted tree plus the ids of the
 /// blocks it was fitted over.
 #[derive(Clone, serde::Serialize, serde::Deserialize)]
 pub struct WindowedTree {
-    /// The fitted classifier; `None` until the first block is absorbed.
+    /// The fitted classifier; `None` while the model covers no block.
     pub tree: Option<demon_trees::DecisionTree>,
     /// Blocks covered, ascending.
     pub covers: Vec<BlockId>,
@@ -351,11 +361,26 @@ impl TreeMaintainer {
     pub fn store(&self) -> &BlockStore<LabeledBlockEntry> {
         &self.blocks
     }
+
+    /// The tree fitted over the records of the registered blocks
+    /// `covers`, concatenated in the given (ascending) order.
+    fn fit(&self, covers: Vec<BlockId>) -> WindowedTree {
+        let records: Vec<demon_trees::LabeledPoint> = covers
+            .iter()
+            .filter_map(|&b| self.blocks.get(b).expect("registered block readable"))
+            .flat_map(|entry| entry.0.records().to_vec())
+            .collect();
+        let tree = (!covers.is_empty())
+            .then(|| demon_trees::DecisionTree::fit(&records, self.dim, self.params));
+        WindowedTree { tree, covers }
+    }
 }
 
 impl ModelMaintainer for TreeMaintainer {
     type Record = demon_trees::LabeledPoint;
     type Model = WindowedTree;
+
+    const MAINTENANCE: Maintenance<Self> = Maintenance::Refit { fit: Self::fit };
 
     fn fresh(&self) -> WindowedTree {
         WindowedTree {
@@ -369,19 +394,9 @@ impl ModelMaintainer for TreeMaintainer {
     }
 
     fn absorb(&self, model: &mut WindowedTree, id: BlockId) {
-        let pos = model.covers.partition_point(|&b| b < id);
-        model.covers.insert(pos, id);
-        let records: Vec<demon_trees::LabeledPoint> = model
-            .covers
-            .iter()
-            .filter_map(|&b| self.blocks.get(b).expect("registered block readable"))
-            .flat_map(|entry| entry.0.records().to_vec())
-            .collect();
-        model.tree = Some(demon_trees::DecisionTree::fit(
-            &records,
-            self.dim,
-            self.params,
-        ));
+        let mut covers = std::mem::take(&mut model.covers);
+        covers.insert(covers.partition_point(|&b| b < id), id);
+        *model = self.fit(covers);
     }
 
     fn retire_block(&mut self, id: BlockId) {

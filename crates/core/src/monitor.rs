@@ -3,13 +3,15 @@
 //! evolving block stream.
 //!
 //! [`DemonMonitor`] feeds every arriving block to a maintenance engine
-//! (UW or GEMM) *and* to the compact-sequence miner (over the
-//! unrestricted or the most recent window), so an application gets the
-//! up-to-date model and the evolving block-similarity patterns from a
-//! single `add_block` call — the paper's two problem dimensions composed.
+//! (the one [`DemonEngine::new`] picks) *and* to the compact-sequence
+//! miner (over the unrestricted or the most recent window), so an
+//! application gets the up-to-date model and the evolving
+//! block-similarity patterns from a single `add_block` call — the paper's
+//! two problem dimensions composed.
 
+use crate::bss::BlockSelector;
 use crate::engine::{DataSpan, DemonEngine, EngineStats};
-use crate::maintainer::{DecrementalMaintainer, ModelMaintainer};
+use crate::maintainer::ModelMaintainer;
 use demon_focus::compact::{CompactSequenceMiner, CompactStats};
 use demon_focus::similarity::SimilarityOracle;
 use demon_types::{Block, BlockId, Result};
@@ -49,32 +51,24 @@ where
         oracle: O,
         pattern_window: Option<usize>,
     ) -> Result<Self> {
-        Self::over(DemonEngine::new(maintainer, span)?, oracle, pattern_window)
+        let engine = DemonEngine::new(maintainer, span)?;
+        let miner = CompactSequenceMiner::with_window(oracle, pattern_window)?;
+        Ok(DemonMonitor { engine, miner })
     }
 
-    /// [`DemonMonitor::new`] with a **deletion-based** most-recent-window
-    /// engine (absorb the arriving block, shed the departing one) instead
-    /// of GEMM's per-window future models. Only deletion-capable
-    /// maintainers qualify.
+    /// [`DemonMonitor::new`] over the `w` most recent blocks, all
+    /// selected. A forwarder, kept because
+    /// `benchmark/src/workloads/class_sweep.rs` calls it:
+    /// [`DemonEngine::new`] itself slides a maintainer that can shed.
     pub fn new_decremental(
         maintainer: M,
         w: usize,
         oracle: O,
         pattern_window: Option<usize>,
-    ) -> Result<Self>
-    where
-        M: DecrementalMaintainer,
-    {
-        Self::over(
-            DemonEngine::new_decremental(maintainer, w)?,
-            oracle,
-            pattern_window,
-        )
-    }
-
-    fn over(engine: DemonEngine<M>, oracle: O, pattern_window: Option<usize>) -> Result<Self> {
-        let miner = CompactSequenceMiner::with_window(oracle, pattern_window)?;
-        Ok(DemonMonitor { engine, miner })
+    ) -> Result<Self> {
+        let selector = BlockSelector::all();
+        let span = DataSpan::MostRecent { w, selector };
+        Self::new(maintainer, span, oracle, pattern_window)
     }
 
     /// Processes the next arriving block through both dimensions.

@@ -18,10 +18,12 @@
 //! Four classes implement it: [`ItemsetModel`] (frequent itemsets over
 //! transaction blocks), [`ClusterModel`] (BIRCH+ over point blocks),
 //! [`TreeModel`] (windowed decision trees over labeled points) and
-//! [`DbscanModel`] (incremental DBSCAN density models —
-//! the one class whose `--window` engine slides by *deleting* the
-//! departing block's points instead of refitting, via the
-//! [`ServableModel::build_monitor`] hook).
+//! [`DbscanModel`] (incremental DBSCAN density models). No class
+//! chooses its engine: [`ServableModel::build_monitor`] has one body,
+//! and `DemonEngine::new` picks the engine from the maintainer — a
+//! `--window` tree fits once per block, a `--window` DBSCAN model slides
+//! by *deleting* the departing block's points, itemsets and BIRCH+ run
+//! GEMM.
 //!
 //! ## Sharding is a capability, not a default
 //!
@@ -92,9 +94,9 @@ pub trait ServableModel: Sized + Send + Sync + 'static {
     fn maintainer(config: &ServeConfig) -> Result<Self::Maintainer>;
 
     /// Builds the full monitor (engine + pattern miner) from the daemon
-    /// config. The default maps `--window` to GEMM's most-recent-window
-    /// span; classes with a cheaper window mechanism (incremental DBSCAN
-    /// slides by deletion) override it.
+    /// config: `--window` maps to the all-ones most-recent-window span,
+    /// and `DemonEngine::new` picks the engine. Every class runs this one
+    /// body; no class overrides it.
     fn build_monitor(config: &ServeConfig) -> Result<DemonMonitor<Self::Maintainer, Self::Oracle>> {
         let span = match config.window {
             None => DataSpan::Unrestricted(WiBss::All),
@@ -327,9 +329,10 @@ impl ServableModel for ClusterModel {
 /// Shares [`ClusterModel`]'s wire codec and block storage (raw point
 /// blocks in [`demon_clustering::PointBlockEntry`]); differs in
 /// the maintainer (deletion-capable [`DbscanMaintainer`]), the oracle
-/// (core-reachability deviation), the rendered body (the canonical
-/// [`demon_clustering::DbscanSummary`]) and the window engine — see
-/// the [`ServableModel::build_monitor`] override.
+/// (core-reachability deviation) and the rendered body (the canonical
+/// [`demon_clustering::DbscanSummary`]). Its maintainer can shed a
+/// block, so [`DemonEngine::new`](demon_core::DemonEngine::new) slides
+/// its `--window` by deletion.
 pub enum DbscanModel {}
 
 impl DbscanModel {
@@ -348,27 +351,6 @@ impl ServableModel for DbscanModel {
 
     fn maintainer(config: &ServeConfig) -> Result<DbscanMaintainer> {
         DbscanMaintainer::with_store_config(Self::params(config), &config.store_config)
-    }
-
-    /// `--window w` slides by **deletion**: absorb the arriving block
-    /// into the incremental structure, shed the departing one through
-    /// `IncrementalDbscan::remove` — no per-window refits (paper
-    /// §3.2.4's insert/delete cost asymmetry, made servable).
-    fn build_monitor(config: &ServeConfig) -> Result<DemonMonitor<Self::Maintainer, Self::Oracle>> {
-        match config.window {
-            None => DemonMonitor::new(
-                Self::maintainer(config)?,
-                DataSpan::Unrestricted(WiBss::All),
-                Self::oracle(config),
-                config.pattern_window,
-            ),
-            Some(w) => DemonMonitor::new_decremental(
-                Self::maintainer(config)?,
-                w,
-                Self::oracle(config),
-                config.pattern_window,
-            ),
-        }
     }
 
     fn oracle(config: &ServeConfig) -> DbscanSimilarity {

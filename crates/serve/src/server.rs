@@ -68,7 +68,7 @@ pub struct ServeConfig {
     /// (itself included) is core (`--model dbscan`).
     pub min_pts: usize,
     /// Model data span: `None` = unrestricted window, `Some(w)` = the
-    /// `w` most recent blocks (GEMM).
+    /// `w` most recent blocks. `--model trees` requires `Some`.
     pub window: Option<usize>,
     /// Pattern-detection window (`None` = unrestricted).
     pub pattern_window: Option<usize>,
@@ -190,6 +190,16 @@ impl Server {
             }
             let state = ShardSet::<ItemsetModel>::new(&config)?;
             return Runtime::bind(&config, Box::new(state));
+        }
+        if config.model == ModelClass::Trees && config.window.is_none() {
+            // A tree refits over everything its window covers: without a
+            // window every block refits the whole stream, and no block
+            // is ever retired.
+            return Err(DemonError::InvalidParameter(
+                "--model trees needs --window: an unrestricted tree refits over \
+                 every block ever ingested, at a cost that grows with the stream"
+                    .to_string(),
+            ));
         }
         match config.model {
             ModelClass::Itemsets => Runtime::<ItemsetModel>::bind_monitor(&config),

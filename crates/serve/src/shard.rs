@@ -3,8 +3,8 @@
 //!
 //! * [`AppliedState`] is the one seam between the runtime and the
 //!   mining state. `shards = 1`: [`MonitorState`], whatever monitor the
-//!   class builds (`--window`/GEMM and the DBSCAN sliding engine
-//!   included). `shards ≥ 2`: [`ShardSet`], for classes with an exact
+//!   class builds (`--window` included, whichever engine
+//!   `DemonEngine::new` picks for it). `shards ≥ 2`: [`ShardSet`], for classes with an exact
 //!   shard merge ([`ShardableModel`]). Either holds **one** maintainer —
 //!   one store under the one `--memory-budget` — one model and one
 //!   pattern miner.

@@ -25,7 +25,8 @@
 //! stats table; `client` drives it. `client query-model` prints exactly
 //! what `mine` prints for the same stream — the serving path is
 //! byte-compatible with the batch path. `--model clusters|trees` serves
-//! BIRCH+ clusters or windowed decision trees instead of itemsets;
+//! BIRCH+ clusters or windowed decision trees (`--window` required)
+//! instead of itemsets;
 //! `client ingest-points` / `ingest-labeled` stream deterministic
 //! Gaussian blocks to those daemons.
 //!
@@ -47,9 +48,9 @@
 //! ends a command as a success.
 
 use demon::core::bss::{BlockSelector, WiBss, WrBss};
-use demon::core::engine::UwEngine;
+use demon::core::engine::{DataSpan, DemonEngine};
 use demon::core::report;
-use demon::core::{Gemm, ItemsetMaintainer};
+use demon::core::ItemsetMaintainer;
 use demon::datagen::webtrace::{self, WebTraceConfig, WebTraceGen};
 use demon::datagen::{ClusterDataGen, ClusterParams, QuestGen, QuestParams};
 use demon::focus::{CompactSequenceMiner, ItemsetSimilarity, SimilarityConfig};
@@ -132,15 +133,18 @@ MODEL:    --model itemsets|clusters|trees|dbscan picks the served model
           class (default itemsets). clusters maintains BIRCH+ over
           point blocks (--dim, --k centroids);
           trees maintains windowed decision trees over labeled points
-          (--dim, --classes labels); dbscan maintains incremental
-          DBSCAN density models (--dim, --eps radius, --min-pts core
-          threshold) whose --window slides by deleting the departing
-          block instead of refitting. client ingest-points /
-          ingest-labeled stream deterministic Gaussian blocks (--spec
-          NM.Kc.dd, --seed) to such a daemon (ingest-points --model
-          dbscan stamps the density class), and query-model --model
-          CLASS pins the class (the daemon refuses a mismatched class
-          with a typed error) and prints the raw model JSON.
+          (--dim, --classes labels) and needs --window N: each block
+          refits the window once, while an unrestricted refit grows
+          with the stream (40 → 375 ms per block over 800 blocks), so
+          it is refused. dbscan maintains incremental DBSCAN density
+          models (--dim, --eps radius, --min-pts core threshold) whose
+          --window slides by deleting the departing block instead of
+          refitting. client ingest-points / ingest-labeled stream
+          deterministic Gaussian blocks (--spec NM.Kc.dd, --seed) to
+          such a daemon (ingest-points --model dbscan stamps the
+          density class), and query-model --model CLASS pins the class
+          (the daemon refuses a mismatched class with a typed error)
+          and prints the raw model JSON.
 BSS:      a bit string like 1011; window-relative when --window is set,
           window-independent (periodic) otherwise.
 WAL:      --wal-dir DIR serves durably: every ingest is appended to a
@@ -644,29 +648,6 @@ fn bss_flag(
     }
 }
 
-/// The shared monitor replay loop: feeds every listed block of `store`
-/// through `step` (one of the two data-span engines) and prints a table
-/// row per block. `step` absorbs the block and reports
-/// `(absorbed?, response time, current model size)`.
-fn replay_blocks<F>(store: &TxStore, mut step: F) -> Result<(), String>
-where
-    F: FnMut(TxBlock) -> Result<(bool, std::time::Duration, usize), String>,
-{
-    println!("block     txs  absorbed  response  |L|");
-    for &id in store.block_ids() {
-        let block = (*block_ref(store, id)?).clone();
-        let n = block.len();
-        let _sp = obs::span("add_block");
-        let (absorbed, rt, l) = step(block)?;
-        println!(
-            "{id:<6} {n:>6}  {:>8}  {:>7.2}ms  {l}",
-            if absorbed { "yes" } else { "no" },
-            rt.as_secs_f64() * 1e3
-        );
-    }
-    Ok(())
-}
-
 fn monitor(positional: &[&str], flags: &HashMap<&str, &str>) -> Result<(), String> {
     let store = load(positional, flags)?;
     let minsup = minsup_flag(flags)?;
@@ -684,37 +665,37 @@ fn monitor(positional: &[&str], flags: &HashMap<&str, &str>) -> Result<(), Strin
     )
     .map_err(|e| e.to_string())?;
 
+    let span = match (window, selector) {
+        (Some(w), selector) => DataSpan::MostRecent { w, selector },
+        (None, BlockSelector::WindowIndependent(wi)) => DataSpan::Unrestricted(wi),
+        (None, BlockSelector::WindowRelative(_)) => unreachable!("window is None"),
+    };
+    let mut engine = DemonEngine::new(maintainer, span).map_err(|e| e.to_string())?;
+    println!("block     txs  absorbed  response  |L|");
+    for &id in store.block_ids() {
+        let block = (*block_ref(&store, id)?).clone();
+        let n = block.len();
+        let _sp = obs::span("add_block");
+        let s = engine.add_block(block).map_err(|e| e.to_string())?;
+        let l = engine.current_model().map_or(0, |m| m.n_frequent());
+        println!(
+            "{id:<6} {n:>6}  {:>8}  {:>7.2}ms  {l}",
+            if s.absorbed { "yes" } else { "no" },
+            s.response_time.as_secs_f64() * 1e3
+        );
+    }
+    let model = engine.current_model().ok_or("no blocks replayed")?;
     match window {
-        Some(w) => {
-            let mut gemm = Gemm::new(maintainer, w, selector).map_err(|e| e.to_string())?;
-            replay_blocks(&store, |block| {
-                let s = gemm.add_block(block).map_err(|e| e.to_string())?;
-                let l = gemm.current_model().map_or(0, |m| m.n_frequent());
-                Ok((s.absorbed_into_current, s.response_time, l))
-            })?;
-            let model = gemm.current_model().ok_or("no blocks replayed")?;
-            println!(
-                "\nfinal window model: {} frequent itemsets over blocks {:?}",
-                model.n_frequent(),
-                model.included_blocks()
-            );
-        }
-        None => {
-            let wi = match bss_flag(flags, None)? {
-                BlockSelector::WindowIndependent(wi) => wi,
-                BlockSelector::WindowRelative(_) => unreachable!("window is None"),
-            };
-            let mut engine = UwEngine::new(maintainer, wi);
-            replay_blocks(&store, |block| {
-                let s = engine.add_block(block).map_err(|e| e.to_string())?;
-                Ok((s.absorbed, s.response_time, engine.model().n_frequent()))
-            })?;
-            println!(
-                "\nfinal model: {} frequent itemsets over {} transactions",
-                engine.model().n_frequent(),
-                engine.model().n_transactions()
-            );
-        }
+        Some(_) => println!(
+            "\nfinal window model: {} frequent itemsets over blocks {:?}",
+            model.n_frequent(),
+            model.included_blocks()
+        ),
+        None => println!(
+            "\nfinal model: {} frequent itemsets over {} transactions",
+            model.n_frequent(),
+            model.n_transactions()
+        ),
     }
     Ok(())
 }

@@ -149,9 +149,12 @@ fn pattern_window_bounds_the_model_cache_of_every_class() {
 
     let dbscan = DbscanParams::new(2, 0.5, 3);
     assert_model_cache_is_window_bounded(
-        DemonMonitor::new_decremental(
+        DemonMonitor::new(
             DbscanMaintainer::new(dbscan),
-            4,
+            DataSpan::MostRecent {
+                w: 4,
+                selector: BlockSelector::all(),
+            },
             DbscanSimilarity::new(dbscan, 0.3),
             Some(w),
         )

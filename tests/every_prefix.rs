@@ -3,25 +3,28 @@
 //! fit over exactly the blocks the data span and the BSS select.
 //!
 //! The matrix is every class (itemsets, BIRCH+, trees, dbscan) × every
-//! engine it supports (UW; GEMM with `w ∈ 1..=6`; the sliding engine of
-//! the decremental class) × three BSS kinds (all-ones, a seeded periodic
-//! window-independent one, seeded window-relative bits). At every prefix
-//! `t` it checks **every** GEMM slot, not only the current one. The
-//! expected selection comes only from the paper's window operators:
-//! `WiBss::project` (§3.2.1) and `WrBss::right_shift` (§3.2.2); under UW
-//! it is `project(D1, t, 0)`.
+//! data span (UW; the most recent `w ∈ 1..=6` blocks) × three BSS kinds
+//! (all-ones, a seeded periodic window-independent one, seeded
+//! window-relative bits). Each case runs the engine `DemonEngine::new`
+//! picks, the one the class would be served with: GEMM, or one window
+//! model that refits (trees) or slides (dbscan under a window-independent
+//! BSS). Where that is not GEMM, GEMM built directly runs beside it as
+//! the reference row. At every prefix `t` it checks **every** GEMM slot,
+//! not only the current one. The expected selection comes only from the
+//! paper's window operators: `WiBss::project` (§3.2.1) and
+//! `WrBss::right_shift` (§3.2.2); under UW it is `project(D1, t, 0)`.
 //!
 //! Cases run smallest first — span, then stream prefix, then seed — and
 //! the first failure (a mismatch or a panic) names
-//! `(class, engine, w, bss, seed, t, slot)`: a handful of blocks and one
-//! BSS, small enough to replay by hand.
+//! `(class, engine, w, bss, seed, t, slot)`, the engine as chosen: a
+//! handful of blocks and one BSS, small enough to replay by hand.
 
 use demon::clustering::{phase2_model, Birch, BirchParams, CfTree, DbscanParams, WindowedDbscan};
 use demon::core::bss::{BlockSelector, WiBss, WrBss};
 use demon::core::engine::{DataSpan, DemonEngine};
-use demon::core::maintainer::WindowedTree;
+use demon::core::maintainer::{Maintenance, WindowedTree};
 use demon::core::{
-    ClusterMaintainer, DbscanMaintainer, ItemsetMaintainer, ModelMaintainer, TreeMaintainer,
+    ClusterMaintainer, DbscanMaintainer, Gemm, ItemsetMaintainer, ModelMaintainer, TreeMaintainer,
 };
 use demon::itemsets::{CounterKind, FrequentItemsets, TxStore};
 use demon::trees::{DecisionTree, LabeledPoint, TreeParams};
@@ -50,17 +53,26 @@ trait Class: ModelMaintainer + Sync + Sized {
         selected: &[Block<Self::Record>],
         current: bool,
     ) -> Result<(), String>;
-    /// The deletion-based most-recent-window engine, for a decremental class.
-    fn sliding(self, _w: usize) -> Option<DemonEngine<Self>> {
-        None
-    }
 }
 
-#[derive(Clone, Copy, Debug)]
-enum EngineKind {
-    Uw,
+/// How a case builds its engine.
+#[derive(Clone, Copy)]
+enum Build {
+    /// `DemonEngine::new`: the engine the class is served with.
+    Chosen,
+    /// GEMM built directly: the reference row beside a chosen non-GEMM
+    /// engine.
     Gemm,
-    Sliding,
+}
+
+/// The engine `DemonEngine::new` chose, by name.
+fn engine_name<M: ModelMaintainer + Sync>(engine: &DemonEngine<M>) -> &'static str {
+    match (engine, M::MAINTENANCE) {
+        (DemonEngine::Uw(_), _) => "uw",
+        (DemonEngine::Mrw(_), _) => "gemm",
+        (DemonEngine::Window(_), Maintenance::Refit { .. }) => "refit",
+        (DemonEngine::Window(_), _) => "sliding",
+    }
 }
 
 #[derive(Clone, Copy)]
@@ -124,7 +136,9 @@ impl Bss {
 
 /// One running case of the matrix.
 struct Case<M: Class> {
-    engine_kind: EngineKind,
+    /// The engine's name: `uw`, `gemm`, `refit`, `sliding`, or
+    /// `gemm (reference)`.
+    engine_name: &'static str,
     /// `None` for the unrestricted window.
     w: Option<usize>,
     bss: Bss,
@@ -136,22 +150,29 @@ struct Case<M: Class> {
 type Failure = (Option<BlockId>, String);
 
 impl<M: Class> Case<M> {
-    /// The case, or `None` when class `M` has no such engine.
-    fn new(engine_kind: EngineKind, w: Option<usize>, bss: Bss, seed: u64) -> Option<Self> {
-        let maintainer = M::make(seed);
-        let engine = match (engine_kind, &bss, w) {
-            (EngineKind::Uw, Bss::Independent(wi), None) => {
-                DemonEngine::new(maintainer, DataSpan::Unrestricted(wi.clone())).unwrap()
+    /// The case, or `None` for a GEMM reference row where the chosen
+    /// engine is GEMM already.
+    fn new(build: Build, w: Option<usize>, bss: Bss, seed: u64) -> Option<Self> {
+        let span = match (w, &bss) {
+            (None, Bss::Independent(wi)) => DataSpan::Unrestricted(wi.clone()),
+            (None, Bss::Relative(_)) => unreachable!("no window-relative BSS without a window"),
+            (Some(w), _) => DataSpan::MostRecent {
+                w,
+                selector: bss.selector(),
+            },
+        };
+        let chosen = DemonEngine::new(M::make(seed), span).unwrap();
+        let (engine_name, engine) = match (build, w) {
+            (Build::Chosen, _) => (engine_name(&chosen), chosen),
+            (Build::Gemm, Some(_)) if matches!(chosen, DemonEngine::Mrw(_)) => return None,
+            (Build::Gemm, Some(w)) => {
+                let gemm = Gemm::new(M::make(seed), w, bss.selector()).unwrap();
+                ("gemm (reference)", DemonEngine::Mrw(gemm))
             }
-            (EngineKind::Gemm, _, Some(w)) => {
-                let selector = bss.selector();
-                DemonEngine::new(maintainer, DataSpan::MostRecent { w, selector }).unwrap()
-            }
-            (EngineKind::Sliding, _, Some(w)) => maintainer.sliding(w)?,
-            _ => unreachable!("no such engine"),
+            (Build::Gemm, None) => unreachable!("GEMM needs a window"),
         };
         Some(Case {
-            engine_kind,
+            engine_name,
             w,
             bss,
             seed,
@@ -221,19 +242,19 @@ fn every_prefix_equals_batch<M: Class>() {
     use BssKind::*;
     // The unrestricted window first, then each most-recent window size.
     for w in std::iter::once(None).chain((1..=MAX_W).map(Some)) {
-        let engines: &[(EngineKind, &[BssKind])] = match w {
-            None => &[(EngineKind::Uw, &[AllOnes, Periodic])],
-            Some(_) => &[
-                (EngineKind::Gemm, &[AllOnes, Periodic, Relative]),
-                (EngineKind::Sliding, &[AllOnes]),
-            ],
+        let (builds, kinds): (&[Build], &[BssKind]) = match w {
+            None => (&[Build::Chosen], &[AllOnes, Periodic]),
+            Some(_) => (
+                &[Build::Chosen, Build::Gemm],
+                &[AllOnes, Periodic, Relative],
+            ),
         };
         let mut cases: Vec<Case<M>> = Vec::new();
-        for &(engine_kind, kinds) in engines {
+        for &build in builds {
             for &kind in kinds {
                 for seed in 0..SEEDS {
                     let bss = Bss::draw(kind, seed, w.unwrap_or(MAX_W));
-                    cases.extend(Case::new(engine_kind, w, bss, seed));
+                    cases.extend(Case::new(build, w, bss, seed));
                 }
             }
         }
@@ -249,10 +270,10 @@ fn every_prefix_equals_batch<M: Class>() {
                     }
                 };
                 panic!(
-                    "every-prefix oracle failed: class {}, engine {:?}, w {}, bss {}, seed {}, \
+                    "every-prefix oracle failed: class {}, engine {}, w {}, bss {}, seed {}, \
                      t {}, slot {}: {msg}",
                     M::NAME,
-                    case.engine_kind,
+                    case.engine_name,
                     w.map_or("unrestricted".into(), |w| w.to_string()),
                     case.bss.describe(),
                     case.seed,
@@ -462,10 +483,31 @@ impl Class for DbscanMaintainer {
         same("points", model.structure().len(), n_points)?;
         model.structure().verify_against_batch()
     }
+}
 
-    fn sliding(self, w: usize) -> Option<DemonEngine<Self>> {
-        Some(DemonEngine::new_decremental(self, w).unwrap())
+/// The engine choice: trees refit under every BSS, dbscan slides under
+/// a window-independent one and runs GEMM under window-relative bits,
+/// and the insert-only classes run GEMM; the unrestricted window is UW.
+#[test]
+fn the_engine_follows_from_the_maintainer() {
+    fn chosen<M: Class>(kind: BssKind) -> [&'static str; 2] {
+        let bss = Bss::draw(kind, 0, 3);
+        let window = DataSpan::MostRecent {
+            w: 3,
+            selector: bss.selector(),
+        };
+        let uw = DataSpan::Unrestricted(WiBss::All);
+        [window, uw].map(|span| engine_name(&DemonEngine::new(M::make(0), span).unwrap()))
     }
+    use BssKind::*;
+    for kind in [AllOnes, Periodic, Relative] {
+        assert_eq!(chosen::<TreeMaintainer>(kind), ["refit", "uw"]);
+        assert_eq!(chosen::<ItemsetMaintainer>(kind), ["gemm", "uw"]);
+        assert_eq!(chosen::<ClusterMaintainer>(kind), ["gemm", "uw"]);
+    }
+    assert_eq!(chosen::<DbscanMaintainer>(AllOnes), ["sliding", "uw"]);
+    assert_eq!(chosen::<DbscanMaintainer>(Periodic), ["sliding", "uw"]);
+    assert_eq!(chosen::<DbscanMaintainer>(Relative), ["gemm", "uw"]);
 }
 
 #[test]

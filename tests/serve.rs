@@ -434,6 +434,8 @@ fn tree_daemon_matches_batch_refit() {
     config.model = ModelClass::Trees;
     config.dim = DIM;
     config.classes = CLASSES;
+    // A window as long as the stream: the refit covers every block.
+    config.window = Some(golden_labeled_blocks().len());
     let server = Server::bind(config).expect("bind trees daemon");
     let addr = server.local_addr();
     let handle = std::thread::spawn(move || server.run());
@@ -465,6 +467,26 @@ fn tree_daemon_matches_batch_refit() {
     client.shutdown().expect("shutdown");
     let summary = handle.join().expect("server thread").expect("run ok");
     assert_eq!(summary.blocks, 3);
+}
+
+/// A tree refits over every block its span covers, so a tree daemon
+/// without `--window` would refit the whole stream on every block: bind
+/// refuses it, by name, before it creates its WAL root.
+#[test]
+fn an_unwindowed_tree_daemon_is_refused() {
+    let wal_dir = tmp("unwindowed-trees");
+    std::fs::remove_dir_all(&wal_dir).ok();
+    let mut config = cluster_config();
+    config.model = ModelClass::Trees;
+    config.classes = CLASSES;
+    config.wal_dir = Some(wal_dir.clone());
+    let err = match Server::bind(config) {
+        Ok(_) => panic!("bind must refuse --model trees without --window"),
+        Err(e) => e,
+    };
+    assert!(matches!(err, DemonError::InvalidParameter(_)), "{err}");
+    assert!(err.to_string().contains("--window"), "{err}");
+    assert!(!wal_dir.exists(), "the refused bind touched its WAL root");
 }
 
 /// Sharding needs an exact merge; clusters, trees and density models
@@ -670,6 +692,7 @@ fn a_snapshot_of_every_class_binds_and_answers_like_its_daemon() {
     let mut trees = cluster_config();
     trees.model = ModelClass::Trees;
     trees.classes = CLASSES;
+    trees.window = Some(golden_labeled_blocks().len());
     let itemsets = ServeConfig::new("127.0.0.1:0", N_ITEMS, MinSupport::new(MINSUP).unwrap());
     for config in [itemsets, cluster_config(), dbscan_config(), trees] {
         let class = config.model;

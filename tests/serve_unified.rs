@@ -207,7 +207,11 @@ fn cases() -> Vec<Case> {
         },
         Case {
             name: "trees",
-            config: base_config(ModelClass::Trees),
+            config: ServeConfig {
+                // A window as long as the stream: the refit covers every block.
+                window: Some(labeled_blocks().len()),
+                ..base_config(ModelClass::Trees)
+            },
             ingest: |client| {
                 let blocks = labeled_blocks();
                 for b in &blocks {
